@@ -2,6 +2,7 @@
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,8 @@ class Grid:
     fixes the lateral boundary handling: Dirichlet zero on the outer box
     faces for ``box`` and ``tunnel``; for ``ball`` additionally every node
     with |x| >= 1 is pinned to zero (staircase Dirichlet sphere).
+    ``axes``, ``spacing`` and ``cell_volume`` are computed once per grid;
+    the axis arrays are read-only because every caller shares them.
     """
 
     kind: str
@@ -47,22 +50,26 @@ class Grid:
     def ndim(self):
         return len(self.shape)
 
-    @property
+    @cached_property
     def axes(self):
         if self.kind == PERIODIC:
-            return (np.linspace(self.lo[0], self.hi[0], self.shape[0],
+            axes = (np.linspace(self.lo[0], self.hi[0], self.shape[0],
                                 endpoint=False),)
-        return tuple(np.linspace(self.lo[i], self.hi[i], self.shape[i])
-                     for i in range(self.ndim))
+        else:
+            axes = tuple(np.linspace(self.lo[i], self.hi[i], self.shape[i])
+                         for i in range(self.ndim))
+        for a in axes:
+            a.flags.writeable = False
+        return axes
 
-    @property
+    @cached_property
     def spacing(self):
         if self.kind == PERIODIC:
             return ((self.hi[0] - self.lo[0]) / self.shape[0],)
         return tuple((self.hi[i] - self.lo[i]) / (self.shape[i] - 1)
                      for i in range(self.ndim))
 
-    @property
+    @cached_property
     def cell_volume(self):
         v = 1.0
         for h in self.spacing:

@@ -235,6 +235,17 @@ def run_scenario(scenario, budget=None):
                    evidence=evidence, wall_time=time.perf_counter() - start)
 
 
+# Measured verdict seconds per node-step, by scenario kind: the medians
+# of ``solver.s_per_node_step.*`` from
+# ``python3 perfbench/run.py --workload W --seed 1 --seconds 25 --trace 1``
+# for W in zoom, ladder and tunnel-sweep (rescaled 5.01e-8, ladder
+# 4.96e-6, tunnel 4.34e-8 on a shared 2-CPU x86-64 host, Python 3.11,
+# numpy 2.4, scipy 1.17).  Ladder runs cost more per node because the
+# parabolic distance to the curve is evaluated at every node and step.
+_SECONDS_PER_NODE_STEP = {"rescaled": 5.0e-8, "ladder": 5.0e-6,
+                          "tunnel": 4.3e-8}
+
+
 def _check_budget(scenario, budget_seconds):
     """Coarse step-count screen naming the limiting parameter."""
     grid = scenario.build_grid()
@@ -245,7 +256,7 @@ def _check_budget(scenario, budget_seconds):
         steps = len(scenario.k_ladder) * scenario.horizon / grid.dt
     else:
         steps = 1.0 / grid.dt
-    est = steps * nodes * 2e-7
+    est = steps * nodes * _SECONDS_PER_NODE_STEP[scenario.kind]
     if est > budget_seconds:
         raise BudgetError(
             f"estimated {est:.0f}s exceeds budget {budget_seconds}s",

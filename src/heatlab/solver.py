@@ -3,10 +3,15 @@
 One step applies, in order: the exact pointwise decay map of the absorption
 term (explicit in data, unconditionally stable, positivity preserving),
 first-order upwind transport for the moving-frame drift, and backward-Euler
-diffusion via tridiagonal (1D) or alternating-direction (2D) solves with
-Dirichlet zero on the lateral boundary.  Every sub-map is monotone, so the
-discrete comparison principle holds exactly and the Dirac ladder
-k -> u_k inherits the monotonicity of the continuum problem.
+diffusion axis by axis with Dirichlet zero on the lateral boundary.  Each
+axis's diffusion propagator is built once per run: an axis with at most
+``DENSE_AXIS_MAX`` interior nodes gets its explicit (entrywise nonnegative)
+inverse and a step is one small matrix product per axis; a longer axis
+keeps the per-step tridiagonal solve, whose work is O(m) and which never
+starts a multithreaded BLAS product that would oversubscribe the cores
+shared by parallel sweep workers.  Every sub-map is monotone, so the
+discrete comparison principle holds and the Dirac ladder k -> u_k inherits
+the monotonicity of the continuum problem.
 
 Long rescaled runs decay through hundreds of e-foldings; fields therefore
 carry a ``log_scale`` offset and are renormalized on the fly, with probes
@@ -102,17 +107,39 @@ def _safe_exp(logv):
 # ----------------------------------------------------------------------
 # stepper
 # ----------------------------------------------------------------------
-class Stepper:
-    """Cached-factorization IMEX stepper on one grid."""
+# Axes with at most this many interior nodes diffuse through an explicit
+# dense inverse; longer axes keep the O(m) tridiagonal solve (see Stepper).
+DENSE_AXIS_MAX = 64
 
-    def __init__(self, grid, spec, ceiling=DIVERGENCE_CEILING):
+
+class Stepper:
+    """IMEX stepper on one grid with per-axis propagators built once.
+
+    Each Dirichlet axis carries the backward-Euler matrix I - dt * D2 in
+    banded form.  On an axis with at most ``DENSE_AXIS_MAX`` interior nodes
+    the constructor also forms its inverse P by one tridiagonal solve
+    against the identity, and every step applies ``P @ v`` (``P0 @ v @
+    P1`` in 2D; P is symmetric): a 39 x 39 product costs a few
+    microseconds where a per-step ``solve_banded`` spends tens in argument
+    checking.  Longer axes keep the per-step banded solve: its work is
+    O(m) per column while a dense product is O(m**2), and a product as
+    large as 199 x 199 would run multithreaded in BLAS and oversubscribe
+    the cores that parallel sweep workers already share.  P is entrywise
+    nonnegative in floating point (see ``_propagator``), so the diffusion
+    sub-map stays monotone.
+    """
+
+    def __init__(self, grid, spec):
         self.grid = grid
         self.spec = spec
-        self.ceiling = ceiling
         self.dt = grid.dt
         self.hs = grid.spacing
-        self.mask = grid.interior_mask()
+        self._inv_hs = tuple(1.0 / h for h in self.hs)
         self.points = grid.points()
+        self._ball = grid.interior_mask().astype(float) \
+            if grid.kind == BALL else None
+        self._work = np.empty(grid.shape)
+        self._inner = (slice(1, -1),) * grid.ndim
         if grid.kind == PERIODIC:
             # backward-Euler diffusion diagonalizes over Fourier modes
             n = grid.shape[0]
@@ -120,12 +147,23 @@ class Stepper:
             k = np.fft.rfftfreq(n) * n
             self._fft_sym = 1.0 + self.dt * (4.0 / h ** 2) \
                 * np.sin(np.pi * k / n) ** 2
-            self._ab = None
         else:
             self._ab = [self._banded(n, h) for n, h in zip(grid.shape, self.hs)]
+            self._props = [_propagator(ab) if ab.shape[1] <= DENSE_AXIS_MAX
+                           else None for ab in self._ab]
+            # per axis: interior, backward and forward slices of the upwind
+            # difference, and a buffer for it
+            self._upwind_slices = [
+                tuple(_axis_slice(grid.ndim, ax, lo, hi)
+                      for lo, hi in ((1, -1), (None, -2), (2, None)))
+                for ax in range(grid.ndim)]
+            self._dbuf = [np.empty(grid.shape[:ax] + (n - 2,)
+                                   + grid.shape[ax + 1:])
+                          for ax, n in enumerate(grid.shape)]
         self.underflow_count = 0
         self.renorm_count = 0
         self.max_reaction_rate = 0.0
+        self.vmax = 0.0
 
     def _banded(self, n, h):
         r = self.dt / (h * h)
@@ -136,10 +174,10 @@ class Stepper:
         ab[2, :-1] = -r
         return ab
 
-    def stability_margin(self, values, log_scale, t):
-        """dt * (sum |c_i|/h_i + max reaction rate); recorded each step."""
+    def stability_margin(self, t):
+        """dt * (sum |c_i|/h_i + max reaction rate); recorded each run."""
         c = self.spec.velocity(t, self.grid.ndim)
-        adv = sum(abs(c[i]) / self.hs[i] for i in range(self.grid.ndim))
+        adv = sum(abs(ci) / h for ci, h in zip(c, self.hs))
         return self.dt * (adv + self.max_reaction_rate)
 
     def _absorption_values(self, t):
@@ -156,87 +194,124 @@ class Stepper:
         return vals.reshape(self.grid.shape)
 
     def step(self, values, t, log_scale):
-        """Advance one time level; returns (values, log_scale)."""
-        dt, p = self.dt, self.spec.p
+        """Advance one time level; returns (values, log_scale).
+
+        ``values`` is left unchanged and the returned array is new.  After
+        the call ``vmax`` holds max |values| of the result, which is NaN or
+        inf exactly when the result has a non-finite entry.
+        """
+        dt, p, hs = self.dt, self.spec.p, self.hs
         c = self.spec.velocity(t, self.grid.ndim)
-        cfl = dt * sum(abs(c[i]) / self.hs[i] for i in range(self.grid.ndim))
+        cfl = dt * sum(abs(ci) / h for ci, h in zip(c, hs))
         if cfl > 0.5 + 1e-12:
             raise ConfigurationError(
                 f"drift CFL {cfl:.3g} exceeds 0.5 at t={t:.6g}")
+        work = self._work
 
         # absorption: exact decay map of u' = -a u**p at frozen coefficient
         a = self._absorption_values(t)
         if a is not None and p > 1:
             scale_pow = math.exp(-(p - 1.0) * log_scale) if \
                 (p - 1.0) * log_scale < 700 else 0.0
-            rate = a * np.abs(values) ** (p - 1.0) * scale_pow
+            rate = np.abs(values, out=work)
+            rate **= p - 1.0
+            rate *= a
+            rate *= scale_pow
             self.max_reaction_rate = max(self.max_reaction_rate,
-                                         float(np.max(rate)))
-            values = values * (1.0 + (p - 1.0) * dt * rate) ** (-1.0 / (p - 1.0))
+                                         float(rate.max()))
+            rate *= (p - 1.0) * dt
+            rate += 1.0
+            rate **= -1.0 / (p - 1.0)
+            values = np.multiply(values, rate, out=work)
 
-        # first-order upwind drift
-        if np.any(c != 0.0):
+        # first-order upwind drift; with several moving axes every
+        # difference is taken from the pre-drift values
+        moving = [ax for ax in range(self.grid.ndim) if c[ax] != 0.0]
+        if moving and self.grid.kind == PERIODIC:
             adv = np.zeros_like(values)
-            for ax in range(self.grid.ndim):
-                if c[ax] == 0.0:
-                    continue
-                if self.grid.kind == PERIODIC:
-                    shift = 1 if c[ax] > 0 else -1
-                    adv += c[ax] * shift * (values - np.roll(values, shift)) \
-                        / self.hs[ax]
-                else:
-                    adv += c[ax] * _upwind(values, self.hs[ax], ax, c[ax])
+            for ax in moving:
+                shift = 1 if c[ax] > 0 else -1
+                adv += c[ax] * shift * (values - np.roll(values, shift)) \
+                    / hs[ax]
             values = values - dt * adv
+        elif moving:
+            if values is not work:
+                np.copyto(work, values)
+                values = work
+            diffs = [self._upwind(values, ax, dt * c[ax] * self._inv_hs[ax])
+                     for ax in moving]
+            for ax, d in zip(moving, diffs):
+                values[self._upwind_slices[ax][0]] -= d
 
         # implicit diffusion, axis by axis
         if self.grid.kind == PERIODIC:
-            values = np.fft.irfft(np.fft.rfft(values) / self._fft_sym,
-                                  n=values.size)
-        elif self.grid.ndim == 1:
-            inner = solve_banded((1, 1), self._ab[0], values[1:-1])
-            values = np.concatenate([[0.0], inner, [0.0]])
+            out = np.fft.irfft(np.fft.rfft(values) / self._fft_sym,
+                               n=values.size)
         else:
-            values = values.copy()
-            values[0, :] = values[-1, :] = 0.0
-            values[:, 0] = values[:, -1] = 0.0
-            values[1:-1, :] = solve_banded((1, 1), self._ab[0], values[1:-1, :])
-            values[:, 1:-1] = solve_banded((1, 1), self._ab[1],
-                                           values[:, 1:-1].T).T
-        if self.grid.kind == BALL:
-            values = np.where(self.mask, values, 0.0)
+            out = np.zeros(self.grid.shape)
+            out[self._inner] = self._diffuse(values[self._inner])
+            if self._ball is not None:
+                out *= self._ball
 
         # keep the working array inside double range on decaying runs;
         # physical = values * exp(-log_scale), so dividing by vmax adds
         # -log(vmax) to the offset
-        vmax = float(np.max(np.abs(values)))
+        vmax = float(np.abs(out, out=work).max())
         if 0.0 < vmax < _RENORM_FLOOR:
-            values = values / vmax
+            out /= vmax
             log_scale -= math.log(vmax)
             self.renorm_count += 1
-        return values, log_scale
+            vmax = 1.0
+        self.vmax = vmax
+        return out, log_scale
+
+    def _upwind(self, values, ax, coef):
+        """coef times the one-sided difference against the flow on the
+        interior of axis ``ax`` (coef = dt * speed / h)."""
+        mid, back, fwd = self._upwind_slices[ax]
+        if coef > 0:
+            d = np.subtract(values[mid], values[back], out=self._dbuf[ax])
+        else:
+            d = np.subtract(values[fwd], values[mid], out=self._dbuf[ax])
+        d *= coef
+        return d
+
+    def _diffuse(self, inner):
+        """Backward-Euler diffusion of the interior block, axis by axis."""
+        for ax, (ab, prop) in enumerate(zip(self._ab, self._props)):
+            if ax == 0:
+                inner = prop @ inner if prop is not None \
+                    else solve_banded((1, 1), ab, inner)
+            else:
+                # prop is symmetric, so it is its own transpose here
+                inner = inner @ prop if prop is not None \
+                    else solve_banded((1, 1), ab, inner.T).T
+        return inner
 
 
-def _upwind(u, h, axis, speed):
-    """One-sided difference against the flow direction."""
-    d = np.zeros_like(u)
-    sl_c = [slice(None)] * u.ndim
-    sl_m = [slice(None)] * u.ndim
-    sl_p = [slice(None)] * u.ndim
-    sl_c[axis] = slice(1, -1)
-    sl_m[axis] = slice(None, -2)
-    sl_p[axis] = slice(2, None)
-    if speed > 0:
-        d[tuple(sl_c)] = (u[tuple(sl_c)] - u[tuple(sl_m)]) / h
-    else:
-        d[tuple(sl_c)] = (u[tuple(sl_p)] - u[tuple(sl_c)]) / h
-    return d
+def _propagator(ab):
+    """Inverse of the symmetric tridiagonal matrix ``ab`` (banded form).
+
+    The elimination on this diagonally dominant M-matrix only adds
+    nonnegative terms, so every entry is >= 0 in floating point.  The two
+    triangles agree to rounding; averaging them makes the result exactly
+    symmetric.
+    """
+    inv = solve_banded((1, 1), ab, np.eye(ab.shape[1]))
+    return 0.5 * (inv + inv.T)
 
 
-def step_imex(fld, spec, ceiling=DIVERGENCE_CEILING):
+def _axis_slice(ndim, axis, start, stop):
+    sl = [slice(None)] * ndim
+    sl[axis] = slice(start, stop)
+    return tuple(sl)
+
+
+def step_imex(fld, spec):
     """Advance a field one time level under the given operator."""
-    stepper = Stepper(fld.grid, spec, ceiling)
-    vals, log_scale = stepper.step(fld.values.copy(), fld.time, fld.log_scale)
-    if not np.all(np.isfinite(vals)):
+    stepper = Stepper(fld.grid, spec)
+    vals, log_scale = stepper.step(fld.values, fld.time, fld.log_scale)
+    if not math.isfinite(stepper.vmax):
         raise NumericalError("non-finite values after one step")
     return Field(fld.grid, vals, fld.time + fld.grid.dt, log_scale)
 
@@ -293,12 +368,12 @@ def _interp(grid, values, point):
                  + values[i + 1, j + 1] * fx * fy)
 
 
-def _log_norms(values, log_scale, cell_vol):
-    vmax = float(np.max(np.abs(values)))
+def _log_norms(values, log_scale, half_log_vol, vmax):
     if vmax == 0.0:
         return _LOG_ZERO, _LOG_ZERO
-    l2 = float(np.linalg.norm(values.ravel()))
-    return (math.log(l2) + 0.5 * math.log(cell_vol) - log_scale,
+    flat = values.ravel()
+    l2 = math.sqrt(flat @ flat)
+    return (math.log(l2) + half_log_vol - log_scale,
             math.log(vmax) - log_scale)
 
 
@@ -312,7 +387,7 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     array is copied out (each matched to the nearest step within dt/2).
     """
     grid = fld.grid
-    stepper = Stepper(grid, spec, ceiling)
+    stepper = Stepper(grid, spec)
     values = fld.values.copy()
     log_scale = fld.log_scale
     t = fld.time
@@ -327,18 +402,20 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     diverged = False
     graph_curve = curve is not None and curve.kind == geometry.GRAPH
     snap_queue = list(snapshot_times) if snapshot_times is not None else []
+    half_log_vol = 0.5 * math.log(grid.cell_volume)
+    log_ceiling = math.log(ceiling)
 
     for istep in range(n_steps):
         values, log_scale = stepper.step(values, t, log_scale)
         t = fld.time + (istep + 1) * grid.dt
         times[istep] = t
-        if not np.all(np.isfinite(values)):
+        if not math.isfinite(stepper.vmax):
             events.append((t, "non-finite"))
             diverged = True
             n_steps = istep + 1
             break
         log_l2[istep], log_linf[istep] = _log_norms(values, log_scale,
-                                                    grid.cell_volume)
+                                                    half_log_vol, stepper.vmax)
         if graph_curve:
             pos = curve.position_at_time(min(t, curve.horizon))
             v = _interp(grid, values, pos)
@@ -353,7 +430,7 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
             log_probes[istep] = math.log(best) if best > 0 else _LOG_ZERO
         else:
             log_probes[istep] = log_linf[istep]
-        if log_linf[istep] > math.log(ceiling):
+        if log_linf[istep] > log_ceiling:
             events.append((t, "divergence-ceiling"))
             diverged = True
             n_steps = istep + 1
@@ -363,7 +440,7 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
             snap_queue.pop(0)
 
     events.append((t, "stability-margin:"
-                   f"{stepper.stability_margin(values, log_scale, t):.3g}"))
+                   f"{stepper.stability_margin(t):.3g}"))
     if stepper.underflow_count:
         events.append((t, f"h-underflow:{stepper.underflow_count}"))
     if stepper.renorm_count:

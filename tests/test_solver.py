@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from heatlab import barriers, geometry, potential, solver
 from heatlab.errors import (BudgetError, ConfigurationError,
@@ -68,6 +70,100 @@ class TestStepImex:
         for _ in range(50):
             fld = solver.step_imex(fld, spec)
         assert fld.values.min() >= -1e-12
+
+
+class TestPropagators:
+    # interior sizes just below, at and just above the dense-inverse cutoff
+    SIZES = (solver.DENSE_AXIS_MAX + 1, solver.DENSE_AXIS_MAX + 2,
+             solver.DENSE_AXIS_MAX + 3)
+
+    @pytest.mark.parametrize("dt", [2e-4, 2e-3])
+    def test_dense_axes_match_banded_solve(self, rng, dt):
+        for n in self.SIZES:
+            g = Grid("box", (-1.0, -1.0), (1.0, 1.0), (n, self.SIZES[0]), dt)
+            st_ = solver.Stepper(g, solver.PDESpec(p=2.0))
+            for ab, prop in zip(st_._ab, st_._props):
+                m = ab.shape[1]
+                if m > solver.DENSE_AXIS_MAX:
+                    assert prop is None
+                    continue
+                assert prop.shape == (m, m)
+                assert prop.min() >= 0.0
+                b = rng.uniform(0.0, 1.0, size=(m, 7))
+                ref = solve_banded((1, 1), ab, b)
+                np.testing.assert_allclose(prop @ b, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dt", [2e-4, 2e-3])
+    def test_diffusion_step_matches_banded_solves(self, rng, dt):
+        # one pure-diffusion step against per-step solves on both axes,
+        # on each side of the cutoff
+        for shape in ((self.SIZES[0], self.SIZES[2]),
+                      (self.SIZES[2], self.SIZES[1]), (self.SIZES[2],)):
+            ndim = len(shape)
+            g = Grid("box", (-1.0,) * ndim, (1.0,) * ndim, shape, dt)
+            st_ = solver.Stepper(g, solver.PDESpec(p=2.0))
+            vals = rng.uniform(0.1, 1.0, size=shape)
+            out, ls = st_.step(vals, 0.0, 0.0)
+            inner = vals[(slice(1, -1),) * ndim]
+            ref = np.zeros(shape)
+            inner = solve_banded((1, 1), st_._ab[0], inner)
+            if ndim == 2:
+                inner = solve_banded((1, 1), st_._ab[1], inner.T).T
+            ref[(slice(1, -1),) * ndim] = inner
+            assert ls == 0.0
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0)
+
+
+@st.composite
+def comparison_cases(draw):
+    """A grid on either side of the dense cutoff, a constant drift with
+    any sign pattern below the CFL limit, and an absorption."""
+    kind = draw(st.sampled_from(["box1", "ball1", "box2", "ball2", "tunnel"]))
+    n0 = draw(st.integers(5, 80))
+    n1 = draw(st.integers(5, 80))
+    dt = draw(st.floats(1e-4, 5e-2))
+    if kind == "box1":
+        g = Grid.interval(-2.0, 2.0, n0, dt)
+    elif kind == "ball1":
+        g = Grid.unit_ball(n0, dt, ndim=1)
+    elif kind == "box2":
+        g = Grid("box", (-1.0, -2.0), (1.0, 2.0), (n0, n1), dt)
+    elif kind == "ball2":
+        g = Grid.unit_ball(n0, dt, ndim=2)
+    else:
+        g = Grid.tunnel(3.0, n0, n1, dt)
+    signs = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=g.ndim,
+                          max_size=g.ndim))
+    frac = draw(st.floats(0.0, 1.0))
+    c = np.array([s * frac * 0.5 * h / (g.ndim * dt)
+                  for s, h in zip(signs, g.spacing)])
+    p = draw(st.floats(1.0, 4.0, exclude_min=True))
+    a = draw(st.floats(0.0, 10.0))
+    if draw(st.booleans()):
+        absorption = a
+    else:
+        def absorption(points, t):
+            return a * (1.0 + np.sum(points ** 2, axis=1)) * (1.0 + t)
+    spec = solver.PDESpec(p=p, drift=lambda t: c, absorption=absorption)
+    return g, spec, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestComparisonPrinciple:
+    @settings(max_examples=150, deadline=None)
+    @given(comparison_cases())
+    def test_step_is_monotone_and_positive(self, case):
+        g, spec, seed = case
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.0, 3.0, size=g.shape)
+        v = u + rng.uniform(0.0, 3.0, size=g.shape) \
+            * (rng.random(g.shape) < 0.5)
+        stepper = solver.Stepper(g, spec)
+        su, lu = stepper.step(u, 0.1, 0.0)
+        sv, lv = stepper.step(v, 0.1, 0.0)
+        su, sv = su * math.exp(-lu), sv * math.exp(-lv)
+        tol = 1e-12 * max(float(np.max(np.abs(sv))), 1e-300)
+        assert np.all(su <= sv + tol)
+        assert su.min() >= -tol
 
 
 class TestDiracFamily:
