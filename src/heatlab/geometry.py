@@ -254,9 +254,14 @@ def parabolic_distance_grid(points, t, curve):
     if not np.any(mask):
         return np.full(pts.shape[0], np.inf)
     ys = curve.x[mask]
-    ss = curve.t[mask]
-    diff = pts[:, None, :] - ys[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=2)) + np.sqrt(np.maximum(t - ss, 0.0))[None, :]
+    if pts.shape[1] == 1:
+        # |x - y| directly: sqrt(d * d) == |d| in binary floating point
+        d = pts - ys[:, 0]
+        np.abs(d, out=d)
+    else:
+        diff = pts[:, None, :] - ys[None, :, :]
+        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d += np.sqrt(np.maximum(t - curve.t[mask], 0.0))
     return d.min(axis=1)
 
 

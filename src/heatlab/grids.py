@@ -22,8 +22,9 @@ class Grid:
     fixes the lateral boundary handling: Dirichlet zero on the outer box
     faces for ``box`` and ``tunnel``; for ``ball`` additionally every node
     with |x| >= 1 is pinned to zero (staircase Dirichlet sphere).
-    ``axes``, ``spacing`` and ``cell_volume`` are computed once per grid;
-    the axis arrays are read-only because every caller shares them.
+    ``axes``, ``spacing``, ``cell_volume`` and ``points()`` are computed
+    once per grid; the arrays are read-only because every caller shares
+    them.
     """
 
     kind: str
@@ -78,10 +79,17 @@ class Grid:
 
     def points(self):
         """All node coordinates, shape (n_nodes, ndim), row-major."""
+        return self._points
+
+    @cached_property
+    def _points(self):
         if self.ndim == 1:
-            return self.axes[0][:, None]
-        X, Y = np.meshgrid(*self.axes, indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+            pts = self.axes[0][:, None]
+        else:
+            X, Y = np.meshgrid(*self.axes, indexing="ij")
+            pts = np.column_stack([X.ravel(), Y.ravel()])
+        pts.flags.writeable = False
+        return pts
 
     def interior_mask(self):
         """Nodes evolved by the solver (True) vs pinned Dirichlet nodes."""

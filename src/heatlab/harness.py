@@ -239,10 +239,12 @@ def run_scenario(scenario, budget=None):
 # of ``solver.s_per_node_step.*`` from
 # ``python3 perfbench/run.py --workload W --seed 1 --seconds 25 --trace 1``
 # for W in zoom, ladder and tunnel-sweep (rescaled 5.01e-8, ladder
-# 4.96e-6, tunnel 4.34e-8 on a shared 2-CPU x86-64 host, Python 3.11,
-# numpy 2.4, scipy 1.17).  Ladder runs cost more per node because the
-# parabolic distance to the curve is evaluated at every node and step.
-_SECONDS_PER_NODE_STEP = {"rescaled": 5.0e-8, "ladder": 5.0e-6,
+# 7.98e-7, tunnel 4.34e-8 on a shared 2-CPU x86-64 host, Python 3.11,
+# numpy 2.4, scipy 1.17).  Ladder runs cost more per node: each time level
+# evaluates h, a parabolic distance from every node to every curve sample
+# so far, once for all rungs, and their 299-node axis diffuses by a
+# per-step banded solve.
+_SECONDS_PER_NODE_STEP = {"rescaled": 5.0e-8, "ladder": 8.0e-7,
                           "tunnel": 4.3e-8}
 
 
@@ -278,14 +280,15 @@ def _run_rescaled(scenario):
     log_amp = [r.log_amplified for r in per_eps]
     margins = [r.conformance_margin for r in per_eps]
     sigmas = [r.sigma_tau for r in per_eps]
+    window = int(rules["growth_window"])
     trace_measured = spectral.blowup_functional(
         "point", scenario.p, scenario.alpha, grid.ndim, psi0.lam, profile,
         scenario.eps_list, curve=curve, sigma=sigmas,
-        threshold=rules["functional_threshold"])
+        threshold=rules["functional_threshold"], growth_window=window)
     trace_analytic = spectral.blowup_functional(
         "point", scenario.p, scenario.alpha, grid.ndim, psi0.lam, profile,
         scenario.eps_list, curve=curve, sigma=0.0,
-        threshold=rules["functional_threshold"])
+        threshold=rules["functional_threshold"], growth_window=window)
     increasing = bool(np.all(np.diff(log_amp) > 0.0))
     top = math.log(rules["amplified_ceiling"])
     low = math.log(rules["bounded_ceiling"])
@@ -319,18 +322,31 @@ def derive_from_trace(trace, rules=None):
     return "propagation" if trace.verdict == "diverging" else "localization"
 
 
+def ladder_runs(scenario, curve):
+    """The runs u_k of the scenario's Dirac ladder, one per k, in order.
+
+    Every rung solves with the same coefficient h on the same grid and
+    time levels, so the rungs share one evaluation of h per time level
+    (:class:`potential.SharedLevels`); each run is still the same as an
+    independent :func:`solver.solve_uk`, h-underflow count and divergence
+    stop included.  The shared levels are freed when this returns.
+    """
+    pot = potential_mod.SharedLevels(scenario.build_potential(curve))
+    grid = scenario.build_grid()
+    return [solver.solve_uk(k, curve, pot, scenario.p, scenario.horizon,
+                            grid, ceiling=scenario.rules["divergence_ceiling"])
+            for k in scenario.k_ladder]
+
+
 def _run_ladder(scenario):
+    """Boundedness verdict from the probe maxima of the ladder's rungs
+    (see :func:`ladder_runs`) in the curve's box or decreasing window."""
     rules = scenario.rules
     curve = scenario.build_curve()
-    pot = scenario.build_potential(curve)
-    grid = scenario.build_grid()
     seg = geometry.classify_segments(curve)
     window = _probe_window(seg, rules["probe_margin"])
-    maxima = []
-    for k in scenario.k_ladder:
-        run = solver.solve_uk(k, curve, pot, scenario.p, scenario.horizon,
-                              grid, ceiling=rules["divergence_ceiling"])
-        maxima.append(_window_max(run, window))
+    maxima = [_window_max(run, window)
+              for run in ladder_runs(scenario, curve)]
     m_lo, m_hi = maxima[-2], maxima[-1]
     stabilized = (m_lo > 0 and abs(m_hi - m_lo) / m_lo <= rules["stabilization"])
     if stabilized and seg.box is not None:
@@ -527,7 +543,9 @@ def _analytic_verdict(combo, base, lam0, threshold):
 
 def sweep(spec, log_path, workers=1):
     """Run the Cartesian product of the axes, appending one fsynced JSON
-    line per verdict; reruns skip combos already in the log."""
+    line per verdict as soon as it is known; reruns skip combos already in
+    the log, so a sweep stopped by a failing combo or an interrupt resumes
+    where it stopped."""
     axes = spec["axes"]
     names = sorted(axes)
     combos = [{}]
@@ -546,33 +564,38 @@ def sweep(spec, log_path, workers=1):
                     rec = json.loads(line)
                     done[_combo_key(rec["combo"])] = rec
     todo = [c for c in combos if _combo_key(c) not in done]
-    results = []
+    with open(log_path, "a") as fh:
+        for rec in _sweep_records(spec, todo, workers):
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+            done[_combo_key(rec["combo"])] = rec
+    return [done[_combo_key(c)] for c in combos]
+
+
+def _sweep_records(spec, todo, workers):
+    """Log records of the combos in ``todo``, yielded in order as each
+    verdict completes."""
     if spec["mode"] == "analytic" or spec["base"] is None:
         for combo in todo:
             outcome, extra = _analytic_verdict(combo, spec["base"],
                                                spec["lam0"], spec["threshold"])
-            results.append({"combo": combo, "outcome": outcome, **extra})
+            yield {"combo": combo, "outcome": outcome, **extra}
+        return
+    scenarios = [_scenario_for(spec["base"], combo) for combo in todo]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for combo, v in zip(todo, pool.map(run_scenario, scenarios)):
+                yield _verdict_record(combo, v)
     else:
-        scenarios = [_scenario_for(spec["base"], combo) for combo in todo]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                verdicts = list(pool.map(run_scenario, scenarios))
-        else:
-            verdicts = [run_scenario(s) for s in scenarios]
-        for combo, v in zip(todo, verdicts):
-            results.append({"combo": combo, "outcome": v.outcome,
-                            "evidence": {k: val for k, val in v.evidence.items()
-                                         if isinstance(val, (int, float, str,
-                                                             bool, list))}})
-    with open(log_path, "a") as fh:
-        for rec in results:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-    ordered = [done.get(_combo_key(c)) or
-               next(r for r in results if _combo_key(r["combo"]) == _combo_key(c))
-               for c in combos]
-    return ordered
+        for combo, sc in zip(todo, scenarios):
+            yield _verdict_record(combo, run_scenario(sc))
+
+
+def _verdict_record(combo, v):
+    return {"combo": combo, "outcome": v.outcome,
+            "evidence": {k: val for k, val in v.evidence.items()
+                         if isinstance(val, (int, float, str, bool, list))}}
 
 
 def _scenario_for(base, combo):

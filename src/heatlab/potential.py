@@ -125,10 +125,44 @@ class Potential:
             d = np.maximum(np.sqrt(max(t, 0.0)), np.linalg.norm(xp, axis=1))
         vals = np.zeros_like(d)
         pos = d > 0
-        with np.errstate(under="ignore"):
+        # a positive d whose square or power underflows gives l = inf, so
+        # h = 0 and the node counts as an underflow like any other
+        with np.errstate(under="ignore", divide="ignore", over="ignore"):
             vals[pos] = np.exp(-eval_profile(self.profile, d[pos]))
         n_underflow = int(np.count_nonzero(pos & (vals == 0.0)))
         return vals, n_underflow
+
+    def level(self, grid, t):
+        """:meth:`evaluate_grid` over every node of ``grid`` at time t."""
+        return self.evaluate_grid(grid.points(), t)
+
+
+class SharedLevels:
+    """A Potential whose grid levels are evaluated once and then shared.
+
+    h depends on the curve, the grid and t, never on the datum, so the
+    runs of a Dirac ladder, which step through bitwise-identical time
+    levels, can share one evaluation per level.  :meth:`level` returns the
+    ``(values, n_underflow)`` pair of :meth:`Potential.evaluate_grid`,
+    keyed by the grid and the exact float t: a level is computed on its
+    first request and never stands in for a nearby t.  The values are
+    read-only.  Levels live as long as this object, so make one per
+    ladder.
+    """
+
+    def __init__(self, pot):
+        self.pot = pot
+        self.distance = pot.distance
+        self._levels = {}
+
+    def level(self, grid, t):
+        key = (grid, t)
+        hit = self._levels.get(key)
+        if hit is None:
+            vals, n_underflow = self.pot.level(grid, t)
+            vals.flags.writeable = False
+            hit = self._levels[key] = (vals, n_underflow)
+        return hit
 
 
 def eval_h(pot, point):

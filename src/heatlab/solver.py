@@ -42,7 +42,8 @@ class PDESpec:
     """Operator data for one run: d_t u - lap u + <drift, grad u> + a * u**p = 0.
 
     ``drift`` is None or a callable t -> velocity vector; ``absorption`` is
-    None, a constant, a Potential, or a callable (points, t) -> node values.
+    None, a constant, a Potential (or the SharedLevels of one), or a
+    callable (points, t) -> node values.
     """
 
     p: float
@@ -135,7 +136,6 @@ class Stepper:
         self.dt = grid.dt
         self.hs = grid.spacing
         self._inv_hs = tuple(1.0 / h for h in self.hs)
-        self.points = grid.points()
         self._ball = grid.interior_mask().astype(float) \
             if grid.kind == BALL else None
         self._work = np.empty(grid.shape)
@@ -186,11 +186,12 @@ class Stepper:
             return None
         if isinstance(a, (int, float)):
             return float(a)
-        if isinstance(a, potential_mod.Potential):
-            vals, n_under = a.evaluate_grid(self.points, t)
+        if isinstance(a, (potential_mod.Potential,
+                          potential_mod.SharedLevels)):
+            vals, n_under = a.level(self.grid, t)
             self.underflow_count += n_under
             return vals.reshape(self.grid.shape)
-        vals = np.asarray(a(self.points, t), dtype=float)
+        vals = np.asarray(a(self.grid.points(), t), dtype=float)
         return vals.reshape(self.grid.shape)
 
     def step(self, values, t, log_scale):
@@ -208,7 +209,11 @@ class Stepper:
                 f"drift CFL {cfl:.3g} exceeds 0.5 at t={t:.6g}")
         work = self._work
 
-        # absorption: exact decay map of u' = -a u**p at frozen coefficient
+        # absorption: exact decay map of u' = -a u**p at frozen coefficient,
+        # u * (1 + x)**(-1/(p-1)) with x = (p-1) dt a |u|**(p-1), evaluated
+        # as exp(-log1p(x)/(p-1)) so that it tends to u * exp(-a dt) as
+        # p -> 1 instead of cancelling in 1 + x; at p = 2 it is the exact
+        # and cheaper u / (1 + x)
         a = self._absorption_values(t)
         if a is not None and p > 1:
             scale_pow = math.exp(-(p - 1.0) * log_scale) if \
@@ -220,8 +225,13 @@ class Stepper:
             self.max_reaction_rate = max(self.max_reaction_rate,
                                          float(rate.max()))
             rate *= (p - 1.0) * dt
-            rate += 1.0
-            rate **= -1.0 / (p - 1.0)
+            if p == 2.0:
+                rate += 1.0
+                np.reciprocal(rate, out=rate)
+            else:
+                np.log1p(rate, out=rate)
+                rate *= -1.0 / (p - 1.0)
+                np.exp(rate, out=rate)
             values = np.multiply(values, rate, out=work)
 
         # first-order upwind drift; with several moving axes every
@@ -474,7 +484,11 @@ def solve_uk(k, curve, pot, p, horizon, grid, t_start=None,
     """Evolve the Dirac-datum solution u_k probing along the curve.
 
     Numerical blow-up along the curve is recorded (run frozen, verdict in
-    ``events``) when any probe exceeds the divergence ceiling.
+    ``events``) when any probe exceeds the divergence ceiling.  ``pot`` is
+    a Potential or a :class:`potential.SharedLevels`: the rungs of a
+    ladder pass one SharedLevels so that h is evaluated once per time
+    level for all of them (they start at the same ``t_start``), and each
+    run is bitwise the same as with the bare Potential.
     """
     if curve is not None and pot.distance == potential_mod.PARABOLIC \
             and curve.dim != grid.ndim:

@@ -206,8 +206,6 @@ def envelope_rate(lam0, beta_tau, delta_tau, sigma_tau):
 POINT = "point"   # log of the amplified center value
 MASS = "mass"     # log of the amplified local mass
 
-_GROWTH_WINDOW = 3
-
 
 @dataclass(frozen=True)
 class BlowupFunctionalTrace:
@@ -215,8 +213,9 @@ class BlowupFunctionalTrace:
 
     ``kind='point'`` tracks -2/(p-1) ln(eps) + l(eps)/(p-1) - rate*alpha/eps**2;
     ``kind='mass'`` adds N*ln(eps) to the leading log (local-mass version).
-    The verdict is the declared heuristic: diverging when the last three
-    values increase strictly and the final one clears the threshold.
+    The verdict is the declared heuristic: diverging when the last
+    ``growth_window`` values (three by default) increase strictly and the
+    final one clears the threshold.
     """
 
     kind: str
@@ -233,14 +232,15 @@ class BlowupFunctionalTrace:
 
 def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
                       beta_sup=0.0, delta_sup=0.0, sigma=0.0, curve=None,
-                      threshold=50.0):
+                      threshold=50.0, growth_window=3):
     """Evaluate the blow-up functional along a decreasing zoom sequence.
 
     Drift constants per eps follow the moving-frame scaling: beta_tau =
     eps * sup|x'|, delta_tau = eps**3 * sup|x''|, the sups running over
     [eps**2, alpha] (taken from ``curve`` when given, else from
     ``beta_sup``/``delta_sup``).  ``sigma`` may be a scalar or a per-eps
-    sequence of measured nonlinear feedback values.
+    sequence of measured nonlinear feedback values.  The verdict reads the
+    last ``growth_window`` values (at least 2).
     """
     if kind not in (POINT, MASS):
         raise ConfigurationError(f"unknown functional kind {kind!r}")
@@ -249,6 +249,8 @@ def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
         raise ConfigurationError("eps sequence must be strictly decreasing")
     if p <= 1 or alpha <= 0:
         raise ConfigurationError("need p > 1 and alpha > 0")
+    if growth_window < 2:
+        raise ConfigurationError("growth_window must be at least 2")
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), eps.shape)
     vals = np.empty_like(eps)
     betas = np.empty_like(eps)
@@ -268,7 +270,7 @@ def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
             lead += n_dim * np.log(e)
         vals[i] = lead + eval_profile(profile, e) / (p - 1.0) \
             - rate * alpha / (e * e)
-    tail = vals[-_GROWTH_WINDOW:]
+    tail = vals[-growth_window:]
     diverging = (tail.size >= 2 and np.all(np.diff(tail) > 0)
                  and tail[-1] > threshold)
     verdict = "diverging" if diverging else "bounded"

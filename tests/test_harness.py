@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heatlab import cli, geometry, harness
+from heatlab import cli, geometry, harness, potential, solver, spectral
 from heatlab.errors import BudgetError, ConfigurationError
 from heatlab.grids import Field, Grid, load_field, save_field
 
@@ -83,6 +85,118 @@ class TestLadderScenario:
             harness.run_scenario(tiny_ladder_scenario(), budget=1e-6)
 
 
+def independent_rungs(scenario):
+    """The ladder's rungs as separate solve_uk runs, each with its own
+    Potential (nothing shared)."""
+    curve = scenario.build_curve()
+    grid = scenario.build_grid()
+    return [solver.solve_uk(k, curve, scenario.build_potential(curve),
+                            scenario.p, scenario.horizon, grid,
+                            ceiling=scenario.rules["divergence_ceiling"])
+            for k in scenario.k_ladder]
+
+
+def assert_same_run(a, b):
+    for name in ("times", "log_probes", "log_l2", "log_linf"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.tau_probes == b.tau_probes
+    assert a.events == b.events
+    assert a.diverged == b.diverged
+    assert np.array_equal(a.final.values, b.final.values)
+    assert a.final.log_scale == b.final.log_scale
+    assert a.final.time == b.final.time
+
+
+class TestSharedLadderLevels:
+    # inverse-square profile: h underflows near the curve, so every rung
+    # carries an h-underflow count
+    STEEP = {"family": "inverse-square", "amplitude": "1.0",
+             "distance": "parabolic"}
+
+    def count_evaluations(self, monkeypatch):
+        calls = []
+        orig = potential.Potential.evaluate_grid
+
+        def counted(pot, points, t):
+            calls.append(t)
+            return orig(pot, points, t)
+
+        monkeypatch.setattr(potential.Potential, "evaluate_grid", counted)
+        return calls
+
+    @pytest.mark.parametrize("profile", ["log", "inverse-square"])
+    def test_rungs_equal_independent_runs(self, profile, monkeypatch):
+        cfg = self.STEEP if profile == "inverse-square" else \
+            tiny_ladder_scenario().potential_cfg
+        sc = tiny_ladder_scenario(k_ladder=(1e2, 1e4, 1e6), potential_cfg=cfg)
+        ref = independent_rungs(sc)
+        calls = self.count_evaluations(monkeypatch)
+        shared = harness.ladder_runs(sc, sc.build_curve())
+        for a, b in zip(shared, ref):
+            assert_same_run(a, b)
+        # one evaluation per time level, whatever the number of rungs
+        assert len(calls) == len(set(calls)) == ref[0].times.size
+        if profile == "inverse-square":
+            assert all(any(name.startswith("h-underflow:")
+                           for _, name in run.events) for run in shared)
+
+    def test_diverging_rung_stops_alone(self, monkeypatch):
+        # the middle rung crosses the ceiling at its first step; the rung
+        # after it still steps through every level
+        sc = tiny_ladder_scenario(k_ladder=(1e2, 1e6, 1e4),
+                                  potential_cfg=self.STEEP)
+        sc.rules = dict(sc.rules, divergence_ceiling=1e6)
+        ref = independent_rungs(sc)
+        calls = self.count_evaluations(monkeypatch)
+        shared = harness.ladder_runs(sc, sc.build_curve())
+        assert [run.diverged for run in shared] == [False, True, False]
+        assert shared[1].times.size < shared[0].times.size \
+            == shared[2].times.size
+        for a, b in zip(shared, ref):
+            assert_same_run(a, b)
+        assert len(calls) == shared[0].times.size
+
+    def test_levels_are_read_only_and_exact_in_t(self):
+        sc = tiny_ladder_scenario()
+        grid = sc.build_grid()
+        shared = potential.SharedLevels(sc.build_potential(sc.build_curve()))
+        vals, _ = shared.level(grid, 0.1)
+        assert shared.level(grid, 0.1)[0] is vals
+        assert not vals.flags.writeable
+        # a nearby time is a different level
+        assert shared.level(grid, math.nextafter(0.1, 1.0))[0] is not vals
+
+
+@st.composite
+def ladder_pairs(draw):
+    """A two-rung ladder on a straight curve: p, k1 < k2, velocity."""
+    p = draw(st.floats(1.0, 4.0, exclude_min=True))
+    k1 = draw(st.floats(1e-2, 1e5))
+    k2 = k1 * draw(st.floats(1.0, 1e3, exclude_min=True))
+    velocity = draw(st.floats(-2.0, 2.0))
+    return harness.Scenario(
+        name="pair", kind="ladder", expected="unknown", p=p, horizon=0.1,
+        k_ladder=(k1, k2),
+        curve_cfg={"form": "linear", "velocity": repr(velocity),
+                   "horizon": "0.1", "samples": "129"},
+        potential_cfg={"family": "inverse-square", "amplitude": "0.5",
+                       "distance": "parabolic"},
+        grid_cfg={"kind": "box", "lo": "-2.0", "hi": "2.0", "n": "81",
+                  "dt": "0.004"})
+
+
+class TestLadderMonotoneInK:
+    @settings(max_examples=40, deadline=None)
+    @given(ladder_pairs())
+    def test_probe_maxima_and_fields_ordered(self, sc):
+        lo, hi = harness.ladder_runs(sc, sc.build_curve())
+        m_lo, m_hi = (harness._window_max(run, None) for run in (lo, hi))
+        assert m_lo <= m_hi * (1.0 + 1e-12)
+        u_lo, u_hi = lo.final.physical(), hi.final.physical()
+        tol = 1e-12 * float(np.max(u_hi))
+        assert np.all(u_lo <= u_hi + tol)
+
+
 class TestReports:
     def test_emit_deterministic_bytes(self, tmp_path):
         v = harness.run_scenario(tiny_ladder_scenario())
@@ -147,6 +261,47 @@ class TestSweep:
         harness.sweep(spec, log)  # resume: nothing recomputed or re-appended
         assert len(log.read_text().splitlines()) == n_lines
 
+    def test_failing_combo_keeps_earlier_records(self, tmp_path,
+                                                 monkeypatch):
+        # p = 1 fails in the functional; the combo before it is already in
+        # the log, and a rerun computes only what the log lacks
+        spec = {"name": "p-axis", "mode": "analytic", "base": None,
+                "axes": {"p": (2.0, 1.0, 3.0)}, "budget_combos": 8,
+                "lam0": 2.4674011002723395, "threshold": 50.0}
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(ConfigurationError):
+            harness.sweep(spec, log)
+        lines = log.read_text().splitlines()
+        assert [json.loads(line)["combo"] for line in lines] == [{"p": 2.0}]
+        computed = []
+        orig = harness._analytic_verdict
+
+        def counted(combo, *args):
+            computed.append(combo)
+            return orig(combo, *args)
+
+        monkeypatch.setattr(harness, "_analytic_verdict", counted)
+        records = harness.sweep(dict(spec, axes={"p": (2.0, 3.0)}), log)
+        assert computed == [{"p": 3.0}]
+        assert [r["combo"] for r in records] == [{"p": 2.0}, {"p": 3.0}]
+        assert len(log.read_text().splitlines()) == 2
+
+    def test_pool_sweep_writes_each_verdict(self, tmp_path):
+        # a non-positive amplitude fails when its scenario is built in the
+        # worker; the verdict before it is already logged
+        spec = {"name": "amp-axis", "mode": "numerical",
+                "base": tiny_ladder_scenario(),
+                "axes": {"amplitude": (2.0, -1.0)}, "budget_combos": 8,
+                "lam0": 2.4674011002723395, "threshold": 50.0}
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(ConfigurationError, match="amplitude"):
+            harness.sweep(spec, log, workers=2)
+        lines = log.read_text().splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert rec["combo"] == {"amplitude": 2.0}
+        assert rec["outcome"] == "non-propagation-segment"
+
     def test_combo_budget(self, tmp_path):
         spec = harness.load_sweep(SCENARIOS / "sweep-phase.ini")
         spec["budget_combos"] = 3
@@ -162,6 +317,27 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "alpha,amplitude,outcome"
         assert len(lines) == 25
+
+
+class TestRescaledRules:
+    def test_growth_window_reaches_functional(self, monkeypatch):
+        windows = []
+        orig = spectral.blowup_functional
+
+        def spy(*args, **kwargs):
+            windows.append(kwargs.get("growth_window"))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "blowup_functional", spy)
+        sc = harness.Scenario(
+            name="short-zoom", kind="rescaled", expected="unknown", p=2.0,
+            alpha=0.5, eps_list=(0.5, 0.4), k_ladder=(1e3,),
+            curve_cfg={"form": "linear", "velocity": "0.5", "samples": "65"},
+            potential_cfg={"family": "inverse-square", "amplitude": "1.0"},
+            grid_cfg={"kind": "ball", "ndim": "1", "n": "41", "dt": "0.005"})
+        sc.rules = dict(sc.rules, growth_window=2.0)
+        harness.run_scenario(sc)
+        assert windows == [2, 2]
 
 
 class TestEvidenceSufficiency:

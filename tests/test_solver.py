@@ -52,6 +52,18 @@ class TestStepImex:
         assert vals[7] * math.exp(-ls) == pytest.approx(expect, rel=1e-12)
         assert np.ptp(vals) == 0.0
 
+    @pytest.mark.parametrize("p", [1.0 + 1e-12, math.nextafter(1.0, 2.0)])
+    def test_absorption_map_tends_to_linear_decay(self, p):
+        # u' = -a u**p near p = 1: one step of a constant state on a
+        # periodic grid (where diffusion leaves constants alone) must decay
+        # like u * exp(-a dt), the p -> 1 limit of the decay map
+        g = Grid("periodic", (-1.0,), (1.0,), (16,), 1e-2)
+        st_ = solver.Stepper(g, solver.PDESpec(p=p, absorption=5.0))
+        vals, ls = st_.step(np.full(16, 0.5), 0.0, 0.0)
+        assert ls == 0.0
+        np.testing.assert_allclose(vals, 0.5 * math.exp(-5.0 * 1e-2),
+                                   rtol=1e-12, atol=0)
+
     def test_cfl_guard(self):
         g = box_grid(n=61, dt=0.05)
         spec = solver.PDESpec(p=2.0, drift=lambda t: np.array([2.0]),

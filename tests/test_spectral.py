@@ -248,6 +248,23 @@ class TestBlowupFunctional:
                                         self.lam0, prof, [0.2, 0.1, 0.05, 0.025])
         assert tr.verdict == "bounded"
 
+    def test_growth_window_decides_verdict(self):
+        # power profile l = 1/eps**3 against rate 10: the values fall from
+        # eps = 0.5 to 0.25, then rise past the threshold at 0.05, so the
+        # last two increase and the last three do not
+        prof = DecayProfile("power", 1.0, 3.0)
+        kw = dict(kind="point", p=2.0, alpha=1.0, n_dim=1, lam0=10.0,
+                  profile=prof, eps_seq=[0.5, 0.25, 0.05])
+        two = spectral.blowup_functional(**kw, growth_window=2)
+        three = spectral.blowup_functional(**kw, growth_window=3)
+        assert np.array_equal(two.values, three.values)
+        assert two.values[1] < two.values[0] and two.values[2] > 50.0
+        assert two.verdict == "diverging"
+        assert three.verdict == "bounded"
+        assert spectral.blowup_functional(**kw).verdict == "bounded"
+        with pytest.raises(ConfigurationError, match="growth_window"):
+            spectral.blowup_functional(**kw, growth_window=1)
+
     def test_eps_must_decrease(self):
         prof = DecayProfile("inverse-square", 10.0)
         with pytest.raises(ConfigurationError):
