@@ -119,25 +119,16 @@ _CAL_GRIDS_1D = (129, 257)
 _CAL_GRIDS_2D = (49, 97)
 
 
-def _unit_barrier_profile(pts, q):
-    """g(w) = (1 - |w|**2)**(-2/(q-1)) with its FD Laplacian/gradient inputs."""
-    return (1.0 - np.sum(pts * pts, axis=-1)) ** (-2.0 / (q - 1.0))
-
-
+@np.errstate(invalid="ignore")
 def _unit_residual_parts(n, n_dim, q):
     """Discrete (laplacian, |gradient|, g, band mask) on the unit ball.
 
     Stencils touching the sphere hit the infinite boundary values of g and
     yield nan; the band mask |w| <= 1 - 2h keeps them out of the residual.
     """
-    with np.errstate(invalid="ignore"):
-        return _unit_residual_parts_raw(n, n_dim, q)
-
-
-def _unit_residual_parts_raw(n, n_dim, q):
+    xs = np.linspace(-1.0, 1.0, n)
+    h = xs[1] - xs[0]
     if n_dim == 1:
-        xs = np.linspace(-1.0, 1.0, n)
-        h = xs[1] - xs[0]
         g = np.full(n, np.inf)
         inside = np.abs(xs) < 1.0
         g[inside] = (1.0 - xs[inside] ** 2) ** (-2.0 / (q - 1.0))
@@ -147,8 +138,6 @@ def _unit_residual_parts_raw(n, n_dim, q):
         grad[1:-1] = np.abs(g[2:] - g[:-2]) / (2 * h)
         band = np.abs(xs) <= 1.0 - 2.0 * h
         return lap, grad, g, band
-    xs = np.linspace(-1.0, 1.0, n)
-    h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     r2 = X * X + Y * Y
     g = np.full((n, n), np.inf)

@@ -11,7 +11,6 @@ from .errors import ConfigurationError
 BOX = "box"
 BALL = "ball"
 TUNNEL = "tunnel"
-PERIODIC = "periodic"
 
 
 @dataclass(frozen=True)
@@ -34,14 +33,12 @@ class Grid:
     dt: float
 
     def __post_init__(self):
-        if self.kind not in (BOX, BALL, TUNNEL, PERIODIC):
+        if self.kind not in (BOX, BALL, TUNNEL):
             raise ConfigurationError(f"unknown grid kind {self.kind!r}")
         if len(self.lo) != len(self.hi) or len(self.lo) != len(self.shape):
             raise ConfigurationError("grid extents/shape rank mismatch")
         if len(self.shape) not in (1, 2):
             raise ConfigurationError("only 1D and 2D grids are supported")
-        if self.kind == PERIODIC and len(self.shape) != 1:
-            raise ConfigurationError("periodic grids are one-dimensional")
         if any(n < 5 for n in self.shape):
             raise ConfigurationError("grids need at least 5 nodes per axis")
         if not self.dt > 0:
@@ -53,20 +50,14 @@ class Grid:
 
     @cached_property
     def axes(self):
-        if self.kind == PERIODIC:
-            axes = (np.linspace(self.lo[0], self.hi[0], self.shape[0],
-                                endpoint=False),)
-        else:
-            axes = tuple(np.linspace(self.lo[i], self.hi[i], self.shape[i])
-                         for i in range(self.ndim))
+        axes = tuple(np.linspace(self.lo[i], self.hi[i], self.shape[i])
+                     for i in range(self.ndim))
         for a in axes:
             a.flags.writeable = False
         return axes
 
     @cached_property
     def spacing(self):
-        if self.kind == PERIODIC:
-            return ((self.hi[0] - self.lo[0]) / self.shape[0],)
         return tuple((self.hi[i] - self.lo[i]) / (self.shape[i] - 1)
                      for i in range(self.ndim))
 
@@ -94,8 +85,6 @@ class Grid:
     def interior_mask(self):
         """Nodes evolved by the solver (True) vs pinned Dirichlet nodes."""
         mask = np.ones(self.shape, dtype=bool)
-        if self.kind == PERIODIC:
-            return mask
         if self.ndim == 1:
             mask[0] = mask[-1] = False
         else:
@@ -153,9 +142,6 @@ class Field:
     def physical(self):
         return self.values * np.exp(-self.log_scale)
 
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.values)))
-
     def copy(self):
         return Field(self.grid, self.values.copy(), self.time,
                      self.log_scale, self.note)
@@ -164,10 +150,6 @@ class Field:
         """Grid-sum quadrature of the physical field."""
         return float(self.values.sum() * self.grid.cell_volume
                      * np.exp(-self.log_scale))
-
-
-def zero_field(grid, time=0.0):
-    return Field(grid, np.zeros(grid.shape), time)
 
 
 # ----------------------------------------------------------------------

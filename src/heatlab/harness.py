@@ -39,6 +39,7 @@ DEFAULT_RULES = {
     "halfwidth_band": 0.2,
 }
 
+KINDS = ("rescaled", "ladder", "tunnel")
 OUTCOMES = ("propagation", "localization", "non-propagation-segment",
             "box-bounded", "line-propagation", "inconclusive", "unknown")
 
@@ -147,9 +148,12 @@ def _local_max_curve(cfg, n):
     return geometry.Curve.parametric(fx, ft, 1.0, n=n)
 
 
+_DT = 0.002  # the time step of a [grid] section without one
+
+
 def build_grid(cfg):
     kind = cfg.get("kind", "box")
-    dt = float(cfg.get("dt", 0.002))
+    dt = float(cfg.get("dt", _DT))
     n = int(cfg.get("n", 301))
     if kind == "ball":
         return Grid.unit_ball(n, dt, ndim=int(cfg.get("ndim", 1)))
@@ -168,36 +172,81 @@ def _floats(text):
 # ----------------------------------------------------------------------
 # scenario file I/O
 # ----------------------------------------------------------------------
-def load_scenario(path):
+def _read_ini(path, what):
+    """Parsed INI file holding a ``[what]`` section; a parse error (such
+    as a duplicate key, named with its section) is a ConfigurationError."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read scenario file {path}")
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"{path}: {str(exc).splitlines()[0]}") \
+            from None
+    if not read or what not in cp:
+        raise ConfigurationError(f"cannot read a [{what}] section from {path}")
+    return cp
+
+
+def _value(path, section, key, default, parse=float):
+    """``parse`` of the key's text in an INI section, else ``default``."""
+    if key not in section:
+        return default
+    try:
+        return parse(section[key])
+    except ValueError:
+        raise ConfigurationError(f"{path}: [{section.name}] {key} = "
+                                 f"{section[key]}: not a number") from None
+
+
+def _check(ok, path, section, key, rule):
+    if not ok:
+        raise ConfigurationError(f"{path}: [{section.name}] {key} = "
+                                 f"{section.get(key, '(default)')}: {rule}")
+
+
+def load_scenario(path):
+    """Scenario from an INI file; a bad value is a ConfigurationError
+    naming the file, section and key."""
+    cp = _read_ini(path, "scenario")
     sc = cp["scenario"]
     rules = dict(DEFAULT_RULES)
-    if cp.has_section("rules"):
-        for key, val in cp["rules"].items():
-            rules[key] = float(val) if key != "version" else int(float(val))
-    scenario = Scenario(
+    for section in ("rules", "grid", "curve", "potential"):
+        if not cp.has_section(section):
+            cp.add_section(section)
+    rules.update((key, _value(path, cp["rules"], key, None))
+                 for key in cp["rules"])
+    rules["version"] = int(rules["version"])
+    s = Scenario(
         name=sc.get("name", Path(path).stem),
         kind=sc.get("kind", "rescaled"),
         expected=sc.get("expected", "unknown"),
-        p=sc.getfloat("p", 2.0),
-        alpha=sc.getfloat("alpha", 1.0),
-        eps_list=_floats(sc.get("eps", "0.2, 0.1, 0.05")),
-        k_ladder=_floats(sc.get("k_ladder", "1e1,1e2,1e3,1e4,1e5,1e6")),
-        horizon=sc.getfloat("horizon", 1.0),
+        p=_value(path, sc, "p", 2.0),
+        alpha=_value(path, sc, "alpha", 1.0),
+        eps_list=_value(path, sc, "eps", (0.2, 0.1, 0.05), _floats),
+        k_ladder=_value(path, sc, "k_ladder", solver.DEFAULT_LADDER[1:],
+                        _floats),
+        horizon=_value(path, sc, "horizon", 1.0),
         case=sc.get("case", "subcritical"),
-        gamma=sc.getfloat("gamma", fallback=None),
-        curve_cfg=dict(cp["curve"]) if cp.has_section("curve") else {},
-        potential_cfg=dict(cp["potential"]) if cp.has_section("potential") else {},
-        grid_cfg=dict(cp["grid"]) if cp.has_section("grid") else {},
-        rules=rules)
-    if scenario.expected not in OUTCOMES:
-        raise ConfigurationError(f"unknown expected verdict {scenario.expected!r}")
-    if scenario.kind not in ("rescaled", "ladder", "tunnel"):
-        raise ConfigurationError(f"unknown scenario kind {scenario.kind!r}")
-    return scenario
+        gamma=_value(path, sc, "gamma", None),
+        curve_cfg=dict(cp["curve"]), potential_cfg=dict(cp["potential"]),
+        grid_cfg=dict(cp["grid"]), rules=rules)
+    positive = "must be one or more positive numbers"
+    for key, ok, rule in (
+            ("expected", s.expected in OUTCOMES, "unknown verdict"),
+            ("kind", s.kind in KINDS, "unknown kind"),
+            ("p", s.p > 1, "must be > 1"),
+            ("alpha", s.alpha > 0, "must be > 0"),
+            ("horizon", s.horizon > 0, "must be > 0"),
+            ("eps", min(s.eps_list, default=0) > 0, positive),
+            ("k_ladder", min(s.k_ladder, default=0) > 0, positive)):
+        _check(ok, path, sc, key, rule)
+    # the shortest evolution the scenario runs
+    horizon = {"rescaled": s.alpha / max(s.eps_list) ** 2,
+               "ladder": s.horizon, "tunnel": 1.0}[s.kind]
+    dt = _value(path, cp["grid"], "dt", _DT)
+    _check(dt > 0, path, cp["grid"], "dt", "must be > 0")
+    _check(dt < horizon, path, cp["grid"], "dt",
+           f"must be below the run horizon {horizon:.12g}")
+    return s
 
 
 # ----------------------------------------------------------------------
@@ -236,16 +285,15 @@ def run_scenario(scenario, budget=None):
 
 
 # Measured verdict seconds per node-step, by scenario kind: the medians
-# of ``solver.s_per_node_step.*`` from
+# of ``solver.s_per_node_step.*`` over three runs of
 # ``python3 perfbench/run.py --workload W --seed 1 --seconds 25 --trace 1``
-# for W in zoom, ladder and tunnel-sweep (rescaled 5.01e-8, ladder
-# 7.98e-7, tunnel 4.34e-8 on a shared 2-CPU x86-64 host, Python 3.11,
-# numpy 2.4, scipy 1.17).  Ladder runs cost more per node: each time level
-# evaluates h, a parabolic distance from every node to every curve sample
-# so far, once for all rungs, and their 299-node axis diffuses by a
-# per-step banded solve.
-_SECONDS_PER_NODE_STEP = {"rescaled": 5.0e-8, "ladder": 8.0e-7,
-                          "tunnel": 4.3e-8}
+# for W in zoom, ladder and tunnel-sweep (rescaled 3.09e-8, ladder 4.21e-7,
+# tunnel 2.57e-8 on a shared 2-CPU x86-64 host, Python 3.11, numpy 2.4,
+# scipy 1.17).  Ladder runs cost more per node: a time level of their
+# 1D grid is a few hundred nodes, so per-step call overhead and the
+# evaluation of h (a distance to every curve sample so far) dominate.
+_SECONDS_PER_NODE_STEP = {"rescaled": 3.1e-8, "ladder": 4.2e-7,
+                          "tunnel": 2.6e-8}
 
 
 def _check_budget(scenario, budget_seconds):
@@ -271,12 +319,10 @@ def _run_rescaled(scenario):
     profile = scenario.build_profile()
     grid = scenario.build_grid()
     psi0 = solver._ground_state_for(grid)
-    per_eps = []
-    for e in scenario.eps_list:
-        res = solver.solve_rescaled(e, curve, scenario.p, scenario.alpha,
-                                    grid, profile=profile, psi0=psi0,
-                                    k=max(scenario.k_ladder))
-        per_eps.append(res)
+    per_eps = [solver.solve_rescaled(e, curve, scenario.p, scenario.alpha,
+                                     grid, profile=profile, psi0=psi0,
+                                     k=max(scenario.k_ladder))
+               for e in scenario.eps_list]
     log_amp = [r.log_amplified for r in per_eps]
     margins = [r.conformance_margin for r in per_eps]
     sigmas = [r.sigma_tau for r in per_eps]
@@ -316,9 +362,8 @@ def _run_rescaled(scenario):
     return outcome, evidence
 
 
-def derive_from_trace(trace, rules=None):
+def derive_from_trace(trace):
     """Outcome from the analytic functional alone (evidence sufficiency)."""
-    rules = rules or DEFAULT_RULES
     return "propagation" if trace.verdict == "diverging" else "localization"
 
 
@@ -377,9 +422,7 @@ def _probe_window(seg, margin):
     clear of the junction with the singular branch."""
     target = None
     for lo, hi, label in seg.intervals:
-        if label == "box":
-            target = (lo, hi)
-        elif label == "decreasing":
+        if label in ("box", "decreasing"):
             target = (lo, hi)
     if target is None:
         return None
@@ -439,6 +482,19 @@ def _fmt(v):
     return str(v)
 
 
+# per-scenario trace table by kind: CSV header, then the evidence lists
+# that fill its columns
+_TRACE_COLUMNS = {
+    "rescaled": ("eps,log_amplified,functional_measured,functional_analytic,"
+                 "conformance_margin",
+                 ("eps", "log_amplified", "functional_measured",
+                  "functional_analytic", "conformance_margins")),
+    "ladder": ("k,probe_max", ("k_ladder", "probe_maxima")),
+    "tunnel": ("eps,log_floor_center,delta_formula,delta_measured",
+               ("eps", "log_floor_center", "delta_formula", "delta_measured")),
+}
+
+
 def emit_report(verdicts, out_dir, formats=("csv", "plot-script")):
     """Write verdict tables, per-scenario traces, and a gnuplot script.
 
@@ -458,27 +514,11 @@ def emit_report(verdicts, out_dir, formats=("csv", "plot-script")):
         written.append(path)
         for v in verdicts:
             tpath = out / f"{v.scenario}_trace.csv"
+            header, keys = _TRACE_COLUMNS[v.kind]
             with open(tpath, "w") as fh:
-                if v.kind == "rescaled":
-                    fh.write("eps,log_amplified,functional_measured,"
-                             "functional_analytic,conformance_margin\n")
-                    for i, e in enumerate(v.evidence["eps"]):
-                        fh.write(f"{_fmt(e)},{_fmt(v.evidence['log_amplified'][i])},"
-                                 f"{_fmt(v.evidence['functional_measured'][i])},"
-                                 f"{_fmt(v.evidence['functional_analytic'][i])},"
-                                 f"{_fmt(v.evidence['conformance_margins'][i])}\n")
-                elif v.kind == "ladder":
-                    fh.write("k,probe_max\n")
-                    for k, m in zip(v.evidence["k_ladder"],
-                                    v.evidence["probe_maxima"]):
-                        fh.write(f"{_fmt(k)},{_fmt(m)}\n")
-                else:
-                    fh.write("eps,log_floor_center,delta_formula,delta_measured\n")
-                    for i, e in enumerate(v.evidence["eps"]):
-                        fh.write(f"{_fmt(e)},"
-                                 f"{_fmt(v.evidence['log_floor_center'][i])},"
-                                 f"{_fmt(v.evidence['delta_formula'][i])},"
-                                 f"{_fmt(v.evidence['delta_measured'][i])}\n")
+                fh.write(header + "\n")
+                for row in zip(*(v.evidence[key] for key in keys)):
+                    fh.write(",".join(_fmt(x) for x in row) + "\n")
             written.append(tpath)
     if "plot-script" in formats:
         path = out / "plots.gp"
@@ -487,10 +527,9 @@ def emit_report(verdicts, out_dir, formats=("csv", "plot-script")):
             fh.write("set datafile separator ','\nset key autotitle columnhead\n")
             for v in verdicts:
                 fh.write(f"set title '{v.scenario} ({v.outcome})'\n")
-                col = {"rescaled": 2, "ladder": 2, "tunnel": 2}[v.kind]
-                logx = "set logscale x\n" if v.kind == "ladder" else "unset logscale\n"
-                fh.write(logx)
-                fh.write(f"plot '{v.scenario}_trace.csv' using 1:{col} "
+                fh.write("set logscale x\n" if v.kind == "ladder"
+                         else "unset logscale\n")
+                fh.write(f"plot '{v.scenario}_trace.csv' using 1:2 "
                          f"with linespoints\npause -1\n")
         written.append(path)
     return written
@@ -500,26 +539,27 @@ def emit_report(verdicts, out_dir, formats=("csv", "plot-script")):
 # sweeps with an append-only resumable log
 # ----------------------------------------------------------------------
 def load_sweep(path):
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ConfigurationError(f"cannot read sweep file {path}")
+    """Sweep spec from an INI file; its base scenario is loaded (and
+    checked) with :func:`load_scenario`, and its p and alpha axes are
+    held to the same ranges."""
+    cp = _read_ini(path, "sweep")
     sw = cp["sweep"]
-    base_rel = sw.get("base", None)
-    base = None
-    if base_rel:
-        base = load_scenario(Path(path).parent / base_rel)
-    axes = {}
-    for key in ("amplitude", "alpha", "p", "velocity"):
-        if key in sw:
-            axes[key] = _floats(sw[key])
+    base = load_scenario(Path(path).parent / sw["base"]) \
+        if sw.get("base") else None
+    axes = {key: _value(path, sw, key, None, _floats)
+            for key in ("amplitude", "alpha", "p", "velocity") if key in sw}
+    for key, low in (("p", 1.0), ("alpha", 0.0)):
+        _check(key not in axes or min(axes[key], default=low) > low, path,
+               sw, key, f"must be one or more numbers > {low:g}")
     return {
         "name": sw.get("name", Path(path).stem),
         "mode": sw.get("mode", "analytic"),
         "base": base,
         "axes": axes,
-        "budget_combos": sw.getint("budget_combos", 512),
-        "lam0": sw.getfloat("lam0", 2.4674011002723395),
-        "threshold": sw.getfloat("threshold", DEFAULT_RULES["functional_threshold"]),
+        "budget_combos": _value(path, sw, "budget_combos", 512, int),
+        "lam0": _value(path, sw, "lam0", 2.4674011002723395),
+        "threshold": _value(path, sw, "threshold",
+                            DEFAULT_RULES["functional_threshold"]),
     }
 
 
@@ -534,9 +574,12 @@ def _analytic_verdict(combo, base, lam0, threshold):
     profile = potential_mod.DecayProfile("inverse-square",
                                          combo.get("amplitude", 50.0))
     beta_sup = combo.get("velocity", 1.0)
+    window = base.rules["growth_window"] if base else \
+        DEFAULT_RULES["growth_window"]
     trace = spectral.blowup_functional("point", p, alpha, 1, lam0, profile,
                                        eps, beta_sup=beta_sup,
-                                       threshold=threshold)
+                                       threshold=threshold,
+                                       growth_window=int(window))
     return ("propagation" if trace.verdict == "diverging" else "localization",
             {"trace": trace.values.tolist()})
 

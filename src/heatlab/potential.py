@@ -165,15 +165,10 @@ class SharedLevels:
         return hit
 
 
-def eval_h(pot, point):
-    """Functional form of :meth:`Potential.evaluate`."""
-    return pot.evaluate(point)
-
-
 def split_h(pot, gamma, point, p=None, n_dim=None):
     """Split h into (weight, exp_factor) with weight = d**gamma.
 
-    The pair multiplies back to ``eval_h`` exactly: the shifted profile is
+    The pair multiplies back to ``pot.evaluate(point)`` exactly: the shifted profile is
     l(s) + gamma*ln(s), so exp_factor = s**(-gamma) * exp(-l(s)).  When the
     supercritical exponent data (p, n_dim) are supplied the weight exponent
     is gated by gamma > n_dim*(p - 1) - 2.

@@ -3,15 +3,14 @@
 One step applies, in order: the exact pointwise decay map of the absorption
 term (explicit in data, unconditionally stable, positivity preserving),
 first-order upwind transport for the moving-frame drift, and backward-Euler
-diffusion axis by axis with Dirichlet zero on the lateral boundary.  Each
-axis's diffusion propagator is built once per run: an axis with at most
-``DENSE_AXIS_MAX`` interior nodes gets its explicit (entrywise nonnegative)
-inverse and a step is one small matrix product per axis; a longer axis
-keeps the per-step tridiagonal solve, whose work is O(m) and which never
-starts a multithreaded BLAS product that would oversubscribe the cores
-shared by parallel sweep workers.  Every sub-map is monotone, so the
-discrete comparison principle holds and the Dirac ladder k -> u_k inherits
-the monotonicity of the continuum problem.
+diffusion axis by axis with Dirichlet zero on the lateral boundary.  What
+does not change from step to step is prepared once per run: each axis's
+diffusion operator is either inverted (at most ``DENSE_AXIS_MAX`` interior
+nodes; a step is one small matrix product per axis) or factored as LDL^T
+(a step is one O(m) substitution), and :func:`evolve` evaluates the drift
+velocity and its CFL check for ``DRIFT_BLOCK`` steps at a time.  Every
+sub-map is monotone, so the discrete comparison principle holds and the
+Dirac ladder k -> u_k inherits the monotonicity of the continuum problem.
 
 Long rescaled runs decay through hundreds of e-foldings; fields therefore
 carry a ``log_scale`` offset and are renormalized on the fly, with probes
@@ -23,13 +22,14 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import erfc
 
 from . import geometry, potential as potential_mod, spectral
 from .barriers import gaussian_cos_integral, heat_kernel
-from .errors import (BudgetError, ConfigurationError, DomainError,
+from .errors import (BudgetError, ConfigurationError,
                      InfeasibleRestartError, NumericalError)
-from .grids import BALL, PERIODIC, Field, Grid
+from .grids import BALL, Field, Grid
 
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 DIVERGENCE_CEILING = 1e12
@@ -41,19 +41,16 @@ _LOG_ZERO = -1e30  # stand-in for log(0) in probe series
 class PDESpec:
     """Operator data for one run: d_t u - lap u + <drift, grad u> + a * u**p = 0.
 
-    ``drift`` is None or a callable t -> velocity vector; ``absorption`` is
-    None, a constant, a Potential (or the SharedLevels of one), or a
-    callable (points, t) -> node values.
+    ``drift`` is None or a callable taking an array of n times and
+    returning the velocity at each, shape (n, ndim), or one velocity for
+    all of them, shape (ndim,); ``absorption`` is None, a constant >= 0, a
+    Potential (or the SharedLevels of one), or a callable (points, t) ->
+    node values.
     """
 
     p: float
     drift: object = None
     absorption: object = None
-
-    def velocity(self, t, ndim):
-        if self.drift is None:
-            return np.zeros(ndim)
-        return np.atleast_1d(np.asarray(self.drift(t), dtype=float))
 
 
 @dataclass
@@ -109,25 +106,24 @@ def _safe_exp(logv):
 # stepper
 # ----------------------------------------------------------------------
 # Axes with at most this many interior nodes diffuse through an explicit
-# dense inverse; longer axes keep the O(m) tridiagonal solve (see Stepper).
+# dense inverse, longer ones through their LDL^T factors (see Stepper).
 DENSE_AXIS_MAX = 64
+# Steps whose drift velocities evolve evaluates in one call.
+DRIFT_BLOCK = 1024
 
 
 class Stepper:
     """IMEX stepper on one grid with per-axis propagators built once.
 
-    Each Dirichlet axis carries the backward-Euler matrix I - dt * D2 in
-    banded form.  On an axis with at most ``DENSE_AXIS_MAX`` interior nodes
-    the constructor also forms its inverse P by one tridiagonal solve
-    against the identity, and every step applies ``P @ v`` (``P0 @ v @
-    P1`` in 2D; P is symmetric): a 39 x 39 product costs a few
-    microseconds where a per-step ``solve_banded`` spends tens in argument
-    checking.  Longer axes keep the per-step banded solve: its work is
-    O(m) per column while a dense product is O(m**2), and a product as
-    large as 199 x 199 would run multithreaded in BLAS and oversubscribe
-    the cores that parallel sweep workers already share.  P is entrywise
-    nonnegative in floating point (see ``_propagator``), so the diffusion
-    sub-map stays monotone.
+    Each Dirichlet axis carries the backward-Euler matrix I - dt * D2, a
+    symmetric positive-definite tridiagonal M-matrix.  An axis with at most
+    ``DENSE_AXIS_MAX`` interior nodes steps by its inverse P (``P0 @ v @
+    P1`` in 2D; P is symmetric and entrywise >= 0, see ``_propagator``).  A
+    longer axis is factored once as L D L^T (LAPACK ``dpttrf``) and steps
+    by its two O(m) triangular sweeps (``dpttrs``), never a multithreaded
+    BLAS product that would oversubscribe parallel sweep workers; L's
+    off-diagonal -r/d_i < 0 and D > 0, so both sweeps only add nonnegative
+    terms and the solve stays monotone.
     """
 
     def __init__(self, grid, spec):
@@ -138,135 +134,103 @@ class Stepper:
         self._inv_hs = tuple(1.0 / h for h in self.hs)
         self._ball = grid.interior_mask().astype(float) \
             if grid.kind == BALL else None
-        self._work = np.empty(grid.shape)
         self._inner = (slice(1, -1),) * grid.ndim
-        if grid.kind == PERIODIC:
-            # backward-Euler diffusion diagonalizes over Fourier modes
-            n = grid.shape[0]
-            h = self.hs[0]
-            k = np.fft.rfftfreq(n) * n
-            self._fft_sym = 1.0 + self.dt * (4.0 / h ** 2) \
-                * np.sin(np.pi * k / n) ** 2
-        else:
-            self._ab = [self._banded(n, h) for n, h in zip(grid.shape, self.hs)]
-            self._props = [_propagator(ab) if ab.shape[1] <= DENSE_AXIS_MAX
-                           else None for ab in self._ab]
-            # per axis: interior, backward and forward slices of the upwind
-            # difference, and a buffer for it
-            self._upwind_slices = [
-                tuple(_axis_slice(grid.ndim, ax, lo, hi)
-                      for lo, hi in ((1, -1), (None, -2), (2, None)))
-                for ax in range(grid.ndim)]
-            self._dbuf = [np.empty(grid.shape[:ax] + (n - 2,)
-                                   + grid.shape[ax + 1:])
-                          for ax, n in enumerate(grid.shape)]
+        self._work = np.empty(grid.shape)
+        a = spec.absorption
+        self._const_a = float(a) if isinstance(a, (int, float)) else None
+        self._ab = [_banded(n - 2, self.dt / (h * h))
+                    for n, h in zip(grid.shape, self.hs)]
+        self._props = [_propagator(ab) if ab.shape[1] <= DENSE_AXIS_MAX
+                       else None for ab in self._ab]
+        # (d, e) of L D L^T; dpttrf cannot fail on these SPD matrices
+        self._factors = [dpttrf(ab[1], ab[2, :-1])[:2] if prop is None
+                         else None for ab, prop in zip(self._ab, self._props)]
+        # per axis: interior, backward and forward slices of the upwind
+        # difference, and a buffer for it
+        self._upwind_slices = [
+            tuple(_axis_slice(grid.ndim, ax, lo, hi)
+                  for lo, hi in ((1, -1), (None, -2), (2, None)))
+            for ax in range(grid.ndim)]
+        self._dbuf = [np.empty(grid.shape[:ax] + (n - 2,)
+                               + grid.shape[ax + 1:])
+                      for ax, n in enumerate(grid.shape)]
         self.underflow_count = 0
         self.renorm_count = 0
         self.max_reaction_rate = 0.0
         self.vmax = 0.0
 
-    def _banded(self, n, h):
-        r = self.dt / (h * h)
-        m = n - 2
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[2, :-1] = -r
-        return ab
+    def _speeds(self, times):
+        """Drift velocity rows (n, ndim) at ``times``, sum |c_i|/h_i of each."""
+        shape = (len(times), self.grid.ndim)
+        c = np.zeros(shape) if self.spec.drift is None else np.broadcast_to(
+            np.asarray(self.spec.drift(times), dtype=float), shape)
+        return c, (np.abs(c) / self.hs).sum(axis=1)
+
+    def velocities(self, times):
+        """Drift velocity rows at ``times`` that precede the first over the
+        CFL limit dt * sum |c_i|/h_i <= 0.5; raises if that is the first."""
+        c, adv = self._speeds(times)
+        cfl = self.dt * adv
+        over = np.flatnonzero(cfl > 0.5 + 1e-12)
+        if over.size and over[0] == 0:
+            raise ConfigurationError(
+                f"drift CFL {cfl[0]:.3g} exceeds 0.5 at t={times[0]:.6g}")
+        return c[:over[0]] if over.size else c
 
     def stability_margin(self, t):
         """dt * (sum |c_i|/h_i + max reaction rate); recorded each run."""
-        c = self.spec.velocity(t, self.grid.ndim)
-        adv = sum(abs(ci) / h for ci, h in zip(c, self.hs))
-        return self.dt * (adv + self.max_reaction_rate)
+        return self.dt * (float(self._speeds(np.array([t]))[1][0])
+                          + self.max_reaction_rate)
 
     def _absorption_values(self, t):
         a = self.spec.absorption
-        if a is None:
-            return None
-        if isinstance(a, (int, float)):
-            return float(a)
+        if self._const_a is not None or a is None:
+            return self._const_a
         if isinstance(a, (potential_mod.Potential,
                           potential_mod.SharedLevels)):
             vals, n_under = a.level(self.grid, t)
             self.underflow_count += n_under
-            return vals.reshape(self.grid.shape)
-        vals = np.asarray(a(self.grid.points(), t), dtype=float)
+        else:
+            vals = np.asarray(a(self.grid.points(), t), dtype=float)
         return vals.reshape(self.grid.shape)
 
-    def step(self, values, t, log_scale):
+    def step(self, values, t, log_scale, c=None):
         """Advance one time level; returns (values, log_scale).
 
+        ``c`` is the drift velocity of this step, already checked against
+        the CFL limit; when None it is evaluated and checked here.
         ``values`` is left unchanged and the returned array is new.  After
         the call ``vmax`` holds max |values| of the result, which is NaN or
         inf exactly when the result has a non-finite entry.
         """
-        dt, p, hs = self.dt, self.spec.p, self.hs
-        c = self.spec.velocity(t, self.grid.ndim)
-        cfl = dt * sum(abs(ci) / h for ci, h in zip(c, hs))
-        if cfl > 0.5 + 1e-12:
-            raise ConfigurationError(
-                f"drift CFL {cfl:.3g} exceeds 0.5 at t={t:.6g}")
-        work = self._work
-
-        # absorption: exact decay map of u' = -a u**p at frozen coefficient,
-        # u * (1 + x)**(-1/(p-1)) with x = (p-1) dt a |u|**(p-1), evaluated
-        # as exp(-log1p(x)/(p-1)) so that it tends to u * exp(-a dt) as
-        # p -> 1 instead of cancelling in 1 + x; at p = 2 it is the exact
-        # and cheaper u / (1 + x)
-        a = self._absorption_values(t)
-        if a is not None and p > 1:
-            scale_pow = math.exp(-(p - 1.0) * log_scale) if \
-                (p - 1.0) * log_scale < 700 else 0.0
-            rate = np.abs(values, out=work)
-            rate **= p - 1.0
-            rate *= a
-            rate *= scale_pow
-            self.max_reaction_rate = max(self.max_reaction_rate,
-                                         float(rate.max()))
-            rate *= (p - 1.0) * dt
-            if p == 2.0:
-                rate += 1.0
-                np.reciprocal(rate, out=rate)
-            else:
-                np.log1p(rate, out=rate)
-                rate *= -1.0 / (p - 1.0)
-                np.exp(rate, out=rate)
-            values = np.multiply(values, rate, out=work)
+        if c is None:
+            c = self.velocities(np.array([t]))[0]
+        values = self.absorb(values, t, log_scale)
 
         # first-order upwind drift; with several moving axes every
         # difference is taken from the pre-drift values
         moving = [ax for ax in range(self.grid.ndim) if c[ax] != 0.0]
-        if moving and self.grid.kind == PERIODIC:
-            adv = np.zeros_like(values)
-            for ax in moving:
-                shift = 1 if c[ax] > 0 else -1
-                adv += c[ax] * shift * (values - np.roll(values, shift)) \
-                    / hs[ax]
-            values = values - dt * adv
-        elif moving:
+        if moving:
+            work = self._work
             if values is not work:
                 np.copyto(work, values)
                 values = work
-            diffs = [self._upwind(values, ax, dt * c[ax] * self._inv_hs[ax])
+            diffs = [self._upwind(values, ax,
+                                  self.dt * c[ax] * self._inv_hs[ax])
                      for ax in moving]
             for ax, d in zip(moving, diffs):
                 values[self._upwind_slices[ax][0]] -= d
 
         # implicit diffusion, axis by axis
-        if self.grid.kind == PERIODIC:
-            out = np.fft.irfft(np.fft.rfft(values) / self._fft_sym,
-                               n=values.size)
-        else:
-            out = np.zeros(self.grid.shape)
-            out[self._inner] = self._diffuse(values[self._inner])
-            if self._ball is not None:
-                out *= self._ball
+        out = np.zeros(self.grid.shape)
+        out[self._inner] = self._diffuse(values[self._inner])
+        if self._ball is not None:
+            out *= self._ball
 
         # keep the working array inside double range on decaying runs;
         # physical = values * exp(-log_scale), so dividing by vmax adds
         # -log(vmax) to the offset
-        vmax = float(np.abs(out, out=work).max())
+        vmax = float(np.abs(out, out=self._work).max())
         if 0.0 < vmax < _RENORM_FLOOR:
             out /= vmax
             log_scale -= math.log(vmax)
@@ -274,6 +238,39 @@ class Stepper:
             vmax = 1.0
         self.vmax = vmax
         return out, log_scale
+
+    def absorb(self, values, t, log_scale):
+        """Exact decay map of u' = -a u**p over one step, coefficient frozen
+        at t: ``values`` itself without absorption, else the work array.
+
+        u * (1 + x)**(-1/(p-1)) with x = (p-1) dt a |u|**(p-1) is evaluated
+        as exp(-log1p(x)/(p-1)), which tends to u * exp(-a dt) as p -> 1
+        instead of cancelling in 1 + x; at p = 2 it is the exact u / (1 + x).
+        """
+        p, dt = self.spec.p, self.dt
+        a = self._absorption_values(t)
+        if a is None or p <= 1:
+            return values
+        scale_pow = math.exp(-(p - 1.0) * log_scale) if \
+            (p - 1.0) * log_scale < 700 else 0.0
+        rate = np.abs(values, out=self._work)
+        if p != 2.0:
+            rate **= p - 1.0
+        if self._const_a is None:
+            rate *= a
+            a = 1.0
+        # rounding is monotone, so this is the max of the node rates
+        # a |u|**(p-1) * scale_pow (a >= 0)
+        peak = float(rate.max()) * a * scale_pow
+        rate *= a * scale_pow * (p - 1.0) * dt
+        self.max_reaction_rate = max(self.max_reaction_rate, peak)
+        if p == 2.0:
+            rate += 1.0
+            return np.divide(values, rate, out=rate)
+        np.log1p(rate, out=rate)
+        rate *= -1.0 / (p - 1.0)
+        np.exp(rate, out=rate)
+        return np.multiply(values, rate, out=rate)
 
     def _upwind(self, values, ax, coef):
         """coef times the one-sided difference against the flow on the
@@ -288,15 +285,22 @@ class Stepper:
 
     def _diffuse(self, inner):
         """Backward-Euler diffusion of the interior block, axis by axis."""
-        for ax, (ab, prop) in enumerate(zip(self._ab, self._props)):
-            if ax == 0:
-                inner = prop @ inner if prop is not None \
-                    else solve_banded((1, 1), ab, inner)
+        for ax, (prop, fac) in enumerate(zip(self._props, self._factors)):
+            if prop is not None:
+                # prop is symmetric, so it is its own transpose on axis 1
+                inner = prop @ inner if ax == 0 else inner @ prop
+            elif ax == 0:
+                inner = dpttrs(*fac, inner)[0]
             else:
-                # prop is symmetric, so it is its own transpose here
-                inner = inner @ prop if prop is not None \
-                    else solve_banded((1, 1), ab, inner.T).T
+                inner = dpttrs(*fac, inner.T)[0].T
         return inner
+
+
+def _banded(m, r):
+    """I - r * D2 on m nodes in the (3, m) banded form of solve_banded."""
+    off = np.full(m - 1, -r)
+    return np.array([np.r_[0.0, off], np.full(m, 1.0 + 2.0 * r),
+                     np.r_[off, 0.0]])
 
 
 def _propagator(ab):
@@ -349,8 +353,8 @@ def dirac_family(k, grid, t_start, ladder=DEFAULT_LADDER):
     pts = grid.points()
     xs = pts if grid.ndim > 1 else pts[:, 0]
     origin = np.zeros(grid.ndim) if grid.ndim > 1 else 0.0
-    vals = k * heat_kernel(xs, origin, t_start, n_dim=grid.ndim)
-    vals = vals.reshape(grid.shape)
+    vals = (k * heat_kernel(xs, origin, t_start, n_dim=grid.ndim)) \
+        .reshape(grid.shape)
     if grid.kind == BALL:
         vals = np.where(grid.interior_mask(), vals, 0.0)
     return Field(grid, vals, t_start)
@@ -361,17 +365,14 @@ def dirac_family(k, grid, t_start, ladder=DEFAULT_LADDER):
 # ----------------------------------------------------------------------
 def _interp(grid, values, point):
     pt = np.atleast_1d(np.asarray(point, dtype=float))
-    axes = grid.axes
     if grid.ndim == 1:
-        return float(np.interp(pt[0], axes[0], values))
+        return float(np.interp(pt[0], grid.axes[0], values))
     x, y = pt
-    ax, ay = axes
+    ax, ay = grid.axes
     i = int(np.clip(np.searchsorted(ax, x) - 1, 0, ax.size - 2))
     j = int(np.clip(np.searchsorted(ay, y) - 1, 0, ay.size - 2))
-    fx = (x - ax[i]) / (ax[i + 1] - ax[i])
-    fy = (y - ay[j]) / (ay[j + 1] - ay[j])
-    fx = min(max(fx, 0.0), 1.0)
-    fy = min(max(fy, 0.0), 1.0)
+    fx = min(max((x - ax[i]) / (ax[i + 1] - ax[i]), 0.0), 1.0)
+    fy = min(max((y - ay[j]) / (ay[j + 1] - ay[j]), 0.0), 1.0)
     return float(values[i, j] * (1 - fx) * (1 - fy)
                  + values[i + 1, j] * fx * (1 - fy)
                  + values[i, j + 1] * (1 - fx) * fy
@@ -402,21 +403,23 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     log_scale = fld.log_scale
     t = fld.time
     n_steps = int(round((t_end - t) / grid.dt))
-    times = np.empty(n_steps)
-    log_probes = np.empty(n_steps)
-    log_l2 = np.empty(n_steps)
-    log_linf = np.empty(n_steps)
-    events = []
-    tau_probes = []
-    snapshots = []
+    times, log_probes, log_l2, log_linf = np.empty((4, n_steps))
+    events, tau_probes, snapshots = [], [], []
     diverged = False
     graph_curve = curve is not None and curve.kind == geometry.GRAPH
     snap_queue = list(snapshot_times) if snapshot_times is not None else []
     half_log_vol = 0.5 * math.log(grid.cell_volume)
     log_ceiling = math.log(ceiling)
 
+    block, block_end = None, 0
     for istep in range(n_steps):
-        values, log_scale = stepper.step(values, t, log_scale)
+        if istep == block_end:  # a block stops short of a CFL violation
+            block = stepper.velocities(
+                fld.time + np.arange(istep, min(istep + DRIFT_BLOCK, n_steps))
+                * grid.dt)
+            block_start, block_end = istep, istep + len(block)
+        values, log_scale = stepper.step(values, t, log_scale,
+                                         block[istep - block_start])
         t = fld.time + (istep + 1) * grid.dt
         times[istep] = t
         if not math.isfinite(stepper.vmax):
@@ -522,7 +525,7 @@ class RescaledResult:
 
 def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
                    k=math.inf, ladder=DEFAULT_LADDER, t_start=None,
-                   probe_stride=None, max_steps=2_000_000):
+                   probe_stride=0.5, max_steps=2_000_000):
     """Evolve the zoomed field on the unit ball out to time alpha/eps**2.
 
     The moving frame contributes the drift eps * x'(eps**2 t); absorption is
@@ -559,32 +562,29 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
 
     spec = PDESpec(p=p, drift=drift, absorption=1.0)
     fld = dirac_family(k, grid, t_start, ladder)
-    if probe_stride is None:
-        probe_stride = 0.5
     snap_times = np.arange(1.0, t_end + 1e-9, probe_stride)
 
-    state = {"c1": math.nan, "sigma": 0.0}
+    c1, sigma = math.nan, 0.0
     result = evolve(fld, spec, t_end, curve=None, snapshot_times=snap_times)
 
     # Hopf ratio at the first stored time >= 1 and running feedback sup
     for (t, vals, s) in result.snapshots:
         phys = vals * math.exp(-s) if s < 700 else vals * 0.0
-        if math.isnan(state["c1"]):
-            state["c1"] = float(np.min(phys[core] / psi_grid[core]))
+        if math.isnan(c1):
+            c1 = float(np.min(phys[core] / psi_grid[core]))
         b = drift(t)
         bnorm = float(np.linalg.norm(b))
         dots = (pts @ b if grid.ndim > 1 else pts[:, 0] * b[0]).reshape(grid.shape)
         wmax = float(np.max(vals * np.exp(-0.5 * dots))) * math.exp(-s)
-        state["sigma"] = max(state["sigma"],
-                             math.exp(0.5 * (p - 1.0) * bnorm) * wmax ** (p - 1.0))
+        sigma = max(sigma, math.exp(0.5 * (p - 1.0) * bnorm) * wmax ** (p - 1.0))
 
     beta_tau = eps * curve.sup_speed(eps * eps, alpha)
     delta_tau = eps ** 3 * curve.sup_accel(eps * eps, alpha)
-    rate = spectral.envelope_rate(psi0.lam, beta_tau, delta_tau, state["sigma"])
+    rate = spectral.envelope_rate(psi0.lam, beta_tau, delta_tau, sigma)
 
     margin = math.inf
-    if not math.isnan(state["c1"]) and state["c1"] > 0:
-        log_c1 = math.log(state["c1"])
+    if not math.isnan(c1) and c1 > 0:
+        log_c1 = math.log(c1)
         log_psi = np.log(psi_grid[core])
         for (t, vals, s) in result.snapshots:
             with np.errstate(divide="ignore"):
@@ -600,12 +600,12 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
         else _LOG_ZERO
     log_amp = None
     if profile is not None:
-        from .potential import eval_profile
         log_amp = (-2.0 / (p - 1.0) * math.log(eps)
-                   + eval_profile(profile, eps) / (p - 1.0) + log_center)
+                   + potential_mod.eval_profile(profile, eps) / (p - 1.0)
+                   + log_center)
     return RescaledResult(run=result, eps=eps, alpha=alpha, p=p,
                           log_center_final=log_center, log_amplified=log_amp,
-                          c1=state["c1"], sigma_tau=state["sigma"],
+                          c1=c1, sigma_tau=sigma,
                           beta_tau=beta_tau, delta_tau=delta_tau,
                           conformance_margin=margin, lam0=psi0.lam)
 
@@ -618,11 +618,8 @@ def _ground_state_for(grid):
 
 def _psi_on_grid(psi0, grid):
     pts = grid.points()
-    if grid.ndim == 1:
-        vals = psi0.interpolate(pts[:, 0])
-    else:
-        vals = psi0.interpolate(pts)
-    return vals.reshape(grid.shape)
+    return psi0.interpolate(pts[:, 0] if grid.ndim == 1 else pts) \
+        .reshape(grid.shape)
 
 
 def restart_from_mass(source, k, grid, center=None, sigma=None):
@@ -656,7 +653,6 @@ def restart_from_mass(source, k, grid, center=None, sigma=None):
                              abs(grid.hi[i] - center[i]))
                          for i in range(grid.ndim))
         candidates = np.arange(3 * h, half_width + h, h)
-        sigma = None
         for sig in candidates:
             if mass_in(sig, math.inf) >= k:
                 sigma = float(sig)
@@ -750,16 +746,12 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf,
         h = max(grid.spacing)
         t_start = math.ceil(4.0 * h * h / grid.dt - 1e-12) * grid.dt
 
+    absorption = 1.0
     if case == "supercritical":
-        pts = grid.points()
-        xperp = np.abs(pts[:, 1])
+        xperp = np.abs(grid.points()[:, 1])
 
-        def coeff(points, t):
+        def absorption(points, t):
             return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma
-
-        absorption = coeff
-    else:
-        absorption = 1.0
 
     spec = PDESpec(p=p, drift=None, absorption=absorption)
     fld = dirac_family(k, grid, t_start, ladder)
@@ -781,7 +773,6 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf,
     check_times = sorted(snaps)
     if not check_times:
         raise NumericalError("tunnel run produced no comparison snapshots")
-    c_val = math.inf
     t0 = check_times[0]
     vals, s = snaps[t0]
     w0 = vals * math.exp(-s)

@@ -34,7 +34,8 @@ class TestScenarioFiles:
         assert len(names) >= 8
         for name in names:
             if name.startswith("sweep"):
-                harness.load_sweep(SCENARIOS / name)
+                spec = harness.load_sweep(SCENARIOS / name)
+                assert spec["base"] is not None and spec["axes"]
             else:
                 sc = harness.load_scenario(SCENARIOS / name)
                 assert sc.expected in harness.OUTCOMES
@@ -48,6 +49,105 @@ class TestScenarioFiles:
         assert sc.rules["functional_threshold"] == 50
         assert sc.rules["amplified_ceiling"] == 1e6
         assert sc.rules["version"] == 1
+
+
+class TestLoadValidation:
+    """Bad scenario and sweep files fail at load time, naming the file,
+    the section and the key."""
+
+    @staticmethod
+    def edited(tmp_path, name, old, new):
+        text = (SCENARIOS / name).read_text()
+        assert old in text
+        path = tmp_path / name
+        path.write_text(text.replace(old, new, 1))
+        return path
+
+    def rejected(self, path, section, key, loader=harness.load_scenario):
+        with pytest.raises(ConfigurationError) as exc:
+            loader(path)
+        msg = str(exc.value)
+        assert str(path) in msg and f"[{section}] {key}" in msg
+        assert "\n" not in msg
+        return msg
+
+    @pytest.mark.parametrize("p", ["1.0", "0.5"])
+    def test_p_at_most_one(self, tmp_path, p):
+        path = self.edited(tmp_path, "propagation-straight.ini",
+                           "p = 2.0", f"p = {p}")
+        assert "must be > 1" in self.rejected(path, "scenario", "p")
+
+    def test_nonpositive_alpha(self, tmp_path):
+        path = self.edited(tmp_path, "propagation-straight.ini",
+                           "alpha = 1.0", "alpha = -1")
+        self.rejected(path, "scenario", "alpha")
+
+    @pytest.mark.parametrize("eps", ["", "0.2, 0.0", "0.2, -0.1"])
+    def test_empty_or_nonpositive_eps(self, tmp_path, eps):
+        path = self.edited(tmp_path, "line-blowup.ini",
+                           "eps = 0.2, 0.1", f"eps = {eps}")
+        self.rejected(path, "scenario", "eps")
+
+    @pytest.mark.parametrize("ks", ["", "0, 1e2", "1e1, -1e2"])
+    def test_empty_or_nonpositive_k_ladder(self, tmp_path, ks):
+        path = self.edited(tmp_path, "downslope-arc.ini",
+                           "k_ladder = 1e1, 1e2, 1e3, 1e4, 1e5, 1e6",
+                           f"k_ladder = {ks}")
+        self.rejected(path, "scenario", "k_ladder")
+
+    @pytest.mark.parametrize("dt", ["0", "-0.002"])
+    def test_nonpositive_dt(self, tmp_path, dt):
+        path = self.edited(tmp_path, "box-reentry.ini", "dt = 0.002",
+                           f"dt = {dt}")
+        self.rejected(path, "grid", "dt")
+
+    def test_dt_not_below_horizon(self, tmp_path):
+        # box-reentry runs to t = 0.25; dt = 0.3 used to return a verdict
+        # after no step at all
+        path = self.edited(tmp_path, "box-reentry.ini", "dt = 0.002",
+                           "dt = 0.3")
+        assert "horizon 0.25" in self.rejected(path, "grid", "dt")
+
+    def test_non_numeric_value(self, tmp_path):
+        path = self.edited(tmp_path, "box-reentry.ini", "p = 2.5",
+                           "p = two")
+        assert "not a number" in self.rejected(path, "scenario", "p")
+
+    def duplicate(self, path, section, key, loader=harness.load_scenario):
+        with pytest.raises(ConfigurationError) as exc:
+            loader(path)
+        msg = str(exc.value)
+        assert str(path) in msg and "\n" not in msg
+        assert f"option '{key}' in section '{section}' already exists" in msg
+
+    def test_duplicate_key(self, tmp_path):
+        path = self.edited(tmp_path, "box-reentry.ini", "p = 2.5",
+                           "p = 2.5\np = 3.0")
+        self.duplicate(path, "scenario", "p")
+
+    @pytest.mark.parametrize("axis, values", [("p", "1.0, 2.0"),
+                                              ("alpha", "0.5, 0")])
+    def test_sweep_axis_out_of_range(self, tmp_path, axis, values):
+        text = (SCENARIOS / "sweep-phase.ini").read_text()
+        path = tmp_path / "sweep.ini"
+        path.write_text(text.replace(
+            "base = propagation-straight.ini",
+            f"base = {SCENARIOS / 'propagation-straight.ini'}\n"
+            f"{axis} = {values}").replace("alpha = 0.5, 1.0, 2.0, 4.0\n", ""))
+        self.rejected(path, "sweep", axis, loader=harness.load_sweep)
+
+    def test_sweep_duplicate_key(self, tmp_path):
+        path = self.edited(tmp_path, "sweep-phase.ini", "threshold = 50",
+                           "threshold = 50\nthreshold = 60")
+        self.duplicate(path, "sweep", "threshold", loader=harness.load_sweep)
+
+    def test_cli_run_exits_1_with_one_line(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setenv("HEATLAB_OUT", str(tmp_path))
+        path = self.edited(tmp_path, "box-reentry.ini", "p = 2.5", "p = 1.0")
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[scenario] p" in err
 
 
 class TestCurveForms:
@@ -338,6 +438,22 @@ class TestRescaledRules:
         sc.rules = dict(sc.rules, growth_window=2.0)
         harness.run_scenario(sc)
         assert windows == [2, 2]
+
+
+    def test_analytic_sweep_uses_base_growth_window(self, monkeypatch):
+        windows = []
+        orig = spectral.blowup_functional
+
+        def spy(*args, **kwargs):
+            windows.append(kwargs.get("growth_window"))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "blowup_functional", spy)
+        base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
+        base.rules = dict(base.rules, growth_window=2.0)
+        harness._analytic_verdict({"alpha": 1.0}, base, 5.78, 50.0)
+        harness._analytic_verdict({"alpha": 1.0}, None, 5.78, 50.0)
+        assert windows == [2, 3]
 
 
 class TestEvidenceSufficiency:

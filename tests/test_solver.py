@@ -41,28 +41,41 @@ class TestStepImex:
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.7
 
-    def test_periodic_constant_matches_decayed_ode(self):
-        g = Grid("periodic", (-1.0,), (1.0,), (64,), 1e-3)
-        spec = solver.PDESpec(p=2.0, absorption=1.0)
-        st = solver.Stepper(g, spec)
-        vals, ls = np.full(64, 3.0), 0.0
+    def test_constant_state_matches_decayed_ode(self):
+        # the absorption map alone, iterated on a constant state, is the
+        # exact flow of u' = -a u**2
+        g = box_grid(n=64, dt=1e-3)
+        st_ = solver.Stepper(g, solver.PDESpec(p=2.0, absorption=1.0))
+        vals = np.full(g.shape, 3.0)
         for i in range(500):
-            vals, ls = st.step(vals, i * g.dt, ls)
+            vals = st_.absorb(vals, i * g.dt, 0.0).copy()
         expect = barriers.decayed_ode(3.0, 1.0, 2.0, 0.5)
-        assert vals[7] * math.exp(-ls) == pytest.approx(expect, rel=1e-12)
+        assert vals[7] == pytest.approx(expect, rel=1e-12)
         assert np.ptp(vals) == 0.0
 
     @pytest.mark.parametrize("p", [1.0 + 1e-12, math.nextafter(1.0, 2.0)])
     def test_absorption_map_tends_to_linear_decay(self, p):
-        # u' = -a u**p near p = 1: one step of a constant state on a
-        # periodic grid (where diffusion leaves constants alone) must decay
-        # like u * exp(-a dt), the p -> 1 limit of the decay map
-        g = Grid("periodic", (-1.0,), (1.0,), (16,), 1e-2)
+        # u' = -a u**p near p = 1: one application of the absorption map
+        # to a constant state must decay like u * exp(-a dt), the p -> 1
+        # limit of the decay map
+        g = box_grid(n=16, dt=1e-2)
         st_ = solver.Stepper(g, solver.PDESpec(p=p, absorption=5.0))
-        vals, ls = st_.step(np.full(16, 0.5), 0.0, 0.0)
-        assert ls == 0.0
+        vals = st_.absorb(np.full(16, 0.5), 0.0, 0.0)
         np.testing.assert_allclose(vals, 0.5 * math.exp(-5.0 * 1e-2),
                                    rtol=1e-12, atol=0)
+
+    def test_field_absorption_matches_constant(self):
+        # a callable coefficient equal to the constant gives the same map
+        g = box_grid(n=33, dt=1e-2)
+        vals = np.linspace(0.0, 4.0, 33)
+        for p in (2.0, 2.5):
+            const = solver.Stepper(g, solver.PDESpec(p=p, absorption=3.0))
+            field = solver.Stepper(g, solver.PDESpec(
+                p=p, absorption=lambda pts, t: np.full(len(pts), 3.0)))
+            np.testing.assert_allclose(field.absorb(vals, 0.0, 0.5),
+                                       const.absorb(vals, 0.0, 0.5),
+                                       rtol=1e-14, atol=0)
+            assert field.max_reaction_rate == const.max_reaction_rate > 0
 
     def test_cfl_guard(self):
         g = box_grid(n=61, dt=0.05)
@@ -124,6 +137,100 @@ class TestPropagators:
             ref[(slice(1, -1),) * ndim] = inner
             assert ls == 0.0
             np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0)
+
+
+    @pytest.mark.parametrize("n", [65, 66, 67, 199, 299])
+    @pytest.mark.parametrize("dt", [2e-4, 2e-3])
+    def test_axis_solves_match_banded_solve(self, rng, n, dt):
+        # dense up to the cutoff, LDL^T factors above it; either way one
+        # solve per axis, nonnegative on nonnegative data (tiny tail values
+        # and exact zeros included)
+        for shape in ((n,), (n, 9), (9, n)):
+            g = Grid("box", (-1.0,) * len(shape), (1.0,) * len(shape),
+                     shape, dt)
+            st_ = solver.Stepper(g, solver.PDESpec(p=2.0))
+            for ab, prop, fac in zip(st_._ab, st_._props, st_._factors):
+                long_axis = ab.shape[1] > solver.DENSE_AXIS_MAX
+                assert (prop is None) == long_axis
+                assert (fac is None) != long_axis
+            inner = tuple(m - 2 for m in shape)
+            b = rng.uniform(0.0, 1.0, size=inner) \
+                * (rng.random(inner) < 0.5) * 10.0 ** rng.integers(-300, 1, inner)
+            ref = solve_banded((1, 1), st_._ab[0], b)
+            if len(shape) == 2:
+                ref = solve_banded((1, 1), st_._ab[1], ref.T).T
+            out = st_._diffuse(b)
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0)
+            assert out.min() >= 0.0
+
+
+def _stepwise(fld, spec, n_steps):
+    """Reference loop: every step evaluates and checks its own drift."""
+    stepper = solver.Stepper(fld.grid, spec)
+    vals, ls = fld.values.copy(), fld.log_scale
+    for i in range(n_steps):
+        t = fld.time if i == 0 else fld.time + i * fld.grid.dt
+        vals, ls = stepper.step(vals, t, ls)
+    return vals, ls
+
+
+class TestDriftBlocks:
+    N_STEPS = 2 * solver.DRIFT_BLOCK + 300
+
+    def setup_method(self):
+        self.grid = Grid.unit_ball(41, 1e-3, ndim=1)
+        x = self.grid.axes[0]
+        self.fld = Field(self.grid, np.where(np.abs(x) < 1.0,
+                                             np.cos(0.5 * np.pi * x), 0.0),
+                         0.01)
+
+    def test_time_dependent_drift_equals_stepwise(self):
+        # a curved graph: its velocity changes every step and is evaluated
+        # by interpolation, in blocks by evolve and one time at a time here
+        curve = geometry.Curve.graph_of(lambda t: np.sin(6.0 * t), 4.0)
+        calls = []
+
+        def drift(t):
+            calls.append(np.size(t))
+            return 0.3 * curve.velocity_at_time(t)
+
+        spec = solver.PDESpec(p=2.0, drift=drift, absorption=2.0)
+        t_end = self.fld.time + self.N_STEPS * self.grid.dt
+        res = solver.evolve(self.fld, spec, t_end)
+        # three blocks, then the stability margin at t_end
+        assert calls == [solver.DRIFT_BLOCK, solver.DRIFT_BLOCK, 300, 1]
+        vals, ls = _stepwise(self.fld, spec, self.N_STEPS)
+        assert res.final.log_scale == ls
+        np.testing.assert_array_equal(res.final.values, vals)
+
+    def test_cfl_violation_in_later_block(self, monkeypatch):
+        # the drift crosses the CFL limit inside the second block: evolve
+        # takes every step before it and raises there, as a stepwise run
+        bad = solver.DRIFT_BLOCK + 123
+        t_bad = self.fld.time + bad * self.grid.dt
+        speed = 0.5 * self.grid.spacing[0] / self.grid.dt
+
+        def drift(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t < t_bad - 1e-12, 0.5 * speed, 1.5 * speed)[:, None]
+
+        spec = solver.PDESpec(p=2.0, drift=drift, absorption=1.0)
+        with pytest.raises(ConfigurationError) as ref:
+            _stepwise(self.fld, spec, self.N_STEPS)
+        assert f"at t={t_bad:.6g}" in str(ref.value)
+        steps = []
+        orig = solver.Stepper.step
+
+        def counted(stepper, *args):
+            steps.append(args[1])
+            return orig(stepper, *args)
+
+        monkeypatch.setattr(solver.Stepper, "step", counted)
+        with pytest.raises(ConfigurationError) as got:
+            solver.evolve(self.fld, spec,
+                          self.fld.time + self.N_STEPS * self.grid.dt)
+        assert str(got.value) == str(ref.value)
+        assert len(steps) == bad
 
 
 @st.composite
