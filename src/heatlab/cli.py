@@ -12,11 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import barriers, harness, spectral
 from .errors import HeatlabError
-from .grids import Grid
 
 
 def _out_dir(args):

@@ -102,12 +102,6 @@ class Curve:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_samples(cls, tau, t, x, kind=PARAMETRIC, descriptor=None):
-        tau = np.asarray(tau, dtype=float)
-        return cls(kind, tau, np.asarray(t, dtype=float), np.asarray(x, dtype=float),
-                   horizon=float(tau[-1]), descriptor=descriptor)
-
-    @classmethod
     def straight(cls, velocity, horizon, n=513):
         """Graph curve x(t) = v * t with closed-form descriptor."""
         v = np.atleast_1d(np.asarray(velocity, dtype=float))
@@ -245,9 +239,11 @@ def parabolic_distance(point, curve, refine=True):
 def parabolic_distance_grid(points, t, curve):
     """Vectorized sample-infimum parabolic distance for solver grids.
 
-    ``points`` has shape (M, N).  No golden refinement here: stencil-scale
-    accuracy is set by the curve sampling density, which the solvers keep
-    at >= 512 samples.
+    ``points`` has shape (M, N).  There is no golden refinement here, so
+    the sample infimum can overstate :func:`parabolic_distance` by up to
+    about sqrt(dt_s), with dt_s the curve's sample time spacing: at an
+    on-curve point at time t_j + delta between two samples, the refined
+    distance is about 0 while the sample infimum is at least sqrt(delta).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     mask = curve.t <= t + 1e-15
@@ -274,7 +270,7 @@ def anisotropic_distance(point):
     return float(max(np.sqrt(t), np.linalg.norm(xp)))
 
 
-def classify_segments(curve, tol=None):
+def classify_segments(curve):
     """Label maximal monotone t(tau) intervals and detect box re-entry.
 
     A box is flagged when an interior local maximum of t at tau0 is followed
@@ -284,8 +280,7 @@ def classify_segments(curve, tol=None):
     """
     if curve.n_samples < 3:
         raise ConfigurationError("classify_segments needs at least 3 samples")
-    if tol is None:
-        tol = 1e-12 * curve.horizon
+    tol = 1e-12 * curve.horizon
     tau, t = curve.tau, curve.t
     dt = np.diff(t)
     signs = np.where(dt > tol, 1, np.where(dt < -tol, -1, 0))

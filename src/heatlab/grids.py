@@ -1,7 +1,6 @@
-"""Grids, fields and snapshot I/O shared by the solvers and the barrier checks."""
+"""Uniform tensor grids and the fields that live on them."""
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -10,17 +9,16 @@ from .errors import ConfigurationError
 
 BOX = "box"
 BALL = "ball"
-TUNNEL = "tunnel"
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid over a box, a unit ball, or a truncated tunnel.
+    """Uniform tensor grid over a box or a unit ball.
 
     ``shape`` counts nodes per axis including boundary nodes.  ``kind``
     fixes the lateral boundary handling: Dirichlet zero on the outer box
-    faces for ``box`` and ``tunnel``; for ``ball`` additionally every node
-    with |x| >= 1 is pinned to zero (staircase Dirichlet sphere).
+    faces for ``box``; for ``ball`` additionally every node with |x| >= 1
+    is pinned to zero (staircase Dirichlet sphere).
     ``axes``, ``spacing``, ``cell_volume`` and ``points()`` are computed
     once per grid; the arrays are read-only because every caller shares
     them.
@@ -33,7 +31,7 @@ class Grid:
     dt: float
 
     def __post_init__(self):
-        if self.kind not in (BOX, BALL, TUNNEL):
+        if self.kind not in (BOX, BALL):
             raise ConfigurationError(f"unknown grid kind {self.kind!r}")
         if len(self.lo) != len(self.hi) or len(self.lo) != len(self.shape):
             raise ConfigurationError("grid extents/shape rank mismatch")
@@ -102,8 +100,8 @@ class Grid:
 
     # convenience constructors -----------------------------------------
     @classmethod
-    def interval(cls, lo, hi, n, dt, kind=BOX):
-        return cls(kind, (float(lo),), (float(hi),), (int(n),), float(dt))
+    def interval(cls, lo, hi, n, dt):
+        return cls(BOX, (float(lo),), (float(hi),), (int(n),), float(dt))
 
     @classmethod
     def unit_ball(cls, n, dt, ndim=1):
@@ -112,9 +110,9 @@ class Grid:
         return cls(BALL, (-1.0, -1.0), (1.0, 1.0), (int(n), int(n)), float(dt))
 
     @classmethod
-    def tunnel(cls, length, n_axis, n_cross, dt, cross_radius=1.0):
-        return cls(TUNNEL, (-float(length), -float(cross_radius)),
-                   (float(length), float(cross_radius)),
+    def tunnel(cls, length, n_axis, n_cross, dt):
+        """Box [-length, length] x [-1, 1]: the truncated unit tunnel."""
+        return cls(BOX, (-float(length), -1.0), (float(length), 1.0),
                    (int(n_axis), int(n_cross)), float(dt))
 
 
@@ -150,59 +148,3 @@ class Field:
         """Grid-sum quadrature of the physical field."""
         return float(self.values.sum() * self.grid.cell_volume
                      * np.exp(-self.log_scale))
-
-
-# ----------------------------------------------------------------------
-# snapshots: plain text and flat little-endian binary
-# ----------------------------------------------------------------------
-_MAGIC = b"HLF1"
-
-
-def save_field(fld, path, binary=False):
-    vals = fld.physical()
-    dims = fld.grid.shape
-    spac = fld.grid.spacing
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<i", len(dims)))
-            fh.write(struct.pack(f"<{len(dims)}i", *dims))
-            fh.write(struct.pack(f"<{len(spac)}d", *spac))
-            fh.write(struct.pack("<d", fld.time))
-            fh.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
-        return
-    with open(path, "w") as fh:
-        fh.write(f"# dims {' '.join(str(d) for d in dims)}\n")
-        fh.write(f"# spacing {' '.join(f'{h:.17g}' for h in spac)}\n")
-        fh.write(f"# time {fld.time:.17g}\n")
-        for v in vals.ravel():
-            fh.write(f"{v:.17g}\n")
-
-
-def load_field(path, grid=None):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic == _MAGIC:
-            (rank,) = struct.unpack("<i", fh.read(4))
-            dims = struct.unpack(f"<{rank}i", fh.read(4 * rank))
-            spac = struct.unpack(f"<{rank}d", fh.read(8 * rank))
-            (time,) = struct.unpack("<d", fh.read(8))
-            vals = np.frombuffer(fh.read(), dtype="<f8").reshape(dims)
-        else:
-            fh.seek(0)
-            header = {}
-            body = []
-            for line in fh.read().decode().splitlines():
-                if line.startswith("#"):
-                    key, *rest = line[1:].split()
-                    header[key] = rest
-                elif line.strip():
-                    body.append(float(line))
-            dims = tuple(int(d) for d in header["dims"])
-            spac = tuple(float(s) for s in header["spacing"])
-            time = float(header["time"][0])
-            vals = np.array(body).reshape(dims)
-    if grid is None:
-        half = tuple((d - 1) * s / 2 for d, s in zip(dims, spac))
-        grid = Grid(BOX, tuple(-h for h in half), half, dims, dt=1.0)
-    return Field(grid, np.array(vals), time)

@@ -79,9 +79,7 @@ class Scenario:
         if dist == "constant-floor":
             return potential_mod.Potential(None, dist,
                                            floor=float(cfg.get("floor", 1.0)))
-        profile = self.build_profile()
-        return potential_mod.Potential(profile, dist, curve=curve,
-                                       gamma=float(cfg.get("gamma", 0.0)))
+        return potential_mod.Potential(self.build_profile(), dist, curve=curve)
 
     def build_grid(self):
         return build_grid(self.grid_cfg)
@@ -149,6 +147,7 @@ def _local_max_curve(cfg, n):
 
 
 _DT = 0.002  # the time step of a [grid] section without one
+_GRID_KINDS = ("box", "ball", "tunnel")
 
 
 def build_grid(cfg):
@@ -161,8 +160,10 @@ def build_grid(cfg):
         return Grid.tunnel(float(cfg.get("length", 10.0)),
                            int(cfg.get("n_axis", 201)),
                            int(cfg.get("n_cross", 41)), dt)
+    if kind != "box":
+        raise ConfigurationError(f"unknown grid kind {kind!r}")
     lo, hi = float(cfg.get("lo", -3.0)), float(cfg.get("hi", 3.0))
-    return Grid.interval(lo, hi, n, dt, kind=kind)
+    return Grid.interval(lo, hi, n, dt)
 
 
 def _floats(text):
@@ -239,12 +240,25 @@ def load_scenario(path):
             ("eps", min(s.eps_list, default=0) > 0, positive),
             ("k_ladder", min(s.k_ladder, default=0) > 0, positive)):
         _check(ok, path, sc, key, rule)
+    if s.kind == "tunnel":
+        _check(s.case in solver.TUNNEL_CASES, path, sc, "case",
+               "unknown tunnel case")
+        if s.case == "supercritical":
+            _check(s.gamma is not None, path, sc, "gamma",
+                   "required by the supercritical case")
+            try:  # tunnel grids have one axis and one cross direction
+                potential_mod.check_weight_gate(s.gamma, s.p, n_dim=2)
+            except ConfigurationError as exc:
+                _check(False, path, sc, "gamma", str(exc))
+    grid = cp["grid"]
+    _check(grid.get("kind", "box") in _GRID_KINDS, path, grid, "kind",
+           "unknown grid kind")
     # the shortest evolution the scenario runs
     horizon = {"rescaled": s.alpha / max(s.eps_list) ** 2,
                "ladder": s.horizon, "tunnel": 1.0}[s.kind]
-    dt = _value(path, cp["grid"], "dt", _DT)
-    _check(dt > 0, path, cp["grid"], "dt", "must be > 0")
-    _check(dt < horizon, path, cp["grid"], "dt",
+    dt = _value(path, grid, "dt", _DT)
+    _check(dt > 0, path, grid, "dt", "must be > 0")
+    _check(dt < horizon, path, grid, "dt",
            f"must be below the run horizon {horizon:.12g}")
     return s
 
@@ -495,7 +509,7 @@ _TRACE_COLUMNS = {
 }
 
 
-def emit_report(verdicts, out_dir, formats=("csv", "plot-script")):
+def emit_report(verdicts, out_dir):
     """Write verdict tables, per-scenario traces, and a gnuplot script.
 
     Output bytes are a pure function of the verdicts: fixed orderings,
@@ -503,35 +517,32 @@ def emit_report(verdicts, out_dir, formats=("csv", "plot-script")):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = out / "verdicts.csv"
-        with open(path, "w") as fh:
-            fh.write("scenario,kind,outcome,expected,match\n")
-            for v in verdicts:
-                fh.write(f"{v.scenario},{v.kind},{v.outcome},{v.expected},"
-                         f"{_fmt(bool(v.matches))}\n")
-        written.append(path)
+    path = out / "verdicts.csv"
+    with open(path, "w") as fh:
+        fh.write("scenario,kind,outcome,expected,match\n")
         for v in verdicts:
-            tpath = out / f"{v.scenario}_trace.csv"
-            header, keys = _TRACE_COLUMNS[v.kind]
-            with open(tpath, "w") as fh:
-                fh.write(header + "\n")
-                for row in zip(*(v.evidence[key] for key in keys)):
-                    fh.write(",".join(_fmt(x) for x in row) + "\n")
-            written.append(tpath)
-    if "plot-script" in formats:
-        path = out / "plots.gp"
-        with open(path, "w") as fh:
-            fh.write("# gnuplot script generated by heatlab\n")
-            fh.write("set datafile separator ','\nset key autotitle columnhead\n")
-            for v in verdicts:
-                fh.write(f"set title '{v.scenario} ({v.outcome})'\n")
-                fh.write("set logscale x\n" if v.kind == "ladder"
-                         else "unset logscale\n")
-                fh.write(f"plot '{v.scenario}_trace.csv' using 1:2 "
-                         f"with linespoints\npause -1\n")
-        written.append(path)
+            fh.write(f"{v.scenario},{v.kind},{v.outcome},{v.expected},"
+                     f"{_fmt(bool(v.matches))}\n")
+    written = [path]
+    for v in verdicts:
+        tpath = out / f"{v.scenario}_trace.csv"
+        header, keys = _TRACE_COLUMNS[v.kind]
+        with open(tpath, "w") as fh:
+            fh.write(header + "\n")
+            for row in zip(*(v.evidence[key] for key in keys)):
+                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        written.append(tpath)
+    path = out / "plots.gp"
+    with open(path, "w") as fh:
+        fh.write("# gnuplot script generated by heatlab\n")
+        fh.write("set datafile separator ','\nset key autotitle columnhead\n")
+        for v in verdicts:
+            fh.write(f"set title '{v.scenario} ({v.outcome})'\n")
+            fh.write("set logscale x\n" if v.kind == "ladder"
+                     else "unset logscale\n")
+            fh.write(f"plot '{v.scenario}_trace.csv' using 1:2 "
+                     f"with linespoints\npause -1\n")
+    written.append(path)
     return written
 
 
@@ -580,8 +591,7 @@ def _analytic_verdict(combo, base, lam0, threshold):
                                        eps, beta_sup=beta_sup,
                                        threshold=threshold,
                                        growth_window=int(window))
-    return ("propagation" if trace.verdict == "diverging" else "localization",
-            {"trace": trace.values.tolist()})
+    return derive_from_trace(trace), {"trace": trace.values.tolist()}
 
 
 def sweep(spec, log_path, workers=1):

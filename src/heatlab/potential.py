@@ -77,7 +77,6 @@ class Potential:
     profile: DecayProfile | None
     distance: str
     curve: geometry.Curve | None = None
-    gamma: float = 0.0
     floor: float | None = None
 
     def __post_init__(self):
@@ -87,8 +86,6 @@ class Potential:
             raise ConfigurationError("parabolic distance needs a curve")
         if self.distance == CONSTANT_FLOOR and not (self.floor and self.floor > 0):
             raise ConfigurationError("constant-floor potential needs floor > 0")
-        if self.gamma < 0:
-            raise ConfigurationError("weight exponent gamma must be >= 0")
 
     # ------------------------------------------------------------------
     def distance_value(self, point):
@@ -178,11 +175,7 @@ def split_h(pot, gamma, point, p=None, n_dim=None):
     if gamma < 0:
         raise ConfigurationError("gamma must be >= 0")
     if p is not None and n_dim is not None:
-        required = n_dim * (p - 1.0) - 2.0
-        if not gamma > required:
-            raise ConfigurationError(
-                f"gamma = {gamma} must exceed N(p-1)-2 = {required} "
-                "for the weighted line-degeneracy form")
+        check_weight_gate(gamma, p, n_dim)
     d = pot.distance_value(point)
     if d == 0.0:
         return 0.0, 0.0
@@ -191,6 +184,16 @@ def split_h(pot, gamma, point, p=None, n_dim=None):
         return 1.0, h
     weight = d ** gamma
     return float(weight), float(h / weight)
+
+
+def check_weight_gate(gamma, p, n_dim):
+    """Raise unless the weight exponent gamma >= 0 passes the supercritical
+    gate gamma > N(p-1) - 2 of the weighted line-degeneracy form."""
+    required = n_dim * (p - 1.0) - 2.0
+    if not (gamma >= 0 and gamma > required):
+        raise ConfigurationError(
+            f"gamma = {gamma} must be >= 0 and exceed N(p-1)-2 = {required} "
+            "for the weighted line-degeneracy form")
 
 
 def shifted_profile(profile, gamma, s):

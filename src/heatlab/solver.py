@@ -26,10 +26,10 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import erfc
 
 from . import geometry, potential as potential_mod, spectral
-from .barriers import gaussian_cos_integral, heat_kernel
+from .barriers import gaussian_cos_integral, heat_kernel, tunnel_subsolution
 from .errors import (BudgetError, ConfigurationError,
                      InfeasibleRestartError, NumericalError)
-from .grids import BALL, Field, Grid
+from .grids import BALL, Field
 
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 DIVERGENCE_CEILING = 1e12
@@ -333,14 +333,14 @@ def step_imex(fld, spec):
 # ----------------------------------------------------------------------
 # initial data
 # ----------------------------------------------------------------------
-def dirac_family(k, grid, t_start, ladder=DEFAULT_LADDER):
+def dirac_family(k, grid, t_start):
     """Mollified Dirac datum k * K(., 0, t_start) on the grid.
 
     The kernel must span at least 4 cells: sqrt(4 t_start) >= 4 h.  The
-    infinity marker (k = inf) selects the top of the configured ladder.
+    infinity marker (k = inf) selects the top of ``DEFAULT_LADDER``.
     """
     if k == math.inf:
-        k = max(ladder)
+        k = max(DEFAULT_LADDER)
     if k < 0:
         raise ConfigurationError("Dirac mass must be nonnegative")
     if k == 0:
@@ -470,20 +470,16 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
 
 
 def _tail_fraction(values, grid):
+    """Share of the mass on the two outermost nodes along each box face."""
     total = float(np.sum(np.abs(values)))
     if total == 0.0 or grid.kind == BALL:
         return 0.0
-    if grid.ndim == 1:
-        edge = float(np.sum(np.abs(values[:2])) + np.sum(np.abs(values[-2:])))
-    else:
-        edge = float(np.sum(np.abs(values[:2, :])) + np.sum(np.abs(values[-2:, :]))
-                     + np.sum(np.abs(values[:, :2])) + np.sum(np.abs(values[:, -2:])))
-    return edge / total
+    inner = float(np.sum(np.abs(values[(slice(2, -2),) * grid.ndim])))
+    return (total - inner) / total
 
 
 def solve_uk(k, curve, pot, p, horizon, grid, t_start=None,
-             ceiling=DIVERGENCE_CEILING, ladder=DEFAULT_LADDER,
-             snapshot_times=None):
+             ceiling=DIVERGENCE_CEILING, snapshot_times=None):
     """Evolve the Dirac-datum solution u_k probing along the curve.
 
     Numerical blow-up along the curve is recorded (run frozen, verdict in
@@ -499,7 +495,7 @@ def solve_uk(k, curve, pot, p, horizon, grid, t_start=None,
     if t_start is None:
         h = max(grid.spacing)
         t_start = 4.0 * h * h
-    fld = dirac_family(k, grid, t_start, ladder)
+    fld = dirac_family(k, grid, t_start)
     spec = PDESpec(p=p, drift=None, absorption=pot)
     return evolve(fld, spec, horizon, curve=curve, ceiling=ceiling,
                    snapshot_times=snapshot_times)
@@ -523,16 +519,20 @@ class RescaledResult:
     lam0: float
 
 
+_PROBE_STRIDE = 0.5
+_MAX_STEPS = 2_000_000
+
+
 def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
-                   k=math.inf, ladder=DEFAULT_LADDER, t_start=None,
-                   probe_stride=0.5, max_steps=2_000_000):
+                   k=math.inf):
     """Evolve the zoomed field on the unit ball out to time alpha/eps**2.
 
     The moving frame contributes the drift eps * x'(eps**2 t); absorption is
     the unit-coefficient power nonlinearity.  Records the center value at
     the final time (as a log), the Hopf ratio c1 = min field(., 1)/psi0, the
     measured nonlinear feedback sup, and the conformance margin against the
-    exponential lower envelope on [1, tau].
+    exponential lower envelope on [1, tau], checked every ``_PROBE_STRIDE``.
+    Runs of more than ``_MAX_STEPS`` steps raise a BudgetError.
     """
     if curve.kind != geometry.GRAPH:
         raise ConfigurationError("rescaled runs need a graph-over-t curve")
@@ -540,16 +540,14 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
         raise ConfigurationError("curve horizon must reach alpha")
     t_end = alpha / (eps * eps)
     n_steps = int(round(t_end / grid.dt))
-    if n_steps > max_steps:
+    if n_steps > _MAX_STEPS:
         raise BudgetError(
             f"{n_steps} steps exceed the budget; raise eps above "
-            f"{math.sqrt(alpha / (max_steps * grid.dt)):.3g} or enlarge dt",
+            f"{math.sqrt(alpha / (_MAX_STEPS * grid.dt)):.3g} or enlarge dt",
             limiting_parameter="eps")
-    if t_start is None:
-        h = max(grid.spacing)
-        # align the mollification time to the step grid so snapshot targets
-        # (multiples of dt) are hit exactly
-        t_start = math.ceil(4.0 * h * h / grid.dt - 1e-12) * grid.dt
+    # align the mollification time to the step grid so snapshot targets
+    # (multiples of dt) are hit exactly
+    t_start = _aligned_start(grid)
 
     def drift(t):
         return eps * curve.velocity_at_time(eps * eps * t)
@@ -561,8 +559,8 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
     pts = grid.points()
 
     spec = PDESpec(p=p, drift=drift, absorption=1.0)
-    fld = dirac_family(k, grid, t_start, ladder)
-    snap_times = np.arange(1.0, t_end + 1e-9, probe_stride)
+    fld = dirac_family(k, grid, t_start)
+    snap_times = np.arange(1.0, t_end + 1e-9, _PROBE_STRIDE)
 
     c1, sigma = math.nan, 0.0
     result = evolve(fld, spec, t_end, curve=None, snapshot_times=snap_times)
@@ -608,6 +606,12 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
                           c1=c1, sigma_tau=sigma,
                           beta_tau=beta_tau, delta_tau=delta_tau,
                           conformance_margin=margin, lam0=psi0.lam)
+
+
+def _aligned_start(grid):
+    """Smallest multiple of dt with sqrt(4 t) >= 4 h (see dirac_family)."""
+    h = max(grid.spacing)
+    return math.ceil(4.0 * h * h / grid.dt - 1e-12) * grid.dt
 
 
 def _ground_state_for(grid):
@@ -705,46 +709,47 @@ class TunnelResult:
     per_eps: list
 
 
-def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf,
-               ladder=DEFAULT_LADDER, t_start=None, a_shift=0.1,
-               tau_cal=0.05, c_safety=0.9, floor_threshold=1e6):
+_A_SHIFT = 0.1
+_TAU_CAL = 0.05
+_C_SAFETY = 0.9
+_FLOOR_THRESHOLD = 1e6
+TUNNEL_CASES = ("subcritical", "supercritical")
+
+
+def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf):
     """Evolve the rescaled tunnel problem and calibrate the explicit floor.
 
     ``case`` is "subcritical" (unit absorption coefficient) or
     "supercritical" (weighted coefficient (max(sqrt(tau), |xi'|))**gamma,
-    gated by gamma > N(p-1) - 2).  The run is compared against c * W(., tau)
-    after the calibration shift a: c is the grid minimum of the ratio at the
-    first comparison time, deflated by ``c_safety``, and the conformance
-    minimum of w(., tau + a) - c W(., tau) over later times is recorded.
+    gated by :func:`potential.check_weight_gate`).  The run is compared
+    against c * W(., tau), W from :func:`barriers.tunnel_subsolution`,
+    after the calibration shift a = ``_A_SHIFT``: c is the grid minimum of
+    the ratio at the first comparison time ``_TAU_CAL`` + a, deflated by
+    ``_C_SAFETY``, and the conformance minimum of w(., tau + a) - c W(., tau)
+    over later times is recorded; half-widths use ``_FLOOR_THRESHOLD``.
     """
     eps_list = [float(eps)] if np.isscalar(eps) else [float(e) for e in eps]
     if grid.ndim != 2:
         raise ConfigurationError("tunnel runs use a 2D (axis x cross) grid")
-    n_dim = 2  # one axis direction + one cross direction
+    if case not in TUNNEL_CASES:
+        raise ConfigurationError(f"unknown tunnel case {case!r}")
     if case == "supercritical":
         if gamma is None:
             raise ConfigurationError("supercritical tunnel needs gamma")
-        gate_pot = potential_mod.Potential(profile, potential_mod.ANISOTROPIC)
-        potential_mod.split_h(gate_pot, gamma, (0.0, 0.5, 0.01), p=p,
-                              n_dim=n_dim)
+        # one axis direction + one cross direction
+        potential_mod.check_weight_gate(gamma, p, n_dim=2)
         shifted = potential_mod.shifted_profile(
             profile, gamma, np.linspace(min(eps_list) / 8, max(eps_list), 64))
         if np.any(np.diff(shifted) > 1e-9):
             raise ConfigurationError(
                 "shifted profile not nonincreasing below eps; "
                 "weighted tunnel bound unavailable")
-    elif case != "subcritical":
-        raise ConfigurationError(f"unknown tunnel case {case!r}")
 
     length = grid.hi[0]
     tail = erfc(length / 2.0)  # 1D marginal mass beyond the truncation at tau=1
     if tail > 1e-8:
         raise ConfigurationError(
             f"axis truncation {length} too short: Gaussian tail {tail:.3g}")
-
-    if t_start is None:
-        h = max(grid.spacing)
-        t_start = math.ceil(4.0 * h * h / grid.dt - 1e-12) * grid.dt
 
     absorption = 1.0
     if case == "supercritical":
@@ -754,20 +759,15 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf,
             return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma
 
     spec = PDESpec(p=p, drift=None, absorption=absorption)
-    fld = dirac_family(k, grid, t_start, ladder)
-    snap_times = np.arange(tau_cal + a_shift, 1.0 - 1e-9, 0.05)
+    fld = dirac_family(k, grid, _aligned_start(grid))
+    snap_times = np.arange(_TAU_CAL + _A_SHIFT, 1.0 - 1e-9, 0.05)
     result = evolve(fld, spec, 1.0, snapshot_times=snap_times)
 
-    # cross-section ground state at the tunnel discretization
-    n_cross = grid.shape[1]
-    pair = spectral.dirichlet_ground_state("interval", n_cross - 2)
+    # cross-section ground state at the tunnel discretization; on the grid
+    # axis it reproduces the nodal values, with zeros on the boundary
+    pair = spectral.dirichlet_ground_state("interval", grid.shape[1] - 2)
     lam = pair.lam
-    phi_vals = np.concatenate([[0.0], pair.values, [0.0]])
-    xi1 = grid.axes[0]
-
-    def W_at(tau):
-        g = gaussian_cos_integral(xi1, tau)
-        return math.exp(-(lam + 1.0) * tau) * np.outer(g, phi_vals)
+    xi1, xi_perp = grid.axes
 
     snaps = {round(t, 9): (vals, s) for t, vals, s in result.snapshots}
     check_times = sorted(snaps)
@@ -776,16 +776,16 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf,
     t0 = check_times[0]
     vals, s = snaps[t0]
     w0 = vals * math.exp(-s)
-    W0 = W_at(t0 - a_shift)
+    W0 = tunnel_subsolution(xi1, xi_perp, t0 - _A_SHIFT, lam, pair)
     sel = W0 >= 1e-10 * W0.max()
-    c_val = float(np.min(w0[sel] / W0[sel])) * c_safety
+    c_val = float(np.min(w0[sel] / W0[sel])) * _C_SAFETY
     c_val = min(c_val, 1.0)
 
     conf_min = math.inf
     for t in check_times:
         vals, s = snaps[t]
         w = vals * math.exp(-s)
-        W = W_at(t - a_shift)
+        W = tunnel_subsolution(xi1, xi_perp, t - _A_SHIFT, lam, pair)
         conf_min = min(conf_min, float(np.min(w - c_val * W)))
 
     per_eps = []
@@ -797,11 +797,11 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf,
         log_floor0 = math.log(c_val) + log_pref - (lam + 1.0) + math.log(g0)
         delta_formula = math.sqrt(2.0 * e * e * ell / (p - 1.0))
         delta_meas = _half_width(c_val, lam, log_pref, e,
-                                 math.log(floor_threshold), log_i0)
+                                 math.log(_FLOOR_THRESHOLD), log_i0)
         per_eps.append({"eps": e, "delta_formula": delta_formula,
                         "delta_measured": delta_meas,
                         "log_floor_center": log_floor0})
-    return TunnelResult(run=result, p=p, gamma=gamma, a=a_shift, c=c_val,
+    return TunnelResult(run=result, p=p, gamma=gamma, a=_A_SHIFT, c=c_val,
                         conformance_min=conf_min, lam=lam, per_eps=per_eps)
 
 

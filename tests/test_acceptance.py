@@ -91,7 +91,7 @@ def test_criterion_03_drift_shift_identity():
 
 
 def test_criterion_04_barrier_residuals():
-    reports = barriers.standard_reports(resolutions=(129, 257))
+    reports = barriers.standard_reports()
     for rep in reports:
         assert rep.violations == 0, rep.name
     c_plain = barriers.drift_barrier_constant(1, 2.0, c=0.0, eta=1.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatlab import barriers
+from heatlab import barriers, spectral
 from heatlab.errors import ConfigurationError, DomainError
 from heatlab.grids import Grid
 
@@ -176,7 +176,7 @@ class TestDriftRadialBarrier:
         assert val == pytest.approx(C / rho ** (2.0 / (q - 1.0)))
 
     def test_residual_nonnegative_two_grids(self):
-        for rep in barriers.standard_reports(resolutions=(129, 257)):
+        for rep in barriers.standard_reports():
             assert rep.violations == 0, rep.name
             assert rep.min_residual >= -rep.tol
 
@@ -215,6 +215,18 @@ class TestTunnelSubsolution:
             tau = rng.uniform(0.01, 1.0)
             w = barriers.tunnel_subsolution(xi1, xi_p, tau, self.lam, self.phi)
             assert 0.0 <= w <= 1.0
+
+    def test_tensor_grid_of_nodal_ground_state(self):
+        # on the tunnel grid's cross axis the 39-node ground state gives
+        # its nodal values, zero on the boundary: W is their outer product
+        xi1, xi_perp = Grid.tunnel(10.0, 201, 41, 5e-4).axes
+        pair = spectral.dirichlet_ground_state("interval", 39)
+        phi = np.concatenate([[0.0], pair.values, [0.0]])
+        for tau in (0.05, 0.3, 0.9):
+            w = barriers.tunnel_subsolution(xi1, xi_perp, tau, pair.lam, pair)
+            expect = np.exp(-(pair.lam + 1.0) * tau) * np.outer(
+                barriers.gaussian_cos_integral(xi1, tau), phi)
+            assert np.array_equal(w, expect)
 
     def test_vanishes_on_cross_boundary(self):
         w = barriers.tunnel_subsolution(0.0, 1.0, 0.3, self.lam, self.phi)

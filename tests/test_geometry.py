@@ -11,6 +11,19 @@ class TestParabolicDistance:
         assert geometry.parabolic_distance((0.5, 0.5), straight_curve) == \
             pytest.approx(0.0, abs=1e-10)
 
+    def test_grid_infimum_gap_between_samples(self, straight_curve):
+        # on-curve point just before the next sample of x = t (dt_s = 1/512):
+        # the refined distance is about 0, the sample infimum about
+        # sqrt(dt_s), since the nearest earlier sample lies delta back
+        dt_s = 1.0 / 512
+        delta = 0.999 * dt_s
+        t = 100 * dt_s + delta
+        assert geometry.parabolic_distance((t, t), straight_curve) < 1e-5
+        d = geometry.parabolic_distance_grid(np.array([[t]]), t,
+                                             straight_curve)[0]
+        assert d == pytest.approx(delta + np.sqrt(delta), rel=1e-12)
+        assert d > np.sqrt(dt_s)
+
     def test_straight_curve_oracle(self, straight_curve):
         # brute force over s of (2 - s) + sqrt(1 - s): decreasing, min at s = 1
         s = np.linspace(0.0, 1.0, 200001)

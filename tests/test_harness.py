@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from heatlab import cli, geometry, harness, potential, solver, spectral
 from heatlab.errors import BudgetError, ConfigurationError
-from heatlab.grids import Field, Grid, load_field, save_field
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -112,6 +111,27 @@ class TestLoadValidation:
         path = self.edited(tmp_path, "box-reentry.ini", "p = 2.5",
                            "p = two")
         assert "not a number" in self.rejected(path, "scenario", "p")
+
+    def test_unknown_grid_kind(self, tmp_path):
+        path = self.edited(tmp_path, "box-reentry.ini", "kind = box",
+                           "kind = tunel")
+        assert "unknown grid kind" in self.rejected(path, "grid", "kind")
+
+    def test_unknown_tunnel_case(self, tmp_path):
+        path = self.edited(tmp_path, "line-blowup.ini",
+                           "case = subcritical", "case = critical")
+        self.rejected(path, "scenario", "case")
+
+    def test_supercritical_without_gamma(self, tmp_path):
+        path = self.edited(tmp_path, "line-blowup-weighted.ini",
+                           "gamma = 2.5", "")
+        assert "required" in self.rejected(path, "scenario", "gamma")
+
+    def test_supercritical_gamma_below_gate(self, tmp_path):
+        # N = 2, p = 3: the gate needs gamma > 2
+        path = self.edited(tmp_path, "line-blowup-weighted.ini",
+                           "gamma = 2.5", "gamma = 2.0")
+        assert "N(p-1)-2" in self.rejected(path, "scenario", "gamma")
 
     def duplicate(self, path, section, key, loader=harness.load_scenario):
         with pytest.raises(ConfigurationError) as exc:
@@ -506,23 +526,3 @@ class TestCli:
         assert log.exists()
         assert cli.main(["report", str(log)]) == 0
 
-
-class TestFieldSnapshots:
-    def test_text_roundtrip(self, tmp_path):
-        g = Grid.interval(-1.0, 1.0, 33, dt=0.01)
-        fld = Field(g, np.linspace(0, 1, 33), 0.25)
-        path = tmp_path / "field.txt"
-        save_field(fld, path)
-        back = load_field(path)
-        assert back.time == 0.25
-        assert np.allclose(back.values, fld.values)
-
-    def test_binary_roundtrip(self, tmp_path):
-        g = Grid.interval(-1.0, 1.0, 17, dt=0.01)
-        rngv = np.random.default_rng(7).uniform(size=17)
-        fld = Field(g, rngv, 0.5)
-        path = tmp_path / "field.bin"
-        save_field(fld, path, binary=True)
-        back = load_field(path)
-        assert back.time == 0.5
-        assert np.allclose(back.values, rngv)

@@ -453,8 +453,7 @@ class TestRescaled:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError) as exc:
-            solver.solve_rescaled(0.01, self.curve, 2.0, 1.0, self.grid,
-                                  max_steps=10_000)
+            solver.solve_rescaled(1e-3, self.curve, 2.0, 1.0, self.grid)
         assert exc.value.limiting_parameter == "eps"
 
     def test_needs_graph_curve(self):
@@ -512,6 +511,12 @@ class TestTunnel:
         g = Grid.tunnel(4.0, 81, 21, 1e-3)
         with pytest.raises(ConfigurationError, match="truncation"):
             solver.tunnel_run(0.2, 2.0, prof, "subcritical", g)
+
+    def test_tail_fraction_counts_corners_once(self):
+        g = Grid.tunnel(4.0, 9, 9, 1e-3)
+        # the two-node band along the faces is 81 - 5 * 5 = 56 of 81 nodes
+        assert solver._tail_fraction(np.ones((9, 9)), g) == \
+            pytest.approx(56 / 81, rel=1e-15)
 
     def test_supercritical_gate(self):
         prof = DecayProfile("inverse-square", 8.0)
