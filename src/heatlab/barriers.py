@@ -121,38 +121,22 @@ _CAL_GRIDS_2D = (49, 97)
 
 @np.errstate(invalid="ignore")
 def _unit_residual_parts(n, n_dim, q):
-    """Discrete (laplacian, |gradient|, g, band mask) on the unit ball.
+    """Discrete (laplacian, |gradient|, g, band mask) on the unit ball, by
+    the stencils of :func:`verify_supersolution`.
 
     Stencils touching the sphere hit the infinite boundary values of g and
-    yield nan; the band mask |w| <= 1 - 2h keeps them out of the residual.
+    yield nan or inf; the band mask |w| <= 1 - 2h keeps them out of the
+    residual.
     """
     xs = np.linspace(-1.0, 1.0, n)
     h = xs[1] - xs[0]
-    if n_dim == 1:
-        g = np.full(n, np.inf)
-        inside = np.abs(xs) < 1.0
-        g[inside] = (1.0 - xs[inside] ** 2) ** (-2.0 / (q - 1.0))
-        lap = np.full(n, np.nan)
-        lap[1:-1] = (g[2:] - 2 * g[1:-1] + g[:-2]) / h ** 2
-        grad = np.full(n, np.nan)
-        grad[1:-1] = np.abs(g[2:] - g[:-2]) / (2 * h)
-        band = np.abs(xs) <= 1.0 - 2.0 * h
-        return lap, grad, g, band
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    r2 = X * X + Y * Y
-    g = np.full((n, n), np.inf)
+    r2 = xs * xs if n_dim == 1 else np.add.outer(xs * xs, xs * xs)
+    g = np.full(r2.shape, np.inf)
     inside = r2 < 1.0
     g[inside] = (1.0 - r2[inside]) ** (-2.0 / (q - 1.0))
-    lap = np.full((n, n), np.nan)
-    lap[1:-1, 1:-1] = ((g[2:, 1:-1] - 2 * g[1:-1, 1:-1] + g[:-2, 1:-1])
-                       + (g[1:-1, 2:] - 2 * g[1:-1, 1:-1] + g[1:-1, :-2])) / h ** 2
-    gx = np.full((n, n), np.nan)
-    gy = np.full((n, n), np.nan)
-    gx[1:-1, :] = (g[2:, :] - g[:-2, :]) / (2 * h)
-    gy[:, 1:-1] = (g[:, 2:] - g[:, :-2]) / (2 * h)
-    grad = np.sqrt(gx * gx + gy * gy)
-    band = np.sqrt(r2) <= 1.0 - 2.0 * h
-    return lap, grad, g, band
+    hs = (h,) * n_dim
+    return (_laplacian(g, hs), _grad_norm(g, hs), g,
+            np.sqrt(r2) <= 1.0 - 2.0 * h)
 
 
 def _calibrate_unit_constant(n_dim, q, c_hat):
@@ -338,7 +322,8 @@ def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
     tol : float
         Pass threshold: supersolutions need residual >= -tol everywhere.
     mask : ndarray of bool, optional
-        Restriction of the spatial check region (default: stencil interior).
+        Restriction of the spatial check region; it is intersected with
+        ``grid.interior_mask()``, the default.
     sign : +1 for a supersolution check, -1 for a subsolution check.
 
     Returns a :class:`BarrierReport`; ``violations`` counts nodes where
@@ -355,10 +340,8 @@ def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
     if vals.shape[1:] != spatial:
         raise ConfigurationError("field samples do not match the grid")
     hs = grid.spacing
-    if mask is None:
-        mask = grid.interior_mask()
-    inner = _stencil_interior(spatial)
-    mask = mask & inner
+    mask = grid.interior_mask() if mask is None \
+        else mask & grid.interior_mask()
 
     worst = np.inf
     violations = 0
@@ -391,16 +374,6 @@ def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
     return BarrierReport(name=name, grid=grid.describe(), tol=tol,
                          min_residual=worst if checked else 0.0,
                          violations=violations, n_checked=checked)
-
-
-def _stencil_interior(shape):
-    mask = np.ones(shape, dtype=bool)
-    if len(shape) == 1:
-        mask[0] = mask[-1] = False
-    else:
-        mask[0, :] = mask[-1, :] = False
-        mask[:, 0] = mask[:, -1] = False
-    return mask
 
 
 def _laplacian(u, hs):

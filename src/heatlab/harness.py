@@ -26,7 +26,6 @@ from .errors import BudgetError, ConfigurationError
 from .grids import Grid
 
 DEFAULT_RULES = {
-    "version": 1,
     "divergence_ceiling": 1e12,
     "functional_threshold": 50.0,
     "amplified_ceiling": 1e6,
@@ -194,8 +193,9 @@ def _value(path, section, key, default, parse=float):
     try:
         return parse(section[key])
     except ValueError:
+        what = "an integer" if parse is int else "a number"
         raise ConfigurationError(f"{path}: [{section.name}] {key} = "
-                                 f"{section[key]}: not a number") from None
+                                 f"{section[key]}: not {what}") from None
 
 
 def _check(ok, path, section, key, rule):
@@ -204,18 +204,33 @@ def _check(ok, path, section, key, rule):
                                  f"{section.get(key, '(default)')}: {rule}")
 
 
+# parsers of the numeric keys the grid, curve, profile and potential
+# builders read; their other keys (kind, form, ...) are text
+_NUMERIC_KEYS = {
+    "grid": {"dt": float, "lo": float, "hi": float, "length": float,
+             "n": int, "ndim": int, "n_axis": int, "n_cross": int},
+    "curve": {"samples": int, "dim": int, "horizon": float, "speed": float,
+              "t_max": float, "wobble": float, "span": float,
+              "velocity": _floats},
+    "potential": {"amplitude": float, "exponent": float, "floor": float},
+}
+
+
 def load_scenario(path):
-    """Scenario from an INI file; a bad value is a ConfigurationError
-    naming the file, section and key."""
+    """Scenario from an INI file; a bad value or an unknown rule is a
+    ConfigurationError naming the file, section and key."""
     cp = _read_ini(path, "scenario")
     sc = cp["scenario"]
-    rules = dict(DEFAULT_RULES)
     for section in ("rules", "grid", "curve", "potential"):
         if not cp.has_section(section):
             cp.add_section(section)
-    rules.update((key, _value(path, cp["rules"], key, None))
-                 for key in cp["rules"])
-    rules["version"] = int(rules["version"])
+    rules = dict(DEFAULT_RULES)
+    for key in cp["rules"]:
+        _check(key in DEFAULT_RULES, path, cp["rules"], key, "unknown rule")
+        rules[key] = _value(path, cp["rules"], key, None)
+    for name, keys in _NUMERIC_KEYS.items():
+        for key, parse in keys.items():
+            _value(path, cp[name], key, None, parse)
     s = Scenario(
         name=sc.get("name", Path(path).stem),
         kind=sc.get("kind", "rescaled"),
@@ -251,8 +266,12 @@ def load_scenario(path):
             except ConfigurationError as exc:
                 _check(False, path, sc, "gamma", str(exc))
     grid = cp["grid"]
-    _check(grid.get("kind", "box") in _GRID_KINDS, path, grid, "kind",
-           "unknown grid kind")
+    kind = grid.get("kind", "box")
+    _check(kind in _GRID_KINDS, path, grid, "kind", "unknown grid kind")
+    if s.kind == "ladder" and kind != "box":  # evolve probes 1D grids only
+        key = "kind" if kind == "tunnel" else "ndim"
+        _check(key == "ndim" and _value(path, grid, key, 1, int) == 1, path,
+               grid, key, "ladder runs need a 1D grid")
     # the shortest evolution the scenario runs
     horizon = {"rescaled": s.alpha / max(s.eps_list) ** 2,
                "ladder": s.horizon, "tunnel": 1.0}[s.kind]
@@ -353,9 +372,10 @@ def _run_rescaled(scenario):
     top = math.log(rules["amplified_ceiling"])
     low = math.log(rules["bounded_ceiling"])
     conformant = all(m >= -rules["conformance_tol"] for m in margins)
-    if increasing and log_amp[-1] > top and trace_measured.verdict == "diverging":
+    if conformant and increasing and log_amp[-1] > top \
+            and trace_measured.verdict == "diverging":
         outcome = "propagation"
-    elif max(log_amp) <= low:
+    elif conformant and max(log_amp) <= low:
         outcome = "localization"
     else:
         outcome = "inconclusive"
@@ -579,18 +599,18 @@ def _combo_key(combo):
 
 
 def _analytic_verdict(combo, base, lam0, threshold):
-    p = combo.get("p", base.p if base else 2.0)
-    alpha = combo.get("alpha", base.alpha if base else 1.0)
-    eps = base.eps_list if base else (0.2, 0.1, 0.05)
-    profile = potential_mod.DecayProfile("inverse-square",
-                                         combo.get("amplitude", 50.0))
-    beta_sup = combo.get("velocity", 1.0)
-    window = base.rules["growth_window"] if base else \
-        DEFAULT_RULES["growth_window"]
-    trace = spectral.blowup_functional("point", p, alpha, 1, lam0, profile,
-                                       eps, beta_sup=beta_sup,
-                                       threshold=threshold,
-                                       growth_window=int(window))
+    """Analytic point-functional outcome of the base scenario (default:
+    inverse-square amplitude 50, unit speed, p = 2, alpha = 1) with the
+    combo's values; a combo ``velocity`` replaces its curve's speed."""
+    sc = _scenario_for(base or Scenario(
+        "analytic", "rescaled", "unknown", 2.0,
+        potential_cfg={"amplitude": "50.0"}), combo)
+    motion = {"beta_sup": combo["velocity"]} if "velocity" in combo \
+        else {"curve": sc.build_curve()}
+    trace = spectral.blowup_functional(
+        "point", sc.p, sc.alpha, 1, lam0, sc.build_profile(), sc.eps_list,
+        threshold=threshold, growth_window=int(sc.rules["growth_window"]),
+        **motion)
     return derive_from_trace(trace), {"trace": trace.values.tolist()}
 
 

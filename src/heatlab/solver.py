@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.special import erfc
 
 from . import geometry, potential as potential_mod, spectral
 from .barriers import gaussian_cos_integral, heat_kernel, tunnel_subsolution
@@ -43,9 +42,9 @@ class PDESpec:
 
     ``drift`` is None or a callable taking an array of n times and
     returning the velocity at each, shape (n, ndim), or one velocity for
-    all of them, shape (ndim,); ``absorption`` is None, a constant >= 0, a
-    Potential (or the SharedLevels of one), or a callable (points, t) ->
-    node values.
+    all of them, shape (ndim,), read only by :meth:`Stepper.velocities`;
+    ``absorption`` is None, a constant >= 0, a Potential (or the
+    SharedLevels of one), or a callable (points, t) -> node values.
     """
 
     p: float
@@ -58,9 +57,9 @@ class RunResult:
     """Probe series and bookkeeping of one evolution run.
 
     Probe/norm series are stored as logs of the physical values (long runs
-    underflow doubles); the ``probes``/``l2``/``linf`` properties expose the
-    exponentiated series.  ``tau_probes`` collects (tau, t, value) hits of
-    general parametric curves.
+    underflow doubles); the ``probes`` property exposes the exponentiated
+    probe series.  ``tau_probes`` collects (tau, t, value) hits of general
+    parametric curves.
     """
 
     final: Field
@@ -75,31 +74,8 @@ class RunResult:
 
     @property
     def probes(self):
-        return _safe_exp(self.log_probes)
-
-    @property
-    def l2(self):
-        return _safe_exp(self.log_l2)
-
-    @property
-    def linf(self):
-        return _safe_exp(self.log_linf)
-
-    def write_probes_csv(self, path):
-        flags = {}
-        for t, name in self.events:
-            flags.setdefault(round(t, 12), []).append(name)
-        with open(path, "w") as fh:
-            fh.write("t,probe,l2,linf,events\n")
-            for i, t in enumerate(self.times):
-                names = ";".join(flags.get(round(float(t), 12), []))
-                fh.write(f"{t:.12g},{self.probes[i]:.12g},"
-                         f"{self.l2[i]:.12g},{self.linf[i]:.12g},{names}\n")
-
-
-def _safe_exp(logv):
-    with np.errstate(over="ignore", under="ignore"):
-        return np.exp(np.asarray(logv))
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(self.log_probes)
 
 
 # ----------------------------------------------------------------------
@@ -156,31 +132,20 @@ class Stepper:
                       for ax, n in enumerate(grid.shape)]
         self.underflow_count = 0
         self.renorm_count = 0
-        self.max_reaction_rate = 0.0
         self.vmax = 0.0
 
-    def _speeds(self, times):
-        """Drift velocity rows (n, ndim) at ``times``, sum |c_i|/h_i of each."""
+    def velocities(self, times):
+        """Drift velocity rows (n, ndim) at ``times`` before the first over
+        the CFL limit dt * sum |c_i|/h_i <= 0.5; raises if it is the first."""
         shape = (len(times), self.grid.ndim)
         c = np.zeros(shape) if self.spec.drift is None else np.broadcast_to(
             np.asarray(self.spec.drift(times), dtype=float), shape)
-        return c, (np.abs(c) / self.hs).sum(axis=1)
-
-    def velocities(self, times):
-        """Drift velocity rows at ``times`` that precede the first over the
-        CFL limit dt * sum |c_i|/h_i <= 0.5; raises if that is the first."""
-        c, adv = self._speeds(times)
-        cfl = self.dt * adv
+        cfl = self.dt * (np.abs(c) / self.hs).sum(axis=1)
         over = np.flatnonzero(cfl > 0.5 + 1e-12)
         if over.size and over[0] == 0:
             raise ConfigurationError(
                 f"drift CFL {cfl[0]:.3g} exceeds 0.5 at t={times[0]:.6g}")
         return c[:over[0]] if over.size else c
-
-    def stability_margin(self, t):
-        """dt * (sum |c_i|/h_i + max reaction rate); recorded each run."""
-        return self.dt * (float(self._speeds(np.array([t]))[1][0])
-                          + self.max_reaction_rate)
 
     def _absorption_values(self, t):
         a = self.spec.absorption
@@ -194,17 +159,15 @@ class Stepper:
             vals = np.asarray(a(self.grid.points(), t), dtype=float)
         return vals.reshape(self.grid.shape)
 
-    def step(self, values, t, log_scale, c=None):
-        """Advance one time level; returns (values, log_scale).
+    def step(self, values, t, log_scale, c):
+        """Advance one time level from t; returns (values, log_scale).
 
-        ``c`` is the drift velocity of this step, already checked against
-        the CFL limit; when None it is evaluated and checked here.
-        ``values`` is left unchanged and the returned array is new.  After
-        the call ``vmax`` holds max |values| of the result, which is NaN or
-        inf exactly when the result has a non-finite entry.
+        ``c`` is this step's row of :meth:`velocities`, the drift velocity
+        at t already checked against the CFL limit.  ``values`` is left
+        unchanged and the returned array is new.  After the call ``vmax``
+        holds max |values| of the result, which is NaN or inf exactly when
+        the result has a non-finite entry.
         """
-        if c is None:
-            c = self.velocities(np.array([t]))[0]
         values = self.absorb(values, t, log_scale)
 
         # first-order upwind drift; with several moving axes every
@@ -259,11 +222,7 @@ class Stepper:
         if self._const_a is None:
             rate *= a
             a = 1.0
-        # rounding is monotone, so this is the max of the node rates
-        # a |u|**(p-1) * scale_pow (a >= 0)
-        peak = float(rate.max()) * a * scale_pow
         rate *= a * scale_pow * (p - 1.0) * dt
-        self.max_reaction_rate = max(self.max_reaction_rate, peak)
         if p == 2.0:
             rate += 1.0
             return np.divide(values, rate, out=rate)
@@ -321,15 +280,6 @@ def _axis_slice(ndim, axis, start, stop):
     return tuple(sl)
 
 
-def step_imex(fld, spec):
-    """Advance a field one time level under the given operator."""
-    stepper = Stepper(fld.grid, spec)
-    vals, log_scale = stepper.step(fld.values, fld.time, fld.log_scale)
-    if not math.isfinite(stepper.vmax):
-        raise NumericalError("non-finite values after one step")
-    return Field(fld.grid, vals, fld.time + fld.grid.dt, log_scale)
-
-
 # ----------------------------------------------------------------------
 # initial data
 # ----------------------------------------------------------------------
@@ -363,22 +313,6 @@ def dirac_family(k, grid, t_start):
 # ----------------------------------------------------------------------
 # evolution drivers
 # ----------------------------------------------------------------------
-def _interp(grid, values, point):
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    if grid.ndim == 1:
-        return float(np.interp(pt[0], grid.axes[0], values))
-    x, y = pt
-    ax, ay = grid.axes
-    i = int(np.clip(np.searchsorted(ax, x) - 1, 0, ax.size - 2))
-    j = int(np.clip(np.searchsorted(ay, y) - 1, 0, ay.size - 2))
-    fx = min(max((x - ax[i]) / (ax[i + 1] - ax[i]), 0.0), 1.0)
-    fy = min(max((y - ay[j]) / (ay[j + 1] - ay[j]), 0.0), 1.0)
-    return float(values[i, j] * (1 - fx) * (1 - fy)
-                 + values[i + 1, j] * fx * (1 - fy)
-                 + values[i, j + 1] * (1 - fx) * fy
-                 + values[i + 1, j + 1] * fx * fy)
-
-
 def _log_norms(values, log_scale, half_log_vol, vmax):
     if vmax == 0.0:
         return _LOG_ZERO, _LOG_ZERO
@@ -392,12 +326,16 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
            snapshot_times=None):
     """Drive a field to t_end recording probes, norms and events.
 
-    The generic driver behind :func:`solve_uk`, :func:`solve_rescaled` and
-    :func:`tunnel_run`; use it directly for custom operator combinations.
+    The one stepping loop, behind :func:`solve_uk`, :func:`solve_rescaled`
+    and :func:`tunnel_run`; each step gets its row of the drift velocities
+    that :meth:`Stepper.velocities` gives ``DRIFT_BLOCK`` steps at a time.
+    A ``curve`` is probed by linear interpolation on 1D grids only.
     ``snapshot_times`` is an increasing array of times at which the working
     array is copied out (each matched to the nearest step within dt/2).
     """
     grid = fld.grid
+    if curve is not None and grid.ndim != 1:
+        raise ConfigurationError("curve probes need a 1D grid")
     stepper = Stepper(grid, spec)
     values = fld.values.copy()
     log_scale = fld.log_scale
@@ -431,13 +369,14 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
                                                     half_log_vol, stepper.vmax)
         if graph_curve:
             pos = curve.position_at_time(min(t, curve.horizon))
-            v = _interp(grid, values, pos)
+            v = float(np.interp(pos[0], grid.axes[0], values))
             log_probes[istep] = (math.log(v) - log_scale) if v > 0 else _LOG_ZERO
         elif curve is not None:
             hits = np.where(np.abs(curve.t - t) <= grid.dt / 2.0)[0]
             best = 0.0
             for j in hits:
-                v = _interp(grid, values, curve.x[j]) * math.exp(-log_scale)
+                v = float(np.interp(curve.x[j][0], grid.axes[0], values)) \
+                    * math.exp(-log_scale)
                 tau_probes.append((float(curve.tau[j]), float(t), v))
                 best = max(best, v)
             log_probes[istep] = math.log(best) if best > 0 else _LOG_ZERO
@@ -452,8 +391,6 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
             snapshots.append((t, values.copy(), log_scale))
             snap_queue.pop(0)
 
-    events.append((t, "stability-margin:"
-                   f"{stepper.stability_margin(t):.3g}"))
     if stepper.underflow_count:
         events.append((t, f"h-underflow:{stepper.underflow_count}"))
     if stepper.renorm_count:
@@ -506,9 +443,6 @@ class RescaledResult:
     """Zoomed run on the unit ball plus its blow-up instrumentation."""
 
     run: RunResult
-    eps: float
-    alpha: float
-    p: float
     log_center_final: float
     log_amplified: float | None
     c1: float
@@ -516,7 +450,6 @@ class RescaledResult:
     beta_tau: float
     delta_tau: float
     conformance_margin: float
-    lam0: float
 
 
 _PROBE_STRIDE = 0.5
@@ -601,11 +534,10 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
         log_amp = (-2.0 / (p - 1.0) * math.log(eps)
                    + potential_mod.eval_profile(profile, eps) / (p - 1.0)
                    + log_center)
-    return RescaledResult(run=result, eps=eps, alpha=alpha, p=p,
-                          log_center_final=log_center, log_amplified=log_amp,
-                          c1=c1, sigma_tau=sigma,
+    return RescaledResult(run=result, log_center_final=log_center,
+                          log_amplified=log_amp, c1=c1, sigma_tau=sigma,
                           beta_tau=beta_tau, delta_tau=delta_tau,
-                          conformance_margin=margin, lam0=psi0.lam)
+                          conformance_margin=margin)
 
 
 def _aligned_start(grid):
@@ -700,8 +632,6 @@ class TunnelResult:
     """
 
     run: RunResult
-    p: float
-    gamma: float | None
     a: float
     c: float
     conformance_min: float
@@ -746,7 +676,7 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf):
                 "weighted tunnel bound unavailable")
 
     length = grid.hi[0]
-    tail = erfc(length / 2.0)  # 1D marginal mass beyond the truncation at tau=1
+    tail = math.erfc(length / 2.0)  # 1D marginal mass beyond the truncation at tau=1
     if tail > 1e-8:
         raise ConfigurationError(
             f"axis truncation {length} too short: Gaussian tail {tail:.3g}")
@@ -801,7 +731,7 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf):
         per_eps.append({"eps": e, "delta_formula": delta_formula,
                         "delta_measured": delta_meas,
                         "log_floor_center": log_floor0})
-    return TunnelResult(run=result, p=p, gamma=gamma, a=_A_SHIFT, c=c_val,
+    return TunnelResult(run=result, a=_A_SHIFT, c=c_val,
                         conformance_min=conf_min, lam=lam, per_eps=per_eps)
 
 

@@ -47,7 +47,6 @@ class TestScenarioFiles:
         sc = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
         assert sc.rules["functional_threshold"] == 50
         assert sc.rules["amplified_ceiling"] == 1e6
-        assert sc.rules["version"] == 1
 
 
 class TestLoadValidation:
@@ -112,6 +111,41 @@ class TestLoadValidation:
                            "p = two")
         assert "not a number" in self.rejected(path, "scenario", "p")
 
+    @pytest.mark.parametrize("name, section, old, new", [
+        ("box-reentry.ini", "grid", "n = 301", "n = abc"),
+        ("box-reentry.ini", "grid", "n = 301", "n = 301.5"),
+        ("box-reentry.ini", "curve", "speed = 2.0", "speed = fast"),
+        ("line-blowup.ini", "grid", "length = 10.0", "length = long"),
+        ("propagation-straight.ini", "curve", "velocity = 1.0, 0.0",
+         "velocity = 1.0, east"),
+        ("downslope-arc.ini", "potential", "amplitude = 2.0",
+         "amplitude = big")])
+    def test_non_numeric_builder_key(self, tmp_path, name, section, old,
+                                     new):
+        # these used to end in a ValueError from build_grid or build_curve
+        # when the scenario ran
+        path = self.edited(tmp_path, name, old, new)
+        key = old.split(" = ")[0]
+        assert "not a" in self.rejected(path, section, key)
+
+    @pytest.mark.parametrize("key", ["stabilisation", "version"])
+    def test_unknown_rule(self, tmp_path, key):
+        # a misspelt rule used to run with the default and match
+        path = self.edited(tmp_path, "box-reentry.ini",
+                           "stabilization = 0.01", f"{key} = 0.5")
+        assert "unknown rule" in self.rejected(path, "rules", key)
+
+    @pytest.mark.parametrize("key, new", [
+        ("kind", "kind = tunnel"), ("ndim", "kind = ball\nndim = 2")])
+    def test_ladder_on_2d_grid(self, tmp_path, key, new):
+        path = self.edited(tmp_path, "box-reentry.ini", "kind = box", new)
+        assert "1D grid" in self.rejected(path, "grid", key)
+
+    def test_ladder_on_1d_ball_loads(self, tmp_path):
+        path = self.edited(tmp_path, "box-reentry.ini", "kind = box",
+                           "kind = ball\nndim = 1")
+        assert harness.load_scenario(path).build_grid().ndim == 1
+
     def test_unknown_grid_kind(self, tmp_path):
         path = self.edited(tmp_path, "box-reentry.ini", "kind = box",
                            "kind = tunel")
@@ -168,6 +202,14 @@ class TestLoadValidation:
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "[scenario] p" in err
+
+    def test_cli_run_non_numeric_exits_1_with_one_line(self, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv("HEATLAB_OUT", str(tmp_path))
+        path = self.edited(tmp_path, "box-reentry.ini", "n = 301", "n = abc")
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[grid] n = abc" in err
 
 
 class TestCurveForms:
@@ -459,6 +501,69 @@ class TestRescaledRules:
         harness.run_scenario(sc)
         assert windows == [2, 2]
 
+    @pytest.mark.parametrize("family, amplitude, clean", [
+        ("inverse-square", "50.0", "propagation"), ("log", "1.0",
+                                                    "localization")])
+    def test_negative_margin_is_inconclusive(self, monkeypatch, family,
+                                             amplitude, clean):
+        # every other condition of the clean outcome holds; a conformance
+        # margin below -conformance_tol alone makes the verdict inconclusive
+        orig = solver.solve_rescaled
+
+        def shifted(*args, **kwargs):
+            res = orig(*args, **kwargs)
+            res.conformance_margin -= 1e-3
+            return res
+
+        monkeypatch.setattr(solver, "solve_rescaled", shifted)
+        sc = harness.Scenario(
+            name="zoom-1d", kind="rescaled", expected="unknown", p=2.0,
+            alpha=1.0, eps_list=(0.2, 0.1), k_ladder=(1e3,),
+            curve_cfg={"form": "linear", "velocity": "1.0", "samples": "65"},
+            potential_cfg={"family": family, "amplitude": amplitude},
+            grid_cfg={"kind": "ball", "ndim": "1", "n": "41", "dt": "0.005"})
+        sc.rules = dict(sc.rules, growth_window=2.0)
+        v = harness.run_scenario(sc)
+        ev, rules = v.evidence, sc.rules
+        log_amp = ev["log_amplified"]
+        assert max(ev["conformance_margins"]) < -rules["conformance_tol"]
+        assert not ev["conformance_ok"]
+        if clean == "propagation":
+            assert np.all(np.diff(log_amp) > 0)
+            assert log_amp[-1] > math.log(rules["amplified_ceiling"])
+            assert ev["functional_verdict"] == "diverging"
+        else:
+            assert max(log_amp) <= math.log(rules["bounded_ceiling"])
+        assert v.outcome == "inconclusive"
+
+    def test_analytic_sweep_uses_base_profile(self):
+        # localization-weak's log profile localizes at alpha = 1, also
+        # with a combo amplitude of 50; the inverse-square profile of
+        # propagation-straight propagates
+        lam0 = 5.783185962946785
+        weak = harness.load_scenario(SCENARIOS / "localization-weak.ini")
+        strong = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
+        for combo in ({"alpha": 1.0}, {"alpha": 1.0, "amplitude": 50.0}):
+            assert harness._analytic_verdict(combo, weak, lam0, 50.0)[0] \
+                == "localization"
+            assert harness._analytic_verdict(combo, strong, lam0, 50.0)[0] \
+                == "propagation"
+
+    def test_analytic_sweep_speed_from_curve_or_combo(self, monkeypatch):
+        speeds = []
+        orig = spectral.blowup_functional
+
+        def spy(*args, **kwargs):
+            trace = orig(*args, **kwargs)
+            speeds.append(trace.inputs["beta_tau"][0] / trace.eps[0])
+            return trace
+
+        monkeypatch.setattr(spectral, "blowup_functional", spy)
+        base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
+        base.curve_cfg = dict(base.curve_cfg, velocity="0.3, 0.4")
+        harness._analytic_verdict({"alpha": 1.0}, base, 5.78, 50.0)
+        harness._analytic_verdict({"velocity": 0.25}, base, 5.78, 50.0)
+        assert speeds == pytest.approx([0.5, 0.25], rel=1e-12)
 
     def test_analytic_sweep_uses_base_growth_window(self, monkeypatch):
         windows = []

@@ -16,11 +16,17 @@ def box_grid(n=301, dt=2e-3, lo=-3.0, hi=3.0):
     return Grid.interval(lo, hi, n, dt)
 
 
+def one_step(stepper, values, t, log_scale=0.0):
+    """A single Stepper.step with its drift row from Stepper.velocities."""
+    return stepper.step(values, t, log_scale,
+                        stepper.velocities(np.array([t]))[0])
+
+
 class TestStepImex:
     def test_zero_field_stays_zero(self):
         g = box_grid()
         spec = solver.PDESpec(p=2.0, absorption=1.0)
-        out = solver.step_imex(Field(g, np.zeros(g.shape), 0.0), spec)
+        out = solver.evolve(Field(g, np.zeros(g.shape), 0.0), spec, g.dt).final
         assert np.all(out.values == 0.0)
         assert out.time == pytest.approx(g.dt)
 
@@ -75,7 +81,6 @@ class TestStepImex:
             np.testing.assert_allclose(field.absorb(vals, 0.0, 0.5),
                                        const.absorb(vals, 0.0, 0.5),
                                        rtol=1e-14, atol=0)
-            assert field.max_reaction_rate == const.max_reaction_rate > 0
 
     def test_cfl_guard(self):
         g = box_grid(n=61, dt=0.05)
@@ -83,7 +88,7 @@ class TestStepImex:
                               absorption=None)
         fld = Field(g, np.ones(g.shape), 0.0)
         with pytest.raises(ConfigurationError, match="CFL"):
-            solver.step_imex(fld, spec)
+            solver.evolve(fld, spec, g.dt)
 
     def test_positivity_preserved(self, rng):
         g = box_grid(n=101, dt=1e-3)
@@ -91,10 +96,16 @@ class TestStepImex:
         vals[0] = vals[-1] = 0.0
         spec = solver.PDESpec(p=2.0, drift=lambda t: np.array([0.4]),
                               absorption=1.0)
-        fld = Field(g, vals, 0.0)
-        for _ in range(50):
-            fld = solver.step_imex(fld, spec)
+        fld = solver.evolve(Field(g, vals, 0.0), spec, 50 * g.dt).final
         assert fld.values.min() >= -1e-12
+
+    def test_curve_on_2d_grid_rejected(self):
+        # curves are probed by 1D interpolation only
+        g = Grid.unit_ball(21, 1e-3, ndim=2)
+        curve = geometry.Curve.straight((1.0, 0.0), 1.0, n=65)
+        fld = Field(g, np.zeros(g.shape), 0.0)
+        with pytest.raises(ConfigurationError, match="1D grid"):
+            solver.evolve(fld, solver.PDESpec(p=2.0), 10 * g.dt, curve=curve)
 
 
 class TestPropagators:
@@ -128,7 +139,7 @@ class TestPropagators:
             g = Grid("box", (-1.0,) * ndim, (1.0,) * ndim, shape, dt)
             st_ = solver.Stepper(g, solver.PDESpec(p=2.0))
             vals = rng.uniform(0.1, 1.0, size=shape)
-            out, ls = st_.step(vals, 0.0, 0.0)
+            out, ls = one_step(st_, vals, 0.0)
             inner = vals[(slice(1, -1),) * ndim]
             ref = np.zeros(shape)
             inner = solve_banded((1, 1), st_._ab[0], inner)
@@ -170,7 +181,7 @@ def _stepwise(fld, spec, n_steps):
     vals, ls = fld.values.copy(), fld.log_scale
     for i in range(n_steps):
         t = fld.time if i == 0 else fld.time + i * fld.grid.dt
-        vals, ls = stepper.step(vals, t, ls)
+        vals, ls = one_step(stepper, vals, t, ls)
     return vals, ls
 
 
@@ -197,8 +208,8 @@ class TestDriftBlocks:
         spec = solver.PDESpec(p=2.0, drift=drift, absorption=2.0)
         t_end = self.fld.time + self.N_STEPS * self.grid.dt
         res = solver.evolve(self.fld, spec, t_end)
-        # three blocks, then the stability margin at t_end
-        assert calls == [solver.DRIFT_BLOCK, solver.DRIFT_BLOCK, 300, 1]
+        # three blocks and no other drift evaluation
+        assert calls == [solver.DRIFT_BLOCK, solver.DRIFT_BLOCK, 300]
         vals, ls = _stepwise(self.fld, spec, self.N_STEPS)
         assert res.final.log_scale == ls
         np.testing.assert_array_equal(res.final.values, vals)
@@ -277,8 +288,8 @@ class TestComparisonPrinciple:
         v = u + rng.uniform(0.0, 3.0, size=g.shape) \
             * (rng.random(g.shape) < 0.5)
         stepper = solver.Stepper(g, spec)
-        su, lu = stepper.step(u, 0.1, 0.0)
-        sv, lv = stepper.step(v, 0.1, 0.0)
+        su, lu = one_step(stepper, u, 0.1)
+        sv, lv = one_step(stepper, v, 0.1)
         su, sv = su * math.exp(-lu), sv * math.exp(-lv)
         tol = 1e-12 * max(float(np.max(np.abs(sv))), 1e-300)
         assert np.all(su <= sv + tol)
@@ -389,16 +400,6 @@ class TestSolveUk:
                               t_start=0.01)
         assert run.times.size == run.log_probes.size == run.log_l2.size \
             == run.log_linf.size
-
-    def test_probes_csv(self, tmp_path):
-        pot = Potential(None, "constant-floor", floor=1.0)
-        run = solver.solve_uk(1.0, self.curve, pot, 2.0, 0.05, self.grid,
-                              t_start=0.01)
-        path = tmp_path / "probes.csv"
-        run.write_probes_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,probe,l2,linf,events"
-        assert len(lines) == run.times.size + 1
 
 
 class TestFrameConsistency:
