@@ -13,13 +13,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, NumericalError
 from .grids import Field, Grid
 
-__all__ = [
-    "BarrierReport", "heat_kernel", "represent_linear", "ode_maximal",
-    "keller_osserman", "decayed_ode", "drift_radial_barrier",
-    "drift_barrier_constant", "tunnel_subsolution", "gaussian_cos_integral",
-    "verify_supersolution", "write_reports",
-]
-
 
 # ----------------------------------------------------------------------
 # fundamental solution
@@ -59,10 +52,8 @@ def represent_linear(mass, nu, grid, t, quad_points=65):
     pts = grid.points()
     ndim = grid.ndim
     if t == 0:
-        if mass != 0:
-            return Field(grid, np.zeros(grid.shape), 0.0,
-                         note=f"measure-row: mass {mass} at origin")
-        return Field(grid, np.zeros(grid.shape), 0.0)
+        return Field(grid, np.zeros(grid.shape), 0.0, note=(
+            f"measure-row: mass {mass} at origin" if mass != 0 else None))
     origin = np.zeros(ndim) if ndim > 1 else 0.0
     xs = pts if ndim > 1 else pts[:, 0]
     vals = mass * heat_kernel(xs, origin, t, n_dim=ndim)
@@ -317,8 +308,8 @@ def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
         Absorption exponent.
     absorption : None, float, or ndarray broadcastable to the field
         Coefficient of the u**q term.
-    drift : None, ("modulus", c), or ("vector", vec)
-        Modulus drift contributes -c|grad u|; vector drift <vec, grad u>.
+    drift : None or float
+        Modulus c of the drift term -c|grad u|.
     tol : float
         Pass threshold: supersolutions need residual >= -tol everywhere.
     mask : ndarray of bool, optional
@@ -355,15 +346,7 @@ def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
             res += (vals[k + 1] - vals[k - 1]) / (2.0 * dt)
         res -= _laplacian(u, hs)
         if drift is not None:
-            kind, coef = drift
-            if kind == "modulus":
-                res -= coef * _grad_norm(u, hs)
-            elif kind == "vector":
-                vec = np.atleast_1d(np.asarray(coef, dtype=float))
-                for ax in range(grid.ndim):
-                    res += vec[ax] * _centered(u, hs[ax], ax)
-            else:
-                raise ConfigurationError(f"unknown drift kind {kind!r}")
+            res -= drift * _grad_norm(u, hs)
         if absorption is not None:
             res += absorption * np.abs(u) ** (q - 1.0) * u
         got = sign * res[mask]
@@ -440,14 +423,14 @@ def standard_reports():
         psi[1:-1] = drift_radial_barrier(1.0, c, eta, q, 0.0, x[1:-1])
         with np.errstate(invalid="ignore"):
             reports.append(verify_supersolution(
-                psi, grid, None, q, absorption=eta, drift=("modulus", c),
+                psi, grid, None, q, absorption=eta, drift=c,
                 name=f"radial-drift-barrier-n{n}", mask=band))
 
             times = np.arange(0.0, 0.2 + 1e-12, 0.005)
             phi = decayed_ode(3.0, eta, q, times)
             reports.append(verify_supersolution(
                 phi[:, None] + psi[None, :], grid, times, q, absorption=eta,
-                drift=("modulus", c), name=f"tube-supersolution-n{n}",
+                drift=c, name=f"tube-supersolution-n{n}",
                 mask=band))
 
             psi0 = np.full(n, np.inf)

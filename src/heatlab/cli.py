@@ -17,10 +17,9 @@ from .errors import HeatlabError
 
 
 def _out_dir(args):
+    # an absolute --out replaces the root
     root = Path(os.environ.get("HEATLAB_OUT", "."))
-    out = Path(args.out) if args.out else root
-    if args.out and not Path(args.out).is_absolute():
-        out = root / args.out
+    out = root / args.out if args.out else root
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -72,12 +71,7 @@ def _cmd_eigen(args):
 
 
 def _cmd_report(args):
-    import json
-    records = []
-    with open(args.log) as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
+    records = harness.read_sweep_log(args.log)
     out = _out_dir(args)
     summary = out / (Path(args.log).stem + "_summary.csv")
     harness.write_sweep_summary(records, summary)
@@ -104,21 +98,14 @@ def main(argv=None):
     p_rep = sub.add_parser("report", help="summarize a sweep log")
     p_rep.add_argument("log")
     args = ap.parse_args(argv)
+    command = {"run": _cmd_run, "sweep": _cmd_sweep,
+               "verify-barriers": _cmd_verify_barriers, "eigen": _cmd_eigen,
+               "report": _cmd_report}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify-barriers":
-            return _cmd_verify_barriers(args)
-        if args.command == "eigen":
-            return _cmd_eigen(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return command(args)
     except HeatlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

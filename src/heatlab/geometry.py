@@ -8,7 +8,8 @@ monotonicity classification of the time component.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,10 +42,6 @@ class Curve:
         Space component, ``x[0] == 0`` except for initial-plane lines.
     horizon : float
         Final parameter/time value T > 0.
-    descriptor : dict or None
-        Optional closed-form metadata, e.g. ``{"form": "linear",
-        "velocity": (1.0, 0.0)}``; used as an exact accelerator for
-        derivatives when present.
     """
 
     kind: str
@@ -52,7 +49,6 @@ class Curve:
     t: np.ndarray
     x: np.ndarray
     horizon: float
-    descriptor: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -103,26 +99,25 @@ class Curve:
     # ------------------------------------------------------------------
     @classmethod
     def straight(cls, velocity, horizon, n=513):
-        """Graph curve x(t) = v * t with closed-form descriptor."""
+        """Graph curve x(t) = v * t."""
         v = np.atleast_1d(np.asarray(velocity, dtype=float))
         t = np.linspace(0.0, horizon, n)
         x = np.outer(t, v)
-        return cls(GRAPH, t, t, x, horizon=float(horizon),
-                   descriptor={"form": "linear", "velocity": tuple(v)})
+        return cls(GRAPH, t, t, x, horizon=float(horizon))
 
     @classmethod
-    def graph_of(cls, fx, horizon, n=513, descriptor=None):
+    def graph_of(cls, fx, horizon, n=513):
         """Graph curve from a callable t -> x(t) (scalar or vector valued)."""
         t = np.linspace(0.0, horizon, n)
         x = np.array([np.atleast_1d(fx(ti)) for ti in t], dtype=float)
-        return cls(GRAPH, t, t, x, horizon=float(horizon), descriptor=descriptor)
+        return cls(GRAPH, t, t, x, horizon=float(horizon))
 
     @classmethod
-    def parametric(cls, fx, ft, horizon, n=513, descriptor=None):
+    def parametric(cls, fx, ft, horizon, n=513):
         tau = np.linspace(0.0, horizon, n)
         t = np.array([ft(s) for s in tau], dtype=float)
         x = np.array([np.atleast_1d(fx(s)) for s in tau], dtype=float)
-        return cls(PARAMETRIC, tau, t, x, horizon=float(horizon), descriptor=descriptor)
+        return cls(PARAMETRIC, tau, t, x, horizon=float(horizon))
 
     @classmethod
     def initial_line(cls, span, dim=2, n=513):
@@ -130,8 +125,7 @@ class Curve:
         tau = np.linspace(0.0, span, n)
         x = np.zeros((n, dim))
         x[:, 0] = np.linspace(-span / 2.0, span / 2.0, n)
-        return cls(INITIAL_LINE, tau, np.zeros(n), x, horizon=float(span),
-                   descriptor={"form": "initial-line", "span": float(span)})
+        return cls(INITIAL_LINE, tau, np.zeros(n), x, horizon=float(span))
 
     @classmethod
     def from_table(cls, path, kind=PARAMETRIC):
@@ -149,49 +143,42 @@ class Curve:
     # ------------------------------------------------------------------
     def position_at_time(self, t):
         """Linear interpolation of x(t) for graph curves."""
-        if self.kind != GRAPH:
-            raise ConfigurationError("position_at_time needs a graph-over-t curve")
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.interp(t, self.t, self.x[:, j]) for j in range(self.dim)],
-                        axis=-1)
+        return self._at_time(t, self.x)
+
+    @cached_property
+    def _derivatives(self):
+        """Sampled x'(t) and x''(t) by central differences, once per curve
+        (on a straight curve they are the velocity and 0)."""
+        dx = np.gradient(self.x, self.t, axis=0)
+        return dx, np.gradient(dx, self.t, axis=0)
 
     def velocity_at_time(self, t):
-        """x'(t) for graph curves; exact for linear descriptors, else central FD."""
-        d = self.descriptor or {}
-        if d.get("form") == "linear":
-            v = np.asarray(d["velocity"], dtype=float)
-            if np.ndim(t) == 0:
-                return v.copy()
-            return np.tile(v, (np.asarray(t).size, 1))
+        """x'(t) for graph curves, interpolated from the sampled x'."""
+        return self._at_time(t, self._derivatives[0])
+
+    def _at_time(self, t, rows):
+        """Rows of per-sample values interpolated at time(s) t."""
         if self.kind != GRAPH:
-            raise ConfigurationError("velocity_at_time needs a graph-over-t curve")
-        dx = np.gradient(self.x, self.t, axis=0)
+            raise ConfigurationError("interpolation in t needs a graph-over-t curve")
         t = np.asarray(t, dtype=float)
-        return np.stack([np.interp(t, self.t, dx[:, j]) for j in range(self.dim)],
+        return np.stack([np.interp(t, self.t, rows[:, j]) for j in range(self.dim)],
                         axis=-1)
 
     def sup_speed(self, t_lo, t_hi):
-        """sup |x'(t)| over [t_lo, t_hi] (samples; exact for linear form)."""
-        d = self.descriptor or {}
-        if d.get("form") == "linear":
-            return float(np.linalg.norm(d["velocity"]))
-        mask = (self.t >= t_lo - 1e-15) & (self.t <= t_hi + 1e-15)
-        if mask.sum() < 2:
-            mask = slice(None)
-        dx = np.gradient(self.x, self.t, axis=0)
-        return float(np.max(np.linalg.norm(dx[mask], axis=1)))
+        """sup |x'(t)| over the samples in [t_lo, t_hi]."""
+        return self._sup_norm(0, t_lo, t_hi, 2)
 
     def sup_accel(self, t_lo, t_hi):
-        """sup |x''(t)| over [t_lo, t_hi] (samples; 0 for linear form)."""
-        d = self.descriptor or {}
-        if d.get("form") == "linear":
-            return 0.0
+        """sup |x''(t)| over the samples in [t_lo, t_hi]."""
+        return self._sup_norm(1, t_lo, t_hi, 3)
+
+    def _sup_norm(self, order, t_lo, t_hi, min_samples):
+        # a window holding fewer than ``min_samples`` samples takes them all
         mask = (self.t >= t_lo - 1e-15) & (self.t <= t_hi + 1e-15)
-        if mask.sum() < 3:
+        if mask.sum() < min_samples:
             mask = slice(None)
-        dx = np.gradient(self.x, self.t, axis=0)
-        ddx = np.gradient(dx, self.t, axis=0)
-        return float(np.max(np.linalg.norm(ddx[mask], axis=1)))
+        return float(np.max(np.linalg.norm(self._derivatives[order][mask],
+                                           axis=1)))
 
 
 @dataclass(frozen=True)
@@ -226,13 +213,9 @@ def parabolic_distance(point, curve, refine=True):
                       "parabolic distance undefined, returning inf")
         return float("inf")
     best = float(np.min(vals))
-    if refine and curve.n_samples >= 3:
-        finite = np.isfinite(vals)
-        idx = np.where(finite)[0]
-        for k in idx:
-            if 0 < k < curve.n_samples - 1:
-                if vals[k] <= vals[k - 1] and vals[k] <= vals[k + 1]:
-                    best = min(best, _golden_refine(x, t, curve, k))
+    for k in range(1, curve.n_samples - 1) if refine else ():
+        if np.isfinite(vals[k]) and vals[k] <= min(vals[k - 1], vals[k + 1]):
+            best = min(best, _golden_refine(x, t, curve, k))
     return best
 
 

@@ -1,5 +1,6 @@
 """Uniform tensor grids and the fields that live on them."""
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,10 +62,7 @@ class Grid:
 
     @cached_property
     def cell_volume(self):
-        v = 1.0
-        for h in self.spacing:
-            v *= h
-        return v
+        return math.prod(self.spacing)
 
     def points(self):
         """All node coordinates, shape (n_nodes, ndim), row-major."""
@@ -82,12 +80,8 @@ class Grid:
 
     def interior_mask(self):
         """Nodes evolved by the solver (True) vs pinned Dirichlet nodes."""
-        mask = np.ones(self.shape, dtype=bool)
-        if self.ndim == 1:
-            mask[0] = mask[-1] = False
-        else:
-            mask[0, :] = mask[-1, :] = False
-            mask[:, 0] = mask[:, -1] = False
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.ndim] = True
         if self.kind == BALL:
             pts = self.points().reshape(self.shape + (self.ndim,))
             mask &= np.linalg.norm(pts, axis=-1) < 1.0
@@ -105,9 +99,8 @@ class Grid:
 
     @classmethod
     def unit_ball(cls, n, dt, ndim=1):
-        if ndim == 1:
-            return cls(BALL, (-1.0,), (1.0,), (int(n),), float(dt))
-        return cls(BALL, (-1.0, -1.0), (1.0, 1.0), (int(n), int(n)), float(dt))
+        return cls(BALL, (-1.0,) * ndim, (1.0,) * ndim, (int(n),) * ndim,
+                   float(dt))
 
     @classmethod
     def tunnel(cls, length, n_axis, n_cross, dt):
@@ -139,10 +132,6 @@ class Field:
 
     def physical(self):
         return self.values * np.exp(-self.log_scale)
-
-    def copy(self):
-        return Field(self.grid, self.values.copy(), self.time,
-                     self.log_scale, self.note)
 
     def mass(self):
         """Grid-sum quadrature of the physical field."""

@@ -11,12 +11,13 @@ the parser defaults below only back missing keys.
 """
 
 import configparser
+import itertools
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,15 +46,19 @@ OUTCOMES = ("propagation", "localization", "non-propagation-segment",
 
 @dataclass
 class Scenario:
-    """Declarative description of one experiment."""
+    """Declarative description of one experiment.
+
+    The ``*_cfg`` dicts hold the typed values of their file sections (see
+    ``_KEYS``); the builders read them with their own defaults.
+    """
 
     name: str
-    kind: str                      # rescaled | ladder | tunnel
-    expected: str
-    p: float
+    kind: str = "rescaled"         # rescaled | ladder | tunnel
+    expected: str = "unknown"
+    p: float = 2.0
     alpha: float = 1.0
     eps_list: tuple = (0.2, 0.1, 0.05)
-    k_ladder: tuple = solver.DEFAULT_LADDER
+    k_ladder: tuple = solver.DEFAULT_LADDER[1:]
     horizon: float = 1.0
     case: str = "subcritical"
     gamma: float | None = None
@@ -68,16 +73,14 @@ class Scenario:
     def build_profile(self):
         cfg = self.potential_cfg
         return potential_mod.DecayProfile(
-            cfg.get("family", "inverse-square"),
-            float(cfg.get("amplitude", 1.0)),
-            float(cfg["exponent"]) if "exponent" in cfg else None)
+            cfg.get("family", potential_mod.INVERSE_SQUARE),
+            cfg.get("amplitude", 1.0), cfg.get("exponent"))
 
     def build_potential(self, curve=None):
-        cfg = self.potential_cfg
-        dist = cfg.get("distance", "parabolic")
-        if dist == "constant-floor":
-            return potential_mod.Potential(None, dist,
-                                           floor=float(cfg.get("floor", 1.0)))
+        dist = self.potential_cfg.get("distance", potential_mod.PARABOLIC)
+        if dist == potential_mod.CONSTANT_FLOOR:
+            return potential_mod.Potential(
+                None, dist, floor=self.potential_cfg.get("floor", 1.0))
         return potential_mod.Potential(self.build_profile(), dist, curve=curve)
 
     def build_grid(self):
@@ -85,17 +88,16 @@ class Scenario:
 
 
 def build_curve(cfg):
-    """Curve from a config section: closed-form name + parameters."""
+    """Curve from a typed ``[curve]`` section: closed-form name + parameters."""
     form = cfg.get("form", "linear")
-    n = int(cfg.get("samples", 513))
-    horizon = float(cfg.get("horizon", 1.0))
+    n = cfg.get("samples", 513)
+    horizon = cfg.get("horizon", 1.0)
     if form == "linear":
-        velocity = _floats(cfg.get("velocity", "1.0"))
-        v = velocity[0] if len(velocity) == 1 else velocity
-        return geometry.Curve.straight(v, horizon, n=n)
+        return geometry.Curve.straight(cfg.get("velocity", (1.0,)), horizon,
+                                       n=n)
     if form == "arc":
-        speed = float(cfg.get("speed", 0.8))
-        t_max = float(cfg.get("t_max", 0.25))
+        speed = cfg.get("speed", 0.8)
+        t_max = cfg.get("t_max", 0.25)
         return geometry.Curve.parametric(
             lambda s: speed * s, lambda s: 4.0 * t_max * s * (1.0 - s),
             horizon, n=n)
@@ -104,8 +106,8 @@ def build_curve(cfg):
     if form == "local-max":
         return _local_max_curve(cfg, n)
     if form == "initial-line":
-        return geometry.Curve.initial_line(float(cfg.get("span", 4.0)),
-                                           dim=int(cfg.get("dim", 2)), n=n)
+        return geometry.Curve.initial_line(cfg.get("span", 4.0),
+                                           dim=cfg.get("dim", 2), n=n)
     if form == "table":
         return geometry.Curve.from_table(cfg["path"])
     raise ConfigurationError(f"unknown curve form {form!r}")
@@ -113,89 +115,163 @@ def build_curve(cfg):
 
 def _boxed_curve(cfg, n):
     """Re-entry curve satisfying the box containment after its t maximum."""
-    t_knots = [0.0, float(cfg.get("t_max", 0.25)), 0.12, 0.15, 0.1]
-    tau_knots = [0.0, 0.4, 0.6, 0.8, 1.0]
-    speed = float(cfg.get("speed", 2.0))
-    wobble = float(cfg.get("wobble", 0.1))
-
-    def ft(s):
-        return float(np.interp(s, tau_knots, t_knots))
+    speed = cfg.get("speed", 2.0)
+    wobble = cfg.get("wobble", 0.1)
 
     def fx(s):
         if s <= 0.4:
             return speed * s
         return speed * 0.4 + wobble * math.sin(2.0 * math.pi * (s - 0.4) / 0.6)
 
-    return geometry.Curve.parametric(fx, ft, 1.0, n=n)
+    return _knotted_curve(fx, [0.0, 0.4, 0.6, 0.8, 1.0],
+                          [0.0, cfg.get("t_max", 0.25), 0.12, 0.15, 0.1], n)
 
 
 def _local_max_curve(cfg, n):
     """Local strict maximum of t followed by a climb past the box window
     (the conjectural configuration; shipped as exploratory)."""
-    t_knots = [0.0, float(cfg.get("t_max", 0.25)), 0.1, 0.2]
-    tau_knots = [0.0, 0.4, 0.7, 1.0]
-    speed = float(cfg.get("speed", 1.25))
+    speed = cfg.get("speed", 1.25)
+    return _knotted_curve(
+        lambda s: speed * min(s, 0.4) + 0.3 * max(s - 0.4, 0.0),
+        [0.0, 0.4, 0.7, 1.0], [0.0, cfg.get("t_max", 0.25), 0.1, 0.2], n)
 
-    def ft(s):
-        return float(np.interp(s, tau_knots, t_knots))
 
-    def fx(s):
-        return speed * min(s, 0.4) + 0.3 * max(s - 0.4, 0.0)
-
-    return geometry.Curve.parametric(fx, ft, 1.0, n=n)
+def _knotted_curve(fx, tau_knots, t_knots, n):
+    """Parametric curve on [0, 1] with t piecewise linear between knots."""
+    return geometry.Curve.parametric(
+        fx, lambda s: float(np.interp(s, tau_knots, t_knots)), 1.0, n=n)
 
 
 _DT = 0.002  # the time step of a [grid] section without one
-_GRID_KINDS = ("box", "ball", "tunnel")
 
 
 def build_grid(cfg):
+    """Grid from a typed ``[grid]`` section."""
     kind = cfg.get("kind", "box")
-    dt = float(cfg.get("dt", _DT))
-    n = int(cfg.get("n", 301))
+    dt = cfg.get("dt", _DT)
+    n = cfg.get("n", 301)
     if kind == "ball":
-        return Grid.unit_ball(n, dt, ndim=int(cfg.get("ndim", 1)))
+        return Grid.unit_ball(n, dt, ndim=cfg.get("ndim", 1))
     if kind == "tunnel":
-        return Grid.tunnel(float(cfg.get("length", 10.0)),
-                           int(cfg.get("n_axis", 201)),
-                           int(cfg.get("n_cross", 41)), dt)
+        return Grid.tunnel(cfg.get("length", 10.0), cfg.get("n_axis", 201),
+                           cfg.get("n_cross", 41), dt)
     if kind != "box":
         raise ConfigurationError(f"unknown grid kind {kind!r}")
-    lo, hi = float(cfg.get("lo", -3.0)), float(cfg.get("hi", 3.0))
-    return Grid.interval(lo, hi, n, dt)
+    return Grid.interval(cfg.get("lo", -3.0), cfg.get("hi", 3.0), n, dt)
 
 
+# ----------------------------------------------------------------------
+# scenario and sweep files: one key table
+# ----------------------------------------------------------------------
 def _floats(text):
-    return tuple(float(tok) for tok in str(text).replace(",", " ").split())
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-# ----------------------------------------------------------------------
-# scenario file I/O
-# ----------------------------------------------------------------------
-def _read_ini(path, what):
-    """Parsed INI file holding a ``[what]`` section; a parse error (such
-    as a duplicate key, named with its section) is a ConfigurationError."""
-    cp = configparser.ConfigParser()
+# the [curve] keys each form reads, besides ``form``
+_CURVE_KEYS = {"linear": ("velocity", "horizon", "samples"),
+               "arc": ("speed", "t_max", "horizon", "samples"),
+               "boxed": ("speed", "t_max", "wobble", "samples"),
+               "local-max": ("speed", "t_max", "samples"),
+               "initial-line": ("span", "dim", "samples"),
+               "table": ("path",)}
+# sweep axis -> the scenario section holding the key it replaces
+_AXES = {"amplitude": "potential", "alpha": "scenario", "p": "scenario",
+         "velocity": "curve"}
+
+# Every key a scenario or sweep file may hold, by section, with the parser
+# of its text or the tuple of texts it may take; the values land typed in
+# Scenario and its *_cfg dicts.
+_KEYS = {
+    "scenario": {"name": str, "kind": KINDS, "expected": OUTCOMES,
+                 "p": float, "alpha": float, "eps": _floats,
+                 "k_ladder": _floats, "horizon": float,
+                 "case": solver.TUNNEL_CASES, "gamma": float},
+    "curve": {"form": tuple(_CURVE_KEYS), "samples": int, "horizon": float,
+              "velocity": _floats, "speed": float, "t_max": float,
+              "wobble": float, "span": float, "dim": int, "path": str},
+    "potential": {"family": potential_mod.FAMILIES, "amplitude": float,
+                  "exponent": float, "distance": potential_mod.DISTANCES,
+                  "floor": float},
+    "grid": {"kind": ("box", "ball", "tunnel"), "dt": float, "n": int,
+             "ndim": int, "lo": float, "hi": float, "length": float,
+             "n_axis": int, "n_cross": int},
+    "rules": {**dict.fromkeys(DEFAULT_RULES, float), "growth_window": int},
+    "sweep": {"name": str, "base": str, "mode": ("analytic", "numerical"),
+              "budget_combos": int, "lam0": float, "threshold": float,
+              **dict.fromkeys(_AXES, _floats)},
+}
+
+_PROFILE_KEYS = ("family", "amplitude", "exponent")
+# The keys each kind reads besides name, kind, expected, p, k_ladder and
+# the whole [grid]; a ladder's [curve] goes by form and its [potential] by
+# distance (see _read_keys).
+_KIND_KEYS = {
+    "rescaled": {"scenario": ("alpha", "eps"), "potential": _PROFILE_KEYS,
+                 "rules": ("functional_threshold", "amplified_ceiling",
+                           "bounded_ceiling", "conformance_tol",
+                           "growth_window")},
+    "ladder": {"scenario": ("horizon",), "rules": (
+        "divergence_ceiling", "stabilization", "probe_margin")},
+    "tunnel": {"scenario": ("eps", "case", "gamma"), "curve": (),
+               "potential": _PROFILE_KEYS,
+               "rules": ("tunnel_tol", "halfwidth_band")},
+}
+
+
+def _read_keys(sc, section):
+    """The keys of ``section`` that some code path of scenario ``sc`` reads."""
+    keys = _KIND_KEYS[sc.kind]
+    if section == "scenario":
+        return ("name", "kind", "expected", "p", "k_ladder") + keys[section]
+    if section in keys:
+        return keys[section]
+    if section == "curve":
+        return ("form",) + _CURVE_KEYS[sc.curve_cfg.get("form", "linear")]
+    if section == "potential":
+        floor = sc.potential_cfg.get("distance") == potential_mod.CONSTANT_FLOOR
+        return ("distance",) + (("floor",) if floor else _PROFILE_KEYS)
+    return tuple(_KEYS[section])
+
+
+def _read_ini(path, sections):
+    """The parsed INI file, every section of ``sections`` present, and the
+    typed values of their keys through ``_KEYS``.  A parse error (such as a
+    duplicate key), a missing first section, or any other section or key
+    is a ConfigurationError."""
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:
         raise ConfigurationError(f"{path}: {str(exc).splitlines()[0]}") \
             from None
-    if not read or what not in cp:
-        raise ConfigurationError(f"cannot read a [{what}] section from {path}")
-    return cp
+    if not read or sections[0] not in cp:
+        raise ConfigurationError(
+            f"cannot read a [{sections[0]}] section from {path}")
+    for name in cp.sections():
+        if name not in sections:
+            raise ConfigurationError(f"{path}: [{name}]: unknown section")
+    for name in sections:
+        if not cp.has_section(name):
+            cp.add_section(name)
+    return cp, {name: {key: _value(path, cp[name], key) for key in cp[name]}
+                for name in sections}
 
 
-def _value(path, section, key, default, parse=float):
-    """``parse`` of the key's text in an INI section, else ``default``."""
-    if key not in section:
-        return default
+def _value(path, section, key):
+    """The key's text in an INI section, parsed through ``_KEYS``."""
+    parse, text = _KEYS[section.name].get(key), section[key]
+    _check(parse is not None, path, section, key,
+           "unknown rule" if section.name == "rules" else "unknown key")
+    if isinstance(parse, tuple):
+        _check(text in parse, path, section, key,
+               f"unknown {section.name} {key}, not one of {', '.join(parse)}")
+        return text
     try:
-        return parse(section[key])
+        return parse(text)
     except ValueError:
-        what = "an integer" if parse is int else "a number"
-        raise ConfigurationError(f"{path}: [{section.name}] {key} = "
-                                 f"{section[key]}: not {what}") from None
+        rule = {float: "not a number", int: "not an integer",
+                _floats: "not a list of numbers"}[parse]
+    _check(False, path, section, key, rule)
 
 
 def _check(ok, path, section, key, rule):
@@ -204,78 +280,53 @@ def _check(ok, path, section, key, rule):
                                  f"{section.get(key, '(default)')}: {rule}")
 
 
-# parsers of the numeric keys the grid, curve, profile and potential
-# builders read; their other keys (kind, form, ...) are text
-_NUMERIC_KEYS = {
-    "grid": {"dt": float, "lo": float, "hi": float, "length": float,
-             "n": int, "ndim": int, "n_axis": int, "n_cross": int},
-    "curve": {"samples": int, "dim": int, "horizon": float, "speed": float,
-              "t_max": float, "wobble": float, "span": float,
-              "velocity": _floats},
-    "potential": {"amplitude": float, "exponent": float, "floor": float},
-}
-
-
 def load_scenario(path):
-    """Scenario from an INI file; a bad value or an unknown rule is a
-    ConfigurationError naming the file, section and key."""
-    cp = _read_ini(path, "scenario")
-    sc = cp["scenario"]
-    for section in ("rules", "grid", "curve", "potential"):
-        if not cp.has_section(section):
-            cp.add_section(section)
-    rules = dict(DEFAULT_RULES)
-    for key in cp["rules"]:
-        _check(key in DEFAULT_RULES, path, cp["rules"], key, "unknown rule")
-        rules[key] = _value(path, cp["rules"], key, None)
-    for name, keys in _NUMERIC_KEYS.items():
-        for key, parse in keys.items():
-            _value(path, cp[name], key, None, parse)
-    s = Scenario(
-        name=sc.get("name", Path(path).stem),
-        kind=sc.get("kind", "rescaled"),
-        expected=sc.get("expected", "unknown"),
-        p=_value(path, sc, "p", 2.0),
-        alpha=_value(path, sc, "alpha", 1.0),
-        eps_list=_value(path, sc, "eps", (0.2, 0.1, 0.05), _floats),
-        k_ladder=_value(path, sc, "k_ladder", solver.DEFAULT_LADDER[1:],
-                        _floats),
-        horizon=_value(path, sc, "horizon", 1.0),
-        case=sc.get("case", "subcritical"),
-        gamma=_value(path, sc, "gamma", None),
-        curve_cfg=dict(cp["curve"]), potential_cfg=dict(cp["potential"]),
-        grid_cfg=dict(cp["grid"]), rules=rules)
+    """Scenario from an INI file.  A bad value, an unknown key, or a key
+    that no code path of the scenario's kind, curve form or potential
+    reads is a ConfigurationError naming the file, section and key."""
+    cp, cfg = _read_ini(path, ("scenario", "curve", "potential", "grid",
+                               "rules"))
+    head = {"name": Path(path).stem, **cfg["scenario"]}
+    if "eps" in head:
+        head["eps_list"] = head.pop("eps")
+    s = Scenario(**head, curve_cfg=cfg["curve"],
+                 potential_cfg=cfg["potential"], grid_cfg=cfg["grid"],
+                 rules={**DEFAULT_RULES, **cfg["rules"]})
+    for name in cfg:
+        read = _read_keys(s, name)
+        for key in cp[name]:
+            _check(key in read, path, cp[name], key,
+                   f"not read by this {s.kind} scenario, whose [{name}] "
+                   f"takes {', '.join(read) or 'no keys'}")
+    sc, grid = cp["scenario"], cp["grid"]
     positive = "must be one or more positive numbers"
     for key, ok, rule in (
-            ("expected", s.expected in OUTCOMES, "unknown verdict"),
-            ("kind", s.kind in KINDS, "unknown kind"),
             ("p", s.p > 1, "must be > 1"),
             ("alpha", s.alpha > 0, "must be > 0"),
             ("horizon", s.horizon > 0, "must be > 0"),
             ("eps", min(s.eps_list, default=0) > 0, positive),
             ("k_ladder", min(s.k_ladder, default=0) > 0, positive)):
         _check(ok, path, sc, key, rule)
-    if s.kind == "tunnel":
-        _check(s.case in solver.TUNNEL_CASES, path, sc, "case",
-               "unknown tunnel case")
-        if s.case == "supercritical":
-            _check(s.gamma is not None, path, sc, "gamma",
-                   "required by the supercritical case")
-            try:  # tunnel grids have one axis and one cross direction
-                potential_mod.check_weight_gate(s.gamma, s.p, n_dim=2)
-            except ConfigurationError as exc:
-                _check(False, path, sc, "gamma", str(exc))
-    grid = cp["grid"]
-    kind = grid.get("kind", "box")
-    _check(kind in _GRID_KINDS, path, grid, "kind", "unknown grid kind")
-    if s.kind == "ladder" and kind != "box":  # evolve probes 1D grids only
+    if s.kind == "rescaled":  # solve_rescaled needs a graph-over-t curve
+        _check(s.curve_cfg.get("form", "linear") == "linear", path,
+               cp["curve"], "form", "rescaled runs need a linear curve")
+    if s.kind == "tunnel" and s.case == "supercritical":
+        _check(s.gamma is not None, path, sc, "gamma",
+               "required by the supercritical case")
+        try:  # tunnel grids have one axis and one cross direction
+            potential_mod.check_weight_gate(s.gamma, s.p, n_dim=2)
+        except ConfigurationError as exc:
+            _check(False, path, sc, "gamma", str(exc))
+    kind = s.grid_cfg.get("kind")
+    if s.kind == "ladder" and kind in ("ball", "tunnel"):
+        # evolve probes 1D grids only
         key = "kind" if kind == "tunnel" else "ndim"
-        _check(key == "ndim" and _value(path, grid, key, 1, int) == 1, path,
-               grid, key, "ladder runs need a 1D grid")
+        _check(key == "ndim" and s.grid_cfg.get("ndim", 1) == 1, path, grid,
+               key, "ladder runs need a 1D grid")
     # the shortest evolution the scenario runs
     horizon = {"rescaled": s.alpha / max(s.eps_list) ** 2,
                "ladder": s.horizon, "tunnel": 1.0}[s.kind]
-    dt = _value(path, grid, "dt", _DT)
+    dt = s.grid_cfg.get("dt", _DT)
     _check(dt > 0, path, grid, "dt", "must be > 0")
     _check(dt < horizon, path, grid, "dt",
            f"must be below the run horizon {horizon:.12g}")
@@ -296,9 +347,7 @@ class Verdict:
 
     @property
     def matches(self):
-        if self.expected == "unknown":
-            return True
-        return self.outcome == self.expected
+        return self.expected in ("unknown", self.outcome)
 
 
 def run_scenario(scenario, budget=None):
@@ -306,12 +355,8 @@ def run_scenario(scenario, budget=None):
     start = time.perf_counter()
     if budget is not None:
         _check_budget(scenario, budget)
-    if scenario.kind == "rescaled":
-        outcome, evidence = _run_rescaled(scenario)
-    elif scenario.kind == "ladder":
-        outcome, evidence = _run_ladder(scenario)
-    else:
-        outcome, evidence = _run_tunnel(scenario)
+    outcome, evidence = {"rescaled": _run_rescaled, "ladder": _run_ladder,
+                         "tunnel": _run_tunnel}[scenario.kind](scenario)
     return Verdict(scenario=scenario.name, kind=scenario.kind,
                    outcome=outcome, expected=scenario.expected,
                    evidence=evidence, wall_time=time.perf_counter() - start)
@@ -333,12 +378,10 @@ def _check_budget(scenario, budget_seconds):
     """Coarse step-count screen naming the limiting parameter."""
     grid = scenario.build_grid()
     nodes = float(np.prod(grid.shape))
-    if scenario.kind == "rescaled":
-        steps = sum(scenario.alpha / (e * e) / grid.dt for e in scenario.eps_list)
-    elif scenario.kind == "ladder":
-        steps = len(scenario.k_ladder) * scenario.horizon / grid.dt
-    else:
-        steps = 1.0 / grid.dt
+    steps = {"rescaled": sum(scenario.alpha / (e * e) / grid.dt
+                             for e in scenario.eps_list),
+             "ladder": len(scenario.k_ladder) * scenario.horizon / grid.dt,
+             "tunnel": 1.0 / grid.dt}[scenario.kind]
     est = steps * nodes * _SECONDS_PER_NODE_STEP[scenario.kind]
     if est > budget_seconds:
         raise BudgetError(
@@ -359,15 +402,11 @@ def _run_rescaled(scenario):
     log_amp = [r.log_amplified for r in per_eps]
     margins = [r.conformance_margin for r in per_eps]
     sigmas = [r.sigma_tau for r in per_eps]
-    window = int(rules["growth_window"])
-    trace_measured = spectral.blowup_functional(
+    trace_measured, trace_analytic = (spectral.blowup_functional(
         "point", scenario.p, scenario.alpha, grid.ndim, psi0.lam, profile,
-        scenario.eps_list, curve=curve, sigma=sigmas,
-        threshold=rules["functional_threshold"], growth_window=window)
-    trace_analytic = spectral.blowup_functional(
-        "point", scenario.p, scenario.alpha, grid.ndim, psi0.lam, profile,
-        scenario.eps_list, curve=curve, sigma=0.0,
-        threshold=rules["functional_threshold"], growth_window=window)
+        scenario.eps_list, curve=curve, sigma=sigma,
+        threshold=rules["functional_threshold"],
+        growth_window=rules["growth_window"]) for sigma in (sigmas, 0.0))
     increasing = bool(np.all(np.diff(log_amp) > 0.0))
     top = math.log(rules["amplified_ceiling"])
     low = math.log(rules["bounded_ceiling"])
@@ -454,13 +493,11 @@ def _probe_window(seg, margin):
     """Parameter window probed for boundedness: the box interval or the
     last decreasing interval, entered past a fractional margin to stay
     clear of the junction with the singular branch."""
-    target = None
-    for lo, hi, label in seg.intervals:
-        if label in ("box", "decreasing"):
-            target = (lo, hi)
-    if target is None:
+    spans = [(lo, hi) for lo, hi, label in seg.intervals
+             if label in ("box", "decreasing")]
+    if not spans:
         return None
-    lo, hi = target
+    lo, hi = spans[-1]
     return (lo + margin * (hi - lo), hi)
 
 
@@ -481,7 +518,7 @@ def _run_tunnel(scenario):
                             k=max(scenario.k_ladder))
     floors = [pe["log_floor_center"] for pe in res.per_eps]
     ratios = [pe["delta_measured"] / pe["delta_formula"] for pe in res.per_eps]
-    growing = bool(np.all(np.diff(floors) > 0.0)) if len(floors) > 1 else True
+    growing = bool(np.all(np.diff(floors) > 0.0))
     band = rules["halfwidth_band"]
     widths_ok = all(1.0 - band <= r <= 1.0 for r in ratios)
     conformant = res.conformance_min >= -rules["tunnel_tol"]
@@ -571,47 +608,70 @@ def emit_report(verdicts, out_dir):
 # ----------------------------------------------------------------------
 def load_sweep(path):
     """Sweep spec from an INI file; its base scenario is loaded (and
-    checked) with :func:`load_scenario`, and its p and alpha axes are
-    held to the same ranges."""
-    cp = _read_ini(path, "sweep")
-    sw = cp["sweep"]
+    checked) with :func:`load_scenario`.  Each axis must name a key that
+    the base reads, and its p and alpha values keep the scenario ranges;
+    an analytic sweep needs a rescaled base or none (``_ANALYTIC_BASE``),
+    and only it reads ``lam0`` and ``threshold``."""
+    cp, cfg = _read_ini(path, ("sweep",))
+    sw, section = cfg["sweep"], cp["sweep"]
     base = load_scenario(Path(path).parent / sw["base"]) \
         if sw.get("base") else None
-    axes = {key: _value(path, sw, key, None, _floats)
-            for key in ("amplitude", "alpha", "p", "velocity") if key in sw}
+    target = base or _ANALYTIC_BASE
+    analytic = sw.get("mode", "analytic") == "analytic"
+    if analytic:
+        _check(target.kind == "rescaled", path, section, "base",
+               "an analytic sweep needs a rescaled base")
+    else:
+        _check(base is not None, path, section, "base",
+               "a numerical sweep needs a base")
+        for key in ("lam0", "threshold"):
+            _check(key not in sw, path, section, key,
+                   "read by analytic sweeps only")
+    axes = {key: sw[key] for key in _AXES if key in sw}
+    for key in axes:
+        _check(key in _read_keys(target, _AXES[key]), path, section, key,
+               f"not read by the {target.kind} base {target.name}")
     for key, low in (("p", 1.0), ("alpha", 0.0)):
         _check(key not in axes or min(axes[key], default=low) > low, path,
-               sw, key, f"must be one or more numbers > {low:g}")
-    return {
-        "name": sw.get("name", Path(path).stem),
-        "mode": sw.get("mode", "analytic"),
-        "base": base,
-        "axes": axes,
-        "budget_combos": _value(path, sw, "budget_combos", 512, int),
-        "lam0": _value(path, sw, "lam0", 2.4674011002723395),
-        "threshold": _value(path, sw, "threshold",
-                            DEFAULT_RULES["functional_threshold"]),
-    }
+               section, key, f"must be one or more numbers > {low:g}")
+    _check("velocity" not in axes or any(_base_velocity(target)), path,
+           section, "velocity", "the base curve has no direction to keep")
+    return {"name": sw.get("name", Path(path).stem),
+            "mode": "analytic" if analytic else "numerical", "base": base,
+            "axes": axes, "budget_combos": sw.get("budget_combos", 512),
+            "lam0": sw.get("lam0", 2.4674011002723395),
+            "threshold": sw.get("threshold",
+                                DEFAULT_RULES["functional_threshold"])}
 
 
 def _combo_key(combo):
     return json.dumps(combo, sort_keys=True)
 
 
+# the base of an analytic sweep without one: inverse-square amplitude 50,
+# unit speed, p = 2, alpha = 1
+_ANALYTIC_BASE = Scenario("analytic", potential_cfg={"amplitude": 50.0})
+
+
 def _analytic_verdict(combo, base, lam0, threshold):
     """Analytic point-functional outcome of the base scenario (default:
-    inverse-square amplitude 50, unit speed, p = 2, alpha = 1) with the
-    combo's values; a combo ``velocity`` replaces its curve's speed."""
-    sc = _scenario_for(base or Scenario(
-        "analytic", "rescaled", "unknown", 2.0,
-        potential_cfg={"amplitude": "50.0"}), combo)
-    motion = {"beta_sup": combo["velocity"]} if "velocity" in combo \
-        else {"curve": sc.build_curve()}
+    ``_ANALYTIC_BASE``) with the combo's values."""
+    sc = _scenario_for(base or _ANALYTIC_BASE, combo)
     trace = spectral.blowup_functional(
         "point", sc.p, sc.alpha, 1, lam0, sc.build_profile(), sc.eps_list,
-        threshold=threshold, growth_window=int(sc.rules["growth_window"]),
-        **motion)
+        curve=sc.build_curve(), threshold=threshold,
+        growth_window=sc.rules["growth_window"])
     return derive_from_trace(trace), {"trace": trace.values.tolist()}
+
+
+def read_sweep_log(path):
+    """The records of a sweep log, in file order."""
+    try:
+        with open(path) as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read sweep log {path}: {exc}") \
+            from None
 
 
 def sweep(spec, log_path, workers=1):
@@ -619,23 +679,16 @@ def sweep(spec, log_path, workers=1):
     line per verdict as soon as it is known; reruns skip combos already in
     the log, so a sweep stopped by a failing combo or an interrupt resumes
     where it stopped."""
-    axes = spec["axes"]
-    names = sorted(axes)
-    combos = [{}]
-    for name in names:
-        combos = [dict(c, **{name: v}) for c in combos for v in axes[name]]
+    names = sorted(spec["axes"])
+    combos = [dict(zip(names, values)) for values in
+              itertools.product(*(spec["axes"][name] for name in names))]
     if len(combos) > spec["budget_combos"]:
         raise BudgetError(
             f"{len(combos)} combinations exceed budget {spec['budget_combos']}",
             limiting_parameter="axes")
-    done = {}
     log_path = Path(log_path)
-    if log_path.exists():
-        with open(log_path) as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    done[_combo_key(rec["combo"])] = rec
+    done = {_combo_key(rec["combo"]): rec for rec in
+            (read_sweep_log(log_path) if log_path.exists() else [])}
     todo = [c for c in combos if _combo_key(c) not in done]
     with open(log_path, "a") as fh:
         for rec in _sweep_records(spec, todo, workers):
@@ -649,7 +702,7 @@ def sweep(spec, log_path, workers=1):
 def _sweep_records(spec, todo, workers):
     """Log records of the combos in ``todo``, yielded in order as each
     verdict completes."""
-    if spec["mode"] == "analytic" or spec["base"] is None:
+    if spec["mode"] == "analytic":
         for combo in todo:
             outcome, extra = _analytic_verdict(combo, spec["base"],
                                                spec["lam0"], spec["threshold"])
@@ -671,21 +724,26 @@ def _verdict_record(combo, v):
                          if isinstance(val, (int, float, str, bool, list))}}
 
 
+def _base_velocity(sc):
+    return np.asarray(sc.curve_cfg.get("velocity", (1.0,)))
+
+
 def _scenario_for(base, combo):
-    sc = Scenario(**{**base.__dict__})
-    sc.potential_cfg = dict(base.potential_cfg)
-    sc.curve_cfg = dict(base.curve_cfg)
-    sc.rules = dict(base.rules)
-    sc.name = base.name + "/" + "/".join(f"{k}={v:g}" for k, v in sorted(combo.items()))
+    """The base scenario with the combo's values: ``amplitude``, ``alpha``
+    and ``p`` replace the base's, and ``velocity`` rescales the base's
+    linear curve to that speed along the same direction."""
+    sc = replace(
+        base, expected="unknown", curve_cfg=dict(base.curve_cfg),
+        potential_cfg=dict(base.potential_cfg), rules=dict(base.rules),
+        name=base.name + "/" + "/".join(f"{k}={v:g}"
+                                        for k, v in sorted(combo.items())),
+        **{k: v for k, v in combo.items() if _AXES[k] == "scenario"})
     if "amplitude" in combo:
         sc.potential_cfg["amplitude"] = combo["amplitude"]
-    if "alpha" in combo:
-        sc.alpha = combo["alpha"]
-    if "p" in combo:
-        sc.p = combo["p"]
     if "velocity" in combo:
-        sc.curve_cfg["velocity"] = str(combo["velocity"])
-    sc.expected = "unknown"
+        u = _base_velocity(base)
+        sc.curve_cfg["velocity"] = tuple(
+            (combo["velocity"] / np.linalg.norm(u) * u).tolist())
     return sc
 
 

@@ -23,11 +23,12 @@ from .errors import ConfigurationError, DomainError
 INVERSE_SQUARE = "inverse-square"
 POWER = "power"
 LOG = "log"
-_FAMILIES = (INVERSE_SQUARE, POWER, LOG)
+FAMILIES = (INVERSE_SQUARE, POWER, LOG)
 
 PARABOLIC = "parabolic"
 ANISOTROPIC = "anisotropic"
 CONSTANT_FLOOR = "constant-floor"
+DISTANCES = (PARABOLIC, ANISOTROPIC, CONSTANT_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class DecayProfile:
     exponent: float | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown profile family {self.family!r}")
         if not self.amplitude > 0:
             raise ConfigurationError("profile amplitude must be positive")
@@ -80,7 +81,7 @@ class Potential:
     floor: float | None = None
 
     def __post_init__(self):
-        if self.distance not in (PARABOLIC, ANISOTROPIC, CONSTANT_FLOOR):
+        if self.distance not in DISTANCES:
             raise ConfigurationError(f"unknown distance mode {self.distance!r}")
         if self.distance == PARABOLIC and self.curve is None:
             raise ConfigurationError("parabolic distance needs a curve")
@@ -111,13 +112,12 @@ class Potential:
         positive distance whose exp(-l) underflowed to zero; those zeros are
         kept as-is (the solver treats h = 0 as exact degeneracy).
         """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.distance == CONSTANT_FLOOR:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
             return np.full(pts.shape[0], float(self.floor)), 0
         if self.distance == PARABOLIC:
             d = geometry.parabolic_distance_grid(points, t, self.curve)
         else:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
             xp = pts[:, 1:] if pts.shape[1] > 1 else np.zeros((pts.shape[0], 1))
             d = np.maximum(np.sqrt(max(t, 0.0)), np.linalg.norm(xp, axis=1))
         vals = np.zeros_like(d)

@@ -138,8 +138,13 @@ class Stepper:
         """Drift velocity rows (n, ndim) at ``times`` before the first over
         the CFL limit dt * sum |c_i|/h_i <= 0.5; raises if it is the first."""
         shape = (len(times), self.grid.ndim)
-        c = np.zeros(shape) if self.spec.drift is None else np.broadcast_to(
-            np.asarray(self.spec.drift(times), dtype=float), shape)
+        c = np.zeros(shape) if self.spec.drift is None else \
+            np.asarray(self.spec.drift(times), dtype=float)
+        if c.shape not in (shape, shape[1:]):
+            raise ConfigurationError(
+                f"drift of shape {c.shape} on a {self.grid.ndim}D grid: "
+                f"need {shape} or {shape[1:]}")
+        c = np.broadcast_to(c, shape)
         cfl = self.dt * (np.abs(c) / self.hs).sum(axis=1)
         over = np.flatnonzero(cfl > 0.5 + 1e-12)
         if over.size and over[0] == 0:
@@ -469,6 +474,9 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
     """
     if curve.kind != geometry.GRAPH:
         raise ConfigurationError("rescaled runs need a graph-over-t curve")
+    if curve.dim != grid.ndim:
+        raise ConfigurationError(
+            f"a {curve.dim}D curve cannot drive a {grid.ndim}D grid")
     if curve.horizon < alpha - 1e-12:
         raise ConfigurationError("curve horizon must reach alpha")
     t_end = alpha / (eps * eps)
@@ -531,9 +539,7 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
         else _LOG_ZERO
     log_amp = None
     if profile is not None:
-        log_amp = (-2.0 / (p - 1.0) * math.log(eps)
-                   + potential_mod.eval_profile(profile, eps) / (p - 1.0)
-                   + log_center)
+        log_amp = spectral.log_amplification(p, profile, eps) + log_center
     return RescaledResult(run=result, log_center_final=log_center,
                           log_amplified=log_amp, c1=c1, sigma_tau=sigma,
                           beta_tau=beta_tau, delta_tau=delta_tau,
@@ -720,10 +726,11 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf):
 
     per_eps = []
     g0 = gaussian_cos_integral(0.0, 1.0)
-    log_i0 = math.log(_envelope_mass())
+    # (4 pi)**(-1/2) * integral of exp(-z**2/2) cos(z) over [-pi/2, pi/2]
+    log_i0 = math.log(gaussian_cos_integral(0.0, 0.5) / math.sqrt(2.0))
     for e in eps_list:
         ell = potential_mod.eval_profile(profile, e)
-        log_pref = -2.0 / (p - 1.0) * math.log(e) + ell / (p - 1.0)
+        log_pref = spectral.log_amplification(p, profile, e)
         log_floor0 = math.log(c_val) + log_pref - (lam + 1.0) + math.log(g0)
         delta_formula = math.sqrt(2.0 * e * e * ell / (p - 1.0))
         delta_meas = _half_width(c_val, lam, log_pref, e,
@@ -733,13 +740,6 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf):
                         "log_floor_center": log_floor0})
     return TunnelResult(run=result, a=_A_SHIFT, c=c_val,
                         conformance_min=conf_min, lam=lam, per_eps=per_eps)
-
-
-def _envelope_mass():
-    """(4 pi)**(-1/2) integral of exp(-z**2/2) cos(z) over [-pi/2, pi/2]."""
-    z = np.linspace(-np.pi / 2.0, np.pi / 2.0, 20001)
-    return float(np.trapezoid(np.exp(-z * z / 2.0) * np.cos(z), z)
-                 / math.sqrt(4.0 * math.pi))
 
 
 def _half_width(c_val, lam, log_pref, e, log_threshold, log_i0):

@@ -6,13 +6,14 @@ the rescaled field, and the log-scale functionals whose divergence (or not)
 encodes the propagation/localization verdict.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .potential import INVERSE_SQUARE, LOG, POWER, eval_profile
+from .potential import INVERSE_SQUARE, POWER, eval_profile
 
 INTERVAL = "interval"
 BALL = "ball"
@@ -133,14 +134,12 @@ def drift_shift(beta, base):
     return DriftedPair(base=base, beta=beta, lam=lam, norm=norm)
 
 
-def drift_ground_state(beta, n, n_dim=1):
+def drift_ground_state(beta, n):
     """Independent inverse-power solve of the discrete drift operator.
 
     Builds -lap_h + beta * centered gradient on the interval directly (no
     exponential tilt) and iterates; used to cross-check the shift identity.
     """
-    if n_dim != 1:
-        raise ConfigurationError("direct drift solve implemented on the interval")
     h = 2.0 / (n + 1)
     main = np.full(n, 2.0 / h ** 2)
     upper = np.full(n - 1, -1.0 / h ** 2 + beta / (2.0 * h))
@@ -252,9 +251,7 @@ def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
     if growth_window < 2:
         raise ConfigurationError("growth_window must be at least 2")
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), eps.shape)
-    vals = np.empty_like(eps)
-    betas = np.empty_like(eps)
-    deltas = np.empty_like(eps)
+    vals, betas, deltas = np.empty((3, eps.size))
     for i, e in enumerate(eps):
         if curve is not None:
             b_sup = curve.sup_speed(e * e, alpha)
@@ -265,11 +262,9 @@ def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
         d_tau = e ** 3 * d_sup
         betas[i], deltas[i] = b_tau, d_tau
         rate = envelope_rate(lam0, b_tau, d_tau, sig[i])
-        lead = -2.0 / (p - 1.0) * np.log(e)
+        vals[i] = log_amplification(p, profile, e) - rate * alpha / (e * e)
         if kind == MASS:
-            lead += n_dim * np.log(e)
-        vals[i] = lead + eval_profile(profile, e) / (p - 1.0) \
-            - rate * alpha / (e * e)
+            vals[i] += n_dim * np.log(e)
     tail = vals[-growth_window:]
     diverging = (tail.size >= 2 and np.all(np.diff(tail) > 0)
                  and tail[-1] > threshold)
@@ -284,6 +279,12 @@ def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
                                  threshold=threshold)
 
 
+def log_amplification(p, profile, eps):
+    """-2/(p-1) ln(eps) + l(eps)/(p-1): the log of the amplification
+    prefactor eps**(-2/(p-1)) exp(l(eps)/(p-1)) of the zoom at scale eps."""
+    return -2.0 / (p - 1.0) * math.log(eps) + eval_profile(profile, eps) / (p - 1.0)
+
+
 def limit_flatness(profile):
     """liminf of r**2 l(r) as r -> 0 for the three profile families."""
     if profile.family == INVERSE_SQUARE:
@@ -292,9 +293,7 @@ def limit_flatness(profile):
         if profile.exponent > 2:
             return np.inf
         return profile.amplitude if profile.exponent == 2 else 0.0
-    if profile.family == LOG:
-        return 0.0
-    raise ConfigurationError(f"unknown family {profile.family!r}")
+    return 0.0  # log
 
 
 def propagation_alpha_threshold(profile, p, lam0, sigma=0.0):

@@ -16,12 +16,12 @@ def tiny_ladder_scenario(**overrides):
     s = harness.Scenario(
         name="tiny", kind="ladder", expected="non-propagation-segment",
         p=2.0, horizon=0.25, k_ladder=(1e5, 1e6),
-        curve_cfg={"form": "arc", "speed": "1.6", "t_max": "0.25",
-                   "samples": "257"},
-        potential_cfg={"family": "log", "amplitude": "2.0",
+        curve_cfg={"form": "arc", "speed": 1.6, "t_max": 0.25,
+                   "samples": 257},
+        potential_cfg={"family": "log", "amplitude": 2.0,
                        "distance": "parabolic"},
-        grid_cfg={"kind": "box", "lo": "-2.5", "hi": "3.5", "n": "201",
-                  "dt": "0.004"})
+        grid_cfg={"kind": "box", "lo": -2.5, "hi": 3.5, "n": 201,
+                  "dt": 0.004})
     for key, val in overrides.items():
         setattr(s, key, val)
     return s
@@ -167,6 +167,122 @@ class TestLoadValidation:
                            "gamma = 2.5", "gamma = 2.0")
         assert "N(p-1)-2" in self.rejected(path, "scenario", "gamma")
 
+    def rejected_by_cli(self, path, section, key, command, monkeypatch,
+                        capsys):
+        """The load error, and the CLI exiting 1 with that one line."""
+        loader = harness.load_sweep if command == "sweep" \
+            else harness.load_scenario
+        msg = self.rejected(path, section, key, loader=loader)
+        monkeypatch.setenv("HEATLAB_OUT", str(path.parent))
+        capsys.readouterr()
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
+        return msg
+
+    @pytest.mark.parametrize("name, section, old, new", [
+        ("localization-weak.ini", "scenario", "alpha = 1.0", "aplha = 1.0"),
+        ("localization-weak.ini", "grid", "n = 41", "nn = 41"),
+        ("box-reentry.ini", "curve", "samples = 513", "sampels = 129"),
+        ("downslope-arc.ini", "potential", "amplitude = 2.0",
+         "amplitud = 2.0")])
+    def test_misspelt_key(self, tmp_path, monkeypatch, capsys, name, section,
+                          old, new):
+        # each used to load and run with the builder's default
+        path = self.edited(tmp_path, name, old, new)
+        msg = self.rejected_by_cli(path, section, new.split(" = ")[0], "run",
+                                   monkeypatch, capsys)
+        assert "unknown key" in msg
+
+    @pytest.mark.parametrize("name, section, key, old, new", [
+        # a rescaled rule in a ladder file, a ladder rule in a tunnel file,
+        # a ladder rule and the distance in a rescaled file
+        ("box-reentry.ini", "rules", "growth_window", "probe_margin = 0.3",
+         "probe_margin = 0.3\ngrowth_window = 3"),
+        ("line-blowup.ini", "rules", "stabilization", "tunnel_tol = 1e-8",
+         "tunnel_tol = 1e-8\nstabilization = 0.01"),
+        ("propagation-straight.ini", "rules", "probe_margin",
+         "growth_window = 3", "growth_window = 3\nprobe_margin = 0.3"),
+        ("propagation-straight.ini", "potential", "distance",
+         "amplitude = 50.0", "amplitude = 50.0\ndistance = parabolic"),
+        ("propagation-straight.ini", "scenario", "horizon", "alpha = 1.0",
+         "alpha = 1.0\nhorizon = 0.25"),
+        # tunnels read no curve; an arc reads no velocity; a ladder's
+        # parabolic distance no floor
+        ("line-blowup.ini", "curve", "form", "[potential]",
+         "[curve]\nform = linear\n\n[potential]"),
+        ("downslope-arc.ini", "curve", "velocity", "speed = 1.6",
+         "speed = 1.6\nvelocity = 1.0"),
+        ("box-reentry.ini", "potential", "floor", "amplitude = 2.0",
+         "amplitude = 2.0\nfloor = 1.0")])
+    def test_key_not_read(self, tmp_path, monkeypatch, capsys, name, section,
+                          key, old, new):
+        path = self.edited(tmp_path, name, old, new)
+        msg = self.rejected_by_cli(path, section, key, "run", monkeypatch,
+                                   capsys)
+        assert "not read" in msg
+
+    def test_rescaled_needs_linear_curve(self, tmp_path):
+        path = self.edited(tmp_path, "propagation-straight.ini",
+                           "form = linear\nvelocity = 1.0, 0.0",
+                           "form = arc\nspeed = 1.0")
+        assert "linear" in self.rejected(path, "curve", "form")
+
+    def test_percent_sign_is_plain_text(self, tmp_path):
+        # '%' used to start an interpolation that ended in a traceback
+        path = self.edited(tmp_path, "box-reentry.ini", "name = box-reentry",
+                           "name = box 50% reentry")
+        assert harness.load_scenario(path).name == "box 50% reentry"
+
+    def test_unknown_section(self, tmp_path):
+        path = self.edited(tmp_path, "box-reentry.ini", "[grid]", "[grdi]")
+        with pytest.raises(ConfigurationError,
+                           match=r"\[grdi\]: unknown section"):
+            harness.load_scenario(path)
+
+    def test_growth_window_must_be_an_integer(self, tmp_path, monkeypatch,
+                                              capsys):
+        # int() used to truncate 2.5 to a window of 2
+        path = self.edited(tmp_path, "propagation-straight.ini",
+                           "growth_window = 3", "growth_window = 2.5")
+        msg = self.rejected_by_cli(path, "rules", "growth_window", "run",
+                                   monkeypatch, capsys)
+        assert "not an integer" in msg
+
+    @staticmethod
+    def sweep_file(tmp_path, base, body):
+        path = tmp_path / "sweep.ini"
+        base_line = f"base = {SCENARIOS / base}\n" if base else ""
+        path.write_text(f"[sweep]\nname = s\n{base_line}{body}\n")
+        return path
+
+    @pytest.mark.parametrize("base, body, key, rule", [
+        # a misspelt axis used to drop out of the product silently
+        ("propagation-straight.ini", "amplitude = 1, 2\nalhpa = 0.5, 1.0",
+         "alhpa", "unknown key"),
+        ("propagation-straight.ini", "mode = exact\np = 2, 3", "mode",
+         "unknown sweep mode"),
+        ("line-blowup.ini", "mode = numerical\nalpha = 0.5, 1.0", "alpha",
+         "not read by the tunnel base"),
+        ("downslope-arc.ini", "mode = numerical\nvelocity = 0.5, 1.0",
+         "velocity", "not read by the ladder base"),
+        ("line-blowup.ini", "mode = numerical\np = 2, 3\nlam0 = 2.0", "lam0",
+         "analytic sweeps only"),
+        ("line-blowup.ini", "mode = numerical\np = 2, 3\nthreshold = 40",
+         "threshold", "analytic sweeps only"),
+        ("box-reentry.ini", "mode = analytic\np = 2, 3", "base",
+         "rescaled base"),
+        (None, "mode = numerical\np = 2, 3", "base", "needs a base")])
+    def test_sweep_key_not_run(self, tmp_path, monkeypatch, capsys, base,
+                               body, key, rule):
+        path = self.sweep_file(tmp_path, base, body)
+        assert rule in self.rejected_by_cli(path, "sweep", key, "sweep",
+                                            monkeypatch, capsys)
+
+    def test_sweep_velocity_axis_over_linear_base_loads(self, tmp_path):
+        path = self.sweep_file(tmp_path, "propagation-straight.ini",
+                               "mode = numerical\nvelocity = 0.5, 1.0")
+        assert harness.load_sweep(path)["axes"] == {"velocity": (0.5, 1.0)}
+
     def duplicate(self, path, section, key, loader=harness.load_scenario):
         with pytest.raises(ConfigurationError) as exc:
             loader(path)
@@ -216,16 +332,16 @@ class TestCurveForms:
     @pytest.mark.parametrize("form", ["linear", "arc", "boxed", "local-max",
                                       "initial-line"])
     def test_buildable(self, form):
-        c = harness.build_curve({"form": form, "samples": "129"})
+        c = harness.build_curve({"form": form, "samples": 129})
         assert c.n_samples == 129
 
     def test_boxed_curve_classifies_as_box(self):
-        c = harness.build_curve({"form": "boxed", "samples": "257"})
+        c = harness.build_curve({"form": "boxed", "samples": 257})
         seg = geometry.classify_segments(c)
         assert seg.box is not None
 
     def test_local_max_curve_is_not_a_box(self):
-        c = harness.build_curve({"form": "local-max", "samples": "257"})
+        c = harness.build_curve({"form": "local-max", "samples": 257})
         seg = geometry.classify_segments(c)
         assert seg.box is None
         assert "decreasing" in seg.labels
@@ -272,7 +388,7 @@ def assert_same_run(a, b):
 class TestSharedLadderLevels:
     # inverse-square profile: h underflows near the curve, so every rung
     # carries an h-underflow count
-    STEEP = {"family": "inverse-square", "amplitude": "1.0",
+    STEEP = {"family": "inverse-square", "amplitude": 1.0,
              "distance": "parabolic"}
 
     def count_evaluations(self, monkeypatch):
@@ -339,12 +455,12 @@ def ladder_pairs(draw):
     return harness.Scenario(
         name="pair", kind="ladder", expected="unknown", p=p, horizon=0.1,
         k_ladder=(k1, k2),
-        curve_cfg={"form": "linear", "velocity": repr(velocity),
-                   "horizon": "0.1", "samples": "129"},
-        potential_cfg={"family": "inverse-square", "amplitude": "0.5",
+        curve_cfg={"form": "linear", "velocity": (velocity,),
+                   "horizon": 0.1, "samples": 129},
+        potential_cfg={"family": "inverse-square", "amplitude": 0.5,
                        "distance": "parabolic"},
-        grid_cfg={"kind": "box", "lo": "-2.0", "hi": "2.0", "n": "81",
-                  "dt": "0.004"})
+        grid_cfg={"kind": "box", "lo": -2.0, "hi": 2.0, "n": 81,
+                  "dt": 0.004})
 
 
 class TestLadderMonotoneInK:
@@ -481,6 +597,34 @@ class TestSweep:
         assert len(lines) == 25
 
 
+class TestSweepCombos:
+    def test_velocity_combo_keeps_base_direction(self, monkeypatch):
+        # on the 2D base a combo speed v drifts the zoomed field by
+        # eps * (v, 0); it used to drift diagonally by eps * (v, v)
+        base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
+        sc = harness._scenario_for(base, {"velocity": 0.5})
+        assert sc.curve_cfg["velocity"] == (0.5, 0.0)
+        sc.eps_list = (0.5,)
+        rows = []
+        orig = solver.Stepper.velocities
+
+        def spy(stepper, times):
+            rows.append(orig(stepper, times))
+            return rows[-1]
+
+        monkeypatch.setattr(solver.Stepper, "velocities", spy)
+        harness.run_scenario(sc)
+        drift = np.concatenate(rows)
+        assert np.array_equal(drift, np.tile([0.25, 0.0], (len(drift), 1)))
+
+    def test_velocity_combo_scales_the_base_velocity(self):
+        base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
+        base.curve_cfg = dict(base.curve_cfg, velocity=(-0.3, 0.4))
+        sc = harness._scenario_for(base, {"velocity": 2.0})
+        assert sc.curve_cfg["velocity"] == pytest.approx((-1.2, 1.6),
+                                                         rel=1e-15)
+
+
 class TestRescaledRules:
     def test_growth_window_reaches_functional(self, monkeypatch):
         windows = []
@@ -494,16 +638,16 @@ class TestRescaledRules:
         sc = harness.Scenario(
             name="short-zoom", kind="rescaled", expected="unknown", p=2.0,
             alpha=0.5, eps_list=(0.5, 0.4), k_ladder=(1e3,),
-            curve_cfg={"form": "linear", "velocity": "0.5", "samples": "65"},
-            potential_cfg={"family": "inverse-square", "amplitude": "1.0"},
-            grid_cfg={"kind": "ball", "ndim": "1", "n": "41", "dt": "0.005"})
-        sc.rules = dict(sc.rules, growth_window=2.0)
+            curve_cfg={"form": "linear", "velocity": (0.5,), "samples": 65},
+            potential_cfg={"family": "inverse-square", "amplitude": 1.0},
+            grid_cfg={"kind": "ball", "ndim": 1, "n": 41, "dt": 0.005})
+        sc.rules = dict(sc.rules, growth_window=2)
         harness.run_scenario(sc)
         assert windows == [2, 2]
 
     @pytest.mark.parametrize("family, amplitude, clean", [
-        ("inverse-square", "50.0", "propagation"), ("log", "1.0",
-                                                    "localization")])
+        ("inverse-square", 50.0, "propagation"), ("log", 1.0,
+                                                  "localization")])
     def test_negative_margin_is_inconclusive(self, monkeypatch, family,
                                              amplitude, clean):
         # every other condition of the clean outcome holds; a conformance
@@ -519,10 +663,10 @@ class TestRescaledRules:
         sc = harness.Scenario(
             name="zoom-1d", kind="rescaled", expected="unknown", p=2.0,
             alpha=1.0, eps_list=(0.2, 0.1), k_ladder=(1e3,),
-            curve_cfg={"form": "linear", "velocity": "1.0", "samples": "65"},
+            curve_cfg={"form": "linear", "velocity": (1.0,), "samples": 65},
             potential_cfg={"family": family, "amplitude": amplitude},
-            grid_cfg={"kind": "ball", "ndim": "1", "n": "41", "dt": "0.005"})
-        sc.rules = dict(sc.rules, growth_window=2.0)
+            grid_cfg={"kind": "ball", "ndim": 1, "n": 41, "dt": 0.005})
+        sc.rules = dict(sc.rules, growth_window=2)
         v = harness.run_scenario(sc)
         ev, rules = v.evidence, sc.rules
         log_amp = ev["log_amplified"]
@@ -560,7 +704,7 @@ class TestRescaledRules:
 
         monkeypatch.setattr(spectral, "blowup_functional", spy)
         base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
-        base.curve_cfg = dict(base.curve_cfg, velocity="0.3, 0.4")
+        base.curve_cfg = dict(base.curve_cfg, velocity=(0.3, 0.4))
         harness._analytic_verdict({"alpha": 1.0}, base, 5.78, 50.0)
         harness._analytic_verdict({"velocity": 0.25}, base, 5.78, 50.0)
         assert speeds == pytest.approx([0.5, 0.25], rel=1e-12)
@@ -575,7 +719,7 @@ class TestRescaledRules:
 
         monkeypatch.setattr(spectral, "blowup_functional", spy)
         base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
-        base.rules = dict(base.rules, growth_window=2.0)
+        base.rules = dict(base.rules, growth_window=2)
         harness._analytic_verdict({"alpha": 1.0}, base, 5.78, 50.0)
         harness._analytic_verdict({"alpha": 1.0}, None, 5.78, 50.0)
         assert windows == [2, 3]
@@ -623,6 +767,18 @@ class TestCli:
         assert (tmp_path / "eigen_interval_64.txt").exists()
         assert cli.main(["verify-barriers"]) == 0
         assert (tmp_path / "barriers.csv").exists()
+
+    @pytest.mark.parametrize("text", [None, '{"combo": {}}\n{"comb'])
+    def test_report_of_unreadable_log_exits_1(self, tmp_path, monkeypatch,
+                                              capsys, text):
+        # a missing or torn log used to end in a traceback
+        monkeypatch.setenv("HEATLAB_OUT", str(tmp_path))
+        log = tmp_path / "log.jsonl"
+        if text is not None:
+            log.write_text(text)
+        assert cli.main(["report", str(log)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(log) in err
 
     def test_sweep_and_report(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEATLAB_OUT", str(tmp_path))

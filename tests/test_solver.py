@@ -108,6 +108,35 @@ class TestStepImex:
             solver.evolve(fld, solver.PDESpec(p=2.0), 10 * g.dt, curve=curve)
 
 
+class TestDriftWidth:
+    """A drift row holds one velocity per grid axis; a narrower row is
+    rejected, not spread across the axes."""
+
+    def test_one_column_drift_on_2d_grid_rejected(self):
+        g = Grid.unit_ball(21, 1e-3, ndim=2)
+        spec = solver.PDESpec(p=2.0,
+                              drift=lambda t: np.full((len(t), 1), 0.1))
+        with pytest.raises(ConfigurationError, match="drift of shape"):
+            solver.Stepper(g, spec).velocities(np.arange(4) * g.dt)
+
+    def test_constant_and_full_rows_accepted(self):
+        g = Grid.unit_ball(21, 1e-3, ndim=2)
+        times = np.arange(4) * g.dt
+        for drift in (lambda t: np.array([0.1, 0.0]),
+                      lambda t: np.tile([0.1, 0.0], (len(t), 1))):
+            rows = solver.Stepper(g, solver.PDESpec(p=2.0, drift=drift)) \
+                .velocities(times)
+            assert np.array_equal(rows, np.tile([0.1, 0.0], (4, 1)))
+
+    def test_1d_curve_on_2d_ball_rejected(self):
+        # the one-column drift of a 1D curve used to move the zoomed field
+        # diagonally across both axes
+        g = Grid.unit_ball(21, 0.01, ndim=2)
+        curve = geometry.Curve.straight(1.0, 1.0, n=65)
+        with pytest.raises(ConfigurationError, match="1D curve"):
+            solver.solve_rescaled(0.5, curve, 2.0, 0.25, g)
+
+
 class TestPropagators:
     # interior sizes just below, at and just above the dense-inverse cutoff
     SIZES = (solver.DENSE_AXIS_MAX + 1, solver.DENSE_AXIS_MAX + 2,
@@ -524,6 +553,16 @@ class TestTunnel:
         g = Grid.tunnel(10.0, 201, 41, 5e-4)
         with pytest.raises(ConfigurationError, match="gamma"):
             solver.tunnel_run(0.2, 3.0, prof, "supercritical", g, gamma=1.0)
+
+    def test_envelope_mass_is_the_half_time_kernel_integral(self):
+        # (4 pi)**(-1/2) * integral of exp(-z**2/2) cos(z) over
+        # [-pi/2, pi/2], the constant of the half-width law, is the
+        # Gaussian-cos integral at y = 0, tau = 1/2 over sqrt(2)
+        z = np.linspace(-np.pi / 2.0, np.pi / 2.0, 20001)
+        trapezoid = float(np.trapezoid(np.exp(-z * z / 2.0) * np.cos(z), z)
+                          / math.sqrt(4.0 * math.pi))
+        quadrature = barriers.gaussian_cos_integral(0.0, 0.5) / math.sqrt(2.0)
+        assert quadrature == pytest.approx(trapezoid, rel=1e-9)
 
     def test_subsolution_conformance_and_widths(self):
         prof = DecayProfile("inverse-square", 8.0)
