@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .grids import Field, Grid
+from .grids import Field, Grid, stencil_slices
 
 
 # ----------------------------------------------------------------------
@@ -361,39 +361,30 @@ def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
 
 def _laplacian(u, hs):
     out = np.zeros_like(u)
-    if u.ndim == 1:
-        out[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / hs[0] ** 2
-    else:
-        out[1:-1, :] += (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / hs[0] ** 2
-        out[:, 1:-1] += (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / hs[1] ** 2
+    for ax, h in enumerate(hs):
+        c, m, p = stencil_slices(u.ndim, ax)
+        out[c] += (u[p] - 2 * u[c] + u[m]) / h ** 2
     return out
 
 
 def _centered(u, h, axis):
     out = np.zeros_like(u)
-    sl_p = [slice(None)] * u.ndim
-    sl_m = [slice(None)] * u.ndim
-    sl_c = [slice(None)] * u.ndim
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(None, -2)
-    sl_c[axis] = slice(1, -1)
-    out[tuple(sl_c)] = (u[tuple(sl_p)] - u[tuple(sl_m)]) / (2.0 * h)
+    c, m, p = stencil_slices(u.ndim, axis)
+    out[c] = (u[p] - u[m]) / (2.0 * h)
     return out
 
 
 def _grad_norm(u, hs):
+    grads = [_centered(u, h, ax) for ax, h in enumerate(hs)]
     if u.ndim == 1:
-        return np.abs(_centered(u, hs[0], 0))
-    gx = _centered(u, hs[0], 0)
-    gy = _centered(u, hs[1], 1)
-    return np.sqrt(gx * gx + gy * gy)
+        return np.abs(grads[0])
+    return np.sqrt(sum(g * g for g in grads))
 
 
 def _dist2(y, center, n_dim):
     y = np.asarray(y, dtype=float)
     if n_dim == 1:
-        c = center[0] if center.size else 0.0
-        return (y - c) ** 2
+        return (y - center[0]) ** 2
     return np.sum((y - center) ** 2, axis=-1)
 
 

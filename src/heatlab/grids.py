@@ -12,6 +12,14 @@ BOX = "box"
 BALL = "ball"
 
 
+def stencil_slices(ndim, axis):
+    """Indices of the nodes inside ``axis`` and of their backward and
+    forward neighbours along it, each with all of every other axis."""
+    return tuple(tuple(slice(lo, hi) if i == axis else slice(None)
+                       for i in range(ndim))
+                 for lo, hi in ((1, -1), (None, -2), (2, None)))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor grid over a box or a unit ball.
@@ -70,11 +78,8 @@ class Grid:
 
     @cached_property
     def _points(self):
-        if self.ndim == 1:
-            pts = self.axes[0][:, None]
-        else:
-            X, Y = np.meshgrid(*self.axes, indexing="ij")
-            pts = np.column_stack([X.ravel(), Y.ravel()])
+        pts = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1) \
+            .reshape(-1, self.ndim)
         pts.flags.writeable = False
         return pts
 

@@ -26,30 +26,82 @@ from . import geometry, potential as potential_mod, solver, spectral
 from .errors import BudgetError, ConfigurationError
 from .grids import Grid
 
-DEFAULT_RULES = {
-    "divergence_ceiling": 1e12,
-    "functional_threshold": 50.0,
-    "amplified_ceiling": 1e6,
-    "bounded_ceiling": 1e2,
-    "stabilization": 0.01,
-    "conformance_tol": 1e-6,
-    "tunnel_tol": 1e-8,
-    "growth_window": 3,
-    "probe_margin": 0.3,
-    "halfwidth_band": 0.2,
-}
-
 KINDS = ("rescaled", "ladder", "tunnel")
 OUTCOMES = ("propagation", "localization", "non-propagation-segment",
             "box-bounded", "line-propagation", "inconclusive", "unknown")
+
+_DT = 0.002  # the time step of a [grid] section without one
+
+# The keys each scenario reads, by kind and section, with their defaults:
+# [scenario] names its keys (their defaults live on Scenario); elsewhere a
+# key maps to its default, or, for a choice, to the keys each choice adds
+# (the first choice is the default); a type marks a key without a default.
+# A rescaled curve is linear, a ladder curve one-dimensional, and the kind
+# fixes the grid.
+_CURVES = {"linear": {"velocity": (1.0,), "horizon": 1.0, "samples": 513},
+           "arc": {"speed": 0.8, "t_max": 0.25, "horizon": 1.0,
+                   "samples": 513},
+           "boxed": {"speed": 2.0, "t_max": 0.25, "wobble": 0.1,
+                     "samples": 513},
+           "local-max": {"speed": 1.25, "t_max": 0.25, "samples": 513},
+           "initial-line": {"span": 4.0, "samples": 513},
+           "table": {"path": str}}
+_PROFILE = {"family": {potential_mod.INVERSE_SQUARE: {},
+                       potential_mod.POWER: {"exponent": float},
+                       potential_mod.LOG: {}},
+            "amplitude": 1.0}
+_HEAD = ("name", "kind", "expected", "p", "k_ladder")  # read by every kind
+_KIND_KEYS = {
+    "rescaled": {"scenario": _HEAD + ("alpha", "eps"),
+                 "curve": _CURVES["linear"],
+                 "potential": _PROFILE,
+                 "grid": {"n": 301, "dt": _DT, "ndim": 1},
+                 "rules": {"functional_threshold": 50.0,
+                           "amplified_ceiling": 1e6, "bounded_ceiling": 1e2,
+                           "conformance_tol": 1e-6, "growth_window": 3}},
+    "ladder": {"scenario": _HEAD + ("horizon",), "curve": {"form": _CURVES},
+               "potential": {"distance": {
+                   potential_mod.PARABOLIC: _PROFILE,
+                   potential_mod.ANISOTROPIC: _PROFILE,
+                   potential_mod.CONSTANT_FLOOR: {"floor": 1.0}}},
+               "grid": {"lo": -3.0, "hi": 3.0, "n": 301, "dt": _DT},
+               "rules": {"divergence_ceiling": 1e12, "stabilization": 0.01,
+                         "probe_margin": 0.3}},
+    "tunnel": {"scenario": _HEAD + ("eps", "gamma"), "curve": {},
+               "potential": _PROFILE,
+               "grid": {"length": 10.0, "n_axis": 201, "n_cross": 41,
+                        "dt": _DT},
+               "rules": {"tunnel_tol": 1e-8, "halfwidth_band": 0.2}},
+}
+# the Scenario field of each tabled section, and the grid of each kind
+_FIELDS = {"curve": "curve_cfg", "potential": "potential_cfg",
+           "grid": "grid_cfg", "rules": "rules"}
+_GRIDS = {"rescaled": Grid.unit_ball, "ladder": Grid.interval,
+          "tunnel": Grid.tunnel}
+
+
+def _fill(table, cfg, section):
+    """The values of the keys ``table`` reads: ``cfg``'s, else defaults."""
+    out = {}
+    for key, default in table.items():
+        choices = default if isinstance(default, dict) else {}
+        out[key] = value = cfg.get(key, next(iter(choices), default))
+        if isinstance(value, type):
+            raise ConfigurationError(f"[{section}] {key}: required")
+        if choices:
+            out.update(_fill(choices[value], cfg, section))
+    return out
 
 
 @dataclass
 class Scenario:
     """Declarative description of one experiment.
 
-    The ``*_cfg`` dicts hold the typed values of their file sections (see
-    ``_KEYS``); the builders read them with their own defaults.
+    The ``*_cfg`` dicts and ``rules`` hold the typed values of their file
+    sections; on construction they are completed with the defaults of
+    ``_KIND_KEYS``, and a key that the scenario does not read is a
+    ConfigurationError.  A tunnel is weighted (the supercritical case)
+    exactly when ``gamma`` is set.
     """
 
     name: str
@@ -60,104 +112,79 @@ class Scenario:
     eps_list: tuple = (0.2, 0.1, 0.05)
     k_ladder: tuple = solver.DEFAULT_LADDER[1:]
     horizon: float = 1.0
-    case: str = "subcritical"
     gamma: float | None = None
     curve_cfg: dict = dfield(default_factory=dict)
     potential_cfg: dict = dfield(default_factory=dict)
     grid_cfg: dict = dfield(default_factory=dict)
-    rules: dict = dfield(default_factory=lambda: dict(DEFAULT_RULES))
+    rules: dict = dfield(default_factory=dict)
+
+    def __post_init__(self):
+        for section, name in _FIELDS.items():
+            cfg = getattr(self, name)
+            filled = _fill(_KIND_KEYS[self.kind][section], cfg, section)
+            for key in cfg:
+                if key not in filled:
+                    raise ConfigurationError(f"[{section}] {key}: "
+                                             f"{_not_read(self, section, filled)}")
+            setattr(self, name, filled)
 
     def build_curve(self):
-        return build_curve(self.curve_cfg)
+        """The closed-form curve of the [curve] section (see ``_CURVES``)."""
+        cfg = self.curve_cfg
+        form = cfg.get("form", "linear")  # rescaled curves name no form
+        if form == "linear":
+            return geometry.Curve.straight(cfg["velocity"], cfg["horizon"],
+                                           n=cfg["samples"])
+        if form == "arc":
+            speed, t_max = cfg["speed"], cfg["t_max"]
+            return geometry.Curve.parametric(
+                lambda s: speed * s, lambda s: 4.0 * t_max * s * (1.0 - s),
+                cfg["horizon"], n=cfg["samples"])
+        if form in ("boxed", "local-max"):
+            return _knotted_curve(cfg)
+        if form == "initial-line":
+            return geometry.Curve.initial_line(cfg["span"], dim=1,
+                                               n=cfg["samples"])
+        return geometry.Curve.from_table(cfg["path"])
 
     def build_profile(self):
         cfg = self.potential_cfg
-        return potential_mod.DecayProfile(
-            cfg.get("family", potential_mod.INVERSE_SQUARE),
-            cfg.get("amplitude", 1.0), cfg.get("exponent"))
+        return potential_mod.DecayProfile(cfg["family"], cfg["amplitude"],
+                                          cfg.get("exponent"))
 
     def build_potential(self, curve=None):
-        dist = self.potential_cfg.get("distance", potential_mod.PARABOLIC)
+        dist = self.potential_cfg["distance"]
         if dist == potential_mod.CONSTANT_FLOOR:
             return potential_mod.Potential(
-                None, dist, floor=self.potential_cfg.get("floor", 1.0))
+                None, dist, floor=self.potential_cfg["floor"])
         return potential_mod.Potential(self.build_profile(), dist, curve=curve)
 
     def build_grid(self):
-        return build_grid(self.grid_cfg)
+        return _GRIDS[self.kind](**self.grid_cfg)
 
 
-def build_curve(cfg):
-    """Curve from a typed ``[curve]`` section: closed-form name + parameters."""
-    form = cfg.get("form", "linear")
-    n = cfg.get("samples", 513)
-    horizon = cfg.get("horizon", 1.0)
-    if form == "linear":
-        return geometry.Curve.straight(cfg.get("velocity", (1.0,)), horizon,
-                                       n=n)
-    if form == "arc":
-        speed = cfg.get("speed", 0.8)
-        t_max = cfg.get("t_max", 0.25)
-        return geometry.Curve.parametric(
-            lambda s: speed * s, lambda s: 4.0 * t_max * s * (1.0 - s),
-            horizon, n=n)
-    if form == "boxed":
-        return _boxed_curve(cfg, n)
-    if form == "local-max":
-        return _local_max_curve(cfg, n)
-    if form == "initial-line":
-        return geometry.Curve.initial_line(cfg.get("span", 4.0),
-                                           dim=cfg.get("dim", 2), n=n)
-    if form == "table":
-        return geometry.Curve.from_table(cfg["path"])
-    raise ConfigurationError(f"unknown curve form {form!r}")
+def _knotted_curve(cfg):
+    """Parametric curve on [0, 1] with t piecewise linear between knots:
+    ``boxed`` re-enters the box after its t maximum; ``local-max`` has a
+    local strict maximum of t followed by a climb past the box window (the
+    conjectural configuration; shipped as exploratory)."""
+    speed, t_max = cfg["speed"], cfg["t_max"]
+    if cfg["form"] == "boxed":
+        wobble = cfg["wobble"]
+        knots = [0.0, 0.4, 0.6, 0.8, 1.0], [0.0, t_max, 0.12, 0.15, 0.1]
 
+        def fx(s):
+            if s <= 0.4:
+                return speed * s
+            return speed * 0.4 + wobble * math.sin(
+                2.0 * math.pi * (s - 0.4) / 0.6)
+    else:
+        knots = [0.0, 0.4, 0.7, 1.0], [0.0, t_max, 0.1, 0.2]
 
-def _boxed_curve(cfg, n):
-    """Re-entry curve satisfying the box containment after its t maximum."""
-    speed = cfg.get("speed", 2.0)
-    wobble = cfg.get("wobble", 0.1)
-
-    def fx(s):
-        if s <= 0.4:
-            return speed * s
-        return speed * 0.4 + wobble * math.sin(2.0 * math.pi * (s - 0.4) / 0.6)
-
-    return _knotted_curve(fx, [0.0, 0.4, 0.6, 0.8, 1.0],
-                          [0.0, cfg.get("t_max", 0.25), 0.12, 0.15, 0.1], n)
-
-
-def _local_max_curve(cfg, n):
-    """Local strict maximum of t followed by a climb past the box window
-    (the conjectural configuration; shipped as exploratory)."""
-    speed = cfg.get("speed", 1.25)
-    return _knotted_curve(
-        lambda s: speed * min(s, 0.4) + 0.3 * max(s - 0.4, 0.0),
-        [0.0, 0.4, 0.7, 1.0], [0.0, cfg.get("t_max", 0.25), 0.1, 0.2], n)
-
-
-def _knotted_curve(fx, tau_knots, t_knots, n):
-    """Parametric curve on [0, 1] with t piecewise linear between knots."""
+        def fx(s):
+            return speed * min(s, 0.4) + 0.3 * max(s - 0.4, 0.0)
     return geometry.Curve.parametric(
-        fx, lambda s: float(np.interp(s, tau_knots, t_knots)), 1.0, n=n)
-
-
-_DT = 0.002  # the time step of a [grid] section without one
-
-
-def build_grid(cfg):
-    """Grid from a typed ``[grid]`` section."""
-    kind = cfg.get("kind", "box")
-    dt = cfg.get("dt", _DT)
-    n = cfg.get("n", 301)
-    if kind == "ball":
-        return Grid.unit_ball(n, dt, ndim=cfg.get("ndim", 1))
-    if kind == "tunnel":
-        return Grid.tunnel(cfg.get("length", 10.0), cfg.get("n_axis", 201),
-                           cfg.get("n_cross", 41), dt)
-    if kind != "box":
-        raise ConfigurationError(f"unknown grid kind {kind!r}")
-    return Grid.interval(cfg.get("lo", -3.0), cfg.get("hi", 3.0), n, dt)
+        fx, lambda s: float(np.interp(s, *knots)), 1.0, n=cfg["samples"])
 
 
 # ----------------------------------------------------------------------
@@ -167,70 +194,52 @@ def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-# the [curve] keys each form reads, besides ``form``
-_CURVE_KEYS = {"linear": ("velocity", "horizon", "samples"),
-               "arc": ("speed", "t_max", "horizon", "samples"),
-               "boxed": ("speed", "t_max", "wobble", "samples"),
-               "local-max": ("speed", "t_max", "samples"),
-               "initial-line": ("span", "dim", "samples"),
-               "table": ("path",)}
 # sweep axis -> the scenario section holding the key it replaces
 _AXES = {"amplitude": "potential", "alpha": "scenario", "p": "scenario",
          "velocity": "curve"}
 
+
+def _parsers(table):
+    """The parser of each key of ``table`` and of its choices: the tuple of
+    choices, or ``_floats`` for a tuple default, the type that stands for
+    no default, else the default's type."""
+    out = {}
+    for key, default in table.items():
+        if isinstance(default, dict):
+            out[key] = tuple(default)
+            for keys in default.values():
+                out.update(_parsers(keys))
+        else:
+            out[key] = _floats if isinstance(default, tuple) else \
+                default if isinstance(default, type) else type(default)
+    return out
+
+
 # Every key a scenario or sweep file may hold, by section, with the parser
 # of its text or the tuple of texts it may take; the values land typed in
-# Scenario and its *_cfg dicts.
+# Scenario, whose tabled sections take their parsers from _KIND_KEYS.
 _KEYS = {
     "scenario": {"name": str, "kind": KINDS, "expected": OUTCOMES,
                  "p": float, "alpha": float, "eps": _floats,
-                 "k_ladder": _floats, "horizon": float,
-                 "case": solver.TUNNEL_CASES, "gamma": float},
-    "curve": {"form": tuple(_CURVE_KEYS), "samples": int, "horizon": float,
-              "velocity": _floats, "speed": float, "t_max": float,
-              "wobble": float, "span": float, "dim": int, "path": str},
-    "potential": {"family": potential_mod.FAMILIES, "amplitude": float,
-                  "exponent": float, "distance": potential_mod.DISTANCES,
-                  "floor": float},
-    "grid": {"kind": ("box", "ball", "tunnel"), "dt": float, "n": int,
-             "ndim": int, "lo": float, "hi": float, "length": float,
-             "n_axis": int, "n_cross": int},
-    "rules": {**dict.fromkeys(DEFAULT_RULES, float), "growth_window": int},
+                 "k_ladder": _floats, "horizon": float, "gamma": float},
+    **{section: {key: parse for keys in _KIND_KEYS.values()
+                 for key, parse in _parsers(keys[section]).items()}
+       for section in _FIELDS},
     "sweep": {"name": str, "base": str, "mode": ("analytic", "numerical"),
               "budget_combos": int, "lam0": float, "threshold": float,
               **dict.fromkeys(_AXES, _floats)},
 }
 
-_PROFILE_KEYS = ("family", "amplitude", "exponent")
-# The keys each kind reads besides name, kind, expected, p, k_ladder and
-# the whole [grid]; a ladder's [curve] goes by form and its [potential] by
-# distance (see _read_keys).
-_KIND_KEYS = {
-    "rescaled": {"scenario": ("alpha", "eps"), "potential": _PROFILE_KEYS,
-                 "rules": ("functional_threshold", "amplified_ceiling",
-                           "bounded_ceiling", "conformance_tol",
-                           "growth_window")},
-    "ladder": {"scenario": ("horizon",), "rules": (
-        "divergence_ceiling", "stabilization", "probe_margin")},
-    "tunnel": {"scenario": ("eps", "case", "gamma"), "curve": (),
-               "potential": _PROFILE_KEYS,
-               "rules": ("tunnel_tol", "halfwidth_band")},
-}
-
 
 def _read_keys(sc, section):
     """The keys of ``section`` that some code path of scenario ``sc`` reads."""
-    keys = _KIND_KEYS[sc.kind]
-    if section == "scenario":
-        return ("name", "kind", "expected", "p", "k_ladder") + keys[section]
-    if section in keys:
-        return keys[section]
-    if section == "curve":
-        return ("form",) + _CURVE_KEYS[sc.curve_cfg.get("form", "linear")]
-    if section == "potential":
-        floor = sc.potential_cfg.get("distance") == potential_mod.CONSTANT_FLOOR
-        return ("distance",) + (("floor",) if floor else _PROFILE_KEYS)
-    return tuple(_KEYS[section])
+    return tuple(_KIND_KEYS[sc.kind][section] if section == "scenario"
+                 else getattr(sc, _FIELDS[section]))
+
+
+def _not_read(sc, section, read):
+    return (f"not read by this {sc.kind} scenario, whose [{section}] takes "
+            f"{', '.join(read) or 'no keys'}")
 
 
 def _read_ini(path, sections):
@@ -289,16 +298,16 @@ def load_scenario(path):
     head = {"name": Path(path).stem, **cfg["scenario"]}
     if "eps" in head:
         head["eps_list"] = head.pop("eps")
-    s = Scenario(**head, curve_cfg=cfg["curve"],
-                 potential_cfg=cfg["potential"], grid_cfg=cfg["grid"],
-                 rules={**DEFAULT_RULES, **cfg["rules"]})
-    for name in cfg:
-        read = _read_keys(s, name)
-        for key in cp[name]:
-            _check(key in read, path, cp[name], key,
-                   f"not read by this {s.kind} scenario, whose [{name}] "
-                   f"takes {', '.join(read) or 'no keys'}")
+    try:
+        s = Scenario(**head, curve_cfg=cfg["curve"],
+                     potential_cfg=cfg["potential"], grid_cfg=cfg["grid"],
+                     rules=cfg["rules"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     sc, grid = cp["scenario"], cp["grid"]
+    read = _read_keys(s, "scenario")
+    for key in sc:
+        _check(key in read, path, sc, key, _not_read(s, "scenario", read))
     positive = "must be one or more positive numbers"
     for key, ok, rule in (
             ("p", s.p > 1, "must be > 1"),
@@ -307,26 +316,22 @@ def load_scenario(path):
             ("eps", min(s.eps_list, default=0) > 0, positive),
             ("k_ladder", min(s.k_ladder, default=0) > 0, positive)):
         _check(ok, path, sc, key, rule)
-    if s.kind == "rescaled":  # solve_rescaled needs a graph-over-t curve
-        _check(s.curve_cfg.get("form", "linear") == "linear", path,
-               cp["curve"], "form", "rescaled runs need a linear curve")
-    if s.kind == "tunnel" and s.case == "supercritical":
-        _check(s.gamma is not None, path, sc, "gamma",
-               "required by the supercritical case")
+    if s.gamma is not None:
         try:  # tunnel grids have one axis and one cross direction
             potential_mod.check_weight_gate(s.gamma, s.p, n_dim=2)
         except ConfigurationError as exc:
             _check(False, path, sc, "gamma", str(exc))
-    kind = s.grid_cfg.get("kind")
-    if s.kind == "ladder" and kind in ("ball", "tunnel"):
-        # evolve probes 1D grids only
-        key = "kind" if kind == "tunnel" else "ndim"
-        _check(key == "ndim" and s.grid_cfg.get("ndim", 1) == 1, path, grid,
-               key, "ladder runs need a 1D grid")
+    if s.curve_cfg.get("form") == "table":  # next to the scenario file
+        s.curve_cfg["path"] = str(Path(path).parent / s.curve_cfg["path"])
+        try:
+            s.build_curve()
+        except (OSError, ValueError, ConfigurationError) as exc:
+            _check(False, path, cp["curve"], "path",
+                   f"no curve table: {str(exc).splitlines()[0]}")
     # the shortest evolution the scenario runs
     horizon = {"rescaled": s.alpha / max(s.eps_list) ** 2,
                "ladder": s.horizon, "tunnel": 1.0}[s.kind]
-    dt = s.grid_cfg.get("dt", _DT)
+    dt = s.grid_cfg["dt"]
     _check(dt > 0, path, grid, "dt", "must be > 0")
     _check(dt < horizon, path, grid, "dt",
            f"must be below the run horizon {horizon:.12g}")
@@ -513,8 +518,9 @@ def _run_tunnel(scenario):
     rules = scenario.rules
     profile = scenario.build_profile()
     grid = scenario.build_grid()
-    res = solver.tunnel_run(scenario.eps_list, scenario.p, profile,
-                            scenario.case, grid, gamma=scenario.gamma,
+    case = "subcritical" if scenario.gamma is None else "supercritical"
+    res = solver.tunnel_run(scenario.eps_list, scenario.p, profile, case,
+                            grid, gamma=scenario.gamma,
                             k=max(scenario.k_ladder))
     floors = [pe["log_floor_center"] for pe in res.per_eps]
     ratios = [pe["delta_measured"] / pe["delta_formula"] for pe in res.per_eps]
@@ -609,9 +615,10 @@ def emit_report(verdicts, out_dir):
 def load_sweep(path):
     """Sweep spec from an INI file; its base scenario is loaded (and
     checked) with :func:`load_scenario`.  Each axis must name a key that
-    the base reads, and its p and alpha values keep the scenario ranges;
-    an analytic sweep needs a rescaled base or none (``_ANALYTIC_BASE``),
-    and only it reads ``lam0`` and ``threshold``."""
+    the base reads, and its p and alpha values keep the scenario ranges
+    (a numerical alpha also the base curve's horizon); an analytic sweep
+    needs a rescaled base or none (``_ANALYTIC_BASE``), and only it reads
+    ``lam0`` and ``threshold``."""
     cp, cfg = _read_ini(path, ("sweep",))
     sw, section = cfg["sweep"], cp["sweep"]
     base = load_scenario(Path(path).parent / sw["base"]) \
@@ -634,14 +641,18 @@ def load_sweep(path):
     for key, low in (("p", 1.0), ("alpha", 0.0)):
         _check(key not in axes or min(axes[key], default=low) > low, path,
                section, key, f"must be one or more numbers > {low:g}")
-    _check("velocity" not in axes or any(_base_velocity(target)), path,
+    _check("velocity" not in axes or any(target.curve_cfg["velocity"]), path,
            section, "velocity", "the base curve has no direction to keep")
+    if "alpha" in axes and not analytic:  # runs follow the curve to alpha
+        horizon = base.curve_cfg["horizon"]
+        _check(max(axes["alpha"]) <= horizon + 1e-12, path, section, "alpha",
+               f"beyond the base curve's horizon {horizon:g}")
     return {"name": sw.get("name", Path(path).stem),
             "mode": "analytic" if analytic else "numerical", "base": base,
             "axes": axes, "budget_combos": sw.get("budget_combos", 512),
             "lam0": sw.get("lam0", 2.4674011002723395),
-            "threshold": sw.get("threshold",
-                                DEFAULT_RULES["functional_threshold"])}
+            "threshold": sw.get("threshold", _ANALYTIC_BASE.rules[
+                "functional_threshold"])}
 
 
 def _combo_key(combo):
@@ -724,10 +735,6 @@ def _verdict_record(combo, v):
                          if isinstance(val, (int, float, str, bool, list))}}
 
 
-def _base_velocity(sc):
-    return np.asarray(sc.curve_cfg.get("velocity", (1.0,)))
-
-
 def _scenario_for(base, combo):
     """The base scenario with the combo's values: ``amplitude``, ``alpha``
     and ``p`` replace the base's, and ``velocity`` rescales the base's
@@ -741,7 +748,7 @@ def _scenario_for(base, combo):
     if "amplitude" in combo:
         sc.potential_cfg["amplitude"] = combo["amplitude"]
     if "velocity" in combo:
-        u = _base_velocity(base)
+        u = np.asarray(base.curve_cfg["velocity"])
         sc.curve_cfg["velocity"] = tuple(
             (combo["velocity"] / np.linalg.norm(u) * u).tolist())
     return sc

@@ -28,7 +28,7 @@ from . import geometry, potential as potential_mod, spectral
 from .barriers import gaussian_cos_integral, heat_kernel, tunnel_subsolution
 from .errors import (BudgetError, ConfigurationError,
                      InfeasibleRestartError, NumericalError)
-from .grids import BALL, Field
+from .grids import BALL, Field, stencil_slices
 
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 DIVERGENCE_CEILING = 1e12
@@ -50,6 +50,10 @@ class PDESpec:
     p: float
     drift: object = None
     absorption: object = None
+
+    def __post_init__(self):
+        if not self.p > 1:
+            raise ConfigurationError(f"exponent p = {self.p} must be > 1")
 
 
 @dataclass
@@ -123,10 +127,8 @@ class Stepper:
                          else None for ab, prop in zip(self._ab, self._props)]
         # per axis: interior, backward and forward slices of the upwind
         # difference, and a buffer for it
-        self._upwind_slices = [
-            tuple(_axis_slice(grid.ndim, ax, lo, hi)
-                  for lo, hi in ((1, -1), (None, -2), (2, None)))
-            for ax in range(grid.ndim)]
+        self._upwind_slices = [stencil_slices(grid.ndim, ax)
+                               for ax in range(grid.ndim)]
         self._dbuf = [np.empty(grid.shape[:ax] + (n - 2,)
                                + grid.shape[ax + 1:])
                       for ax, n in enumerate(grid.shape)]
@@ -217,7 +219,7 @@ class Stepper:
         """
         p, dt = self.spec.p, self.dt
         a = self._absorption_values(t)
-        if a is None or p <= 1:
+        if a is None:
             return values
         scale_pow = math.exp(-(p - 1.0) * log_scale) if \
             (p - 1.0) * log_scale < 700 else 0.0
@@ -277,12 +279,6 @@ def _propagator(ab):
     """
     inv = solve_banded((1, 1), ab, np.eye(ab.shape[1]))
     return 0.5 * (inv + inv.T)
-
-
-def _axis_slice(ndim, axis, start, stop):
-    sl = [slice(None)] * ndim
-    sl[axis] = slice(start, stop)
-    return tuple(sl)
 
 
 # ----------------------------------------------------------------------

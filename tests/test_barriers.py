@@ -200,6 +200,28 @@ class TestDriftRadialBarrier:
         with pytest.raises(DomainError):
             barriers.drift_radial_barrier(1.0, 0.0, 1.0, 2.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("n", [49, 97])
+    def test_2d_constant_is_the_smallest_passing(self, n):
+        # on the calibration grids the residual of C * g has no violation
+        # on the band |x| <= 1 - 2h, and that of 0.9 * C has one
+        q, c = 2.0, 1.0
+        grid = Grid.unit_ball(n, 0.005, ndim=2)
+        pts = grid.points()
+        r2 = np.sum(pts * pts, axis=1)
+        psi = np.full(r2.shape, np.inf)
+        psi[r2 < 1.0] = barriers.drift_radial_barrier(
+            1.0, c, 1.0, q, (0.0, 0.0), pts[r2 < 1.0])
+        psi = psi.reshape(grid.shape)
+        band = (np.sqrt(r2) <= 1.0 - 2.0 * grid.spacing[0]).reshape(grid.shape)
+        C = barriers.drift_barrier_constant(2, q, c=c)
+        assert C > 1.0  # not the bisection's lower end
+        with np.errstate(invalid="ignore"):
+            reps = [barriers.verify_supersolution(
+                scale * psi, grid, None, q, absorption=1.0, drift=c,
+                mask=band) for scale in (1.0, 0.9)]
+        assert reps[0].violations == 0 and reps[0].n_checked > 0
+        assert reps[1].violations >= 1
+
 
 class TestTunnelSubsolution:
     lam = math.pi ** 2 / 4.0

@@ -13,18 +13,16 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def tiny_ladder_scenario(**overrides):
-    s = harness.Scenario(
-        name="tiny", kind="ladder", expected="non-propagation-segment",
-        p=2.0, horizon=0.25, k_ladder=(1e5, 1e6),
-        curve_cfg={"form": "arc", "speed": 1.6, "t_max": 0.25,
-                   "samples": 257},
-        potential_cfg={"family": "log", "amplitude": 2.0,
-                       "distance": "parabolic"},
-        grid_cfg={"kind": "box", "lo": -2.5, "hi": 3.5, "n": 201,
-                  "dt": 0.004})
-    for key, val in overrides.items():
-        setattr(s, key, val)
-    return s
+    return harness.Scenario(**{
+        "name": "tiny", "kind": "ladder",
+        "expected": "non-propagation-segment", "p": 2.0, "horizon": 0.25,
+        "k_ladder": (1e5, 1e6),
+        "curve_cfg": {"form": "arc", "speed": 1.6, "t_max": 0.25,
+                      "samples": 257},
+        "potential_cfg": {"family": "log", "amplitude": 2.0,
+                          "distance": "parabolic"},
+        "grid_cfg": {"lo": -2.5, "hi": 3.5, "n": 201, "dt": 0.004},
+        **overrides})
 
 
 class TestScenarioFiles:
@@ -136,30 +134,77 @@ class TestLoadValidation:
         assert "unknown rule" in self.rejected(path, "rules", key)
 
     @pytest.mark.parametrize("key, new", [
-        ("kind", "kind = tunnel"), ("ndim", "kind = ball\nndim = 2")])
-    def test_ladder_on_2d_grid(self, tmp_path, key, new):
-        path = self.edited(tmp_path, "box-reentry.ini", "kind = box", new)
-        assert "1D grid" in self.rejected(path, "grid", key)
+        ("kind", "kind = tunnel"), ("ndim", "ndim = 2")])
+    def test_ladder_on_2d_grid(self, tmp_path, monkeypatch, capsys, key,
+                               new):
+        # the scenario kind fixes the grid: a ladder runs on an interval
+        path = self.edited(tmp_path, "box-reentry.ini", "[grid]\n",
+                           f"[grid]\n{new}\n")
+        msg = self.rejected_by_cli(path, "grid", key, "run", monkeypatch,
+                                   capsys)
+        assert {"kind": "unknown key",
+                "ndim": "not read by this ladder scenario, whose [grid] "
+                        "takes lo, hi, n, dt"}[key] in msg
 
-    def test_ladder_on_1d_ball_loads(self, tmp_path):
-        path = self.edited(tmp_path, "box-reentry.ini", "kind = box",
-                           "kind = ball\nndim = 1")
-        assert harness.load_scenario(path).build_grid().ndim == 1
+    @pytest.mark.parametrize("name, key, old, new", [
+        # tunnel grid keys used to run a rescaled scenario on a box
+        ("propagation-straight.ini", "length", "ndim = 2\nn = 41",
+         "length = 3.0\nn_axis = 61\nn_cross = 21"),
+        # a tunnel on a ball used to fail at run time, naming no key
+        ("line-blowup.ini", "ndim", "length = 10.0\nn_axis = 201\n"
+         "n_cross = 41", "ndim = 2\nn = 41")])
+    def test_grid_keys_of_another_kind(self, tmp_path, monkeypatch, capsys,
+                                       name, key, old, new):
+        path = self.edited(tmp_path, name, old, new)
+        assert "not read" in self.rejected_by_cli(path, "grid", key, "run",
+                                                  monkeypatch, capsys)
+
+    def test_ladder_curve_is_one_dimensional(self, tmp_path, monkeypatch,
+                                             capsys):
+        # an initial line with dim used to load, and without it to fail
+        # at run time with "curve and grid dimensions disagree"
+        arc = "form = arc\nspeed = 1.6\nt_max = 0.25\nhorizon = 1.0"
+        line = "form = initial-line\nspan = 4.0"
+        path = self.edited(tmp_path, "downslope-arc.ini", arc,
+                           line + "\ndim = 2")
+        assert "unknown key" in self.rejected_by_cli(
+            path, "curve", "dim", "run", monkeypatch, capsys)
+        sc = harness.load_scenario(self.edited(tmp_path, "downslope-arc.ini",
+                                               arc, line))
+        assert sc.build_curve().dim == 1
+        assert harness.run_scenario(sc).evidence["k_ladder"] == \
+            list(sc.k_ladder)
 
     def test_unknown_grid_kind(self, tmp_path):
-        path = self.edited(tmp_path, "box-reentry.ini", "kind = box",
-                           "kind = tunel")
-        assert "unknown grid kind" in self.rejected(path, "grid", "kind")
+        path = self.edited(tmp_path, "box-reentry.ini", "[grid]\n",
+                           "[grid]\nkind = tunel\n")
+        assert "unknown key" in self.rejected(path, "grid", "kind")
 
     def test_unknown_tunnel_case(self, tmp_path):
-        path = self.edited(tmp_path, "line-blowup.ini",
-                           "case = subcritical", "case = critical")
-        self.rejected(path, "scenario", "case")
+        # gamma alone selects the weighted case; there is no case key
+        path = self.edited(tmp_path, "line-blowup.ini", "p = 2.0",
+                           "p = 2.0\ncase = critical")
+        assert "unknown key" in self.rejected(path, "scenario", "case")
 
-    def test_supercritical_without_gamma(self, tmp_path):
-        path = self.edited(tmp_path, "line-blowup-weighted.ini",
-                           "gamma = 2.5", "")
-        assert "required" in self.rejected(path, "scenario", "gamma")
+    def test_gamma_selects_the_weighted_case(self, tmp_path, monkeypatch):
+        # gamma used to be ignored by a subcritical file, and the evidence
+        # still recorded it
+        runs = []
+        orig = solver.tunnel_run
+
+        def spy(eps, p, profile, case, grid, gamma=None, k=math.inf):
+            runs.append((case, gamma))
+            return orig(eps, p, profile, case, grid, gamma=gamma, k=k)
+
+        monkeypatch.setattr(solver, "tunnel_run", spy)
+        path = self.edited(tmp_path, "line-blowup.ini", "p = 2.0",
+                           "p = 2.0\ngamma = 2.5")
+        v = harness.run_scenario(harness.load_scenario(path))
+        assert runs == [("supercritical", 2.5)]
+        assert v.evidence["gamma"] == 2.5
+        harness.run_scenario(
+            harness.load_scenario(SCENARIOS / "line-blowup.ini"))
+        assert runs[1] == ("subcritical", None)
 
     def test_supercritical_gamma_below_gate(self, tmp_path):
         # N = 2, p = 3: the gate needs gamma > 2
@@ -222,10 +267,36 @@ class TestLoadValidation:
         assert "not read" in msg
 
     def test_rescaled_needs_linear_curve(self, tmp_path):
+        # a rescaled curve is linear, so its file names no form
         path = self.edited(tmp_path, "propagation-straight.ini",
-                           "form = linear\nvelocity = 1.0, 0.0",
-                           "form = arc\nspeed = 1.0")
-        assert "linear" in self.rejected(path, "curve", "form")
+                           "velocity = 1.0, 0.0", "form = arc\nspeed = 1.0")
+        msg = self.rejected(path, "curve", "form")
+        assert "not read by this rescaled scenario, whose [curve] takes " \
+            "velocity, horizon, samples" in msg
+
+    def test_curve_table_next_to_the_file(self, tmp_path, monkeypatch,
+                                          capsys):
+        # the path used to resolve against the working directory, and a
+        # missing table to end in a numpy traceback when the curve was built
+        tau = np.linspace(0.0, 1.0, 33)
+        table = np.column_stack([tau, 0.25 * np.sin(np.pi * tau), 1.6 * tau])
+        np.savetxt(tmp_path / "arc.txt", table)
+        arc = ("form = arc\nspeed = 1.6\nt_max = 0.25\nhorizon = 1.0\n"
+               "samples = 513")
+        path = self.edited(tmp_path, "downslope-arc.ini", arc,
+                           "form = table\npath = arc.txt")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        curve = harness.load_scenario(path).build_curve()
+        assert np.array_equal(np.column_stack([curve.tau, curve.t, curve.x]),
+                              table)
+        for name, text in (("gone.txt", None), ("short.txt", "0 0\n1 1\n")):
+            if text is not None:
+                (tmp_path / name).write_text(text)
+            path = self.edited(tmp_path, "downslope-arc.ini", arc,
+                               f"form = table\npath = {name}")
+            assert "no curve table" in self.rejected_by_cli(
+                path, "curve", "path", "run", monkeypatch, capsys)
 
     def test_percent_sign_is_plain_text(self, tmp_path):
         # '%' used to start an interpolation that ended in a traceback
@@ -271,6 +342,9 @@ class TestLoadValidation:
          "threshold", "analytic sweeps only"),
         ("box-reentry.ini", "mode = analytic\np = 2, 3", "base",
          "rescaled base"),
+        # each combo used to fail at run time, naming neither file nor key
+        ("propagation-straight.ini", "mode = numerical\nalpha = 0.5, 2.0",
+         "alpha", "beyond the base curve's horizon 1"),
         (None, "mode = numerical\np = 2, 3", "base", "needs a base")])
     def test_sweep_key_not_run(self, tmp_path, monkeypatch, capsys, base,
                                body, key, rule):
@@ -328,20 +402,24 @@ class TestLoadValidation:
         assert err.count("\n") == 1 and "[grid] n = abc" in err
 
 
+def ladder_curve(**cfg):
+    return harness.Scenario("c", kind="ladder", curve_cfg=cfg).build_curve()
+
+
 class TestCurveForms:
     @pytest.mark.parametrize("form", ["linear", "arc", "boxed", "local-max",
                                       "initial-line"])
     def test_buildable(self, form):
-        c = harness.build_curve({"form": form, "samples": 129})
+        c = ladder_curve(form=form, samples=129)
         assert c.n_samples == 129
 
     def test_boxed_curve_classifies_as_box(self):
-        c = harness.build_curve({"form": "boxed", "samples": 257})
+        c = ladder_curve(form="boxed", samples=257)
         seg = geometry.classify_segments(c)
         assert seg.box is not None
 
     def test_local_max_curve_is_not_a_box(self):
-        c = harness.build_curve({"form": "local-max", "samples": 257})
+        c = ladder_curve(form="local-max", samples=257)
         seg = geometry.classify_segments(c)
         assert seg.box is None
         assert "decreasing" in seg.labels
@@ -357,6 +435,22 @@ class TestLadderScenario:
     def test_unknown_expected_always_matches(self):
         v = harness.run_scenario(tiny_ladder_scenario(expected="unknown"))
         assert v.matches
+
+    def test_constant_floor_bounds_the_control(self, tmp_path):
+        # h = 1 everywhere: the probe maxima of control-straight, which
+        # keep growing under its flat profile, stabilize
+        text = (SCENARIOS / "control-straight.ini").read_text()
+        old = "family = inverse-square\namplitude = 50.0\ndistance = parabolic"
+        assert old in text
+        path = tmp_path / "floor.ini"
+        path.write_text(text.replace(old, "distance = constant-floor\n"
+                                          "floor = 1.0"))
+        sc = harness.load_scenario(path)
+        assert sc.potential_cfg == {"distance": "constant-floor",
+                                    "floor": 1.0}
+        v = harness.run_scenario(sc)
+        assert v.outcome == "localization"
+        assert v.evidence["stabilization_gap"] <= sc.rules["stabilization"]
 
     def test_budget_error_names_parameter(self):
         with pytest.raises(BudgetError):
@@ -459,8 +553,7 @@ def ladder_pairs(draw):
                    "horizon": 0.1, "samples": 129},
         potential_cfg={"family": "inverse-square", "amplitude": 0.5,
                        "distance": "parabolic"},
-        grid_cfg={"kind": "box", "lo": -2.0, "hi": 2.0, "n": 81,
-                  "dt": 0.004})
+        grid_cfg={"lo": -2.0, "hi": 2.0, "n": 81, "dt": 0.004})
 
 
 class TestLadderMonotoneInK:
@@ -580,6 +673,16 @@ class TestSweep:
         assert rec["combo"] == {"amplitude": 2.0}
         assert rec["outcome"] == "non-propagation-segment"
 
+    def test_serial_sweep_matches_the_pool(self, tmp_path):
+        # workers = 1, the default of heatlab sweep, runs in this process
+        spec = {"name": "amp-axis", "mode": "numerical",
+                "base": tiny_ladder_scenario(),
+                "axes": {"amplitude": (2.0, 3.0)}, "budget_combos": 8}
+        serial = harness.sweep(spec, tmp_path / "serial.jsonl")
+        assert serial == harness.sweep(spec, tmp_path / "pool.jsonl",
+                                       workers=2)
+        assert serial[0]["outcome"] == "non-propagation-segment"
+
     def test_combo_budget(self, tmp_path):
         spec = harness.load_sweep(SCENARIOS / "sweep-phase.ini")
         spec["budget_combos"] = 3
@@ -638,9 +741,9 @@ class TestRescaledRules:
         sc = harness.Scenario(
             name="short-zoom", kind="rescaled", expected="unknown", p=2.0,
             alpha=0.5, eps_list=(0.5, 0.4), k_ladder=(1e3,),
-            curve_cfg={"form": "linear", "velocity": (0.5,), "samples": 65},
+            curve_cfg={"velocity": (0.5,), "samples": 65},
             potential_cfg={"family": "inverse-square", "amplitude": 1.0},
-            grid_cfg={"kind": "ball", "ndim": 1, "n": 41, "dt": 0.005})
+            grid_cfg={"ndim": 1, "n": 41, "dt": 0.005})
         sc.rules = dict(sc.rules, growth_window=2)
         harness.run_scenario(sc)
         assert windows == [2, 2]
@@ -663,9 +766,9 @@ class TestRescaledRules:
         sc = harness.Scenario(
             name="zoom-1d", kind="rescaled", expected="unknown", p=2.0,
             alpha=1.0, eps_list=(0.2, 0.1), k_ladder=(1e3,),
-            curve_cfg={"form": "linear", "velocity": (1.0,), "samples": 65},
+            curve_cfg={"velocity": (1.0,), "samples": 65},
             potential_cfg={"family": family, "amplitude": amplitude},
-            grid_cfg={"kind": "ball", "ndim": 1, "n": 41, "dt": 0.005})
+            grid_cfg={"ndim": 1, "n": 41, "dt": 0.005})
         sc.rules = dict(sc.rules, growth_window=2)
         v = harness.run_scenario(sc)
         ev, rules = v.evidence, sc.rules

@@ -99,6 +99,23 @@ class TestStepImex:
         fld = solver.evolve(Field(g, vals, 0.0), spec, 50 * g.dt).final
         assert fld.values.min() >= -1e-12
 
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_exponent_at_most_one_rejected(self, p):
+        # the absorption map used to return the field untouched, so such a
+        # spec silently solved the linear heat equation
+        with pytest.raises(ConfigurationError, match="must be > 1"):
+            solver.PDESpec(p=p, absorption=1.0)
+
+    def test_non_finite_field_stops_the_run(self):
+        g = box_grid(n=61, dt=1e-2)
+        vals = np.zeros(g.shape)
+        vals[30] = np.nan
+        res = solver.evolve(Field(g, vals, 0.0), solver.PDESpec(p=2.0),
+                            10 * g.dt)
+        assert res.diverged
+        assert res.events == [(g.dt, "non-finite")]
+        assert res.times.size == res.log_linf.size == 1
+
     def test_curve_on_2d_grid_rejected(self):
         # curves are probed by 1D interpolation only
         g = Grid.unit_ball(21, 1e-3, ndim=2)
