@@ -134,36 +134,24 @@ def _calibrate_unit_constant(n_dim, q, c_hat):
     """Smallest C in [1, 1e6] with nonnegative FD residual on the unit ball.
 
     The residual of C*g under -lap - c_hat*|grad| + (.)**q factors as
-    C * (-lap g - c_hat |grad g| + C**(q-1) g**q), so its sign is monotone
-    in C and a bisection on C is exact.  Checked at two grid refinements on
-    the band |w| <= 1 - 2h (the blow-up layer next to the sphere cannot
-    carry a stencil).
+    C * (-lap g - c_hat |grad g| + C**(q-1) g**q), so it is nonnegative
+    exactly where C**(q-1) >= (lap g + c_hat |grad g|) / g**q: C is the
+    (q-1)-th root of the largest ratio, rounded up by a relative 1e-12 so
+    that rounding in the residual cannot tip it below zero.  Checked at two
+    grid refinements on the band |w| <= 1 - 2h (the blow-up layer next to
+    the sphere cannot carry a stencil).
     """
     grids = _CAL_GRIDS_1D if n_dim == 1 else _CAL_GRIDS_2D
-    parts = [_unit_residual_parts(n, n_dim, q) for n in grids]
-
-    def ok(cval):
-        for lap, grad, g, band in parts:
-            res = -lap[band] - c_hat * grad[band] + cval ** (q - 1.0) * g[band] ** q
-            if np.min(res) < 0.0:
-                return False
-        return True
-
-    lo, hi = 1.0, 1.0e6
-    if ok(lo):
-        return lo
-    if not ok(hi):
+    need = max(float(np.max((lap[band] + c_hat * grad[band]) / g[band] ** q))
+               for lap, grad, g, band in
+               (_unit_residual_parts(n, n_dim, q) for n in grids))
+    if need <= 1.0:
+        return 1.0
+    root = need ** (1.0 / (q - 1.0))
+    if root > 1.0e6:
         raise NumericalError(
             f"no barrier constant in [1, 1e6] for N={n_dim}, q={q}, c={c_hat}")
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
-    return hi
+    return root * (1.0 + 1e-12)
 
 
 def drift_barrier_constant(n_dim, q, c=0.0, eta=1.0, rho=1.0):

@@ -3,8 +3,9 @@
 A curve is a sampled map ``tau -> (x(tau), t(tau))`` issued from the
 space-time origin.  Everything downstream (potentials, moving-frame
 solvers, scenario classification) consumes curves through the small API
-here: parabolic distance, anisotropic distance, tube membership and
-monotonicity classification of the time component.
+here: parabolic distance, tube membership and monotonicity classification
+of the time component.  A degeneracy line in the initial plane is not a
+curve: its anisotropic distance max(sqrt(t), |x'|) needs the point alone.
 """
 
 import warnings
@@ -17,9 +18,8 @@ from .errors import ConfigurationError, DomainError
 
 GRAPH = "graph-over-t"
 PARAMETRIC = "general-parametric"
-INITIAL_LINE = "initial-plane-line"
 
-_KINDS = (GRAPH, PARAMETRIC, INITIAL_LINE)
+_KINDS = (GRAPH, PARAMETRIC)
 
 # relative tolerance of the local golden-section refinement in parabolic_distance
 _GOLDEN_RTOL = 1e-10
@@ -33,13 +33,12 @@ class Curve:
     Parameters
     ----------
     kind : str
-        One of ``graph-over-t`` (t(tau) = tau, strictly increasing),
-        ``general-parametric`` or ``initial-plane-line`` (t identically 0,
-        x spanning the first coordinate axis).
+        ``graph-over-t`` (t(tau) = tau, strictly increasing) or
+        ``general-parametric``.
     tau, t : ndarray, shape (m,)
         Parameter values and time component, ``t[0] == 0``.
     x : ndarray, shape (m, N)
-        Space component, ``x[0] == 0`` except for initial-plane lines.
+        Space component, ``x[0] == 0``.
     horizon : float
         Final parameter/time value T > 0.
     """
@@ -69,12 +68,8 @@ class Curve:
             raise ConfigurationError("curve horizon must be positive")
         if np.any(t < 0):
             raise ConfigurationError("curve has negative times")
-        if self.kind == INITIAL_LINE:
-            if np.any(t != 0):
-                raise ConfigurationError("initial-plane line must have t == 0")
-        else:
-            if abs(t[0]) > 0 or np.linalg.norm(x[0]) > 0:
-                raise ConfigurationError("curve must be issued from the origin")
+        if abs(t[0]) > 0 or np.linalg.norm(x[0]) > 0:
+            raise ConfigurationError("curve must be issued from the origin")
         if self.kind == GRAPH:
             if np.any(np.diff(t) <= 0):
                 raise ConfigurationError("graph-over-t requires strictly increasing t")
@@ -120,23 +115,13 @@ class Curve:
         return cls(PARAMETRIC, tau, t, x, horizon=float(horizon))
 
     @classmethod
-    def initial_line(cls, span, dim=2, n=513):
-        """Straight line along the x_1 axis in the t = 0 plane."""
-        tau = np.linspace(0.0, span, n)
-        x = np.zeros((n, dim))
-        x[:, 0] = np.linspace(-span / 2.0, span / 2.0, n)
-        return cls(INITIAL_LINE, tau, np.zeros(n), x, horizon=float(span))
-
-    @classmethod
     def from_table(cls, path, kind=PARAMETRIC):
         """Load samples from a whitespace table: tau  t  x_1 .. x_N ('#' comments)."""
         data = np.loadtxt(path, comments="#", ndmin=2)
         if data.shape[1] < 3:
             raise ConfigurationError(f"curve table {path} needs at least 3 columns")
-        tau, t, x = data[:, 0], data[:, 1], data[:, 2:]
-        if kind == PARAMETRIC and np.all(t == 0):
-            kind = INITIAL_LINE
-        return cls(kind, tau, t, x, horizon=float(tau[-1]))
+        return cls(kind, data[:, 0], data[:, 1], data[:, 2:],
+                   horizon=float(data[-1, 0]))
 
     # ------------------------------------------------------------------
     # interpolation and derivatives

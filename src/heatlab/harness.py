@@ -36,33 +36,33 @@ _DT = 0.002  # the time step of a [grid] section without one
 # [scenario] names its keys (their defaults live on Scenario); elsewhere a
 # key maps to its default, or, for a choice, to the keys each choice adds
 # (the first choice is the default); a type marks a key without a default.
-# A rescaled curve is linear, a ladder curve one-dimensional, and the kind
-# fixes the grid.
+# A rescaled curve is linear and its velocity's width fixes the ball's
+# dimension; a ladder curve is one-dimensional (a line in the initial plane
+# is a tunnel's case); the kind fixes the grid.
 _CURVES = {"linear": {"velocity": (1.0,), "horizon": 1.0, "samples": 513},
            "arc": {"speed": 0.8, "t_max": 0.25, "horizon": 1.0,
                    "samples": 513},
            "boxed": {"speed": 2.0, "t_max": 0.25, "wobble": 0.1,
                      "samples": 513},
            "local-max": {"speed": 1.25, "t_max": 0.25, "samples": 513},
-           "initial-line": {"span": 4.0, "samples": 513},
            "table": {"path": str}}
 _PROFILE = {"family": {potential_mod.INVERSE_SQUARE: {},
                        potential_mod.POWER: {"exponent": float},
                        potential_mod.LOG: {}},
             "amplitude": 1.0}
-_HEAD = ("name", "kind", "expected", "p", "k_ladder")  # read by every kind
+_HEAD = ("name", "kind", "expected", "p")  # read by every kind
 _KIND_KEYS = {
     "rescaled": {"scenario": _HEAD + ("alpha", "eps"),
                  "curve": _CURVES["linear"],
                  "potential": _PROFILE,
-                 "grid": {"n": 301, "dt": _DT, "ndim": 1},
+                 "grid": {"n": 301, "dt": _DT},
                  "rules": {"functional_threshold": 50.0,
                            "amplified_ceiling": 1e6, "bounded_ceiling": 1e2,
                            "conformance_tol": 1e-6, "growth_window": 3}},
-    "ladder": {"scenario": _HEAD + ("horizon",), "curve": {"form": _CURVES},
+    "ladder": {"scenario": _HEAD + ("k_ladder", "horizon"),
+               "curve": {"form": _CURVES},
                "potential": {"distance": {
                    potential_mod.PARABOLIC: _PROFILE,
-                   potential_mod.ANISOTROPIC: _PROFILE,
                    potential_mod.CONSTANT_FLOOR: {"floor": 1.0}}},
                "grid": {"lo": -3.0, "hi": 3.0, "n": 301, "dt": _DT},
                "rules": {"divergence_ceiling": 1e12, "stabilization": 0.01,
@@ -74,10 +74,10 @@ _KIND_KEYS = {
                "rules": {"tunnel_tol": 1e-8, "halfwidth_band": 0.2}},
 }
 # the Scenario field of each tabled section, and the grid of each kind
+# (a rescaled ball's dimension is its curve's, see Scenario.build_grid)
 _FIELDS = {"curve": "curve_cfg", "potential": "potential_cfg",
            "grid": "grid_cfg", "rules": "rules"}
-_GRIDS = {"rescaled": Grid.unit_ball, "ladder": Grid.interval,
-          "tunnel": Grid.tunnel}
+_GRIDS = {"ladder": Grid.interval, "tunnel": Grid.tunnel}
 
 
 def _fill(table, cfg, section):
@@ -142,9 +142,6 @@ class Scenario:
                 cfg["horizon"], n=cfg["samples"])
         if form in ("boxed", "local-max"):
             return _knotted_curve(cfg)
-        if form == "initial-line":
-            return geometry.Curve.initial_line(cfg["span"], dim=1,
-                                               n=cfg["samples"])
         return geometry.Curve.from_table(cfg["path"])
 
     def build_profile(self):
@@ -160,6 +157,9 @@ class Scenario:
         return potential_mod.Potential(self.build_profile(), dist, curve=curve)
 
     def build_grid(self):
+        if self.kind == "rescaled":  # a ball of the curve's dimension
+            return Grid.unit_ball(**self.grid_cfg,
+                                  ndim=len(self.curve_cfg["velocity"]))
         return _GRIDS[self.kind](**self.grid_cfg)
 
 
@@ -314,8 +314,18 @@ def load_scenario(path):
             ("alpha", s.alpha > 0, "must be > 0"),
             ("horizon", s.horizon > 0, "must be > 0"),
             ("eps", min(s.eps_list, default=0) > 0, positive),
-            ("k_ladder", min(s.k_ladder, default=0) > 0, positive)):
+            # the verdict compares the last two rungs
+            ("k_ladder", len(s.k_ladder) > 1 and min(s.k_ladder) > 0,
+             "must be two or more positive numbers")):
         _check(ok, path, sc, key, rule)
+    if "velocity" in s.curve_cfg:  # one component per grid axis
+        widths, rule = {
+            "rescaled": ((1, 2), "must have 1 or 2 components, one per "
+                                 "axis of the ball"),
+            "ladder": ((1,), "must have 1 component: a ladder runs on an "
+                             "interval")}[s.kind]
+        _check(len(s.curve_cfg["velocity"]) in widths, path, cp["curve"],
+               "velocity", rule)
     if s.gamma is not None:
         try:  # tunnel grids have one axis and one cross direction
             potential_mod.check_weight_gate(s.gamma, s.p, n_dim=2)
@@ -324,10 +334,12 @@ def load_scenario(path):
     if s.curve_cfg.get("form") == "table":  # next to the scenario file
         s.curve_cfg["path"] = str(Path(path).parent / s.curve_cfg["path"])
         try:
-            s.build_curve()
+            x_columns = s.build_curve().dim
         except (OSError, ValueError, ConfigurationError) as exc:
             _check(False, path, cp["curve"], "path",
                    f"no curve table: {str(exc).splitlines()[0]}")
+        _check(x_columns == 1, path, cp["curve"], "path",
+               "a ladder curve table has one x column")
     # the shortest evolution the scenario runs
     horizon = {"rescaled": s.alpha / max(s.eps_list) ** 2,
                "ladder": s.horizon, "tunnel": 1.0}[s.kind]
@@ -401,8 +413,7 @@ def _run_rescaled(scenario):
     grid = scenario.build_grid()
     psi0 = solver._ground_state_for(grid)
     per_eps = [solver.solve_rescaled(e, curve, scenario.p, scenario.alpha,
-                                     grid, profile=profile, psi0=psi0,
-                                     k=max(scenario.k_ladder))
+                                     grid, profile=profile, psi0=psi0)
                for e in scenario.eps_list]
     log_amp = [r.log_amplified for r in per_eps]
     margins = [r.conformance_margin for r in per_eps]
@@ -471,8 +482,11 @@ def _run_ladder(scenario):
     maxima = [_window_max(run, window)
               for run in ladder_runs(scenario, curve)]
     m_lo, m_hi = maxima[-2], maxima[-1]
-    stabilized = (m_lo > 0 and abs(m_hi - m_lo) / m_lo <= rules["stabilization"])
-    if stabilized and seg.box is not None:
+    gap = abs(m_hi - m_lo) / m_lo if m_lo > 0 else math.inf
+    stabilized = gap <= rules["stabilization"]
+    if m_lo == 0:  # no probe hit: the curve left the grid or the run window
+        outcome = "inconclusive"
+    elif stabilized and seg.box is not None:
         outcome = "box-bounded"
     elif stabilized and "decreasing" in seg.labels:
         outcome = "non-propagation-segment"
@@ -484,7 +498,7 @@ def _run_ladder(scenario):
     evidence = {
         "k_ladder": list(scenario.k_ladder),
         "probe_maxima": maxima,
-        "stabilization_gap": abs(m_hi - m_lo) / m_lo if m_lo > 0 else math.inf,
+        "stabilization_gap": gap,
         "segments": [list(map(str, iv)) for iv in seg.intervals],
         "box_center": None if a is None else np.atleast_1d(a).tolist(),
         "box_radius": r0,
@@ -520,8 +534,7 @@ def _run_tunnel(scenario):
     grid = scenario.build_grid()
     case = "subcritical" if scenario.gamma is None else "supercritical"
     res = solver.tunnel_run(scenario.eps_list, scenario.p, profile, case,
-                            grid, gamma=scenario.gamma,
-                            k=max(scenario.k_ladder))
+                            grid, gamma=scenario.gamma)
     floors = [pe["log_floor_center"] for pe in res.per_eps]
     ratios = [pe["delta_measured"] / pe["delta_formula"] for pe in res.per_eps]
     growing = bool(np.all(np.diff(floors) > 0.0))

@@ -10,7 +10,8 @@ span the propagation/localization boundary:
 
 The distance feeding l is either the parabolic distance to a space-time
 curve, the anisotropic distance max(sqrt(t), |x'|) to a line in the initial
-plane, or a constant floor (h identically beta, for cylinder estimates).
+plane (point values only), or a constant floor (h identically beta, for
+cylinder estimates).
 """
 
 from dataclasses import dataclass
@@ -106,7 +107,9 @@ class Potential:
         return float(np.exp(-eval_profile(self.profile, d)))
 
     def evaluate_grid(self, points, t):
-        """Vectorized h over solver nodes at one time level.
+        """Vectorized h over solver nodes at one time level, for the
+        parabolic distance or the constant floor; the anisotropic distance
+        has point values only.
 
         Returns ``(values, n_underflow)`` where the count records nodes at
         positive distance whose exp(-l) underflowed to zero; those zeros are
@@ -115,11 +118,10 @@ class Potential:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.distance == CONSTANT_FLOOR:
             return np.full(pts.shape[0], float(self.floor)), 0
-        if self.distance == PARABOLIC:
-            d = geometry.parabolic_distance_grid(points, t, self.curve)
-        else:
-            xp = pts[:, 1:] if pts.shape[1] > 1 else np.zeros((pts.shape[0], 1))
-            d = np.maximum(np.sqrt(max(t, 0.0)), np.linalg.norm(xp, axis=1))
+        if self.distance == ANISOTROPIC:
+            raise ConfigurationError("grid levels of h need the parabolic "
+                                     "distance or a constant floor")
+        d = geometry.parabolic_distance_grid(points, t, self.curve)
         vals = np.zeros_like(d)
         pos = d > 0
         # a positive d whose square or power underflows gives l = inf, so

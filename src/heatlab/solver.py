@@ -287,11 +287,8 @@ def _propagator(ab):
 def dirac_family(k, grid, t_start):
     """Mollified Dirac datum k * K(., 0, t_start) on the grid.
 
-    The kernel must span at least 4 cells: sqrt(4 t_start) >= 4 h.  The
-    infinity marker (k = inf) selects the top of ``DEFAULT_LADDER``.
+    The kernel must span at least 4 cells: sqrt(4 t_start) >= 4 h.
     """
-    if k == math.inf:
-        k = max(DEFAULT_LADDER)
     if k < 0:
         raise ConfigurationError("Dirac mass must be nonnegative")
     if k == 0:
@@ -420,8 +417,8 @@ def solve_uk(k, curve, pot, p, horizon, grid, t_start=None,
              ceiling=DIVERGENCE_CEILING, snapshot_times=None):
     """Evolve the Dirac-datum solution u_k probing along the curve.
 
-    Numerical blow-up along the curve is recorded (run frozen, verdict in
-    ``events``) when any probe exceeds the divergence ceiling.  ``pot`` is
+    Numerical blow-up is recorded (run frozen, verdict in ``events``) when
+    the field's L-infinity norm exceeds the divergence ceiling.  ``pot`` is
     a Potential or a :class:`potential.SharedLevels`: the rungs of a
     ladder pass one SharedLevels so that h is evaluated once per time
     level for all of them (they start at the same ``t_start``), and each
@@ -457,11 +454,11 @@ _PROBE_STRIDE = 0.5
 _MAX_STEPS = 2_000_000
 
 
-def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
-                   k=math.inf):
+def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None):
     """Evolve the zoomed field on the unit ball out to time alpha/eps**2.
 
-    The moving frame contributes the drift eps * x'(eps**2 t); absorption is
+    The datum, of Dirac mass ``max(DEFAULT_LADDER)``, stands in for u_inf;
+    the moving frame contributes the drift eps * x'(eps**2 t); absorption is
     the unit-coefficient power nonlinearity.  Records the center value at
     the final time (as a log), the Hopf ratio c1 = min field(., 1)/psi0, the
     measured nonlinear feedback sup, and the conformance margin against the
@@ -496,7 +493,7 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None,
     pts = grid.points()
 
     spec = PDESpec(p=p, drift=drift, absorption=1.0)
-    fld = dirac_family(k, grid, t_start)
+    fld = dirac_family(max(DEFAULT_LADDER), grid, t_start)
     snap_times = np.arange(1.0, t_end + 1e-9, _PROBE_STRIDE)
 
     c1, sigma = math.nan, 0.0
@@ -648,12 +645,13 @@ _FLOOR_THRESHOLD = 1e6
 TUNNEL_CASES = ("subcritical", "supercritical")
 
 
-def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf):
+def tunnel_run(eps, p, profile, case, grid, gamma=None):
     """Evolve the rescaled tunnel problem and calibrate the explicit floor.
 
-    ``case`` is "subcritical" (unit absorption coefficient) or
-    "supercritical" (weighted coefficient (max(sqrt(tau), |xi'|))**gamma,
-    gated by :func:`potential.check_weight_gate`).  The run is compared
+    The datum has Dirac mass ``max(DEFAULT_LADDER)``.  ``case`` is
+    "subcritical" (unit absorption coefficient) or "supercritical"
+    (weighted coefficient (max(sqrt(tau), |xi'|))**gamma, gated by
+    :func:`potential.check_weight_gate`).  The run is compared
     against c * W(., tau), W from :func:`barriers.tunnel_subsolution`,
     after the calibration shift a = ``_A_SHIFT``: c is the grid minimum of
     the ratio at the first comparison time ``_TAU_CAL`` + a, deflated by
@@ -691,7 +689,7 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None, k=math.inf):
             return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma
 
     spec = PDESpec(p=p, drift=None, absorption=absorption)
-    fld = dirac_family(k, grid, _aligned_start(grid))
+    fld = dirac_family(max(DEFAULT_LADDER), grid, _aligned_start(grid))
     snap_times = np.arange(_TAU_CAL + _A_SHIFT, 1.0 - 1e-9, 0.05)
     result = evolve(fld, spec, 1.0, snapshot_times=snap_times)
 

@@ -203,7 +203,8 @@ class TestDriftRadialBarrier:
     @pytest.mark.parametrize("n", [49, 97])
     def test_2d_constant_is_the_smallest_passing(self, n):
         # on the calibration grids the residual of C * g has no violation
-        # on the band |x| <= 1 - 2h, and that of 0.9 * C has one
+        # on the band |x| <= 1 - 2h, and that of 0.9 * C has one; so has
+        # (1 - 1e-9) * C on the finer grid, which sets the constant
         q, c = 2.0, 1.0
         grid = Grid.unit_ball(n, 0.005, ndim=2)
         pts = grid.points()
@@ -214,13 +215,14 @@ class TestDriftRadialBarrier:
         psi = psi.reshape(grid.shape)
         band = (np.sqrt(r2) <= 1.0 - 2.0 * grid.spacing[0]).reshape(grid.shape)
         C = barriers.drift_barrier_constant(2, q, c=c)
-        assert C > 1.0  # not the bisection's lower end
+        assert C > 1.0  # not the lower end of [1, 1e6]
         with np.errstate(invalid="ignore"):
             reps = [barriers.verify_supersolution(
                 scale * psi, grid, None, q, absorption=1.0, drift=c,
-                mask=band) for scale in (1.0, 0.9)]
+                mask=band) for scale in (1.0, 0.9, 1.0 - 1e-9)]
         assert reps[0].violations == 0 and reps[0].n_checked > 0
         assert reps[1].violations >= 1
+        assert reps[2].violations >= (n == 97)
 
 
 class TestTunnelSubsolution:

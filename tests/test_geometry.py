@@ -185,11 +185,17 @@ class TestCurveConstruction:
         with pytest.raises(ConfigurationError):
             Curve("general-parametric", tau, t, x, horizon=1.0)
 
-    def test_initial_line(self):
-        c = Curve.initial_line(4.0, dim=2, n=65)
-        assert np.all(c.t == 0.0)
-        assert np.all(c.x[:, 1] == 0.0)
-        assert c.x[:, 0].min() == pytest.approx(-2.0)
+    def test_initial_line(self, tmp_path):
+        # a line in the initial plane is no curve kind of its own: a table
+        # of one issued from the origin is general-parametric, and one
+        # centred on it is not issued from the origin
+        path = tmp_path / "line.txt"
+        span = np.linspace(0.0, 2.0, 9)
+        np.savetxt(path, np.column_stack([span, 0.0 * span, span]))
+        assert Curve.from_table(path).kind == "general-parametric"
+        np.savetxt(path, np.column_stack([span, 0.0 * span, span - 1.0]))
+        with pytest.raises(ConfigurationError, match="origin"):
+            Curve.from_table(path)
 
     def test_table_roundtrip(self, tmp_path):
         path = tmp_path / "curve.txt"

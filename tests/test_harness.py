@@ -84,7 +84,8 @@ class TestLoadValidation:
                            "eps = 0.2, 0.1", f"eps = {eps}")
         self.rejected(path, "scenario", "eps")
 
-    @pytest.mark.parametrize("ks", ["", "0, 1e2", "1e1, -1e2"])
+    # a single rung used to end in an IndexError when the ladder ran
+    @pytest.mark.parametrize("ks", ["", "0, 1e2", "1e1, -1e2", "1e6"])
     def test_empty_or_nonpositive_k_ladder(self, tmp_path, ks):
         path = self.edited(tmp_path, "downslope-arc.ini",
                            "k_ladder = 1e1, 1e2, 1e3, 1e4, 1e5, 1e6",
@@ -142,38 +143,68 @@ class TestLoadValidation:
                            f"[grid]\n{new}\n")
         msg = self.rejected_by_cli(path, "grid", key, "run", monkeypatch,
                                    capsys)
-        assert {"kind": "unknown key",
-                "ndim": "not read by this ladder scenario, whose [grid] "
-                        "takes lo, hi, n, dt"}[key] in msg
+        assert "unknown key" in msg
 
-    @pytest.mark.parametrize("name, key, old, new", [
+    @pytest.mark.parametrize("name, key, old, new, rule", [
         # tunnel grid keys used to run a rescaled scenario on a box
-        ("propagation-straight.ini", "length", "ndim = 2\nn = 41",
-         "length = 3.0\nn_axis = 61\nn_cross = 21"),
-        # a tunnel on a ball used to fail at run time, naming no key
+        ("propagation-straight.ini", "length", "n = 41",
+         "length = 3.0\nn_axis = 61\nn_cross = 21", "not read"),
+        # a tunnel on a ball used to fail at run time, naming no key; no
+        # grid takes a dimension now
         ("line-blowup.ini", "ndim", "length = 10.0\nn_axis = 201\n"
-         "n_cross = 41", "ndim = 2\nn = 41")])
+         "n_cross = 41", "ndim = 2\nn = 41", "unknown key")])
     def test_grid_keys_of_another_kind(self, tmp_path, monkeypatch, capsys,
-                                       name, key, old, new):
+                                       name, key, old, new, rule):
         path = self.edited(tmp_path, name, old, new)
-        assert "not read" in self.rejected_by_cli(path, "grid", key, "run",
-                                                  monkeypatch, capsys)
+        assert rule in self.rejected_by_cli(path, "grid", key, "run",
+                                            monkeypatch, capsys)
 
     def test_ladder_curve_is_one_dimensional(self, tmp_path, monkeypatch,
                                              capsys):
-        # an initial line with dim used to load, and without it to fail
-        # at run time with "curve and grid dimensions disagree"
-        arc = "form = arc\nspeed = 1.6\nt_max = 0.25\nhorizon = 1.0"
-        line = "form = initial-line\nspan = 4.0"
-        path = self.edited(tmp_path, "downslope-arc.ini", arc,
-                           line + "\ndim = 2")
-        assert "unknown key" in self.rejected_by_cli(
-            path, "curve", "dim", "run", monkeypatch, capsys)
-        sc = harness.load_scenario(self.edited(tmp_path, "downslope-arc.ini",
-                                               arc, line))
-        assert sc.build_curve().dim == 1
-        assert harness.run_scenario(sc).evidence["k_ladder"] == \
-            list(sc.k_ladder)
+        # a two-component ladder velocity, or a curve table with two x
+        # columns, used to load and fail at run time with "curve and grid
+        # dimensions disagree"
+        path = self.edited(tmp_path, "control-straight.ini",
+                           "velocity = 1.0", "velocity = 1.0, 0.5")
+        assert "must have 1 component" in self.rejected_by_cli(
+            path, "curve", "velocity", "run", monkeypatch, capsys)
+        tau = np.linspace(0.0, 1.0, 33)
+        np.savetxt(tmp_path / "arc.txt", np.column_stack(
+            [tau, 0.25 * np.sin(np.pi * tau), 1.6 * tau, 0.0 * tau]))
+        path = self.edited(tmp_path, "downslope-arc.ini",
+                           "form = arc\nspeed = 1.6\nt_max = 0.25\n"
+                           "horizon = 1.0\nsamples = 513",
+                           "form = table\npath = arc.txt")
+        assert "one x column" in self.rejected_by_cli(
+            path, "curve", "path", "run", monkeypatch, capsys)
+
+    @pytest.mark.parametrize("name, section, key, old, new, rule", [
+        # a ladder along a line in the initial plane probed nothing and
+        # answered propagation; that line is the tunnel's case
+        ("downslope-arc.ini", "curve", "form",
+         "form = arc\nspeed = 1.6\nt_max = 0.25\nhorizon = 1.0",
+         "form = initial-line", "unknown curve form"),
+        # a 1D ladder grid has no transverse coordinate
+        ("box-reentry.ini", "potential", "distance", "distance = parabolic",
+         "distance = anisotropic", "unknown potential distance"),
+        # the ball takes its dimension from the velocity; a third
+        # component, or a ndim that disagreed with it, used to fail at
+        # run time naming no key
+        ("propagation-straight.ini", "curve", "velocity",
+         "velocity = 1.0, 0.0", "velocity = 1.0, 0.0, 0.0",
+         "must have 1 or 2 components"),
+        ("propagation-straight.ini", "grid", "ndim", "n = 41",
+         "ndim = 2\nn = 41", "unknown key"),
+        # zoomed and tunnel runs start from the top of the default ladder
+        ("propagation-straight.ini", "scenario", "k_ladder", "alpha = 1.0",
+         "alpha = 1.0\nk_ladder = 1e3", "not read by this rescaled"),
+        ("line-blowup.ini", "scenario", "k_ladder", "p = 2.0",
+         "p = 2.0\nk_ladder = 1e6", "not read by this tunnel")])
+    def test_deleted_input(self, tmp_path, monkeypatch, capsys, name,
+                           section, key, old, new, rule):
+        path = self.edited(tmp_path, name, old, new)
+        assert rule in self.rejected_by_cli(path, section, key, "run",
+                                            monkeypatch, capsys)
 
     def test_unknown_grid_kind(self, tmp_path):
         path = self.edited(tmp_path, "box-reentry.ini", "[grid]\n",
@@ -192,9 +223,9 @@ class TestLoadValidation:
         runs = []
         orig = solver.tunnel_run
 
-        def spy(eps, p, profile, case, grid, gamma=None, k=math.inf):
+        def spy(eps, p, profile, case, grid, gamma=None):
             runs.append((case, gamma))
-            return orig(eps, p, profile, case, grid, gamma=gamma, k=k)
+            return orig(eps, p, profile, case, grid, gamma=gamma)
 
         monkeypatch.setattr(solver, "tunnel_run", spy)
         path = self.edited(tmp_path, "line-blowup.ini", "p = 2.0",
@@ -407,8 +438,7 @@ def ladder_curve(**cfg):
 
 
 class TestCurveForms:
-    @pytest.mark.parametrize("form", ["linear", "arc", "boxed", "local-max",
-                                      "initial-line"])
+    @pytest.mark.parametrize("form", ["linear", "arc", "boxed", "local-max"])
     def test_buildable(self, form):
         c = ladder_curve(form=form, samples=129)
         assert c.n_samples == 129
@@ -451,6 +481,19 @@ class TestLadderScenario:
         v = harness.run_scenario(sc)
         assert v.outcome == "localization"
         assert v.evidence["stabilization_gap"] <= sc.rules["stabilization"]
+
+    def test_probeless_ladder_is_inconclusive(self, tmp_path):
+        # every curve sample after t = 0 lies past the run's horizon 0.25,
+        # so no rung records a probe; this used to answer propagation
+        tau = np.linspace(0.0, 1.0, 5)
+        np.savetxt(tmp_path / "late.txt",
+                   np.column_stack([tau, np.r_[0.0, 0.5 + 0.5 * tau[1:]],
+                                    0.5 * tau]))
+        sc = tiny_ladder_scenario(curve_cfg={"form": "table",
+                                             "path": str(tmp_path / "late.txt")})
+        v = harness.run_scenario(sc)
+        assert v.evidence["probe_maxima"] == [0.0, 0.0]
+        assert v.outcome == "inconclusive"
 
     def test_budget_error_names_parameter(self):
         with pytest.raises(BudgetError):
@@ -740,10 +783,10 @@ class TestRescaledRules:
         monkeypatch.setattr(spectral, "blowup_functional", spy)
         sc = harness.Scenario(
             name="short-zoom", kind="rescaled", expected="unknown", p=2.0,
-            alpha=0.5, eps_list=(0.5, 0.4), k_ladder=(1e3,),
+            alpha=0.5, eps_list=(0.5, 0.4),
             curve_cfg={"velocity": (0.5,), "samples": 65},
             potential_cfg={"family": "inverse-square", "amplitude": 1.0},
-            grid_cfg={"ndim": 1, "n": 41, "dt": 0.005})
+            grid_cfg={"n": 41, "dt": 0.005})
         sc.rules = dict(sc.rules, growth_window=2)
         harness.run_scenario(sc)
         assert windows == [2, 2]
@@ -765,10 +808,10 @@ class TestRescaledRules:
         monkeypatch.setattr(solver, "solve_rescaled", shifted)
         sc = harness.Scenario(
             name="zoom-1d", kind="rescaled", expected="unknown", p=2.0,
-            alpha=1.0, eps_list=(0.2, 0.1), k_ladder=(1e3,),
+            alpha=1.0, eps_list=(0.2, 0.1),
             curve_cfg={"velocity": (1.0,), "samples": 65},
             potential_cfg={"family": family, "amplitude": amplitude},
-            grid_cfg={"ndim": 1, "n": 41, "dt": 0.005})
+            grid_cfg={"n": 41, "dt": 0.005})
         sc.rules = dict(sc.rules, growth_window=2)
         v = harness.run_scenario(sc)
         ev, rules = v.evidence, sc.rules

@@ -75,6 +75,12 @@ class TestEvalH:
         assert n_under == pts.size
         assert np.all(vals == 0.0)
 
+    def test_grid_needs_parabolic_or_floor(self):
+        # the anisotropic distance has point values only
+        pot = Potential(DecayProfile("inverse-square", 8.0), "anisotropic")
+        with pytest.raises(ConfigurationError, match="parabolic"):
+            pot.evaluate_grid(np.zeros((4, 2)), 0.1)
+
     def test_grid_matches_pointwise(self, straight_curve):
         pot = Potential(DecayProfile("inverse-square", 2.0), "parabolic",
                         curve=straight_curve)

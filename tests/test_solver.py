@@ -353,11 +353,27 @@ class TestDiracFamily:
         g = box_grid()
         assert np.all(solver.dirac_family(0.0, g, 0.01).values == 0.0)
 
-    def test_infinity_marker_uses_ladder_top(self):
-        g = box_grid()
-        top = solver.dirac_family(math.inf, g, 0.01)
-        explicit = solver.dirac_family(1e6, g, 0.01)
-        assert np.allclose(top.values, explicit.values)
+    def test_runs_start_at_ladder_top(self, monkeypatch):
+        # the zoomed and tunnel runs start from the top of DEFAULT_LADDER
+        masses = []
+
+        class Started(Exception):
+            pass
+
+        def spy(k, grid, t_start):
+            masses.append(k)
+            raise Started
+
+        monkeypatch.setattr(solver, "dirac_family", spy)
+        curve = geometry.Curve.straight((1.0,), 1.0, n=65)
+        prof = DecayProfile("inverse-square", 8.0)
+        with pytest.raises(Started):
+            solver.solve_rescaled(0.5, curve, 2.0, 0.25,
+                                  Grid.unit_ball(21, 0.01))
+        with pytest.raises(Started):
+            solver.tunnel_run(0.2, 2.0, prof, "subcritical",
+                              Grid.tunnel(10.0, 41, 11, 0.01))
+        assert masses == [max(solver.DEFAULT_LADDER)] * 2
 
     def test_under_resolved_kernel_rejected(self):
         g = box_grid(n=61, dt=1e-3)  # h = 0.1, needs t0 >= 0.04
