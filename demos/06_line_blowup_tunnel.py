@@ -15,7 +15,7 @@ from heatlab.potential import DecayProfile
 profile = DecayProfile("inverse-square", 8.0)
 grid = Grid.tunnel(10.0, 201, 41, 5e-4)
 
-res = solver.tunnel_run([0.2, 0.1], 2.0, profile, "subcritical", grid)
+res = solver.tunnel_run([0.2, 0.1], 2.0, profile, grid)
 print(f"calibration: shift a = {res.a}, constant c = {res.c:.4g}")
 print(f"subsolution conformance min = {res.conformance_min:.2e} (>= -1e-8)")
 for pe in res.per_eps:
@@ -24,8 +24,7 @@ for pe in res.per_eps:
           f"log floor at the axis {pe['log_floor_center']:.1f}")
 
 print("\nweighted (supercritical) variant, gamma = 2.5 > N(p-1)-2:")
-res2 = solver.tunnel_run([0.2, 0.1], 3.0, profile, "supercritical", grid,
-                         gamma=2.5)
+res2 = solver.tunnel_run([0.2, 0.1], 3.0, profile, grid, gamma=2.5)
 for pe in res2.per_eps:
     print(f"  eps={pe['eps']}: log floor {pe['log_floor_center']:.1f}, "
           f"half-width {pe['delta_measured']:.3f}")

@@ -7,7 +7,7 @@ evidence by those rules alone.  Sweeps run grids of scenarios with an
 append-only, resumable log.
 
 All decision constants live in the scenario files (section ``[rules]``);
-the parser defaults below only back missing keys.
+the defaults of ``_KIND_KEYS`` only back missing keys.
 """
 
 import configparser
@@ -31,10 +31,10 @@ OUTCOMES = ("propagation", "localization", "non-propagation-segment",
             "box-bounded", "line-propagation", "inconclusive", "unknown")
 
 _DT = 0.002  # the time step of a [grid] section without one
+_EPS = (0.2, 0.1, 0.05)  # the zoom levels of a scenario without eps
 
 # The keys each scenario reads, by kind and section, with their defaults:
-# [scenario] names its keys (their defaults live on Scenario); elsewhere a
-# key maps to its default, or, for a choice, to the keys each choice adds
+# a key maps to its default, or, for a choice, to the keys each choice adds
 # (the first choice is the default); a type marks a key without a default.
 # A rescaled curve is linear and its velocity's width fixes the ball's
 # dimension; a ladder curve is one-dimensional (a line in the initial plane
@@ -50,16 +50,16 @@ _PROFILE = {"family": {potential_mod.INVERSE_SQUARE: {},
                        potential_mod.POWER: {"exponent": float},
                        potential_mod.LOG: {}},
             "amplitude": 1.0}
-_HEAD = ("name", "kind", "expected", "p")  # read by every kind
 _KIND_KEYS = {
-    "rescaled": {"scenario": _HEAD + ("alpha", "eps"),
+    "rescaled": {"scenario": {"alpha": 1.0, "eps": _EPS},
                  "curve": _CURVES["linear"],
                  "potential": _PROFILE,
                  "grid": {"n": 301, "dt": _DT},
                  "rules": {"functional_threshold": 50.0,
                            "amplified_ceiling": 1e6, "bounded_ceiling": 1e2,
                            "conformance_tol": 1e-6, "growth_window": 3}},
-    "ladder": {"scenario": _HEAD + ("k_ladder", "horizon"),
+    "ladder": {"scenario": {"k_ladder": solver.DEFAULT_LADDER[1:],
+                            "horizon": 1.0},
                "curve": {"form": _CURVES},
                "potential": {"distance": {
                    potential_mod.PARABOLIC: _PROFILE,
@@ -67,17 +67,38 @@ _KIND_KEYS = {
                "grid": {"lo": -3.0, "hi": 3.0, "n": 301, "dt": _DT},
                "rules": {"divergence_ceiling": 1e12, "stabilization": 0.01,
                          "probe_margin": 0.3}},
-    "tunnel": {"scenario": _HEAD + ("eps", "gamma"), "curve": {},
+    "tunnel": {"scenario": {"eps": _EPS, "gamma": None}, "curve": {},
                "potential": _PROFILE,
                "grid": {"length": 10.0, "n_axis": 201, "n_cross": 41,
                         "dt": _DT},
                "rules": {"tunnel_tol": 1e-8, "halfwidth_band": 0.2}},
 }
-# the Scenario field of each tabled section, and the grid of each kind
-# (a rescaled ball's dimension is its curve's, see Scenario.build_grid)
+# the [scenario] keys that every kind reads but name (the choices add no
+# keys); the Scenario field of each tabled [scenario] key and of each
+# other section, and the grid of each kind but the rescaled ball
+_COMMON = {"kind": dict.fromkeys(KINDS, {}),
+           "expected": dict.fromkeys(OUTCOMES, {}), "p": 2.0}
+_HEAD = {"alpha": "alpha", "eps": "eps_list", "k_ladder": "k_ladder",
+         "horizon": "horizon", "gamma": "gamma"}
 _FIELDS = {"curve": "curve_cfg", "potential": "potential_cfg",
            "grid": "grid_cfg", "rules": "rules"}
 _GRIDS = {"ladder": Grid.interval, "tunnel": Grid.tunnel}
+# the range of each number that no builder checks: a rule and its test
+_RANGES = {"p": ("must be > 1", lambda v: v > 1),
+           "alpha": ("must be > 0", lambda v: v > 0),
+           "horizon": ("must be > 0", lambda v: v > 0),
+           "eps": ("must be one or more positive numbers",
+                   lambda v: min(v, default=0) > 0),
+           # the verdict compares the last two rungs
+           "k_ladder": ("must be two or more positive numbers",
+                        lambda v: len(v) > 1 and min(v) > 0),
+           # the functional reads the tail of two or more values
+           "growth_window": ("must be at least 2", lambda v: v >= 2)}
+
+
+def _require(ok, section, key, value, rule):
+    if not ok:
+        raise ConfigurationError(f"[{section}] {key} = {value}: {rule}")
 
 
 def _fill(table, cfg, section):
@@ -86,32 +107,61 @@ def _fill(table, cfg, section):
     for key, default in table.items():
         choices = default if isinstance(default, dict) else {}
         out[key] = value = cfg.get(key, next(iter(choices), default))
-        if isinstance(value, type):
-            raise ConfigurationError(f"[{section}] {key}: required")
+        _require(not isinstance(value, type), section, key, "(unset)",
+                 "required")
+        rule, ok = _RANGES.get(key, ("", None))
+        _require(ok is None or ok(value), section, key, value, rule)
         if choices:
+            _require(value in choices, section, key, value,
+                     f"unknown {section} {key}, not one of "
+                     f"{', '.join(choices)}")
             out.update(_fill(choices[value], cfg, section))
     return out
 
 
+def _read(kind, section, cfg):
+    """``cfg`` (a None value is unset) filled with the defaults of the
+    keys that a ``kind`` scenario reads in ``section``; others are errors."""
+    cfg = {key: value for key, value in cfg.items() if value is not None}
+    read = _fill(_KIND_KEYS[kind][section], cfg, section)
+    takes = (("name", *_COMMON) if section == "scenario" else ()) \
+        + tuple(read)
+    for key, value in cfg.items():
+        _require(key in read, section, key, value,
+                 f"not read by this {kind} scenario, whose [{section}] "
+                 f"takes {', '.join(takes) or 'no keys'}")
+    return read
+
+
+def _built(build, section, cfg, rule=""):
+    """``build()``, its error naming the section and the ``cfg`` values."""
+    try:
+        return build()
+    except (OSError, ValueError) as exc:  # ConfigurationError included
+        values = ", ".join(f"{key} = {value}" for key, value in cfg.items())
+        raise ConfigurationError(f"[{section}] {values}: "
+                                 f"{rule}{str(exc).splitlines()[0]}") from None
+
+
 @dataclass
 class Scenario:
-    """Declarative description of one experiment.
+    """Declarative description of one experiment, checked on construction.
 
     The ``*_cfg`` dicts and ``rules`` hold the typed values of their file
-    sections; on construction they are completed with the defaults of
-    ``_KIND_KEYS``, and a key that the scenario does not read is a
-    ConfigurationError.  A tunnel is weighted (the supercritical case)
-    exactly when ``gamma`` is set.
+    sections.  The constructor fills them, and the [scenario] fields left
+    None, from ``_KIND_KEYS`` (a field the kind does not read stays None),
+    checks every value and builds the grid, curve and profile or potential
+    once.  A tunnel is weighted (supercritical) exactly when gamma is set.
     """
 
     name: str
     kind: str = "rescaled"         # rescaled | ladder | tunnel
     expected: str = "unknown"
     p: float = 2.0
-    alpha: float = 1.0
-    eps_list: tuple = (0.2, 0.1, 0.05)
-    k_ladder: tuple = solver.DEFAULT_LADDER[1:]
-    horizon: float = 1.0
+    alpha: float | None = None
+    eps_list: tuple | None = None
+    k_ladder: tuple | None = None
+    horizon: float | None = None
     gamma: float | None = None
     curve_cfg: dict = dfield(default_factory=dict)
     potential_cfg: dict = dfield(default_factory=dict)
@@ -119,14 +169,40 @@ class Scenario:
     rules: dict = dfield(default_factory=dict)
 
     def __post_init__(self):
-        for section, name in _FIELDS.items():
-            cfg = getattr(self, name)
-            filled = _fill(_KIND_KEYS[self.kind][section], cfg, section)
-            for key in cfg:
-                if key not in filled:
-                    raise ConfigurationError(f"[{section}] {key}: "
-                                             f"{_not_read(self, section, filled)}")
-            setattr(self, name, filled)
+        _fill(_COMMON, vars(self), "scenario")  # kind first: it picks a table
+        head = _read(self.kind, "scenario", {
+            key: getattr(self, attr) for key, attr in _HEAD.items()})
+        for key, attr in _HEAD.items():
+            setattr(self, attr, head.get(key))
+        for section, attr in _FIELDS.items():
+            setattr(self, attr, _read(self.kind, section, getattr(self, attr)))
+        dt, horizon = self.grid_cfg["dt"], min(self._run_ends())
+        _require(0 < dt < horizon, "grid", "dt", dt,
+                 f"must be > 0 and below the run horizon {horizon:.12g}")
+        if self.gamma is not None:  # a tunnel has one axis, one cross one
+            _built(lambda: potential_mod.check_weight_gate(
+                self.gamma, self.p, 2), "scenario", {"gamma": self.gamma})
+        curve, cfg = None, self.curve_cfg
+        if cfg:  # a tunnel reads no curve; a table is read here
+            key = "path" if cfg.get("form") == "table" else "velocity"
+            curve = _built(self.build_curve, "curve", {key: cfg[key]}
+                           if key == "path" else cfg,
+                           "no curve table: " if key == "path" else "")
+            width, count = (2, "1 or 2 components") \
+                if self.kind == "rescaled" else (1, "1 component")
+            _require(curve.dim <= width, "curve", key, cfg.get(key),
+                     f"must have {count}, one per axis of the grid (in a "
+                     "table, one x column each)")
+        _built(self.build_grid, "grid", self.grid_cfg)
+        _built(lambda: self.build_potential(curve) if self.kind == "ladder"
+               else self.build_profile(), "potential", self.potential_cfg)
+
+    def _run_ends(self):
+        """The end time of each evolution the scenario runs."""
+        if self.kind == "rescaled":
+            return [self.alpha / (e * e) for e in self.eps_list]
+        return [self.horizon] * len(self.k_ladder) \
+            if self.kind == "ladder" else [1.0]
 
     def build_curve(self):
         """The closed-form curve of the [curve] section (see ``_CURVES``)."""
@@ -149,12 +225,11 @@ class Scenario:
         return potential_mod.DecayProfile(cfg["family"], cfg["amplitude"],
                                           cfg.get("exponent"))
 
-    def build_potential(self, curve=None):
-        dist = self.potential_cfg["distance"]
-        if dist == potential_mod.CONSTANT_FLOOR:
-            return potential_mod.Potential(
-                None, dist, floor=self.potential_cfg["floor"])
-        return potential_mod.Potential(self.build_profile(), dist, curve=curve)
+    def build_potential(self, curve):
+        cfg = self.potential_cfg
+        return potential_mod.Potential(
+            None if "floor" in cfg else self.build_profile(),
+            cfg["distance"], curve=curve, floor=cfg.get("floor"))
 
     def build_grid(self):
         if self.kind == "rescaled":  # a ball of the curve's dimension
@@ -200,46 +275,34 @@ _AXES = {"amplitude": "potential", "alpha": "scenario", "p": "scenario",
 
 
 def _parsers(table):
-    """The parser of each key of ``table`` and of its choices: the tuple of
-    choices, or ``_floats`` for a tuple default, the type that stands for
-    no default, else the default's type."""
+    """The parser of each key of ``table`` and of its choices: ``str`` for
+    a choice, ``_floats`` for a tuple default, the type that stands for no
+    default, else the default's type."""
     out = {}
     for key, default in table.items():
-        if isinstance(default, dict):
-            out[key] = tuple(default)
+        if isinstance(default, dict):  # a choice, then the keys of each
             for keys in default.values():
                 out.update(_parsers(keys))
-        else:
-            out[key] = _floats if isinstance(default, tuple) else \
-                default if isinstance(default, type) else type(default)
+            default = str
+        out[key] = _floats if isinstance(default, tuple) else \
+            default if isinstance(default, type) else type(default)
     return out
 
 
 # Every key a scenario or sweep file may hold, by section, with the parser
-# of its text or the tuple of texts it may take; the values land typed in
-# Scenario, whose tabled sections take their parsers from _KIND_KEYS.
+# of its text; the values land typed in Scenario, which checks them, and
+# whose tabled sections take their parsers from _KIND_KEYS.
 _KEYS = {
-    "scenario": {"name": str, "kind": KINDS, "expected": OUTCOMES,
-                 "p": float, "alpha": float, "eps": _floats,
-                 "k_ladder": _floats, "horizon": float, "gamma": float},
+    "scenario": {"name": str, "kind": str, "expected": str, "p": float,
+                 "alpha": float, "eps": _floats, "k_ladder": _floats,
+                 "horizon": float, "gamma": float},
     **{section: {key: parse for keys in _KIND_KEYS.values()
                  for key, parse in _parsers(keys[section]).items()}
        for section in _FIELDS},
-    "sweep": {"name": str, "base": str, "mode": ("analytic", "numerical"),
-              "budget_combos": int, "lam0": float, "threshold": float,
+    "sweep": {"name": str, "base": str, "mode": str, "budget_combos": int,
+              "lam0": float, "threshold": float,
               **dict.fromkeys(_AXES, _floats)},
 }
-
-
-def _read_keys(sc, section):
-    """The keys of ``section`` that some code path of scenario ``sc`` reads."""
-    return tuple(_KIND_KEYS[sc.kind][section] if section == "scenario"
-                 else getattr(sc, _FIELDS[section]))
-
-
-def _not_read(sc, section, read):
-    return (f"not read by this {sc.kind} scenario, whose [{section}] takes "
-            f"{', '.join(read) or 'no keys'}")
 
 
 def _read_ini(path, sections):
@@ -259,24 +322,18 @@ def _read_ini(path, sections):
     for name in cp.sections():
         if name not in sections:
             raise ConfigurationError(f"{path}: [{name}]: unknown section")
-    for name in sections:
-        if not cp.has_section(name):
-            cp.add_section(name)
-    return cp, {name: {key: _value(path, cp[name], key) for key in cp[name]}
+    return cp, {name: {key: _value(path, cp[name], key)
+                       for key in (cp[name] if name in cp else ())}
                 for name in sections}
 
 
 def _value(path, section, key):
     """The key's text in an INI section, parsed through ``_KEYS``."""
-    parse, text = _KEYS[section.name].get(key), section[key]
+    parse = _KEYS[section.name].get(key)
     _check(parse is not None, path, section, key,
            "unknown rule" if section.name == "rules" else "unknown key")
-    if isinstance(parse, tuple):
-        _check(text in parse, path, section, key,
-               f"unknown {section.name} {key}, not one of {', '.join(parse)}")
-        return text
     try:
-        return parse(text)
+        return parse(section[key])
     except ValueError:
         rule = {float: "not a number", int: "not an integer",
                 _floats: "not a list of numbers"}[parse]
@@ -290,64 +347,19 @@ def _check(ok, path, section, key, rule):
 
 
 def load_scenario(path):
-    """Scenario from an INI file.  A bad value, an unknown key, or a key
-    that no code path of the scenario's kind, curve form or potential
-    reads is a ConfigurationError naming the file, section and key."""
-    cp, cfg = _read_ini(path, ("scenario", "curve", "potential", "grid",
-                               "rules"))
-    head = {"name": Path(path).stem, **cfg["scenario"]}
-    if "eps" in head:
-        head["eps_list"] = head.pop("eps")
+    """Scenario from an INI file, each key parsed to its type and a curve
+    table ``path`` resolved next to the file; an error of the file or of
+    the :class:`Scenario` checks names the file, section and key."""
+    _, cfg = _read_ini(path, ("scenario",) + tuple(_FIELDS))
+    if "path" in cfg["curve"]:
+        cfg["curve"]["path"] = str(Path(path).parent / cfg["curve"]["path"])
+    head = {_HEAD.get(key, key): value
+            for key, value in cfg["scenario"].items()}
     try:
-        s = Scenario(**head, curve_cfg=cfg["curve"],
-                     potential_cfg=cfg["potential"], grid_cfg=cfg["grid"],
-                     rules=cfg["rules"])
+        return Scenario(**{"name": Path(path).stem, **head},
+                        **{attr: cfg[name] for name, attr in _FIELDS.items()})
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    sc, grid = cp["scenario"], cp["grid"]
-    read = _read_keys(s, "scenario")
-    for key in sc:
-        _check(key in read, path, sc, key, _not_read(s, "scenario", read))
-    positive = "must be one or more positive numbers"
-    for key, ok, rule in (
-            ("p", s.p > 1, "must be > 1"),
-            ("alpha", s.alpha > 0, "must be > 0"),
-            ("horizon", s.horizon > 0, "must be > 0"),
-            ("eps", min(s.eps_list, default=0) > 0, positive),
-            # the verdict compares the last two rungs
-            ("k_ladder", len(s.k_ladder) > 1 and min(s.k_ladder) > 0,
-             "must be two or more positive numbers")):
-        _check(ok, path, sc, key, rule)
-    if "velocity" in s.curve_cfg:  # one component per grid axis
-        widths, rule = {
-            "rescaled": ((1, 2), "must have 1 or 2 components, one per "
-                                 "axis of the ball"),
-            "ladder": ((1,), "must have 1 component: a ladder runs on an "
-                             "interval")}[s.kind]
-        _check(len(s.curve_cfg["velocity"]) in widths, path, cp["curve"],
-               "velocity", rule)
-    if s.gamma is not None:
-        try:  # tunnel grids have one axis and one cross direction
-            potential_mod.check_weight_gate(s.gamma, s.p, n_dim=2)
-        except ConfigurationError as exc:
-            _check(False, path, sc, "gamma", str(exc))
-    if s.curve_cfg.get("form") == "table":  # next to the scenario file
-        s.curve_cfg["path"] = str(Path(path).parent / s.curve_cfg["path"])
-        try:
-            x_columns = s.build_curve().dim
-        except (OSError, ValueError, ConfigurationError) as exc:
-            _check(False, path, cp["curve"], "path",
-                   f"no curve table: {str(exc).splitlines()[0]}")
-        _check(x_columns == 1, path, cp["curve"], "path",
-               "a ladder curve table has one x column")
-    # the shortest evolution the scenario runs
-    horizon = {"rescaled": s.alpha / max(s.eps_list) ** 2,
-               "ladder": s.horizon, "tunnel": 1.0}[s.kind]
-    dt = s.grid_cfg["dt"]
-    _check(dt > 0, path, grid, "dt", "must be > 0")
-    _check(dt < horizon, path, grid, "dt",
-           f"must be below the run horizon {horizon:.12g}")
-    return s
 
 
 # ----------------------------------------------------------------------
@@ -395,10 +407,7 @@ def _check_budget(scenario, budget_seconds):
     """Coarse step-count screen naming the limiting parameter."""
     grid = scenario.build_grid()
     nodes = float(np.prod(grid.shape))
-    steps = {"rescaled": sum(scenario.alpha / (e * e) / grid.dt
-                             for e in scenario.eps_list),
-             "ladder": len(scenario.k_ladder) * scenario.horizon / grid.dt,
-             "tunnel": 1.0 / grid.dt}[scenario.kind]
+    steps = sum(scenario._run_ends()) / grid.dt
     est = steps * nodes * _SECONDS_PER_NODE_STEP[scenario.kind]
     if est > budget_seconds:
         raise BudgetError(
@@ -413,9 +422,10 @@ def _run_rescaled(scenario):
     grid = scenario.build_grid()
     psi0 = solver._ground_state_for(grid)
     per_eps = [solver.solve_rescaled(e, curve, scenario.p, scenario.alpha,
-                                     grid, profile=profile, psi0=psi0)
+                                     grid, psi0=psi0)
                for e in scenario.eps_list]
-    log_amp = [r.log_amplified for r in per_eps]
+    log_amp = [r.log_center_final + spectral.log_amplification(
+        scenario.p, profile, e) for e, r in zip(scenario.eps_list, per_eps)]
     margins = [r.conformance_margin for r in per_eps]
     sigmas = [r.sigma_tau for r in per_eps]
     trace_measured, trace_analytic = (spectral.blowup_functional(
@@ -532,9 +542,8 @@ def _run_tunnel(scenario):
     rules = scenario.rules
     profile = scenario.build_profile()
     grid = scenario.build_grid()
-    case = "subcritical" if scenario.gamma is None else "supercritical"
-    res = solver.tunnel_run(scenario.eps_list, scenario.p, profile, case,
-                            grid, gamma=scenario.gamma)
+    res = solver.tunnel_run(scenario.eps_list, scenario.p, profile, grid,
+                            gamma=scenario.gamma)
     floors = [pe["log_floor_center"] for pe in res.per_eps]
     ratios = [pe["delta_measured"] / pe["delta_formula"] for pe in res.per_eps]
     growing = bool(np.all(np.diff(floors) > 0.0))
@@ -567,8 +576,6 @@ def _fmt(v):
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
-    if isinstance(v, (list, tuple)):
-        return ";".join(_fmt(x) for x in v)
     return str(v)
 
 
@@ -628,17 +635,19 @@ def emit_report(verdicts, out_dir):
 def load_sweep(path):
     """Sweep spec from an INI file; its base scenario is loaded (and
     checked) with :func:`load_scenario`.  Each axis must name a key that
-    the base reads, and its p and alpha values keep the scenario ranges
-    (a numerical alpha also the base curve's horizon); an analytic sweep
-    needs a rescaled base or none (``_ANALYTIC_BASE``), and only it reads
-    ``lam0`` and ``threshold``."""
+    the base reads, and each value build a scenario (a numerical alpha
+    also stay within the base curve's horizon); an analytic sweep needs a
+    rescaled base or none (``_ANALYTIC_BASE``), and only it reads ``lam0``
+    and ``threshold``."""
     cp, cfg = _read_ini(path, ("sweep",))
     sw, section = cfg["sweep"], cp["sweep"]
+    mode = sw.get("mode", "analytic")
+    _check(mode in ("analytic", "numerical"), path, section, "mode",
+           "unknown sweep mode, not one of analytic, numerical")
     base = load_scenario(Path(path).parent / sw["base"]) \
         if sw.get("base") else None
     target = base or _ANALYTIC_BASE
-    analytic = sw.get("mode", "analytic") == "analytic"
-    if analytic:
+    if mode == "analytic":
         _check(target.kind == "rescaled", path, section, "base",
                "an analytic sweep needs a rescaled base")
     else:
@@ -648,21 +657,23 @@ def load_sweep(path):
             _check(key not in sw, path, section, key,
                    "read by analytic sweeps only")
     axes = {key: sw[key] for key in _AXES if key in sw}
-    for key in axes:
-        _check(key in _read_keys(target, _AXES[key]), path, section, key,
+    read = {**vars(target), **target.curve_cfg, **target.potential_cfg}
+    for key, values in axes.items():
+        _check(read.get(key) is not None, path, section, key,  # None: unread
                f"not read by the {target.kind} base {target.name}")
-    for key, low in (("p", 1.0), ("alpha", 0.0)):
-        _check(key not in axes or min(axes[key], default=low) > low, path,
-               section, key, f"must be one or more numbers > {low:g}")
-    _check("velocity" not in axes or any(target.curve_cfg["velocity"]), path,
-           section, "velocity", "the base curve has no direction to keep")
-    if "alpha" in axes and not analytic:  # runs follow the curve to alpha
+        _check(values, path, section, key, "must be one or more numbers")
+        for value in values:
+            try:
+                _scenario_for(target, {key: value})
+            except ConfigurationError as exc:
+                _check(False, path, section, key, str(exc))
+    if "alpha" in axes and mode == "numerical":  # runs follow the curve
         horizon = base.curve_cfg["horizon"]
         _check(max(axes["alpha"]) <= horizon + 1e-12, path, section, "alpha",
                f"beyond the base curve's horizon {horizon:g}")
-    return {"name": sw.get("name", Path(path).stem),
-            "mode": "analytic" if analytic else "numerical", "base": base,
-            "axes": axes, "budget_combos": sw.get("budget_combos", 512),
+    return {"name": sw.get("name", Path(path).stem), "mode": mode,
+            "base": base, "axes": axes,
+            "budget_combos": sw.get("budget_combos", 512),
             "lam0": sw.get("lam0", 2.4674011002723395),
             "threshold": sw.get("threshold", _ANALYTIC_BASE.rules[
                 "functional_threshold"])}
@@ -725,24 +736,23 @@ def sweep(spec, log_path, workers=1):
 
 def _sweep_records(spec, todo, workers):
     """Log records of the combos in ``todo``, yielded in order as each
-    verdict completes."""
+    verdict completes (a numerical combo is built where it runs)."""
     if spec["mode"] == "analytic":
         for combo in todo:
             outcome, extra = _analytic_verdict(combo, spec["base"],
                                                spec["lam0"], spec["threshold"])
             yield {"combo": combo, "outcome": outcome, **extra}
         return
-    scenarios = [_scenario_for(spec["base"], combo) for combo in todo]
+    bases = itertools.repeat(spec["base"])
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for combo, v in zip(todo, pool.map(run_scenario, scenarios)):
-                yield _verdict_record(combo, v)
+            yield from pool.map(_combo_record, bases, todo)
     else:
-        for combo, sc in zip(todo, scenarios):
-            yield _verdict_record(combo, run_scenario(sc))
+        yield from map(_combo_record, bases, todo)
 
 
-def _verdict_record(combo, v):
+def _combo_record(base, combo):
+    v = run_scenario(_scenario_for(base, combo))
     return {"combo": combo, "outcome": v.outcome,
             "evidence": {k: val for k, val in v.evidence.items()
                          if isinstance(val, (int, float, str, bool, list))}}
@@ -752,19 +762,20 @@ def _scenario_for(base, combo):
     """The base scenario with the combo's values: ``amplitude``, ``alpha``
     and ``p`` replace the base's, and ``velocity`` rescales the base's
     linear curve to that speed along the same direction."""
-    sc = replace(
-        base, expected="unknown", curve_cfg=dict(base.curve_cfg),
-        potential_cfg=dict(base.potential_cfg), rules=dict(base.rules),
+    curve_cfg = dict(base.curve_cfg)
+    if "velocity" in combo:
+        u = np.asarray(base.curve_cfg.get("velocity", ()))
+        _require(u.any(), "curve", "velocity", base.curve_cfg.get("velocity"),
+                 "the base curve has no direction to keep")
+        curve_cfg["velocity"] = tuple(
+            (combo["velocity"] / np.linalg.norm(u) * u).tolist())
+    return replace(
+        base, expected="unknown", curve_cfg=curve_cfg,
+        potential_cfg={**base.potential_cfg, **{
+            k: v for k, v in combo.items() if _AXES[k] == "potential"}},
         name=base.name + "/" + "/".join(f"{k}={v:g}"
                                         for k, v in sorted(combo.items())),
         **{k: v for k, v in combo.items() if _AXES[k] == "scenario"})
-    if "amplitude" in combo:
-        sc.potential_cfg["amplitude"] = combo["amplitude"]
-    if "velocity" in combo:
-        u = np.asarray(base.curve_cfg["velocity"])
-        sc.curve_cfg["velocity"] = tuple(
-            (combo["velocity"] / np.linalg.norm(u) * u).tolist())
-    return sc
 
 
 def write_sweep_summary(records, out_path):

@@ -442,7 +442,6 @@ class RescaledResult:
 
     run: RunResult
     log_center_final: float
-    log_amplified: float | None
     c1: float
     sigma_tau: float
     beta_tau: float
@@ -454,7 +453,7 @@ _PROBE_STRIDE = 0.5
 _MAX_STEPS = 2_000_000
 
 
-def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None):
+def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
     """Evolve the zoomed field on the unit ball out to time alpha/eps**2.
 
     The datum, of Dirac mass ``max(DEFAULT_LADDER)``, stands in for u_inf;
@@ -530,11 +529,8 @@ def solve_rescaled(eps, curve, p, alpha, grid, profile=None, psi0=None):
     cval = result.final.values[center]
     log_center = (math.log(cval) - result.final.log_scale) if cval > 0 \
         else _LOG_ZERO
-    log_amp = None
-    if profile is not None:
-        log_amp = spectral.log_amplification(p, profile, eps) + log_center
     return RescaledResult(run=result, log_center_final=log_center,
-                          log_amplified=log_amp, c1=c1, sigma_tau=sigma,
+                          c1=c1, sigma_tau=sigma,
                           beta_tau=beta_tau, delta_tau=delta_tau,
                           conformance_margin=margin)
 
@@ -642,15 +638,14 @@ _A_SHIFT = 0.1
 _TAU_CAL = 0.05
 _C_SAFETY = 0.9
 _FLOOR_THRESHOLD = 1e6
-TUNNEL_CASES = ("subcritical", "supercritical")
 
 
-def tunnel_run(eps, p, profile, case, grid, gamma=None):
+def tunnel_run(eps, p, profile, grid, gamma=None):
     """Evolve the rescaled tunnel problem and calibrate the explicit floor.
 
-    The datum has Dirac mass ``max(DEFAULT_LADDER)``.  ``case`` is
-    "subcritical" (unit absorption coefficient) or "supercritical"
-    (weighted coefficient (max(sqrt(tau), |xi'|))**gamma, gated by
+    The datum has Dirac mass ``max(DEFAULT_LADDER)``.  The absorption
+    coefficient is 1 (the subcritical case), or with ``gamma`` the weight
+    (max(sqrt(tau), |xi'|))**gamma (the supercritical case, gated by
     :func:`potential.check_weight_gate`).  The run is compared
     against c * W(., tau), W from :func:`barriers.tunnel_subsolution`,
     after the calibration shift a = ``_A_SHIFT``: c is the grid minimum of
@@ -661,12 +656,8 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None):
     eps_list = [float(eps)] if np.isscalar(eps) else [float(e) for e in eps]
     if grid.ndim != 2:
         raise ConfigurationError("tunnel runs use a 2D (axis x cross) grid")
-    if case not in TUNNEL_CASES:
-        raise ConfigurationError(f"unknown tunnel case {case!r}")
-    if case == "supercritical":
-        if gamma is None:
-            raise ConfigurationError("supercritical tunnel needs gamma")
-        # one axis direction + one cross direction
+    absorption = 1.0
+    if gamma is not None:  # one axis direction + one cross direction
         potential_mod.check_weight_gate(gamma, p, n_dim=2)
         shifted = potential_mod.shifted_profile(
             profile, gamma, np.linspace(min(eps_list) / 8, max(eps_list), 64))
@@ -674,19 +665,16 @@ def tunnel_run(eps, p, profile, case, grid, gamma=None):
             raise ConfigurationError(
                 "shifted profile not nonincreasing below eps; "
                 "weighted tunnel bound unavailable")
+        xperp = np.abs(grid.points()[:, 1])
+
+        def absorption(points, t):
+            return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma
 
     length = grid.hi[0]
     tail = math.erfc(length / 2.0)  # 1D marginal mass beyond the truncation at tau=1
     if tail > 1e-8:
         raise ConfigurationError(
             f"axis truncation {length} too short: Gaussian tail {tail:.3g}")
-
-    absorption = 1.0
-    if case == "supercritical":
-        xperp = np.abs(grid.points()[:, 1])
-
-        def absorption(points, t):
-            return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma
 
     spec = PDESpec(p=p, drift=None, absorption=absorption)
     fld = dirac_family(max(DEFAULT_LADDER), grid, _aligned_start(grid))

@@ -237,7 +237,7 @@ def test_criterion_09_tunnel_line():
     prof = DecayProfile("inverse-square", 8.0)
     grid = Grid.tunnel(10.0, 201, 41, 5e-4)
     with pytest.raises(ConfigurationError):
-        solver.tunnel_run(0.2, 3.0, prof, "supercritical", grid, gamma=1.0)
+        solver.tunnel_run(0.2, 3.0, prof, grid, gamma=1.0)
     _line(9, "tunnel line",
           f"delta formula 4.0 exact; measured/formula="
           f"{[round(m/f, 3) for m, f in zip(line.evidence['delta_measured'], line.evidence['delta_formula'])]},"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +224,11 @@ class TestLoadValidation:
         runs = []
         orig = solver.tunnel_run
 
-        def spy(eps, p, profile, case, grid, gamma=None):
-            runs.append((case, gamma))
-            return orig(eps, p, profile, case, grid, gamma=gamma)
+        def spy(eps, p, profile, grid, gamma=None):
+            # tunnel_run runs the weighted case exactly when gamma is given
+            runs.append(("subcritical" if gamma is None else "supercritical",
+                         gamma))
+            return orig(eps, p, profile, grid, gamma=gamma)
 
         monkeypatch.setattr(solver, "tunnel_run", spy)
         path = self.edited(tmp_path, "line-blowup.ini", "p = 2.0",
@@ -341,6 +344,15 @@ class TestLoadValidation:
                            match=r"\[grdi\]: unknown section"):
             harness.load_scenario(path)
 
+    def test_growth_window_below_two(self, tmp_path, monkeypatch, capsys):
+        # a window of 1 used to run the three zoomed runs before the
+        # functional rejected it, naming no file
+        path = self.edited(tmp_path, "localization-weak.ini",
+                           "growth_window = 3", "growth_window = 1")
+        msg = self.rejected_by_cli(path, "rules", "growth_window", "run",
+                                   monkeypatch, capsys)
+        assert "must be at least 2" in msg
+
     def test_growth_window_must_be_an_integer(self, tmp_path, monkeypatch,
                                               capsys):
         # int() used to truncate 2.5 to a window of 2
@@ -431,6 +443,96 @@ class TestLoadValidation:
         assert cli.main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "[grid] n = abc" in err
+
+
+def names(msg, section, key):
+    """Whether ``msg`` names ``[section] key``, alone or among the values
+    of its section."""
+    return re.search(rf"\[{section}\] ([^:]*, )?{key} = ", msg) is not None
+
+
+def loaded(name):
+    return harness.load_scenario(SCENARIOS / name)
+
+
+class TestScenarioChecks:
+    """Every check runs in the Scenario constructor: a bad input is the
+    same ConfigurationError from a file, from a sweep combo and from an
+    in-process caller, and it is raised before any step."""
+
+    @pytest.mark.parametrize("name, old, new, section, key, build", [
+        ("line-blowup.ini", "p = 2.0", "p = 2.0\nk_ladder = 1e3\nhorizon = 5.0",
+         "scenario", "k_ladder", lambda: harness.Scenario(
+             "x", kind="tunnel", k_ladder=(1e3,), horizon=5.0)),
+        ("propagation-straight.ini", "velocity = 1.0, 0.0",
+         "velocity = 1.0, 0.0, 0.0", "curve", "velocity",
+         lambda: harness.Scenario(
+             "x", curve_cfg={"velocity": (1.0, 0.0, 0.0)})),
+        ("propagation-straight.ini", "kind = rescaled", "kind = bogus",
+         "scenario", "kind", lambda: harness.Scenario("x", kind="bogus")),
+        ("propagation-straight.ini", "expected = propagation",
+         "expected = maybe", "scenario", "expected",
+         lambda: harness.Scenario("x", expected="maybe")),
+        ("downslope-arc.ini", "k_ladder = 1e1, 1e2, 1e3, 1e4, 1e5, 1e6",
+         "k_ladder = 1e6", "scenario", "k_ladder",
+         lambda: harness.Scenario("x", kind="ladder", k_ladder=(1e6,))),
+        ("propagation-straight.ini", "p = 2.0", "p = 1.0", "scenario", "p",
+         lambda: harness._scenario_for(loaded("propagation-straight.ini"),
+                                       {"p": 1.0})),
+        ("propagation-straight.ini", "amplitude = 50.0", "amplitude = -1",
+         "potential", "amplitude",
+         lambda: harness._scenario_for(loaded("propagation-straight.ini"),
+                                       {"amplitude": -1.0})),
+        ("line-blowup.ini", "n_cross = 41", "n_cross = 4", "grid", "n_cross",
+         lambda: harness.Scenario("x", kind="tunnel",
+                                  grid_cfg={"n_cross": 4}))],
+        ids=["tunnel-ladder-keys", "velocity-width", "kind", "expected",
+             "one-rung", "sweep-p", "amplitude", "n_cross"])
+    def test_file_and_caller_get_the_same_error(self, tmp_path, name, old,
+                                                new, section, key, build):
+        path = TestLoadValidation.edited(tmp_path, name, old, new)
+        with pytest.raises(ConfigurationError) as from_file:
+            harness.load_scenario(path)
+        with pytest.raises(ConfigurationError) as from_caller:
+            build()
+        msg = str(from_file.value)
+        assert msg.startswith(f"{path}: [{section}] ") and "\n" not in msg
+        assert names(msg, section, key)
+        assert names(str(from_caller.value), section, key)
+
+    @pytest.mark.parametrize("name, old, new, section, key", [
+        ("propagation-straight.ini", "amplitude = 50.0", "amplitude = -1",
+         "potential", "amplitude"),
+        ("localization-weak.ini", "growth_window = 3", "growth_window = 1",
+         "rules", "growth_window"),
+        ("line-blowup.ini", "n_cross = 41", "n_cross = 4", "grid",
+         "n_cross")])
+    def test_cli_fails_before_any_step(self, tmp_path, monkeypatch, capsys,
+                                       name, old, new, section, key):
+        # each used to load and fail only when its run started, naming no
+        # file; a window of 1 only after all three zoomed runs
+        def evolve(*args, **kwargs):
+            raise AssertionError("solver.evolve called")
+
+        monkeypatch.setattr(solver, "evolve", evolve)
+        monkeypatch.setenv("HEATLAB_OUT", str(tmp_path))
+        path = TestLoadValidation.edited(tmp_path, name, old, new)
+        capsys.readouterr()
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+        assert names(err, section, key)
+
+    def test_sweep_combo_fails_at_load(self, tmp_path):
+        # an amplitude axis that no scenario can take used to fail combo by
+        # combo at run time
+        path = TestLoadValidation.sweep_file(
+            tmp_path, "line-blowup.ini", "mode = numerical\namplitude = 4, -1")
+        with pytest.raises(ConfigurationError) as exc:
+            harness.load_sweep(path)
+        msg = str(exc.value)
+        assert msg.startswith(f"{path}: [sweep] amplitude = 4, -1: ")
+        assert names(msg, "potential", "amplitude")
 
 
 def ladder_curve(**cfg):
@@ -762,6 +864,16 @@ class TestSweepCombos:
         harness.run_scenario(sc)
         drift = np.concatenate(rows)
         assert np.array_equal(drift, np.tile([0.25, 0.0], (len(drift), 1)))
+
+    @pytest.mark.parametrize("base", [
+        lambda: harness.load_scenario(SCENARIOS / "downslope-arc.ini"),
+        lambda: harness.Scenario("still", curve_cfg={"velocity": (0.0,)})],
+        ids=["arc", "still"])
+    def test_velocity_combo_needs_a_base_direction(self, base):
+        # an arc base used to end in a KeyError, a still one in a division
+        # by zero
+        with pytest.raises(ConfigurationError, match=r"\[curve\] velocity"):
+            harness._scenario_for(base(), {"velocity": 1.0})
 
     def test_velocity_combo_scales_the_base_velocity(self):
         base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")

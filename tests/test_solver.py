@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from heatlab import barriers, geometry, potential, solver
+from heatlab import barriers, geometry, potential, solver, spectral
 from heatlab.errors import (BudgetError, ConfigurationError,
                             InfeasibleRestartError)
 from heatlab.grids import Field, Grid
@@ -371,8 +371,7 @@ class TestDiracFamily:
             solver.solve_rescaled(0.5, curve, 2.0, 0.25,
                                   Grid.unit_ball(21, 0.01))
         with pytest.raises(Started):
-            solver.tunnel_run(0.2, 2.0, prof, "subcritical",
-                              Grid.tunnel(10.0, 41, 11, 0.01))
+            solver.tunnel_run(0.2, 2.0, prof, Grid.tunnel(10.0, 41, 11, 0.01))
         assert masses == [max(solver.DEFAULT_LADDER)] * 2
 
     def test_under_resolved_kernel_rejected(self):
@@ -496,8 +495,7 @@ class TestRescaled:
 
     def test_instrumentation(self):
         prof = DecayProfile("inverse-square", 50.0)
-        res = solver.solve_rescaled(0.2, self.curve, 2.0, 1.0, self.grid,
-                                    profile=prof)
+        res = solver.solve_rescaled(0.2, self.curve, 2.0, 1.0, self.grid)
         assert res.run.snapshots[0][0] == pytest.approx(1.0)
         assert res.c1 > 0
         assert res.sigma_tau > 0
@@ -505,7 +503,8 @@ class TestRescaled:
         assert res.conformance_margin >= -1e-6
         expect_amp = (-2.0 * math.log(0.2) + 50.0 / 0.04
                       + res.log_center_final)
-        assert res.log_amplified == pytest.approx(expect_amp)
+        assert spectral.log_amplification(2.0, prof, 0.2) \
+            + res.log_center_final == pytest.approx(expect_amp)
 
     def test_no_drift_reduces_constants(self):
         still = geometry.Curve.straight(0.0, 1.0, n=257)
@@ -573,7 +572,7 @@ class TestTunnel:
         prof = DecayProfile("inverse-square", 8.0)
         g = Grid.tunnel(4.0, 81, 21, 1e-3)
         with pytest.raises(ConfigurationError, match="truncation"):
-            solver.tunnel_run(0.2, 2.0, prof, "subcritical", g)
+            solver.tunnel_run(0.2, 2.0, prof, g)
 
     def test_tail_fraction_counts_corners_once(self):
         g = Grid.tunnel(4.0, 9, 9, 1e-3)
@@ -585,7 +584,7 @@ class TestTunnel:
         prof = DecayProfile("inverse-square", 8.0)
         g = Grid.tunnel(10.0, 201, 41, 5e-4)
         with pytest.raises(ConfigurationError, match="gamma"):
-            solver.tunnel_run(0.2, 3.0, prof, "supercritical", g, gamma=1.0)
+            solver.tunnel_run(0.2, 3.0, prof, g, gamma=1.0)
 
     def test_envelope_mass_is_the_half_time_kernel_integral(self):
         # (4 pi)**(-1/2) * integral of exp(-z**2/2) cos(z) over
@@ -600,7 +599,7 @@ class TestTunnel:
     def test_subsolution_conformance_and_widths(self):
         prof = DecayProfile("inverse-square", 8.0)
         g = Grid.tunnel(10.0, 201, 41, 1e-3)
-        res = solver.tunnel_run([0.2, 0.1], 2.0, prof, "subcritical", g)
+        res = solver.tunnel_run([0.2, 0.1], 2.0, prof, g)
         assert res.c > 0
         assert res.conformance_min >= -1e-8
         for pe in res.per_eps:
