@@ -87,11 +87,14 @@ _GRIDS = {"ladder": Grid.interval, "tunnel": Grid.tunnel}
 _RANGES = {"p": ("must be > 1", lambda v: v > 1),
            "alpha": ("must be > 0", lambda v: v > 0),
            "horizon": ("must be > 0", lambda v: v > 0),
-           "eps": ("must be one or more positive numbers",
-                   lambda v: min(v, default=0) > 0),
+           "eps": ("must be one or more strictly decreasing positive numbers",
+                   lambda v: min(v, default=0) > 0
+                   and all(a > b for a, b in zip(v, v[1:]))),
            # the verdict compares the last two rungs
            "k_ladder": ("must be two or more positive numbers",
                         lambda v: len(v) > 1 and min(v) > 0),
+           # the cross-section ground state needs 16 interior nodes
+           "n_cross": ("must be at least 18", lambda v: v >= 18),
            # the functional reads the tail of two or more values
            "growth_window": ("must be at least 2", lambda v: v >= 2)}
 
@@ -179,9 +182,6 @@ class Scenario:
         dt, horizon = self.grid_cfg["dt"], min(self._run_ends())
         _require(0 < dt < horizon, "grid", "dt", dt,
                  f"must be > 0 and below the run horizon {horizon:.12g}")
-        if self.gamma is not None:  # a tunnel has one axis, one cross one
-            _built(lambda: potential_mod.check_weight_gate(
-                self.gamma, self.p, 2), "scenario", {"gamma": self.gamma})
         curve, cfg = None, self.curve_cfg
         if cfg:  # a tunnel reads no curve; a table is read here
             key = "path" if cfg.get("form") == "table" else "velocity"
@@ -196,6 +196,10 @@ class Scenario:
         _built(self.build_grid, "grid", self.grid_cfg)
         _built(lambda: self.build_potential(curve) if self.kind == "ladder"
                else self.build_profile(), "potential", self.potential_cfg)
+        if self.gamma is not None:
+            _built(lambda: potential_mod.check_weighted_tunnel(
+                self.gamma, self.p, self.build_profile(), self.eps_list),
+                "scenario", {"gamma": self.gamma})
 
     def _run_ends(self):
         """The end time of each evolution the scenario runs."""
@@ -380,15 +384,56 @@ class Verdict:
 
 
 def run_scenario(scenario, budget=None):
-    """Dispatch a scenario to the matching driver and derive its verdict."""
+    """The verdict of a scenario: its driver's evidence, judged by decide."""
     start = time.perf_counter()
     if budget is not None:
         _check_budget(scenario, budget)
-    outcome, evidence = {"rescaled": _run_rescaled, "ladder": _run_ladder,
-                         "tunnel": _run_tunnel}[scenario.kind](scenario)
+    evidence = {"rescaled": _run_rescaled, "ladder": _run_ladder,
+                "tunnel": _run_tunnel}[scenario.kind](scenario)
     return Verdict(scenario=scenario.name, kind=scenario.kind,
-                   outcome=outcome, expected=scenario.expected,
-                   evidence=evidence, wall_time=time.perf_counter() - start)
+                   outcome=decide(scenario.kind, evidence, scenario.rules),
+                   expected=scenario.expected, evidence=evidence,
+                   wall_time=time.perf_counter() - start)
+
+
+def decide(kind, evidence, rules):
+    """The outcome that a scenario's ``rules`` give its ``evidence``: a
+    verdict's, or a sweep-log record's, which lacks the None-valued keys.
+    ``kind`` is the scenario's, or ``analytic`` for the point functional
+    alone.  Every outcome rule lives here."""
+    ev = evidence
+    if kind == "analytic":
+        return "propagation" if ev["functional_verdict"] == "diverging" \
+            else "localization"
+    if kind == "rescaled":
+        amp = ev["log_amplified"]
+        clean = _conformant(ev["conformance_margins"], rules)
+        if clean and np.all(np.diff(amp) > 0.0) \
+                and amp[-1] > math.log(rules["amplified_ceiling"]) \
+                and ev["functional_verdict"] == "diverging":
+            return "propagation"
+        return "localization" if clean and max(amp) <= math.log(
+            rules["bounded_ceiling"]) else "inconclusive"
+    if kind == "ladder":
+        if ev["probe_maxima"][-2] == 0:  # no probe hit (see _window_max)
+            return "inconclusive"
+        if not ev["stabilization_gap"] <= rules["stabilization"]:
+            return "propagation"
+        if ev.get("box_center") is not None:
+            return "box-bounded"
+        return "non-propagation-segment" if "decreasing" in [
+            label for _, _, label in ev["segments"]] else "localization"
+    ok = ev["conformance_min"] >= -rules["tunnel_tol"] \
+        and np.all(np.diff(ev["log_floor_center"]) > 0.0) \
+        and all(1.0 - rules["halfwidth_band"] <= m / f <= 1.0 for m, f in zip(
+            ev["delta_measured"], ev["delta_formula"])) \
+        and ev["calibration_c"] > 0
+    return "line-propagation" if ok else "inconclusive"
+
+
+def _conformant(margins, rules):
+    """Whether the zoomed runs stay above their lower envelope."""
+    return all(m >= -rules["conformance_tol"] for m in margins)
 
 
 # Measured verdict seconds per node-step, by scenario kind: the medians
@@ -416,6 +461,7 @@ def _check_budget(scenario, budget_seconds):
 
 
 def _run_rescaled(scenario):
+    """Evidence of the zoomed runs (see :func:`decide` for its rules)."""
     rules = scenario.rules
     curve = scenario.build_curve()
     profile = scenario.build_profile()
@@ -433,22 +479,11 @@ def _run_rescaled(scenario):
         scenario.eps_list, curve=curve, sigma=sigma,
         threshold=rules["functional_threshold"],
         growth_window=rules["growth_window"]) for sigma in (sigmas, 0.0))
-    increasing = bool(np.all(np.diff(log_amp) > 0.0))
-    top = math.log(rules["amplified_ceiling"])
-    low = math.log(rules["bounded_ceiling"])
-    conformant = all(m >= -rules["conformance_tol"] for m in margins)
-    if conformant and increasing and log_amp[-1] > top \
-            and trace_measured.verdict == "diverging":
-        outcome = "propagation"
-    elif conformant and max(log_amp) <= low:
-        outcome = "localization"
-    else:
-        outcome = "inconclusive"
-    evidence = {
+    return {
         "eps": list(scenario.eps_list),
         "log_amplified": log_amp,
         "conformance_margins": margins,
-        "conformance_ok": conformant,
+        "conformance_ok": _conformant(margins, rules),
         "c1": [r.c1 for r in per_eps],
         "sigma_tau": sigmas,
         "beta_tau": [r.beta_tau for r in per_eps],
@@ -458,12 +493,6 @@ def _run_rescaled(scenario):
         "functional_analytic_verdict": trace_analytic.verdict,
         "lam0": psi0.lam,
     }
-    return outcome, evidence
-
-
-def derive_from_trace(trace):
-    """Outcome from the analytic functional alone (evidence sufficiency)."""
-    return "propagation" if trace.verdict == "diverging" else "localization"
 
 
 def ladder_runs(scenario, curve):
@@ -483,29 +512,17 @@ def ladder_runs(scenario, curve):
 
 
 def _run_ladder(scenario):
-    """Boundedness verdict from the probe maxima of the ladder's rungs
+    """Evidence of boundedness: the probe maxima of the ladder's rungs
     (see :func:`ladder_runs`) in the curve's box or decreasing window."""
-    rules = scenario.rules
     curve = scenario.build_curve()
     seg = geometry.classify_segments(curve)
-    window = _probe_window(seg, rules["probe_margin"])
+    window = _probe_window(seg, scenario.rules["probe_margin"])
     maxima = [_window_max(run, window)
               for run in ladder_runs(scenario, curve)]
     m_lo, m_hi = maxima[-2], maxima[-1]
     gap = abs(m_hi - m_lo) / m_lo if m_lo > 0 else math.inf
-    stabilized = gap <= rules["stabilization"]
-    if m_lo == 0:  # no probe hit: the curve left the grid or the run window
-        outcome = "inconclusive"
-    elif stabilized and seg.box is not None:
-        outcome = "box-bounded"
-    elif stabilized and "decreasing" in seg.labels:
-        outcome = "non-propagation-segment"
-    elif stabilized:
-        outcome = "localization"
-    else:
-        outcome = "propagation"
     a, r0, tw = (None, None, None) if seg.box is None else seg.box
-    evidence = {
+    return {
         "k_ladder": list(scenario.k_ladder),
         "probe_maxima": maxima,
         "stabilization_gap": gap,
@@ -515,7 +532,6 @@ def _run_ladder(scenario):
         "box_window": None if tw is None else list(tw),
         "probe_window": list(window) if window else None,
     }
-    return outcome, evidence
 
 
 def _probe_window(seg, margin):
@@ -539,24 +555,14 @@ def _window_max(run, window):
 
 
 def _run_tunnel(scenario):
-    rules = scenario.rules
+    """Evidence of the calibrated tunnel floor (see :func:`decide`)."""
     profile = scenario.build_profile()
     grid = scenario.build_grid()
     res = solver.tunnel_run(scenario.eps_list, scenario.p, profile, grid,
                             gamma=scenario.gamma)
-    floors = [pe["log_floor_center"] for pe in res.per_eps]
-    ratios = [pe["delta_measured"] / pe["delta_formula"] for pe in res.per_eps]
-    growing = bool(np.all(np.diff(floors) > 0.0))
-    band = rules["halfwidth_band"]
-    widths_ok = all(1.0 - band <= r <= 1.0 for r in ratios)
-    conformant = res.conformance_min >= -rules["tunnel_tol"]
-    if conformant and growing and widths_ok and res.c > 0:
-        outcome = "line-propagation"
-    else:
-        outcome = "inconclusive"
-    evidence = {
+    return {
         "eps": list(scenario.eps_list),
-        "log_floor_center": floors,
+        "log_floor_center": [pe["log_floor_center"] for pe in res.per_eps],
         "delta_formula": [pe["delta_formula"] for pe in res.per_eps],
         "delta_measured": [pe["delta_measured"] for pe in res.per_eps],
         "conformance_min": res.conformance_min,
@@ -565,7 +571,6 @@ def _run_tunnel(scenario):
         "lam_cross": res.lam,
         "gamma": scenario.gamma,
     }
-    return outcome, evidence
 
 
 # ----------------------------------------------------------------------
@@ -696,7 +701,8 @@ def _analytic_verdict(combo, base, lam0, threshold):
         "point", sc.p, sc.alpha, 1, lam0, sc.build_profile(), sc.eps_list,
         curve=sc.build_curve(), threshold=threshold,
         growth_window=sc.rules["growth_window"])
-    return derive_from_trace(trace), {"trace": trace.values.tolist()}
+    return decide("analytic", {"functional_verdict": trace.verdict},
+                  sc.rules), {"trace": trace.values.tolist()}
 
 
 def read_sweep_log(path):

@@ -198,6 +198,16 @@ def check_weight_gate(gamma, p, n_dim):
             "for the weighted line-degeneracy form")
 
 
+def check_weighted_tunnel(gamma, p, profile, eps):
+    """Raise unless the weighted tunnel bound holds: gamma passes the 2D
+    gate and the shifted profile is nonincreasing on [min(eps)/8, max(eps)]."""
+    check_weight_gate(gamma, p, n_dim=2)
+    s = np.linspace(min(eps) / 8, max(eps), 64)
+    if np.any(np.diff(shifted_profile(profile, gamma, s)) > 1e-9):
+        raise ConfigurationError("shifted profile not nonincreasing below "
+                                 "eps; weighted tunnel bound unavailable")
+
+
 def shifted_profile(profile, gamma, s):
     """l~(s) = l(s) + gamma*ln(s): the profile driving the split exp factor."""
     return eval_profile(profile, s) + gamma * np.log(s)

@@ -646,7 +646,7 @@ def tunnel_run(eps, p, profile, grid, gamma=None):
     The datum has Dirac mass ``max(DEFAULT_LADDER)``.  The absorption
     coefficient is 1 (the subcritical case), or with ``gamma`` the weight
     (max(sqrt(tau), |xi'|))**gamma (the supercritical case, gated by
-    :func:`potential.check_weight_gate`).  The run is compared
+    :func:`potential.check_weighted_tunnel`).  The run is compared
     against c * W(., tau), W from :func:`barriers.tunnel_subsolution`,
     after the calibration shift a = ``_A_SHIFT``: c is the grid minimum of
     the ratio at the first comparison time ``_TAU_CAL`` + a, deflated by
@@ -657,14 +657,8 @@ def tunnel_run(eps, p, profile, grid, gamma=None):
     if grid.ndim != 2:
         raise ConfigurationError("tunnel runs use a 2D (axis x cross) grid")
     absorption = 1.0
-    if gamma is not None:  # one axis direction + one cross direction
-        potential_mod.check_weight_gate(gamma, p, n_dim=2)
-        shifted = potential_mod.shifted_profile(
-            profile, gamma, np.linspace(min(eps_list) / 8, max(eps_list), 64))
-        if np.any(np.diff(shifted) > 1e-9):
-            raise ConfigurationError(
-                "shifted profile not nonincreasing below eps; "
-                "weighted tunnel bound unavailable")
+    if gamma is not None:
+        potential_mod.check_weighted_tunnel(gamma, p, profile, eps_list)
         xperp = np.abs(grid.points()[:, 1])
 
         def absorption(points, t):
@@ -678,14 +672,13 @@ def tunnel_run(eps, p, profile, grid, gamma=None):
 
     spec = PDESpec(p=p, drift=None, absorption=absorption)
     fld = dirac_family(max(DEFAULT_LADDER), grid, _aligned_start(grid))
-    snap_times = np.arange(_TAU_CAL + _A_SHIFT, 1.0 - 1e-9, 0.05)
-    result = evolve(fld, spec, 1.0, snapshot_times=snap_times)
-
-    # cross-section ground state at the tunnel discretization; on the grid
-    # axis it reproduces the nodal values, with zeros on the boundary
+    # the cross-section ground state at the tunnel discretization, before any
+    # step: on the grid axis it is the nodal values, zeros on the boundary
     pair = spectral.dirichlet_ground_state("interval", grid.shape[1] - 2)
     lam = pair.lam
     xi1, xi_perp = grid.axes
+    snap_times = np.arange(_TAU_CAL + _A_SHIFT, 1.0 - 1e-9, 0.05)
+    result = evolve(fld, spec, 1.0, snapshot_times=snap_times)
 
     snaps = {round(t, 9): (vals, s) for t, vals, s in result.snapshots}
     check_times = sorted(snaps)

@@ -485,9 +485,25 @@ class TestScenarioChecks:
                                        {"amplitude": -1.0})),
         ("line-blowup.ini", "n_cross = 41", "n_cross = 4", "grid", "n_cross",
          lambda: harness.Scenario("x", kind="tunnel",
-                                  grid_cfg={"n_cross": 4}))],
+                                  grid_cfg={"n_cross": 4})),
+        ("propagation-straight.ini", "eps = 0.2, 0.1, 0.05", "eps = 0.4, 0.5",
+         "scenario", "eps", lambda: harness.Scenario(
+             "x", alpha=0.5, eps_list=(0.4, 0.5))),
+        ("line-blowup.ini", "eps = 0.2, 0.1", "eps = 0.1, 0.2", "scenario",
+         "eps", lambda: harness.Scenario("x", kind="tunnel",
+                                         eps_list=(0.1, 0.2))),
+        ("line-blowup.ini", "n_cross = 41", "n_cross = 11", "grid", "n_cross",
+         lambda: harness.Scenario("t", kind="tunnel", grid_cfg={
+             "n_axis": 201, "n_cross": 11, "dt": 0.002})),
+        ("line-blowup-weighted.ini",
+         "family = inverse-square\namplitude = 8.0",
+         "family = log\namplitude = 1.0", "scenario", "gamma",
+         lambda: harness.Scenario("w", kind="tunnel", gamma=2.5,
+                                  potential_cfg={"family": "log",
+                                                 "amplitude": 1.0}))],
         ids=["tunnel-ladder-keys", "velocity-width", "kind", "expected",
-             "one-rung", "sweep-p", "amplitude", "n_cross"])
+             "one-rung", "sweep-p", "amplitude", "n_cross", "eps-order",
+             "tunnel-eps-order", "n_cross-ground-state", "shifted-profile"])
     def test_file_and_caller_get_the_same_error(self, tmp_path, name, old,
                                                 new, section, key, build):
         path = TestLoadValidation.edited(tmp_path, name, old, new)
@@ -506,11 +522,22 @@ class TestScenarioChecks:
         ("localization-weak.ini", "growth_window = 3", "growth_window = 1",
          "rules", "growth_window"),
         ("line-blowup.ini", "n_cross = 41", "n_cross = 4", "grid",
-         "n_cross")])
+         "n_cross"),
+        ("propagation-straight.ini", "eps = 0.2, 0.1, 0.05", "eps = 0.4, 0.5",
+         "scenario", "eps"),
+        ("line-blowup.ini", "eps = 0.2, 0.1", "eps = 0.1, 0.2", "scenario",
+         "eps"),
+        ("line-blowup.ini", "n_cross = 41", "n_cross = 11", "grid",
+         "n_cross"),
+        ("line-blowup-weighted.ini",
+         "family = inverse-square\namplitude = 8.0",
+         "family = log\namplitude = 1.0", "scenario", "gamma")])
     def test_cli_fails_before_any_step(self, tmp_path, monkeypatch, capsys,
                                        name, old, new, section, key):
         # each used to load and fail only when its run started, naming no
-        # file; a window of 1 only after all three zoomed runs
+        # file; a window of 1 only after all three zoomed runs, an n_cross
+        # of 11 after the whole tunnel run, and an increasing tunnel eps
+        # not at all (its floors shrink, so it was inconclusive)
         def evolve(*args, **kwargs):
             raise AssertionError("solver.evolve called")
 
@@ -903,41 +930,6 @@ class TestRescaledRules:
         harness.run_scenario(sc)
         assert windows == [2, 2]
 
-    @pytest.mark.parametrize("family, amplitude, clean", [
-        ("inverse-square", 50.0, "propagation"), ("log", 1.0,
-                                                  "localization")])
-    def test_negative_margin_is_inconclusive(self, monkeypatch, family,
-                                             amplitude, clean):
-        # every other condition of the clean outcome holds; a conformance
-        # margin below -conformance_tol alone makes the verdict inconclusive
-        orig = solver.solve_rescaled
-
-        def shifted(*args, **kwargs):
-            res = orig(*args, **kwargs)
-            res.conformance_margin -= 1e-3
-            return res
-
-        monkeypatch.setattr(solver, "solve_rescaled", shifted)
-        sc = harness.Scenario(
-            name="zoom-1d", kind="rescaled", expected="unknown", p=2.0,
-            alpha=1.0, eps_list=(0.2, 0.1),
-            curve_cfg={"velocity": (1.0,), "samples": 65},
-            potential_cfg={"family": family, "amplitude": amplitude},
-            grid_cfg={"n": 41, "dt": 0.005})
-        sc.rules = dict(sc.rules, growth_window=2)
-        v = harness.run_scenario(sc)
-        ev, rules = v.evidence, sc.rules
-        log_amp = ev["log_amplified"]
-        assert max(ev["conformance_margins"]) < -rules["conformance_tol"]
-        assert not ev["conformance_ok"]
-        if clean == "propagation":
-            assert np.all(np.diff(log_amp) > 0)
-            assert log_amp[-1] > math.log(rules["amplified_ceiling"])
-            assert ev["functional_verdict"] == "diverging"
-        else:
-            assert max(log_amp) <= math.log(rules["bounded_ceiling"])
-        assert v.outcome == "inconclusive"
-
     def test_analytic_sweep_uses_base_profile(self):
         # localization-weak's log profile localizes at alpha = 1, also
         # with a combo amplitude of 50; the inverse-square profile of
@@ -983,21 +975,119 @@ class TestRescaledRules:
         assert windows == [2, 3]
 
 
-class TestEvidenceSufficiency:
-    def test_analytic_trace_rederives_rescaled_outcomes(self):
-        # dropping the solver evidence, the analytic functional alone gives
-        # the same verdict on the shipped rescaled scenarios
-        from heatlab import spectral
-        for name, expected in (("propagation-straight", "propagation"),
-                               ("localization-weak", "localization")):
-            sc = harness.load_scenario(SCENARIOS / f"{name}.ini")
-            curve = sc.build_curve()
-            prof = sc.build_profile()
-            trace = spectral.blowup_functional(
-                "point", sc.p, sc.alpha, 2, 5.783185962946785, prof,
-                sc.eps_list, curve=curve,
-                threshold=sc.rules["functional_threshold"])
-            assert harness.derive_from_trace(trace) == expected
+REFERENCE = SCENARIOS.parent / "perfbench" / "reference.json"
+ABSENT = object()  # a key that a sweep-log record drops (its value is None)
+
+
+def recorded(name):
+    """The kind and rules of a verdict recorded in the benchmark reference
+    (a lattice point's are those of its base file), its outcome and a copy
+    of its evidence."""
+    sc = loaded(name.split("/")[0] + ".ini")
+    ref = json.loads(REFERENCE.read_text())["verdicts"][name]
+    return sc.kind, sc.rules, ref["outcome"], ref["evidence"]
+
+
+def relabelled(ev, rules):
+    return [[lo, hi, "increasing"] for lo, hi, _ in ev["segments"]]
+
+
+class TestDecide:
+    """Every outcome is a function of its evidence and its file's rules:
+    decide re-derives each recorded outcome, and a change of the evidence
+    that a rule reads flips it."""
+
+    def test_rederives_every_reference_outcome(self):
+        names = json.loads(REFERENCE.read_text())["verdicts"]
+        assert len(names) == 43  # 8 shipped scenarios, 35 lattice points
+        for name in names:
+            kind, rules, outcome, ev = recorded(name)
+            assert harness.decide(kind, ev, rules) == outcome, name
+            if kind == "rescaled":  # recorded by the rule's own predicate
+                assert ev["conformance_ok"] == harness._conformant(
+                    ev["conformance_margins"], rules)
+
+    def test_rederives_a_fresh_sweep_log(self, tmp_path):
+        # the records lack the None-valued evidence, box_center included
+        base = tiny_ladder_scenario()
+        spec = {"name": "amp-axis", "mode": "numerical", "base": base,
+                "axes": {"amplitude": (0.5, 2.0)}, "budget_combos": 8}
+        harness.sweep(spec, tmp_path / "log.jsonl", workers=2)
+        records = harness.read_sweep_log(tmp_path / "log.jsonl")
+        assert {rec["outcome"] for rec in records} \
+            == {"propagation", "non-propagation-segment"}
+        for rec in records:
+            assert "box_center" not in rec["evidence"]
+            assert harness.decide("ladder", rec["evidence"], base.rules) \
+                == rec["outcome"]
+
+    @pytest.mark.parametrize("name, changes, outcome", [
+        ("propagation-straight", {"conformance_margins": lambda ev, r: [
+            0.0, -2 * r["conformance_tol"], 0.0]}, "inconclusive"),
+        ("localization-weak", {"conformance_margins": lambda ev, r: [
+            0.0, 0.0, -2 * r["conformance_tol"]]}, "inconclusive"),
+        ("propagation-straight", {"log_amplified": lambda ev, r: [
+            *ev["log_amplified"][:2], ev["log_amplified"][1]]},
+         "inconclusive"),
+        ("propagation-straight", {"functional_verdict": "bounded"},
+         "inconclusive"),
+        ("localization-weak", {"log_amplified": lambda ev, r: [
+            0.0, 1.0, math.log(r["bounded_ceiling"]) + 1e-9]},
+         "inconclusive"),
+        ("downslope-arc", {"probe_maxima": lambda ev, r: [
+            *ev["probe_maxima"][:-2], 0.0, ev["probe_maxima"][-1]]},
+         "inconclusive"),
+        ("downslope-arc", {"stabilization_gap": lambda ev, r: 2 * r[
+            "stabilization"]}, "propagation"),
+        ("box-reentry", {"stabilization_gap": lambda ev, r: 2 * r[
+            "stabilization"]}, "propagation"),
+        ("control-straight", {"stabilization_gap": 0.0}, "localization"),
+        ("remark-localmax", {"stabilization_gap": lambda ev, r: r[
+            "stabilization"], "box_center": ABSENT},
+         "non-propagation-segment"),
+        ("box-reentry", {"box_center": None}, "localization"),
+        ("box-reentry", {"box_center": ABSENT}, "localization"),
+        ("downslope-arc", {"segments": relabelled}, "localization"),
+        ("line-blowup", {"delta_measured": lambda ev, r: [
+            (1 - 2 * r["halfwidth_band"]) * f for f in ev["delta_formula"]]},
+         "inconclusive"),
+        ("line-blowup", {"delta_measured": lambda ev, r: [
+            1.01 * f for f in ev["delta_formula"]]}, "inconclusive"),
+        ("line-blowup-weighted", {"log_floor_center": lambda ev, r: ev[
+            "log_floor_center"][::-1]}, "inconclusive"),
+        ("line-blowup/amplitude=4.0,p=3.0", {"calibration_c": 0.0},
+         "inconclusive"),
+        ("line-blowup", {"conformance_min": lambda ev, r: -2 * r[
+            "tunnel_tol"]}, "inconclusive")],
+        ids=["margin-propagation", "margin-localization", "flat-amplified",
+             "bounded-functional", "amplified-localization", "no-probe-hit",
+             "gap-segment", "gap-box", "gap-at-zero", "gap-at-tol",
+             "box-none", "box-absent", "no-decreasing", "width-narrow",
+             "width-wide", "floors-shrink", "calibration-zero",
+             "tunnel-conformance"])
+    def test_one_change_flips_the_outcome(self, name, changes, outcome):
+        kind, rules, recorded_outcome, ev = recorded(name)
+        assert outcome != recorded_outcome
+        for key, change in changes.items():
+            value = change(ev, rules) if callable(change) else change
+            if value is ABSENT:
+                del ev[key]
+            else:
+                ev[key] = value
+        assert harness.decide(kind, ev, rules) == outcome
+
+    @pytest.mark.parametrize("name", ["propagation-straight",
+                                      "localization-weak"])
+    def test_analytic_functional_alone(self, name):
+        # the analytic functional alone gives the recorded outcome of the
+        # shipped rescaled scenarios; a bounded one gives localization
+        _, rules, outcome, ev = recorded(name)
+        verdict = ev["functional_analytic_verdict"]
+        for functional, expected in ((verdict, outcome),
+                                     ("bounded", "localization"),
+                                     ("diverging", "propagation")):
+            assert harness.decide("analytic", {
+                "functional_verdict": functional}, rules) == expected
 
 
 class TestCli:

@@ -586,6 +586,22 @@ class TestTunnel:
         with pytest.raises(ConfigurationError, match="gamma"):
             solver.tunnel_run(0.2, 3.0, prof, g, gamma=1.0)
 
+    @pytest.mark.parametrize("n_cross, family, gamma, match", [
+        (11, "inverse-square", None, "n >= 16"),
+        (41, "log", 2.5, "shifted profile")], ids=["n_cross", "shifted"])
+    def test_rejected_before_any_step(self, monkeypatch, n_cross, family,
+                                      gamma, match):
+        # a cross section too coarse for its ground state used to fail only
+        # after the whole run
+        def evolve(*args, **kwargs):
+            raise AssertionError("solver.evolve called")
+
+        monkeypatch.setattr(solver, "evolve", evolve)
+        prof = DecayProfile(family, 1.0)
+        with pytest.raises(ConfigurationError, match=match):
+            solver.tunnel_run(0.2, 3.0, prof, Grid.tunnel(10.0, 201, n_cross,
+                                                          0.002), gamma=gamma)
+
     def test_envelope_mass_is_the_half_time_kernel_integral(self):
         # (4 pi)**(-1/2) * integral of exp(-z**2/2) cos(z) over
         # [-pi/2, pi/2], the constant of the half-width law, is the
