@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from heatlab import spectral
+from heatlab import harness, spectral
 from heatlab.potential import DecayProfile
 
 out = Path(__file__).parent / "output"
@@ -35,13 +35,17 @@ for t in (0.05, 0.1, 0.5, 1.0, 2.0):
 print("crossover constant:", spectral.crossover_constant(1, interval.lam))
 
 # Blow-up functionals: the flat profile drives the trace to +infinity,
-# the log profile sends it to -infinity — the dichotomy in one line each.
+# the log profile sends it to -infinity — the dichotomy in one line each,
+# judged by the default rules of a rescaled scenario (threshold 50, the
+# last three values).
+rules = harness.Scenario("demo").rules
 for fam, amp, tag in (("inverse-square", 50.0, "flat"), ("log", 1.0, "weak")):
     prof = DecayProfile(fam, amp)
     tr = spectral.blowup_functional("point", 2.0, 1.0, 1, interval.lam, prof,
                                     [0.2, 0.1, 0.05], beta_sup=1.0)
     spectral.write_trace(tr, out / f"trace_{tag}.csv")
-    print(f"  {tag}: values {np.round(tr.values, 1)} -> {tr.verdict}")
+    outcome = harness.decide("analytic", {"trace": tr.values.tolist()}, rules)
+    print(f"  {tag}: values {np.round(tr.values, 1)} -> {outcome}")
 
 prof = DecayProfile("inverse-square", 30.0)
 alpha0 = spectral.propagation_alpha_threshold(prof, 2.0, interval.lam)

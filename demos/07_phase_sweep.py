@@ -24,7 +24,6 @@ spec = {
              "alpha": (0.5, 1.0, 2.0, 4.0)},
     "budget_combos": 256,
     "lam0": 2.4674011002723395,
-    "threshold": 50.0,
 }
 log = out / "phase.jsonl"
 records = harness.sweep(spec, log)

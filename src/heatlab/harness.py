@@ -194,6 +194,9 @@ class Scenario:
                      f"must have {count}, one per axis of the grid (in a "
                      "table, one x column each)")
         _built(self.build_grid, "grid", self.grid_cfg)
+        if self.kind == "tunnel":
+            _built(lambda: solver.check_tunnel_axis(self.grid_cfg["length"]),
+                   "grid", {"length": self.grid_cfg["length"]})
         _built(lambda: self.build_potential(curve) if self.kind == "ladder"
                else self.build_profile(), "potential", self.potential_cfg)
         if self.gamma is not None:
@@ -304,7 +307,7 @@ _KEYS = {
                  for key, parse in _parsers(keys[section]).items()}
        for section in _FIELDS},
     "sweep": {"name": str, "base": str, "mode": str, "budget_combos": int,
-              "lam0": float, "threshold": float,
+              "lam0": float,
               **dict.fromkeys(_AXES, _floats)},
 }
 
@@ -400,17 +403,17 @@ def decide(kind, evidence, rules):
     """The outcome that a scenario's ``rules`` give its ``evidence``: a
     verdict's, or a sweep-log record's, which lacks the None-valued keys.
     ``kind`` is the scenario's, or ``analytic`` for the point functional
-    alone.  Every outcome rule lives here."""
+    alone, an analytic sweep record's ``trace``.  Every rule lives here."""
     ev = evidence
     if kind == "analytic":
-        return "propagation" if ev["functional_verdict"] == "diverging" \
+        return "propagation" if _diverging(ev["trace"], rules) \
             else "localization"
     if kind == "rescaled":
         amp = ev["log_amplified"]
         clean = _conformant(ev["conformance_margins"], rules)
         if clean and np.all(np.diff(amp) > 0.0) \
                 and amp[-1] > math.log(rules["amplified_ceiling"]) \
-                and ev["functional_verdict"] == "diverging":
+                and _diverging(ev["functional_measured"], rules):
             return "propagation"
         return "localization" if clean and max(amp) <= math.log(
             rules["bounded_ceiling"]) else "inconclusive"
@@ -434,6 +437,14 @@ def decide(kind, evidence, rules):
 def _conformant(margins, rules):
     """Whether the zoomed runs stay above their lower envelope."""
     return all(m >= -rules["conformance_tol"] for m in margins)
+
+
+def _diverging(values, rules):
+    """Whether the last ``growth_window`` values of a blow-up functional,
+    two or more, increase strictly, the last above ``functional_threshold``."""
+    tail = np.asarray(values[-rules["growth_window"]:])
+    return bool(tail.size >= 2 and np.all(np.diff(tail) > 0)
+                and tail[-1] > rules["functional_threshold"])
 
 
 # Measured verdict seconds per node-step, by scenario kind: the medians
@@ -474,11 +485,10 @@ def _run_rescaled(scenario):
         scenario.p, profile, e) for e, r in zip(scenario.eps_list, per_eps)]
     margins = [r.conformance_margin for r in per_eps]
     sigmas = [r.sigma_tau for r in per_eps]
-    trace_measured, trace_analytic = (spectral.blowup_functional(
+    measured, analytic = (spectral.blowup_functional(
         "point", scenario.p, scenario.alpha, grid.ndim, psi0.lam, profile,
-        scenario.eps_list, curve=curve, sigma=sigma,
-        threshold=rules["functional_threshold"],
-        growth_window=rules["growth_window"]) for sigma in (sigmas, 0.0))
+        scenario.eps_list, curve=curve, sigma=sigma).values.tolist()
+        for sigma in (sigmas, 0.0))
     return {
         "eps": list(scenario.eps_list),
         "log_amplified": log_amp,
@@ -487,12 +497,16 @@ def _run_rescaled(scenario):
         "c1": [r.c1 for r in per_eps],
         "sigma_tau": sigmas,
         "beta_tau": [r.beta_tau for r in per_eps],
-        "functional_measured": trace_measured.values.tolist(),
-        "functional_verdict": trace_measured.verdict,
-        "functional_analytic": trace_analytic.values.tolist(),
-        "functional_analytic_verdict": trace_analytic.verdict,
+        "functional_measured": measured,
+        "functional_verdict": _functional_verdict(measured, rules),
+        "functional_analytic": analytic,
+        "functional_analytic_verdict": _functional_verdict(analytic, rules),
         "lam0": psi0.lam,
     }
+
+
+def _functional_verdict(values, rules):
+    return "diverging" if _diverging(values, rules) else "bounded"
 
 
 def ladder_runs(scenario, curve):
@@ -556,15 +570,12 @@ def _window_max(run, window):
 
 def _run_tunnel(scenario):
     """Evidence of the calibrated tunnel floor (see :func:`decide`)."""
-    profile = scenario.build_profile()
-    grid = scenario.build_grid()
-    res = solver.tunnel_run(scenario.eps_list, scenario.p, profile, grid,
+    res = solver.tunnel_run(scenario.p, scenario.build_grid(),
                             gamma=scenario.gamma)
     return {
         "eps": list(scenario.eps_list),
-        "log_floor_center": [pe["log_floor_center"] for pe in res.per_eps],
-        "delta_formula": [pe["delta_formula"] for pe in res.per_eps],
-        "delta_measured": [pe["delta_measured"] for pe in res.per_eps],
+        **solver.tunnel_floors(res, scenario.eps_list, scenario.p,
+                               scenario.build_profile()),
         "conformance_min": res.conformance_min,
         "calibration_a": res.a,
         "calibration_c": res.c,
@@ -642,8 +653,8 @@ def load_sweep(path):
     checked) with :func:`load_scenario`.  Each axis must name a key that
     the base reads, and each value build a scenario (a numerical alpha
     also stay within the base curve's horizon); an analytic sweep needs a
-    rescaled base or none (``_ANALYTIC_BASE``), and only it reads ``lam0``
-    and ``threshold``."""
+    rescaled base or none (``_ANALYTIC_BASE``), and only it reads
+    ``lam0``."""
     cp, cfg = _read_ini(path, ("sweep",))
     sw, section = cfg["sweep"], cp["sweep"]
     mode = sw.get("mode", "analytic")
@@ -658,9 +669,8 @@ def load_sweep(path):
     else:
         _check(base is not None, path, section, "base",
                "a numerical sweep needs a base")
-        for key in ("lam0", "threshold"):
-            _check(key not in sw, path, section, key,
-                   "read by analytic sweeps only")
+        _check("lam0" not in sw, path, section, "lam0",
+               "read by analytic sweeps only")
     axes = {key: sw[key] for key in _AXES if key in sw}
     read = {**vars(target), **target.curve_cfg, **target.potential_cfg}
     for key, values in axes.items():
@@ -679,9 +689,7 @@ def load_sweep(path):
     return {"name": sw.get("name", Path(path).stem), "mode": mode,
             "base": base, "axes": axes,
             "budget_combos": sw.get("budget_combos", 512),
-            "lam0": sw.get("lam0", 2.4674011002723395),
-            "threshold": sw.get("threshold", _ANALYTIC_BASE.rules[
-                "functional_threshold"])}
+            "lam0": sw.get("lam0", 2.4674011002723395)}
 
 
 def _combo_key(combo):
@@ -693,16 +701,14 @@ def _combo_key(combo):
 _ANALYTIC_BASE = Scenario("analytic", potential_cfg={"amplitude": 50.0})
 
 
-def _analytic_verdict(combo, base, lam0, threshold):
+def _analytic_verdict(combo, base, lam0):
     """Analytic point-functional outcome of the base scenario (default:
-    ``_ANALYTIC_BASE``) with the combo's values."""
+    ``_ANALYTIC_BASE``) with the combo's values, and its record."""
     sc = _scenario_for(base or _ANALYTIC_BASE, combo)
-    trace = spectral.blowup_functional(
+    record = {"trace": spectral.blowup_functional(
         "point", sc.p, sc.alpha, 1, lam0, sc.build_profile(), sc.eps_list,
-        curve=sc.build_curve(), threshold=threshold,
-        growth_window=sc.rules["growth_window"])
-    return decide("analytic", {"functional_verdict": trace.verdict},
-                  sc.rules), {"trace": trace.values.tolist()}
+        curve=sc.build_curve()).values.tolist()}
+    return decide("analytic", record, sc.rules), record
 
 
 def read_sweep_log(path):
@@ -745,9 +751,9 @@ def _sweep_records(spec, todo, workers):
     verdict completes (a numerical combo is built where it runs)."""
     if spec["mode"] == "analytic":
         for combo in todo:
-            outcome, extra = _analytic_verdict(combo, spec["base"],
-                                               spec["lam0"], spec["threshold"])
-            yield {"combo": combo, "outcome": outcome, **extra}
+            outcome, record = _analytic_verdict(combo, spec["base"],
+                                                spec["lam0"])
+            yield {"combo": combo, "outcome": outcome, **record}
         return
     bases = itertools.repeat(spec["base"])
     if workers > 1:

@@ -618,12 +618,11 @@ def restart_from_mass(source, k, grid, center=None, sigma=None):
 # ----------------------------------------------------------------------
 @dataclass
 class TunnelResult:
-    """Rescaled tunnel run with subsolution calibration and half-widths.
+    """Rescaled tunnel run with its subsolution calibration.
 
-    The rescaled problem is zoom-independent; the zoom enters through the
-    amplification prefactor only, so one PDE run serves the whole eps
-    sequence.  Per-eps records hold (eps, delta_formula, delta_measured,
-    log floor at the axis center).
+    The rescaled problem is zoom-independent and never reads the decay
+    profile: both enter through the amplification prefactor only, so one
+    run serves every eps and profile (see :func:`tunnel_floors`).
     """
 
     run: RunResult
@@ -631,7 +630,7 @@ class TunnelResult:
     c: float
     conformance_min: float
     lam: float
-    per_eps: list
+    gamma: float | None
 
 
 _A_SHIFT = 0.1
@@ -640,36 +639,39 @@ _C_SAFETY = 0.9
 _FLOOR_THRESHOLD = 1e6
 
 
-def tunnel_run(eps, p, profile, grid, gamma=None):
+def check_tunnel_axis(length):
+    """Raise unless the axis half-length ``length`` truncates a negligible
+    Gaussian tail: the 1D marginal mass beyond it at tau = 1."""
+    tail = math.erfc(length / 2.0)
+    if tail > 1e-8:
+        raise ConfigurationError(
+            f"axis truncation {length} too short: Gaussian tail {tail:.3g}")
+
+
+def tunnel_run(p, grid, gamma=None):
     """Evolve the rescaled tunnel problem and calibrate the explicit floor.
 
     The datum has Dirac mass ``max(DEFAULT_LADDER)``.  The absorption
     coefficient is 1 (the subcritical case), or with ``gamma`` the weight
     (max(sqrt(tau), |xi'|))**gamma (the supercritical case, gated by
-    :func:`potential.check_weighted_tunnel`).  The run is compared
+    :func:`potential.check_weight_gate`).  The run is compared
     against c * W(., tau), W from :func:`barriers.tunnel_subsolution`,
     after the calibration shift a = ``_A_SHIFT``: c is the grid minimum of
     the ratio at the first comparison time ``_TAU_CAL`` + a, deflated by
     ``_C_SAFETY``, and the conformance minimum of w(., tau + a) - c W(., tau)
-    over later times is recorded; half-widths use ``_FLOOR_THRESHOLD``.
+    over later times is recorded.
     """
-    eps_list = [float(eps)] if np.isscalar(eps) else [float(e) for e in eps]
     if grid.ndim != 2:
         raise ConfigurationError("tunnel runs use a 2D (axis x cross) grid")
     absorption = 1.0
     if gamma is not None:
-        potential_mod.check_weighted_tunnel(gamma, p, profile, eps_list)
+        potential_mod.check_weight_gate(gamma, p, n_dim=2)
         xperp = np.abs(grid.points()[:, 1])
 
         def absorption(points, t):
             return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma
 
-    length = grid.hi[0]
-    tail = math.erfc(length / 2.0)  # 1D marginal mass beyond the truncation at tau=1
-    if tail > 1e-8:
-        raise ConfigurationError(
-            f"axis truncation {length} too short: Gaussian tail {tail:.3g}")
-
+    check_tunnel_axis(grid.hi[0])
     spec = PDESpec(p=p, drift=None, absorption=absorption)
     fld = dirac_family(max(DEFAULT_LADDER), grid, _aligned_start(grid))
     # the cross-section ground state at the tunnel discretization, before any
@@ -699,28 +701,28 @@ def tunnel_run(eps, p, profile, grid, gamma=None):
         W = tunnel_subsolution(xi1, xi_perp, t - _A_SHIFT, lam, pair)
         conf_min = min(conf_min, float(np.min(w - c_val * W)))
 
-    per_eps = []
+    return TunnelResult(run=result, a=_A_SHIFT, c=c_val,
+                        conformance_min=conf_min, lam=lam, gamma=gamma)
+
+
+def tunnel_floors(result, eps, p, profile):
+    """The per-eps evidence of a :func:`tunnel_run` for one decay profile:
+    the log floor at the axis center, and the half-width of the blow-up
+    interval by its formula and where the Gaussian-envelope floor clears
+    ``_FLOOR_THRESHOLD`` (a weighted run checks the shifted profile)."""
+    if result.gamma is not None:
+        potential_mod.check_weighted_tunnel(result.gamma, p, profile, eps)
+    log_c, lam = math.log(result.c), result.lam
     g0 = gaussian_cos_integral(0.0, 1.0)
     # (4 pi)**(-1/2) * integral of exp(-z**2/2) cos(z) over [-pi/2, pi/2]
     log_i0 = math.log(gaussian_cos_integral(0.0, 0.5) / math.sqrt(2.0))
-    for e in eps_list:
-        ell = potential_mod.eval_profile(profile, e)
-        log_pref = spectral.log_amplification(p, profile, e)
-        log_floor0 = math.log(c_val) + log_pref - (lam + 1.0) + math.log(g0)
-        delta_formula = math.sqrt(2.0 * e * e * ell / (p - 1.0))
-        delta_meas = _half_width(c_val, lam, log_pref, e,
-                                 math.log(_FLOOR_THRESHOLD), log_i0)
-        per_eps.append({"eps": e, "delta_formula": delta_formula,
-                        "delta_measured": delta_meas,
-                        "log_floor_center": log_floor0})
-    return TunnelResult(run=result, a=_A_SHIFT, c=c_val,
-                        conformance_min=conf_min, lam=lam, per_eps=per_eps)
-
-
-def _half_width(c_val, lam, log_pref, e, log_threshold, log_i0):
-    """Largest |x1| where the Gaussian-envelope floor clears the threshold."""
-    budget = (math.log(c_val) + log_pref - (lam + 1.0) + log_i0
-              - log_threshold)
-    if budget <= 0:
-        return 0.0
-    return math.sqrt(2.0 * budget) * e
+    out = {"log_floor_center": [], "delta_formula": [], "delta_measured": []}
+    for e in eps:
+        log_env = log_c + spectral.log_amplification(p, profile, e) \
+            - (lam + 1.0)
+        budget = log_env + log_i0 - math.log(_FLOOR_THRESHOLD)
+        out["log_floor_center"].append(log_env + math.log(g0))
+        out["delta_formula"].append(math.sqrt(
+            2.0 * e * e * potential_mod.eval_profile(profile, e) / (p - 1.0)))
+        out["delta_measured"].append(math.sqrt(2.0 * max(budget, 0.0)) * e)
+    return out

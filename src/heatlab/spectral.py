@@ -212,34 +212,28 @@ class BlowupFunctionalTrace:
 
     ``kind='point'`` tracks -2/(p-1) ln(eps) + l(eps)/(p-1) - rate*alpha/eps**2;
     ``kind='mass'`` adds N*ln(eps) to the leading log (local-mass version).
-    The verdict is the declared heuristic: diverging when the last
-    ``growth_window`` values (three by default) increase strictly and the
-    final one clears the threshold.
+    Whether the values diverge is a rule of the scenario, judged by
+    :func:`harness.decide`.
     """
 
     kind: str
     eps: np.ndarray
     values: np.ndarray
     inputs: dict
-    verdict: str
-    threshold: float
 
     def csv_rows(self):
-        return [f"{e:.12g},{v:.12g},{self.verdict}"
-                for e, v in zip(self.eps, self.values)]
+        return [f"{e:.12g},{v:.12g}" for e, v in zip(self.eps, self.values)]
 
 
 def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
-                      beta_sup=0.0, delta_sup=0.0, sigma=0.0, curve=None,
-                      threshold=50.0, growth_window=3):
+                      beta_sup=0.0, delta_sup=0.0, sigma=0.0, curve=None):
     """Evaluate the blow-up functional along a decreasing zoom sequence.
 
     Drift constants per eps follow the moving-frame scaling: beta_tau =
     eps * sup|x'|, delta_tau = eps**3 * sup|x''|, the sups running over
     [eps**2, alpha] (taken from ``curve`` when given, else from
     ``beta_sup``/``delta_sup``).  ``sigma`` may be a scalar or a per-eps
-    sequence of measured nonlinear feedback values.  The verdict reads the
-    last ``growth_window`` values (at least 2).
+    sequence of measured nonlinear feedback values.
     """
     if kind not in (POINT, MASS):
         raise ConfigurationError(f"unknown functional kind {kind!r}")
@@ -248,8 +242,6 @@ def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
         raise ConfigurationError("eps sequence must be strictly decreasing")
     if p <= 1 or alpha <= 0:
         raise ConfigurationError("need p > 1 and alpha > 0")
-    if growth_window < 2:
-        raise ConfigurationError("growth_window must be at least 2")
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), eps.shape)
     vals, betas, deltas = np.empty((3, eps.size))
     for i, e in enumerate(eps):
@@ -265,18 +257,13 @@ def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
         vals[i] = log_amplification(p, profile, e) - rate * alpha / (e * e)
         if kind == MASS:
             vals[i] += n_dim * np.log(e)
-    tail = vals[-growth_window:]
-    diverging = (tail.size >= 2 and np.all(np.diff(tail) > 0)
-                 and tail[-1] > threshold)
-    verdict = "diverging" if diverging else "bounded"
     inputs = {"p": p, "alpha": alpha, "n_dim": n_dim, "lam0": lam0,
               "beta_tau": betas.tolist(), "delta_tau": deltas.tolist(),
               "sigma": sig.tolist(), "profile": (profile.family,
                                                  profile.amplitude,
                                                  profile.exponent)}
     return BlowupFunctionalTrace(kind=kind, eps=eps, values=vals,
-                                 inputs=inputs, verdict=verdict,
-                                 threshold=threshold)
+                                 inputs=inputs)
 
 
 def log_amplification(p, profile, eps):
@@ -305,7 +292,7 @@ def propagation_alpha_threshold(profile, p, lam0, sigma=0.0):
 
 def write_trace(trace, path):
     with open(path, "w") as fh:
-        fh.write("eps,value,verdict\n")
+        fh.write("eps,value\n")
         for row in trace.csv_rows():
             fh.write(row + "\n")
 

@@ -14,7 +14,7 @@ import pytest
 from heatlab import barriers, harness, solver, spectral
 from heatlab.errors import ConfigurationError
 from heatlab.grids import Field, Grid
-from heatlab.potential import DecayProfile, Potential
+from heatlab.potential import Potential
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 INTERVAL_LAMBDA = math.pi ** 2 / 4.0
@@ -234,10 +234,9 @@ def test_criterion_09_tunnel_line():
     wf = weighted.evidence["log_floor_center"]
     assert wf[1] > wf[0]
     # gating: gamma below N(p-1)-2 must be rejected
-    prof = DecayProfile("inverse-square", 8.0)
     grid = Grid.tunnel(10.0, 201, 41, 5e-4)
     with pytest.raises(ConfigurationError):
-        solver.tunnel_run(0.2, 3.0, prof, grid, gamma=1.0)
+        solver.tunnel_run(3.0, grid, gamma=1.0)
     _line(9, "tunnel line",
           f"delta formula 4.0 exact; measured/formula="
           f"{[round(m/f, 3) for m, f in zip(line.evidence['delta_measured'], line.evidence['delta_formula'])]},"

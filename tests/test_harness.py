@@ -224,11 +224,11 @@ class TestLoadValidation:
         runs = []
         orig = solver.tunnel_run
 
-        def spy(eps, p, profile, grid, gamma=None):
+        def spy(p, grid, gamma=None):
             # tunnel_run runs the weighted case exactly when gamma is given
             runs.append(("subcritical" if gamma is None else "supercritical",
                          gamma))
-            return orig(eps, p, profile, grid, gamma=gamma)
+            return orig(p, grid, gamma=gamma)
 
         monkeypatch.setattr(solver, "tunnel_run", spy)
         path = self.edited(tmp_path, "line-blowup.ini", "p = 2.0",
@@ -381,8 +381,9 @@ class TestLoadValidation:
          "velocity", "not read by the ladder base"),
         ("line-blowup.ini", "mode = numerical\np = 2, 3\nlam0 = 2.0", "lam0",
          "analytic sweeps only"),
-        ("line-blowup.ini", "mode = numerical\np = 2, 3\nthreshold = 40",
-         "threshold", "analytic sweeps only"),
+        # the functional's threshold is the base's functional_threshold
+        ("propagation-straight.ini", "amplitude = 1, 2\nthreshold = 50",
+         "threshold", "unknown key"),
         ("box-reentry.ini", "mode = analytic\np = 2, 3", "base",
          "rescaled base"),
         # each combo used to fail at run time, naming neither file nor key
@@ -424,9 +425,10 @@ class TestLoadValidation:
         self.rejected(path, "sweep", axis, loader=harness.load_sweep)
 
     def test_sweep_duplicate_key(self, tmp_path):
-        path = self.edited(tmp_path, "sweep-phase.ini", "threshold = 50",
-                           "threshold = 50\nthreshold = 60")
-        self.duplicate(path, "sweep", "threshold", loader=harness.load_sweep)
+        path = self.edited(tmp_path, "sweep-phase.ini", "budget_combos = 512",
+                           "budget_combos = 512\nbudget_combos = 64")
+        self.duplicate(path, "sweep", "budget_combos",
+                       loader=harness.load_sweep)
 
     def test_cli_run_exits_1_with_one_line(self, tmp_path, monkeypatch,
                                            capsys):
@@ -500,10 +502,14 @@ class TestScenarioChecks:
          "family = log\namplitude = 1.0", "scenario", "gamma",
          lambda: harness.Scenario("w", kind="tunnel", gamma=2.5,
                                   potential_cfg={"family": "log",
-                                                 "amplitude": 1.0}))],
+                                                 "amplitude": 1.0})),
+        ("line-blowup.ini", "length = 10.0", "length = 4.0", "grid", "length",
+         lambda: harness.Scenario("t", kind="tunnel",
+                                  grid_cfg={"length": 4.0}))],
         ids=["tunnel-ladder-keys", "velocity-width", "kind", "expected",
              "one-rung", "sweep-p", "amplitude", "n_cross", "eps-order",
-             "tunnel-eps-order", "n_cross-ground-state", "shifted-profile"])
+             "tunnel-eps-order", "n_cross-ground-state", "shifted-profile",
+             "truncation"])
     def test_file_and_caller_get_the_same_error(self, tmp_path, name, old,
                                                 new, section, key, build):
         path = TestLoadValidation.edited(tmp_path, name, old, new)
@@ -531,13 +537,16 @@ class TestScenarioChecks:
          "n_cross"),
         ("line-blowup-weighted.ini",
          "family = inverse-square\namplitude = 8.0",
-         "family = log\namplitude = 1.0", "scenario", "gamma")])
+         "family = log\namplitude = 1.0", "scenario", "gamma"),
+        ("line-blowup.ini", "length = 10.0", "length = 4.0", "grid",
+         "length")])
     def test_cli_fails_before_any_step(self, tmp_path, monkeypatch, capsys,
                                        name, old, new, section, key):
         # each used to load and fail only when its run started, naming no
         # file; a window of 1 only after all three zoomed runs, an n_cross
         # of 11 after the whole tunnel run, and an increasing tunnel eps
-        # not at all (its floors shrink, so it was inconclusive)
+        # not at all (its floors shrink, so it was inconclusive); a short
+        # tunnel axis failed in the run, naming neither file nor key
         def evolve(*args, **kwargs):
             raise AssertionError("solver.evolve called")
 
@@ -560,6 +569,22 @@ class TestScenarioChecks:
         msg = str(exc.value)
         assert msg.startswith(f"{path}: [sweep] amplitude = 4, -1: ")
         assert names(msg, "potential", "amplitude")
+
+
+class TestTunnelFloors:
+    def test_one_run_serves_every_profile(self):
+        # the tunnel PDE never reads the profile: the floors of one run, for
+        # each amplitude, are the evidence of that amplitude's own verdict
+        base = loaded("line-blowup.ini")
+        res = solver.tunnel_run(base.p, base.build_grid(), gamma=base.gamma)
+        for amplitude in (4.0, 16.0):
+            sc = harness._scenario_for(base, {"amplitude": amplitude})
+            ev = harness.run_scenario(sc).evidence
+            floors = solver.tunnel_floors(res, sc.eps_list, sc.p,
+                                          sc.build_profile())
+            assert floors == {key: ev[key] for key in floors}
+            assert (ev["calibration_c"], ev["conformance_min"]) \
+                == (res.c, res.conformance_min)
 
 
 def ladder_curve(**cfg):
@@ -783,8 +808,7 @@ class TestSweep:
         spec = {"name": "alpha-axis", "mode": "analytic", "base": None,
                 "axes": {"alpha": (1.0, 2.0, 4.0, 8.0, 16.0),
                          "amplitude": (50.0,)},
-                "budget_combos": 64, "lam0": 5.783185962946785,
-                "threshold": 50.0}
+                "budget_combos": 64, "lam0": 5.783185962946785}
         records = harness.sweep(spec, tmp_path / "log.jsonl")
         prof = DecayProfile("inverse-square", 50.0)
         rate = spectral.envelope_rate(5.783185962946785, 0.2 * 1.0, 0.0, 0.0)
@@ -810,7 +834,7 @@ class TestSweep:
         # the log, and a rerun computes only what the log lacks
         spec = {"name": "p-axis", "mode": "analytic", "base": None,
                 "axes": {"p": (2.0, 1.0, 3.0)}, "budget_combos": 8,
-                "lam0": 2.4674011002723395, "threshold": 50.0}
+                "lam0": 2.4674011002723395}
         log = tmp_path / "log.jsonl"
         with pytest.raises(ConfigurationError):
             harness.sweep(spec, log)
@@ -834,8 +858,7 @@ class TestSweep:
         # worker; the verdict before it is already logged
         spec = {"name": "amp-axis", "mode": "numerical",
                 "base": tiny_ladder_scenario(),
-                "axes": {"amplitude": (2.0, -1.0)}, "budget_combos": 8,
-                "lam0": 2.4674011002723395, "threshold": 50.0}
+                "axes": {"amplitude": (2.0, -1.0)}, "budget_combos": 8}
         log = tmp_path / "log.jsonl"
         with pytest.raises(ConfigurationError, match="amplitude"):
             harness.sweep(spec, log, workers=2)
@@ -911,15 +934,21 @@ class TestSweepCombos:
 
 
 class TestRescaledRules:
-    def test_growth_window_reaches_functional(self, monkeypatch):
+    @staticmethod
+    def windows(monkeypatch):
+        """The growth_window of each functional that the rule judges."""
         windows = []
-        orig = spectral.blowup_functional
+        orig = harness._diverging
 
-        def spy(*args, **kwargs):
-            windows.append(kwargs.get("growth_window"))
-            return orig(*args, **kwargs)
+        def spy(values, rules):
+            windows.append(rules["growth_window"])
+            return orig(values, rules)
 
-        monkeypatch.setattr(spectral, "blowup_functional", spy)
+        monkeypatch.setattr(harness, "_diverging", spy)
+        return windows
+
+    def test_growth_window_reaches_functional(self, monkeypatch):
+        windows = self.windows(monkeypatch)
         sc = harness.Scenario(
             name="short-zoom", kind="rescaled", expected="unknown", p=2.0,
             alpha=0.5, eps_list=(0.5, 0.4),
@@ -928,6 +957,8 @@ class TestRescaledRules:
             grid_cfg={"n": 41, "dt": 0.005})
         sc.rules = dict(sc.rules, growth_window=2)
         harness.run_scenario(sc)
+        # the measured and the analytic verdict; the outcome's rule stops
+        # before the functional, as this short zoom stays below the ceiling
         assert windows == [2, 2]
 
     def test_analytic_sweep_uses_base_profile(self):
@@ -938,9 +969,9 @@ class TestRescaledRules:
         weak = harness.load_scenario(SCENARIOS / "localization-weak.ini")
         strong = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
         for combo in ({"alpha": 1.0}, {"alpha": 1.0, "amplitude": 50.0}):
-            assert harness._analytic_verdict(combo, weak, lam0, 50.0)[0] \
+            assert harness._analytic_verdict(combo, weak, lam0)[0] \
                 == "localization"
-            assert harness._analytic_verdict(combo, strong, lam0, 50.0)[0] \
+            assert harness._analytic_verdict(combo, strong, lam0)[0] \
                 == "propagation"
 
     def test_analytic_sweep_speed_from_curve_or_combo(self, monkeypatch):
@@ -955,23 +986,16 @@ class TestRescaledRules:
         monkeypatch.setattr(spectral, "blowup_functional", spy)
         base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
         base.curve_cfg = dict(base.curve_cfg, velocity=(0.3, 0.4))
-        harness._analytic_verdict({"alpha": 1.0}, base, 5.78, 50.0)
-        harness._analytic_verdict({"velocity": 0.25}, base, 5.78, 50.0)
+        harness._analytic_verdict({"alpha": 1.0}, base, 5.78)
+        harness._analytic_verdict({"velocity": 0.25}, base, 5.78)
         assert speeds == pytest.approx([0.5, 0.25], rel=1e-12)
 
     def test_analytic_sweep_uses_base_growth_window(self, monkeypatch):
-        windows = []
-        orig = spectral.blowup_functional
-
-        def spy(*args, **kwargs):
-            windows.append(kwargs.get("growth_window"))
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "blowup_functional", spy)
+        windows = self.windows(monkeypatch)
         base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
         base.rules = dict(base.rules, growth_window=2)
-        harness._analytic_verdict({"alpha": 1.0}, base, 5.78, 50.0)
-        harness._analytic_verdict({"alpha": 1.0}, None, 5.78, 50.0)
+        harness._analytic_verdict({"alpha": 1.0}, base, 5.78)
+        harness._analytic_verdict({"alpha": 1.0}, None, 5.78)
         assert windows == [2, 3]
 
 
@@ -1003,9 +1027,15 @@ class TestDecide:
         for name in names:
             kind, rules, outcome, ev = recorded(name)
             assert harness.decide(kind, ev, rules) == outcome, name
-            if kind == "rescaled":  # recorded by the rule's own predicate
+            if kind == "rescaled":  # recorded by the rules' own predicates
                 assert ev["conformance_ok"] == harness._conformant(
                     ev["conformance_margins"], rules)
+                for values, verdict in (("functional_measured",
+                                         "functional_verdict"),
+                                        ("functional_analytic",
+                                         "functional_analytic_verdict")):
+                    assert (ev[verdict] == "diverging") \
+                        == harness._diverging(ev[values], rules)
 
     def test_rederives_a_fresh_sweep_log(self, tmp_path):
         # the records lack the None-valued evidence, box_center included
@@ -1021,6 +1051,18 @@ class TestDecide:
             assert harness.decide("ladder", rec["evidence"], base.rules) \
                 == rec["outcome"]
 
+    def test_rederives_a_fresh_analytic_sweep_log(self, tmp_path):
+        # a record holds the functional's values alone, judged by the rules
+        # of the base
+        spec = harness.load_sweep(SCENARIOS / "sweep-phase.ini")
+        records = harness.sweep(spec, tmp_path / "log.jsonl")
+        assert len(records) == 24
+        assert {rec["outcome"] for rec in records} \
+            == {"propagation", "localization"}
+        for rec in records:
+            assert harness.decide("analytic", rec, spec["base"].rules) \
+                == rec["outcome"]
+
     @pytest.mark.parametrize("name, changes, outcome", [
         ("propagation-straight", {"conformance_margins": lambda ev, r: [
             0.0, -2 * r["conformance_tol"], 0.0]}, "inconclusive"),
@@ -1029,8 +1071,13 @@ class TestDecide:
         ("propagation-straight", {"log_amplified": lambda ev, r: [
             *ev["log_amplified"][:2], ev["log_amplified"][1]]},
          "inconclusive"),
-        ("propagation-straight", {"functional_verdict": "bounded"},
-         "inconclusive"),
+        ("propagation-straight", {"functional_measured": lambda ev, r: [
+            r["functional_threshold"] - 2, r["functional_threshold"] - 1,
+            r["functional_threshold"]]}, "inconclusive"),
+        ("propagation-straight", {"functional_measured": lambda ev, r: ev[
+            "functional_measured"][::-1]}, "inconclusive"),
+        ("propagation-straight", {"functional_measured": lambda ev, r: [
+            2 * r["functional_threshold"]]}, "inconclusive"),
         ("localization-weak", {"log_amplified": lambda ev, r: [
             0.0, 1.0, math.log(r["bounded_ceiling"]) + 1e-9]},
          "inconclusive"),
@@ -1060,7 +1107,8 @@ class TestDecide:
         ("line-blowup", {"conformance_min": lambda ev, r: -2 * r[
             "tunnel_tol"]}, "inconclusive")],
         ids=["margin-propagation", "margin-localization", "flat-amplified",
-             "bounded-functional", "amplified-localization", "no-probe-hit",
+             "bounded-functional", "falling-functional", "one-value-functional",
+             "amplified-localization", "no-probe-hit",
              "gap-segment", "gap-box", "gap-at-zero", "gap-at-tol",
              "box-none", "box-absent", "no-decreasing", "width-narrow",
              "width-wide", "floors-shrink", "calibration-zero",
@@ -1080,14 +1128,19 @@ class TestDecide:
                                       "localization-weak"])
     def test_analytic_functional_alone(self, name):
         # the analytic functional alone gives the recorded outcome of the
-        # shipped rescaled scenarios; a bounded one gives localization
+        # shipped rescaled scenarios; it propagates only when its last
+        # growth_window values, two or more, rise past the threshold
         _, rules, outcome, ev = recorded(name)
-        verdict = ev["functional_analytic_verdict"]
-        for functional, expected in ((verdict, outcome),
-                                     ("bounded", "localization"),
-                                     ("diverging", "propagation")):
-            assert harness.decide("analytic", {
-                "functional_verdict": functional}, rules) == expected
+        top, window = rules["functional_threshold"], rules["growth_window"]
+        for trace, expected in ((ev["functional_analytic"], outcome),
+                                ([top + 1, top + 2, top + 3], "propagation"),
+                                ([top + 9, 0, top + 1, top + 2][-window - 1:],
+                                 "propagation"),
+                                ([top - 2, top - 1, top], "localization"),
+                                ([top + 3, top + 2, top + 1], "localization"),
+                                ([top + 1], "localization")):
+            assert harness.decide("analytic", {"trace": trace}, rules) \
+                == expected, trace
 
 
 class TestCli:

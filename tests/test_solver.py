@@ -366,12 +366,11 @@ class TestDiracFamily:
 
         monkeypatch.setattr(solver, "dirac_family", spy)
         curve = geometry.Curve.straight((1.0,), 1.0, n=65)
-        prof = DecayProfile("inverse-square", 8.0)
         with pytest.raises(Started):
             solver.solve_rescaled(0.5, curve, 2.0, 0.25,
                                   Grid.unit_ball(21, 0.01))
         with pytest.raises(Started):
-            solver.tunnel_run(0.2, 2.0, prof, Grid.tunnel(10.0, 41, 11, 0.01))
+            solver.tunnel_run(2.0, Grid.tunnel(10.0, 41, 11, 0.01))
         assert masses == [max(solver.DEFAULT_LADDER)] * 2
 
     def test_under_resolved_kernel_rejected(self):
@@ -569,10 +568,9 @@ class TestRestart:
 
 class TestTunnel:
     def test_short_truncation_rejected(self):
-        prof = DecayProfile("inverse-square", 8.0)
         g = Grid.tunnel(4.0, 81, 21, 1e-3)
         with pytest.raises(ConfigurationError, match="truncation"):
-            solver.tunnel_run(0.2, 2.0, prof, g)
+            solver.tunnel_run(2.0, g)
 
     def test_tail_fraction_counts_corners_once(self):
         g = Grid.tunnel(4.0, 9, 9, 1e-3)
@@ -581,26 +579,32 @@ class TestTunnel:
             pytest.approx(56 / 81, rel=1e-15)
 
     def test_supercritical_gate(self):
-        prof = DecayProfile("inverse-square", 8.0)
         g = Grid.tunnel(10.0, 201, 41, 5e-4)
         with pytest.raises(ConfigurationError, match="gamma"):
-            solver.tunnel_run(0.2, 3.0, prof, g, gamma=1.0)
+            solver.tunnel_run(3.0, g, gamma=1.0)
 
-    @pytest.mark.parametrize("n_cross, family, gamma, match", [
-        (11, "inverse-square", None, "n >= 16"),
-        (41, "log", 2.5, "shifted profile")], ids=["n_cross", "shifted"])
-    def test_rejected_before_any_step(self, monkeypatch, n_cross, family,
-                                      gamma, match):
+    @pytest.mark.parametrize("length, n_cross, match", [
+        (10.0, 11, "n >= 16"), (4.0, 41, "truncation")],
+        ids=["n_cross", "truncation"])
+    def test_rejected_before_any_step(self, monkeypatch, length, n_cross,
+                                      match):
         # a cross section too coarse for its ground state used to fail only
         # after the whole run
         def evolve(*args, **kwargs):
             raise AssertionError("solver.evolve called")
 
         monkeypatch.setattr(solver, "evolve", evolve)
-        prof = DecayProfile(family, 1.0)
         with pytest.raises(ConfigurationError, match=match):
-            solver.tunnel_run(0.2, 3.0, prof, Grid.tunnel(10.0, 201, n_cross,
-                                                          0.002), gamma=gamma)
+            solver.tunnel_run(3.0, Grid.tunnel(length, 201, n_cross, 0.002))
+
+    def test_floors_check_the_shifted_profile(self):
+        # the weighted bound needs l(s) + gamma ln s nonincreasing, which
+        # the log profile with gamma = 2.5 is not; no run is needed to see it
+        res = solver.TunnelResult(run=None, a=0.1, c=1.0, conformance_min=0.0,
+                                  lam=2.5, gamma=2.5)
+        with pytest.raises(ConfigurationError, match="shifted profile"):
+            solver.tunnel_floors(res, (0.2, 0.1), 3.0,
+                                 DecayProfile("log", 1.0))
 
     def test_envelope_mass_is_the_half_time_kernel_integral(self):
         # (4 pi)**(-1/2) * integral of exp(-z**2/2) cos(z) over
@@ -615,10 +619,10 @@ class TestTunnel:
     def test_subsolution_conformance_and_widths(self):
         prof = DecayProfile("inverse-square", 8.0)
         g = Grid.tunnel(10.0, 201, 41, 1e-3)
-        res = solver.tunnel_run([0.2, 0.1], 2.0, prof, g)
+        res = solver.tunnel_run(2.0, g)
         assert res.c > 0
         assert res.conformance_min >= -1e-8
-        for pe in res.per_eps:
-            assert pe["delta_measured"] < pe["delta_formula"]
-        floors = [pe["log_floor_center"] for pe in res.per_eps]
-        assert floors[1] > floors[0]
+        floors = solver.tunnel_floors(res, (0.2, 0.1), 2.0, prof)
+        for dm, df in zip(floors["delta_measured"], floors["delta_formula"]):
+            assert dm < df
+        assert floors["log_floor_center"][1] > floors["log_floor_center"][0]

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
-from heatlab import spectral
+from heatlab import harness, spectral
 from heatlab.errors import ConfigurationError, DomainError
 from heatlab.potential import DecayProfile
 
@@ -193,6 +193,13 @@ class TestEnvelopes:
             spectral.lower_envelope(1.0, 2.0, 0.0, 0.0, 0.0, 0.5, interval_pair)
 
 
+def judged(trace, **rules):
+    """The analytic outcome of a trace under the default rescaled rules
+    (threshold 50, window 3), with ``rules`` replacing some of them."""
+    return harness.decide("analytic", {"trace": trace.values.tolist()},
+                          {**harness.Scenario("rules").rules, **rules})
+
+
 class TestBlowupFunctional:
     lam0 = 2.4674
 
@@ -205,7 +212,7 @@ class TestBlowupFunctional:
             expect = -2.0 * math.log(e) + (50.0 - self.lam0) / e ** 2
             assert v == pytest.approx(expect, rel=1e-12)
         assert np.all(np.diff(tr.values) > 0)
-        assert tr.verdict == "diverging"
+        assert judged(tr) == "propagation"
 
     def test_log_profile_localizes(self):
         prof = DecayProfile("log", 1.0)
@@ -215,7 +222,7 @@ class TestBlowupFunctional:
             expect = (-2.0 * math.log(e) + math.log(1.0 / e)
                       - self.lam0 / e ** 2)
             assert v == pytest.approx(expect, rel=1e-12)
-        assert tr.verdict == "bounded"
+        assert judged(tr) == "localization"
 
     def test_alpha_scaling_flips_verdict(self):
         # bracketing amplitude: diverges at alpha=1, localizes at alpha=2
@@ -224,8 +231,8 @@ class TestBlowupFunctional:
                                         [0.2, 0.1, 0.05])
         hi = spectral.blowup_functional("point", 2.0, 2.0, 1, self.lam0, prof,
                                         [0.2, 0.1, 0.05])
-        assert lo.verdict == "diverging"
-        assert hi.verdict == "bounded"
+        assert judged(lo) == "propagation"
+        assert judged(hi) == "localization"
 
     def test_point_mass_differ_by_n_log_eps(self):
         prof = DecayProfile("inverse-square", 10.0)
@@ -243,10 +250,10 @@ class TestBlowupFunctional:
         for alpha in (0.25 * alpha0, 0.5 * alpha0, 0.9 * alpha0):
             tr = spectral.blowup_functional("point", 2.0, alpha, 1, self.lam0,
                                             prof, [0.2, 0.1, 0.05, 0.025])
-            assert tr.verdict == "diverging"
+            assert judged(tr) == "propagation"
         tr = spectral.blowup_functional("point", 2.0, 1.5 * alpha0, 1,
                                         self.lam0, prof, [0.2, 0.1, 0.05, 0.025])
-        assert tr.verdict == "bounded"
+        assert judged(tr) == "localization"
 
     def test_growth_window_decides_verdict(self):
         # power profile l = 1/eps**3 against rate 10: the values fall from
@@ -255,15 +262,13 @@ class TestBlowupFunctional:
         prof = DecayProfile("power", 1.0, 3.0)
         kw = dict(kind="point", p=2.0, alpha=1.0, n_dim=1, lam0=10.0,
                   profile=prof, eps_seq=[0.5, 0.25, 0.05])
-        two = spectral.blowup_functional(**kw, growth_window=2)
-        three = spectral.blowup_functional(**kw, growth_window=3)
-        assert np.array_equal(two.values, three.values)
-        assert two.values[1] < two.values[0] and two.values[2] > 50.0
-        assert two.verdict == "diverging"
-        assert three.verdict == "bounded"
-        assert spectral.blowup_functional(**kw).verdict == "bounded"
-        with pytest.raises(ConfigurationError, match="growth_window"):
-            spectral.blowup_functional(**kw, growth_window=1)
+        tr = spectral.blowup_functional(**kw)
+        assert tr.values[1] < tr.values[0] and tr.values[2] > 50.0
+        assert judged(tr, growth_window=2) == "propagation"
+        assert judged(tr, growth_window=3) == "localization"
+        assert judged(tr) == "localization"
+        # one value above the threshold is no growth
+        assert judged(tr, growth_window=1) == "localization"
 
     def test_eps_must_decrease(self):
         prof = DecayProfile("inverse-square", 10.0)
@@ -285,5 +290,5 @@ class TestBlowupFunctional:
         path = tmp_path / "trace.csv"
         spectral.write_trace(tr, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "eps,value,verdict"
+        assert lines[0] == "eps,value"
         assert len(lines) == 3
