@@ -23,7 +23,6 @@ spec = {
     "axes": {"amplitude": (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
              "alpha": (0.5, 1.0, 2.0, 4.0)},
     "budget_combos": 256,
-    "lam0": 2.4674011002723395,
 }
 log = out / "phase.jsonl"
 records = harness.sweep(spec, log)

@@ -11,13 +11,15 @@ the defaults of ``_KIND_KEYS`` only back missing keys.
 """
 
 import configparser
+import functools
+import hashlib
 import itertools
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import asdict, dataclass, field as dfield, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,11 @@ _RANGES = {"p": ("must be > 1", lambda v: v > 1),
            # the verdict compares the last two rungs
            "k_ladder": ("must be two or more positive numbers",
                         lambda v: len(v) > 1 and min(v) > 0),
+           # the Dirac datum sits at the origin of a ladder's interval
+           "lo": ("must be < 0", lambda v: v < 0),
+           "hi": ("must be > 0", lambda v: v > 0),
+           # the segment classification needs three or more samples
+           "samples": ("must be at least 3", lambda v: v >= 3),
            # the cross-section ground state needs 16 interior nodes
            "n_cross": ("must be at least 18", lambda v: v >= 18),
            # the functional reads the tail of two or more values
@@ -140,7 +147,7 @@ def _built(build, section, cfg, rule=""):
     """``build()``, its error naming the section and the ``cfg`` values."""
     try:
         return build()
-    except (OSError, ValueError) as exc:  # ConfigurationError included
+    except (OSError, ValueError, BudgetError) as exc:  # ConfigurationError too
         values = ", ".join(f"{key} = {value}" for key, value in cfg.items())
         raise ConfigurationError(f"[{section}] {values}: "
                                  f"{rule}{str(exc).splitlines()[0]}") from None
@@ -153,8 +160,9 @@ class Scenario:
     The ``*_cfg`` dicts and ``rules`` hold the typed values of their file
     sections.  The constructor fills them, and the [scenario] fields left
     None, from ``_KIND_KEYS`` (a field the kind does not read stays None),
-    checks every value and builds the grid, curve and profile or potential
-    once.  A tunnel is weighted (supercritical) exactly when gamma is set.
+    checks every value but the step budget and builds the grid, curve and
+    profile or potential once.  A tunnel is weighted (supercritical)
+    exactly when gamma is set.
     """
 
     name: str
@@ -193,16 +201,31 @@ class Scenario:
             _require(curve.dim <= width, "curve", key, cfg.get(key),
                      f"must have {count}, one per axis of the grid (in a "
                      "table, one x column each)")
-        _built(self.build_grid, "grid", self.grid_cfg)
+        grid = _built(self.build_grid, "grid", self.grid_cfg)
         if self.kind == "tunnel":
             _built(lambda: solver.check_tunnel_axis(self.grid_cfg["length"]),
                    "grid", {"length": self.grid_cfg["length"]})
+        # the datum starts at 4h**2, h set by n (by n_axis in a tunnel,
+        # whose n_cross is 18 or more), and must start before the run ends
+        key = "n_axis" if self.kind == "tunnel" else "n"
+        start = solver.datum_start(grid, aligned=self.kind != "ladder")
+        _require(start < horizon, "grid", key, self.grid_cfg[key],
+                 f"the Dirac datum starts at t = {start:.6g} (4h**2), not "
+                 f"before the run's end {horizon:.12g}")
         _built(lambda: self.build_potential(curve) if self.kind == "ladder"
                else self.build_profile(), "potential", self.potential_cfg)
         if self.gamma is not None:
             _built(lambda: potential_mod.check_weighted_tunnel(
                 self.gamma, self.p, self.build_profile(), self.eps_list),
                 "scenario", {"gamma": self.gamma})
+
+    def check_step_budget(self):
+        """The zoomed runs' step budget: checked where runs are due, not by
+        the constructor, which builds an analytic sweep's combos too."""
+        if self.kind == "rescaled":  # the last, smallest eps runs longest
+            _built(lambda: solver.check_step_budget(
+                self.eps_list[-1], self.alpha, self.grid_cfg["dt"]),
+                "scenario", {"eps": self.eps_list})
 
     def _run_ends(self):
         """The end time of each evolution the scenario runs."""
@@ -307,7 +330,6 @@ _KEYS = {
                  for key, parse in _parsers(keys[section]).items()}
        for section in _FIELDS},
     "sweep": {"name": str, "base": str, "mode": str, "budget_combos": int,
-              "lam0": float,
               **dict.fromkeys(_AXES, _floats)},
 }
 
@@ -363,8 +385,10 @@ def load_scenario(path):
     head = {_HEAD.get(key, key): value
             for key, value in cfg["scenario"].items()}
     try:
-        return Scenario(**{"name": Path(path).stem, **head},
-                        **{attr: cfg[name] for name, attr in _FIELDS.items()})
+        scenario = Scenario(**{"name": Path(path).stem, **head}, **{
+            attr: cfg[name] for name, attr in _FIELDS.items()})
+        scenario.check_step_budget()
+        return scenario
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
 
@@ -389,6 +413,7 @@ class Verdict:
 def run_scenario(scenario, budget=None):
     """The verdict of a scenario: its driver's evidence, judged by decide."""
     start = time.perf_counter()
+    scenario.check_step_budget()
     if budget is not None:
         _check_budget(scenario, budget)
     evidence = {"rescaled": _run_rescaled, "ladder": _run_ladder,
@@ -512,15 +537,15 @@ def _functional_verdict(values, rules):
 def ladder_runs(scenario, curve):
     """The runs u_k of the scenario's Dirac ladder, one per k, in order.
 
-    Every rung solves with the same coefficient h on the same grid and
-    time levels, so the rungs share one evaluation of h per time level
-    (:class:`potential.SharedLevels`); each run is still the same as an
-    independent :func:`solver.solve_uk`, h-underflow count and divergence
-    stop included.  The shared levels are freed when this returns.
+    The rungs step through the same time levels of the same h, so they
+    share one cache of :func:`potential.grid_levels`, keyed by the exact
+    float t and freed on return; each run equals an independent
+    :func:`solver.solve_uk`, underflow count and divergence stop included.
     """
-    pot = potential_mod.SharedLevels(scenario.build_potential(curve))
     grid = scenario.build_grid()
-    return [solver.solve_uk(k, curve, pot, scenario.p, scenario.horizon,
+    levels = functools.cache(potential_mod.grid_levels(
+        scenario.build_potential(curve), grid))
+    return [solver.solve_uk(k, curve, levels, scenario.p, scenario.horizon,
                             grid, ceiling=scenario.rules["divergence_ceiling"])
             for k in scenario.k_ladder]
 
@@ -651,10 +676,9 @@ def emit_report(verdicts, out_dir):
 def load_sweep(path):
     """Sweep spec from an INI file; its base scenario is loaded (and
     checked) with :func:`load_scenario`.  Each axis must name a key that
-    the base reads, and each value build a scenario (a numerical alpha
-    also stay within the base curve's horizon); an analytic sweep needs a
-    rescaled base or none (``_ANALYTIC_BASE``), and only it reads
-    ``lam0``."""
+    the base reads, and each value build a scenario (a numerical one also
+    keep alpha within the base curve's horizon, and steps in the budget);
+    an analytic sweep needs a rescaled base or none (``_ANALYTIC_BASE``)."""
     cp, cfg = _read_ini(path, ("sweep",))
     sw, section = cfg["sweep"], cp["sweep"]
     mode = sw.get("mode", "analytic")
@@ -669,8 +693,6 @@ def load_sweep(path):
     else:
         _check(base is not None, path, section, "base",
                "a numerical sweep needs a base")
-        _check("lam0" not in sw, path, section, "lam0",
-               "read by analytic sweeps only")
     axes = {key: sw[key] for key in _AXES if key in sw}
     read = {**vars(target), **target.curve_cfg, **target.potential_cfg}
     for key, values in axes.items():
@@ -679,7 +701,9 @@ def load_sweep(path):
         _check(values, path, section, key, "must be one or more numbers")
         for value in values:
             try:
-                _scenario_for(target, {key: value})
+                combo = _scenario_for(target, {key: value})
+                if mode == "numerical":  # an analytic combo never steps
+                    combo.check_step_budget()
             except ConfigurationError as exc:
                 _check(False, path, section, key, str(exc))
     if "alpha" in axes and mode == "numerical":  # runs follow the curve
@@ -688,8 +712,7 @@ def load_sweep(path):
                f"beyond the base curve's horizon {horizon:g}")
     return {"name": sw.get("name", Path(path).stem), "mode": mode,
             "base": base, "axes": axes,
-            "budget_combos": sw.get("budget_combos", 512),
-            "lam0": sw.get("lam0", 2.4674011002723395)}
+            "budget_combos": sw.get("budget_combos", 512)}
 
 
 def _combo_key(combo):
@@ -701,12 +724,15 @@ def _combo_key(combo):
 _ANALYTIC_BASE = Scenario("analytic", potential_cfg={"amplitude": 50.0})
 
 
-def _analytic_verdict(combo, base, lam0):
+def _analytic_verdict(combo, base):
     """Analytic point-functional outcome of the base scenario (default:
-    ``_ANALYTIC_BASE``) with the combo's values, and its record."""
+    ``_ANALYTIC_BASE``) with the combo's values, and its record; lambda0
+    is the unit ball's in the base's dimension."""
     sc = _scenario_for(base or _ANALYTIC_BASE, combo)
+    n_dim = len(sc.curve_cfg["velocity"])
     record = {"trace": spectral.blowup_functional(
-        "point", sc.p, sc.alpha, 1, lam0, sc.build_profile(), sc.eps_list,
+        "point", sc.p, sc.alpha, n_dim, spectral.BALL_LAMBDA[n_dim],
+        sc.build_profile(), sc.eps_list,
         curve=sc.build_curve()).values.tolist()}
     return decide("analytic", record, sc.rules), record
 
@@ -725,7 +751,8 @@ def sweep(spec, log_path, workers=1):
     """Run the Cartesian product of the axes, appending one fsynced JSON
     line per verdict as soon as it is known; reruns skip combos already in
     the log, so a sweep stopped by a failing combo or an interrupt resumes
-    where it stopped."""
+    where it stopped.  Each record carries the ``spec`` digest of its
+    sweep, and a log holding a record of another spec is refused."""
     names = sorted(spec["axes"])
     combos = [dict(zip(names, values)) for values in
               itertools.product(*(spec["axes"][name] for name in names))]
@@ -734,11 +761,24 @@ def sweep(spec, log_path, workers=1):
             f"{len(combos)} combinations exceed budget {spec['budget_combos']}",
             limiting_parameter="axes")
     log_path = Path(log_path)
-    done = {_combo_key(rec["combo"]): rec for rec in
-            (read_sweep_log(log_path) if log_path.exists() else [])}
+    # the spec: the mode and what of the base decides outcomes, all but
+    # its labels, with a curve table's text in place of its path
+    fields = asdict(spec["base"] or _ANALYTIC_BASE)
+    del fields["name"], fields["expected"]
+    curve = fields["curve_cfg"]
+    if curve.get("form") == "table":
+        curve["path"] = Path(curve["path"]).read_text()
+    digest = hashlib.sha256(json.dumps([spec["mode"], fields], sort_keys=True)
+                            .encode()).hexdigest()
+    records = read_sweep_log(log_path) if log_path.exists() else []
+    if any(rec.get("spec") != digest for rec in records):
+        raise ConfigurationError(f"sweep log {log_path} holds a record of "
+                                 "another spec (sweep mode or base scenario)")
+    done = {_combo_key(rec["combo"]): rec for rec in records}
     todo = [c for c in combos if _combo_key(c) not in done]
     with open(log_path, "a") as fh:
         for rec in _sweep_records(spec, todo, workers):
+            rec["spec"] = digest
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -751,8 +791,7 @@ def _sweep_records(spec, todo, workers):
     verdict completes (a numerical combo is built where it runs)."""
     if spec["mode"] == "analytic":
         for combo in todo:
-            outcome, record = _analytic_verdict(combo, spec["base"],
-                                                spec["lam0"])
+            outcome, record = _analytic_verdict(combo, spec["base"])
             yield {"combo": combo, "outcome": outcome, **record}
         return
     bases = itertools.repeat(spec["base"])

@@ -115,9 +115,8 @@ class Potential:
         positive distance whose exp(-l) underflowed to zero; those zeros are
         kept as-is (the solver treats h = 0 as exact degeneracy).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.distance == CONSTANT_FLOOR:
-            return np.full(pts.shape[0], float(self.floor)), 0
+            return np.full(len(points), float(self.floor)), 0
         if self.distance == ANISOTROPIC:
             raise ConfigurationError("grid levels of h need the parabolic "
                                      "distance or a constant floor")
@@ -131,37 +130,21 @@ class Potential:
         n_underflow = int(np.count_nonzero(pos & (vals == 0.0)))
         return vals, n_underflow
 
-    def level(self, grid, t):
-        """:meth:`evaluate_grid` over every node of ``grid`` at time t."""
-        return self.evaluate_grid(grid.points(), t)
 
+def grid_levels(pot, grid):
+    """The level function t -> :meth:`Potential.evaluate_grid` over every
+    node of ``grid``, its values read-only: h never depends on the datum,
+    so the rungs of a Dirac ladder can share one cache of it."""
+    if pot.distance == PARABOLIC and pot.curve.dim != grid.ndim:
+        raise ConfigurationError("curve and grid dimensions disagree")
+    points = grid.points()
 
-class SharedLevels:
-    """A Potential whose grid levels are evaluated once and then shared.
+    def levels(t):
+        vals, n_underflow = pot.evaluate_grid(points, t)
+        vals.flags.writeable = False
+        return vals, n_underflow
 
-    h depends on the curve, the grid and t, never on the datum, so the
-    runs of a Dirac ladder, which step through bitwise-identical time
-    levels, can share one evaluation per level.  :meth:`level` returns the
-    ``(values, n_underflow)`` pair of :meth:`Potential.evaluate_grid`,
-    keyed by the grid and the exact float t: a level is computed on its
-    first request and never stands in for a nearby t.  The values are
-    read-only.  Levels live as long as this object, so make one per
-    ladder.
-    """
-
-    def __init__(self, pot):
-        self.pot = pot
-        self.distance = pot.distance
-        self._levels = {}
-
-    def level(self, grid, t):
-        key = (grid, t)
-        hit = self._levels.get(key)
-        if hit is None:
-            vals, n_underflow = self.pot.level(grid, t)
-            vals.flags.writeable = False
-            hit = self._levels[key] = (vals, n_underflow)
-        return hit
+    return levels
 
 
 def split_h(pot, gamma, point, p=None, n_dim=None):

@@ -43,8 +43,9 @@ class PDESpec:
     ``drift`` is None or a callable taking an array of n times and
     returning the velocity at each, shape (n, ndim), or one velocity for
     all of them, shape (ndim,), read only by :meth:`Stepper.velocities`;
-    ``absorption`` is None, a constant >= 0, a Potential (or the
-    SharedLevels of one), or a callable (points, t) -> node values.
+    ``absorption`` is None, a constant >= 0, or a level function t ->
+    (values at every grid node, count of nodes whose value underflowed to
+    0), such as :func:`potential.grid_levels` returns.
     """
 
     p: float
@@ -63,7 +64,9 @@ class RunResult:
     Probe/norm series are stored as logs of the physical values (long runs
     underflow doubles); the ``probes`` property exposes the exponentiated
     probe series.  ``tau_probes`` collects (tau, t, value) hits of general
-    parametric curves.
+    parametric curves.  ``stop`` names what froze the run early, if
+    anything (``non-finite`` or ``divergence-ceiling``); ``tail_mass`` is
+    the final share of the mass on the nodes next to the box faces.
     """
 
     final: Field
@@ -71,10 +74,16 @@ class RunResult:
     log_probes: np.ndarray
     log_l2: np.ndarray
     log_linf: np.ndarray
-    events: list
-    diverged: bool = False
+    stop: str | None = None
+    renormalizations: int = 0
+    underflows: int = 0
+    tail_mass: float = 0.0
     tau_probes: list = dfield(default_factory=list)
     snapshots: list = dfield(default_factory=list)
+
+    @property
+    def diverged(self):
+        return self.stop is not None
 
     @property
     def probes(self):
@@ -116,8 +125,6 @@ class Stepper:
             if grid.kind == BALL else None
         self._inner = (slice(1, -1),) * grid.ndim
         self._work = np.empty(grid.shape)
-        a = spec.absorption
-        self._const_a = float(a) if isinstance(a, (int, float)) else None
         self._ab = [_banded(n - 2, self.dt / (h * h))
                     for n, h in zip(grid.shape, self.hs)]
         self._props = [_propagator(ab) if ab.shape[1] <= DENSE_AXIS_MAX
@@ -153,18 +160,6 @@ class Stepper:
             raise ConfigurationError(
                 f"drift CFL {cfl[0]:.3g} exceeds 0.5 at t={times[0]:.6g}")
         return c[:over[0]] if over.size else c
-
-    def _absorption_values(self, t):
-        a = self.spec.absorption
-        if self._const_a is not None or a is None:
-            return self._const_a
-        if isinstance(a, (potential_mod.Potential,
-                          potential_mod.SharedLevels)):
-            vals, n_under = a.level(self.grid, t)
-            self.underflow_count += n_under
-        else:
-            vals = np.asarray(a(self.grid.points(), t), dtype=float)
-        return vals.reshape(self.grid.shape)
 
     def step(self, values, t, log_scale, c):
         """Advance one time level from t; returns (values, log_scale).
@@ -217,8 +212,7 @@ class Stepper:
         as exp(-log1p(x)/(p-1)), which tends to u * exp(-a dt) as p -> 1
         instead of cancelling in 1 + x; at p = 2 it is the exact u / (1 + x).
         """
-        p, dt = self.spec.p, self.dt
-        a = self._absorption_values(t)
+        p, dt, a = self.spec.p, self.dt, self.spec.absorption
         if a is None:
             return values
         scale_pow = math.exp(-(p - 1.0) * log_scale) if \
@@ -226,8 +220,10 @@ class Stepper:
         rate = np.abs(values, out=self._work)
         if p != 2.0:
             rate **= p - 1.0
-        if self._const_a is None:
-            rate *= a
+        if callable(a):  # a level function, h at t and its underflows
+            h, n_under = a(t)
+            self.underflow_count += n_under
+            rate *= h.reshape(self.grid.shape)
             a = 1.0
         rate *= a * scale_pow * (p - 1.0) * dt
         if p == 2.0:
@@ -322,7 +318,7 @@ def _log_norms(values, log_scale, half_log_vol, vmax):
 
 def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
            snapshot_times=None):
-    """Drive a field to t_end recording probes, norms and events.
+    """Drive a field to t_end recording probes, norms and run counters.
 
     The one stepping loop, behind :func:`solve_uk`, :func:`solve_rescaled`
     and :func:`tunnel_run`; each step gets its row of the drift velocities
@@ -340,8 +336,7 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     t = fld.time
     n_steps = int(round((t_end - t) / grid.dt))
     times, log_probes, log_l2, log_linf = np.empty((4, n_steps))
-    events, tau_probes, snapshots = [], [], []
-    diverged = False
+    tau_probes, snapshots, stop = [], [], None
     graph_curve = curve is not None and curve.kind == geometry.GRAPH
     snap_queue = list(snapshot_times) if snapshot_times is not None else []
     half_log_vol = 0.5 * math.log(grid.cell_volume)
@@ -359,8 +354,7 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
         t = fld.time + (istep + 1) * grid.dt
         times[istep] = t
         if not math.isfinite(stepper.vmax):
-            events.append((t, "non-finite"))
-            diverged = True
+            stop = "non-finite"
             n_steps = istep + 1
             break
         log_l2[istep], log_linf[istep] = _log_norms(values, log_scale,
@@ -381,27 +375,20 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
         else:
             log_probes[istep] = log_linf[istep]
         if log_linf[istep] > log_ceiling:
-            events.append((t, "divergence-ceiling"))
-            diverged = True
+            stop = "divergence-ceiling"
             n_steps = istep + 1
             break
         while snap_queue and t >= snap_queue[0] - grid.dt / 2.0:
             snapshots.append((t, values.copy(), log_scale))
             snap_queue.pop(0)
 
-    if stepper.underflow_count:
-        events.append((t, f"h-underflow:{stepper.underflow_count}"))
-    if stepper.renorm_count:
-        events.append((t, f"renormalized:{stepper.renorm_count}"))
-    final = Field(grid, values, t, log_scale)
-    tail = _tail_fraction(values, grid)
-    if tail > 1e-8:
-        events.append((t, f"tail-mass:{tail:.3g}"))
-    return RunResult(final=final, times=times[:n_steps],
-                     log_probes=log_probes[:n_steps], log_l2=log_l2[:n_steps],
-                     log_linf=log_linf[:n_steps], events=events,
-                     diverged=diverged, tau_probes=tau_probes,
-                     snapshots=snapshots)
+    return RunResult(final=Field(grid, values, t, log_scale),
+                     times=times[:n_steps], log_probes=log_probes[:n_steps],
+                     log_l2=log_l2[:n_steps], log_linf=log_linf[:n_steps],
+                     stop=stop, renormalizations=stepper.renorm_count,
+                     underflows=stepper.underflow_count,
+                     tail_mass=_tail_fraction(values, grid),
+                     tau_probes=tau_probes, snapshots=snapshots)
 
 
 def _tail_fraction(values, grid):
@@ -413,25 +400,18 @@ def _tail_fraction(values, grid):
     return (total - inner) / total
 
 
-def solve_uk(k, curve, pot, p, horizon, grid, t_start=None,
+def solve_uk(k, curve, levels, p, horizon, grid, t_start=None,
              ceiling=DIVERGENCE_CEILING, snapshot_times=None):
     """Evolve the Dirac-datum solution u_k probing along the curve.
 
-    Numerical blow-up is recorded (run frozen, verdict in ``events``) when
-    the field's L-infinity norm exceeds the divergence ceiling.  ``pot`` is
-    a Potential or a :class:`potential.SharedLevels`: the rungs of a
-    ladder pass one SharedLevels so that h is evaluated once per time
-    level for all of them (they start at the same ``t_start``), and each
-    run is bitwise the same as with the bare Potential.
+    Numerical blow-up is recorded (run frozen, ``stop`` set) when the
+    field's L-infinity norm exceeds the divergence ceiling.  ``levels`` is
+    h's level function on ``grid``, see :func:`potential.grid_levels`.
     """
-    if curve is not None and pot.distance == potential_mod.PARABOLIC \
-            and curve.dim != grid.ndim:
-        raise ConfigurationError("curve and grid dimensions disagree")
     if t_start is None:
-        h = max(grid.spacing)
-        t_start = 4.0 * h * h
+        t_start = datum_start(grid, aligned=False)
     fld = dirac_family(k, grid, t_start)
-    spec = PDESpec(p=p, drift=None, absorption=pot)
+    spec = PDESpec(p=p, drift=None, absorption=levels)
     return evolve(fld, spec, horizon, curve=curve, ceiling=ceiling,
                    snapshot_times=snapshot_times)
 
@@ -462,7 +442,7 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
     the final time (as a log), the Hopf ratio c1 = min field(., 1)/psi0, the
     measured nonlinear feedback sup, and the conformance margin against the
     exponential lower envelope on [1, tau], checked every ``_PROBE_STRIDE``.
-    Runs of more than ``_MAX_STEPS`` steps raise a BudgetError.
+    Runs over the step budget raise a BudgetError, see check_step_budget.
     """
     if curve.kind != geometry.GRAPH:
         raise ConfigurationError("rescaled runs need a graph-over-t curve")
@@ -471,16 +451,11 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
             f"a {curve.dim}D curve cannot drive a {grid.ndim}D grid")
     if curve.horizon < alpha - 1e-12:
         raise ConfigurationError("curve horizon must reach alpha")
+    check_step_budget(eps, alpha, grid.dt)
     t_end = alpha / (eps * eps)
-    n_steps = int(round(t_end / grid.dt))
-    if n_steps > _MAX_STEPS:
-        raise BudgetError(
-            f"{n_steps} steps exceed the budget; raise eps above "
-            f"{math.sqrt(alpha / (_MAX_STEPS * grid.dt)):.3g} or enlarge dt",
-            limiting_parameter="eps")
     # align the mollification time to the step grid so snapshot targets
     # (multiples of dt) are hit exactly
-    t_start = _aligned_start(grid)
+    t_start = datum_start(grid)
 
     def drift(t):
         return eps * curve.velocity_at_time(eps * eps * t)
@@ -535,9 +510,24 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
                           conformance_margin=margin)
 
 
-def _aligned_start(grid):
-    """Smallest multiple of dt with sqrt(4 t) >= 4 h (see dirac_family)."""
+def check_step_budget(eps, alpha, dt):
+    """Raise a BudgetError if the zoomed run at ``eps`` out to time
+    alpha/eps**2 takes more than ``_MAX_STEPS`` steps of ``dt``."""
+    n_steps = int(round(alpha / (eps * eps) / dt))
+    if n_steps > _MAX_STEPS:
+        raise BudgetError(
+            f"{n_steps} steps exceed the budget; raise eps above "
+            f"{math.sqrt(alpha / (_MAX_STEPS * dt)):.3g} or enlarge dt",
+            limiting_parameter="eps")
+
+
+def datum_start(grid, aligned=True):
+    """Start time of a Dirac datum on ``grid``: the smallest t with
+    sqrt(4 t) >= 4 h (see dirac_family), or with ``aligned`` the smallest
+    multiple of dt at or above it (the zoomed and tunnel runs)."""
     h = max(grid.spacing)
+    if not aligned:
+        return 4.0 * h * h
     return math.ceil(4.0 * h * h / grid.dt - 1e-12) * grid.dt
 
 
@@ -668,12 +658,12 @@ def tunnel_run(p, grid, gamma=None):
         potential_mod.check_weight_gate(gamma, p, n_dim=2)
         xperp = np.abs(grid.points()[:, 1])
 
-        def absorption(points, t):
-            return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma
+        def absorption(t):
+            return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma, 0
 
     check_tunnel_axis(grid.hi[0])
     spec = PDESpec(p=p, drift=None, absorption=absorption)
-    fld = dirac_family(max(DEFAULT_LADDER), grid, _aligned_start(grid))
+    fld = dirac_family(max(DEFAULT_LADDER), grid, datum_start(grid))
     # the cross-section ground state at the tunnel discretization, before any
     # step: on the grid axis it is the nodal values, zeros on the boundary
     pair = spectral.dirichlet_ground_state("interval", grid.shape[1] - 2)

@@ -19,6 +19,9 @@ INTERVAL = "interval"
 BALL = "ball"
 
 _MAX_ITER = 10_000
+# the first Dirichlet eigenvalue of the unit ball, by dimension: (pi/2)**2
+# on (-1, 1), and j**2 on the disk, j = 2.40482... the first zero of J_0
+BALL_LAMBDA = {1: (math.pi / 2.0) ** 2, 2: 2.404825557695773 ** 2}
 _EIG_TOL = 1e-12
 
 

@@ -14,7 +14,7 @@ import pytest
 from heatlab import barriers, harness, solver, spectral
 from heatlab.errors import ConfigurationError
 from heatlab.grids import Field, Grid
-from heatlab.potential import Potential
+from heatlab.potential import Potential, grid_levels
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 INTERVAL_LAMBDA = math.pi ** 2 / 4.0
@@ -144,12 +144,12 @@ def test_criterion_05_decay_envelopes():
 def test_criterion_06_monotonicity_and_comparison():
     grid = Grid.interval(-3.0, 3.0, 301, 2e-3)
     curve = None
-    pot = Potential(None, "constant-floor", floor=1.0)
+    levels = grid_levels(Potential(None, "constant-floor", floor=1.0), grid)
     t0 = 0.01
     times = np.array([0.05, 0.1, 0.2])
     snaps = {}
     for k in (1e2, 1e4, 1e6):
-        run = solver.solve_uk(k, curve, pot, 2.0, 0.25, grid, t_start=t0,
+        run = solver.solve_uk(k, curve, levels, 2.0, 0.25, grid, t_start=t0,
                               snapshot_times=times)
         snaps[k] = run.snapshots
     for a, b in ((1e2, 1e4), (1e4, 1e6)):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -379,8 +380,11 @@ class TestLoadValidation:
          "not read by the tunnel base"),
         ("downslope-arc.ini", "mode = numerical\nvelocity = 0.5, 1.0",
          "velocity", "not read by the ladder base"),
+        # lambda0 is the ball's in the base's dimension; no sweep reads lam0
         ("line-blowup.ini", "mode = numerical\np = 2, 3\nlam0 = 2.0", "lam0",
-         "analytic sweeps only"),
+         "unknown key"),
+        ("propagation-straight.ini", "amplitude = 1, 2\nlam0 = 5.78", "lam0",
+         "unknown key"),
         # the functional's threshold is the base's functional_threshold
         ("propagation-straight.ini", "amplitude = 1, 2\nthreshold = 50",
          "threshold", "unknown key"),
@@ -457,10 +461,39 @@ def loaded(name):
     return harness.load_scenario(SCENARIOS / name)
 
 
+# inputs that used to load and then answer, or fail at run time naming no
+# key: a Dirac datum (at the origin) outside a ladder's interval, or
+# starting (at 4h**2) after the run's end, a curve too short to classify,
+# and a zoom beyond the solver's step budget
+LATE_FAILURES = {
+    "origin-left": ("downslope-arc.ini", "lo = -2.5", "lo = 0.5", "grid",
+                    "lo", lambda: harness.Scenario(
+                        "x", kind="ladder", grid_cfg={"lo": 0.5})),
+    "origin-right": ("downslope-arc.ini", "hi = 3.5", "hi = -1.0", "grid",
+                     "hi", lambda: harness.Scenario(
+                         "x", kind="ladder", grid_cfg={"hi": -1.0})),
+    "ladder-datum-start": ("downslope-arc.ini", "n = 301", "n = 5", "grid",
+                           "n", lambda: harness.Scenario(
+                               "x", kind="ladder", grid_cfg={"n": 5})),
+    "tunnel-datum-start": ("line-blowup.ini", "n_axis = 201", "n_axis = 5",
+                           "grid", "n_axis", lambda: harness.Scenario(
+                               "t", kind="tunnel", grid_cfg={"n_axis": 5})),
+    "samples": ("downslope-arc.ini", "samples = 513", "samples = 2", "curve",
+                "samples", lambda: harness.Scenario(
+                    "x", kind="ladder", curve_cfg={"form": "arc",
+                                                   "samples": 2})),
+    "step-budget": ("propagation-straight.ini", "eps = 0.2, 0.1, 0.05",
+                    "eps = 0.2, 0.1, 0.001", "scenario", "eps",
+                    lambda: harness.run_scenario(harness.Scenario(
+                        "x", eps_list=(0.2, 0.1, 0.001))))}
+
+
 class TestScenarioChecks:
-    """Every check runs in the Scenario constructor: a bad input is the
-    same ConfigurationError from a file, from a sweep combo and from an
-    in-process caller, and it is raised before any step."""
+    """Every check but the step budget runs in the Scenario constructor: a
+    bad input is the same ConfigurationError from a file, from a sweep
+    combo and from an in-process caller, and it is raised before any step.
+    The step budget is checked where zoomed runs are due (a file, a
+    numerical sweep, run_scenario), for an analytic combo never steps."""
 
     @pytest.mark.parametrize("name, old, new, section, key, build", [
         ("line-blowup.ini", "p = 2.0", "p = 2.0\nk_ladder = 1e3\nhorizon = 5.0",
@@ -505,11 +538,12 @@ class TestScenarioChecks:
                                                  "amplitude": 1.0})),
         ("line-blowup.ini", "length = 10.0", "length = 4.0", "grid", "length",
          lambda: harness.Scenario("t", kind="tunnel",
-                                  grid_cfg={"length": 4.0}))],
+                                  grid_cfg={"length": 4.0})),
+        *LATE_FAILURES.values()],
         ids=["tunnel-ladder-keys", "velocity-width", "kind", "expected",
              "one-rung", "sweep-p", "amplitude", "n_cross", "eps-order",
              "tunnel-eps-order", "n_cross-ground-state", "shifted-profile",
-             "truncation"])
+             "truncation", *LATE_FAILURES])
     def test_file_and_caller_get_the_same_error(self, tmp_path, name, old,
                                                 new, section, key, build):
         path = TestLoadValidation.edited(tmp_path, name, old, new)
@@ -539,7 +573,7 @@ class TestScenarioChecks:
          "family = inverse-square\namplitude = 8.0",
          "family = log\namplitude = 1.0", "scenario", "gamma"),
         ("line-blowup.ini", "length = 10.0", "length = 4.0", "grid",
-         "length")])
+         "length"), *(row[:5] for row in LATE_FAILURES.values())])
     def test_cli_fails_before_any_step(self, tmp_path, monkeypatch, capsys,
                                        name, old, new, section, key):
         # each used to load and fail only when its run started, naming no
@@ -558,6 +592,26 @@ class TestScenarioChecks:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
         assert names(err, section, key)
+
+    def test_step_budget_only_where_runs_step(self, tmp_path):
+        # alpha 30 at eps 0.05 and dt 0.005 is 2,400,000 steps: an analytic
+        # sweep loads it, for its functional never steps, and so does the
+        # default base at alpha 16 (eps 0.05, dt 0.002); a numerical sweep
+        # fails at load, naming the axis and eps
+        base = TestLoadValidation.edited(tmp_path, "propagation-straight.ini",
+                                         "horizon = 1.0", "horizon = 40.0")
+        sweep = tmp_path / "sweep.ini"
+        sweep.write_text(f"[sweep]\nbase = {base}\nalpha = 1, 30\n")
+        assert harness.load_sweep(sweep)["axes"]["alpha"] == (1.0, 30.0)
+        sweep.write_text("[sweep]\nalpha = 1, 16\n")
+        assert harness.load_sweep(sweep)["axes"]["alpha"] == (1.0, 16.0)
+        sweep.write_text(f"[sweep]\nmode = numerical\nbase = {base}\n"
+                         "alpha = 1, 30\n")
+        with pytest.raises(ConfigurationError) as exc:
+            harness.load_sweep(sweep)
+        msg = str(exc.value)
+        assert msg.startswith(f"{sweep}: [sweep] alpha = 1, 30: ")
+        assert names(msg, "scenario", "eps")
 
     def test_sweep_combo_fails_at_load(self, tmp_path):
         # an amplitude axis that no scenario can take used to fail combo by
@@ -656,10 +710,11 @@ class TestLadderScenario:
 
 def independent_rungs(scenario):
     """The ladder's rungs as separate solve_uk runs, each with its own
-    Potential (nothing shared)."""
+    uncached level function (nothing shared)."""
     curve = scenario.build_curve()
     grid = scenario.build_grid()
-    return [solver.solve_uk(k, curve, scenario.build_potential(curve),
+    pot = scenario.build_potential(curve)
+    return [solver.solve_uk(k, curve, potential.grid_levels(pot, grid),
                             scenario.p, scenario.horizon, grid,
                             ceiling=scenario.rules["divergence_ceiling"])
             for k in scenario.k_ladder]
@@ -669,8 +724,8 @@ def assert_same_run(a, b):
     for name in ("times", "log_probes", "log_l2", "log_linf"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.tau_probes == b.tau_probes
-    assert a.events == b.events
-    assert a.diverged == b.diverged
+    for name in ("stop", "renormalizations", "underflows", "tail_mass"):
+        assert getattr(a, name) == getattr(b, name), name
     assert np.array_equal(a.final.values, b.final.values)
     assert a.final.log_scale == b.final.log_scale
     assert a.final.time == b.final.time
@@ -706,8 +761,7 @@ class TestSharedLadderLevels:
         # one evaluation per time level, whatever the number of rungs
         assert len(calls) == len(set(calls)) == ref[0].times.size
         if profile == "inverse-square":
-            assert all(any(name.startswith("h-underflow:")
-                           for _, name in run.events) for run in shared)
+            assert all(run.underflows > 0 for run in shared)
 
     def test_diverging_rung_stops_alone(self, monkeypatch):
         # the middle rung crosses the ceiling at its first step; the rung
@@ -725,15 +779,25 @@ class TestSharedLadderLevels:
             assert_same_run(a, b)
         assert len(calls) == shared[0].times.size
 
-    def test_levels_are_read_only_and_exact_in_t(self):
+    def test_levels_are_read_only_and_exact_in_t(self, monkeypatch):
+        # every rung of ladder_runs gets the same cache, keyed by the exact
+        # float t: a repeated t is the same read-only level, a nearby t a
+        # separate evaluation
+        calls = self.count_evaluations(monkeypatch)
+        near, seen = math.nextafter(0.1, 1.0), []
+        orig = solver.solve_uk
+
+        def probe(k, curve, levels, *args, **kwargs):
+            seen.append(levels(0.1)[0])
+            levels(near)
+            return orig(k, curve, levels, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_uk", probe)
         sc = tiny_ladder_scenario()
-        grid = sc.build_grid()
-        shared = potential.SharedLevels(sc.build_potential(sc.build_curve()))
-        vals, _ = shared.level(grid, 0.1)
-        assert shared.level(grid, 0.1)[0] is vals
-        assert not vals.flags.writeable
-        # a nearby time is a different level
-        assert shared.level(grid, math.nextafter(0.1, 1.0))[0] is not vals
+        harness.ladder_runs(sc, sc.build_curve())
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert not seen[0].flags.writeable
+        assert calls.count(0.1) == calls.count(near) == 1
 
 
 @st.composite
@@ -801,20 +865,21 @@ class TestSweep:
             assert flags == sorted(flags), f"non-monotone at alpha={alpha}"
 
     def test_alpha_threshold_against_oracle(self, tmp_path):
-        # fixed large amplitude: propagation for alpha below the analytic
-        # threshold alpha0 = A / ((p-1) * rate), localization above
-        from heatlab import spectral
-        from heatlab.potential import DecayProfile
+        # fixed amplitude: propagation for alpha below the analytic
+        # threshold alpha0 = A / ((p-1) * rate), localization above; the
+        # default base is 1D, so lambda0 is the interval's (pi/2)**2
         spec = {"name": "alpha-axis", "mode": "analytic", "base": None,
-                "axes": {"alpha": (1.0, 2.0, 4.0, 8.0, 16.0),
-                         "amplitude": (50.0,)},
-                "budget_combos": 64, "lam0": 5.783185962946785}
+                "axes": {"alpha": (0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
+                         "amplitude": (10.0, 50.0)},
+                "budget_combos": 64}
         records = harness.sweep(spec, tmp_path / "log.jsonl")
-        prof = DecayProfile("inverse-square", 50.0)
-        rate = spectral.envelope_rate(5.783185962946785, 0.2 * 1.0, 0.0, 0.0)
-        alpha0 = 50.0 / ((2.0 - 1.0) * rate)
+        rate = spectral.envelope_rate(spectral.BALL_LAMBDA[1], 0.2 * 1.0,
+                                      0.0, 0.0)
+        outcomes = {rec["outcome"] for rec in records}
+        assert outcomes == {"propagation", "localization"}
         for rec in records:
             alpha = rec["combo"]["alpha"]
+            alpha0 = rec["combo"]["amplitude"] / ((2.0 - 1.0) * rate)
             if alpha < 0.8 * alpha0:
                 assert rec["outcome"] == "propagation"
             elif alpha > 1.3 * alpha0:
@@ -828,13 +893,55 @@ class TestSweep:
         harness.sweep(spec, log)  # resume: nothing recomputed or re-appended
         assert len(log.read_text().splitlines()) == n_lines
 
+    def test_resume_refuses_another_spec(self, tmp_path):
+        # a log used to hand back its outcomes under any base: with the
+        # threshold raised, the resumed sweep still answered propagation
+        base = loaded("propagation-straight.ini")
+        spec = {"name": "one", "mode": "analytic", "base": base,
+                "axes": {"amplitude": (20.0,), "alpha": (1.0,)},
+                "budget_combos": 1}
+        log = tmp_path / "log.jsonl"
+        assert harness.sweep(spec, log)[0]["outcome"] == "propagation"
+        raised = dict(spec, base=replace(base, rules=dict(
+            base.rules, functional_threshold=1e9)))
+        for other in (raised, dict(spec, mode="numerical")):
+            with pytest.raises(ConfigurationError, match=re.escape(str(log))):
+                harness.sweep(other, log)
+        assert len(log.read_text().splitlines()) == 1
+        assert harness.sweep(raised, tmp_path / "fresh.jsonl")[0]["outcome"] \
+            == "localization"
+
+    def test_resume_reads_what_decides(self, tmp_path, monkeypatch):
+        # the labels decide no outcome, and a curve table counts by its
+        # text: the same table by a relative or an absolute path resumes,
+        # an edited table is another spec
+        tau = np.linspace(0.0, 1.0, 33)
+        np.savetxt(tmp_path / "arc.txt", np.column_stack(
+            [tau, 0.25 * np.sin(np.pi * tau), 1.6 * tau]))
+        monkeypatch.chdir(tmp_path)
+
+        def spec(path, **labels):
+            base = tiny_ladder_scenario(
+                curve_cfg={"form": "table", "path": path}, **labels)
+            return {"name": "s", "mode": "numerical", "base": base,
+                    "axes": {"p": (2.0,)}, "budget_combos": 1}
+
+        log = tmp_path / "log.jsonl"
+        first = harness.sweep(spec("arc.txt"), log)
+        assert harness.sweep(spec(str(tmp_path / "arc.txt"), name="other",
+                                  expected="localization"), log) == first
+        np.savetxt(tmp_path / "arc.txt", np.column_stack(
+            [tau, 0.25 * np.sin(np.pi * tau), 1.5 * tau]))
+        with pytest.raises(ConfigurationError, match=re.escape(str(log))):
+            harness.sweep(spec("arc.txt"), log)
+        assert len(log.read_text().splitlines()) == 1
+
     def test_failing_combo_keeps_earlier_records(self, tmp_path,
                                                  monkeypatch):
         # p = 1 fails in the functional; the combo before it is already in
         # the log, and a rerun computes only what the log lacks
         spec = {"name": "p-axis", "mode": "analytic", "base": None,
-                "axes": {"p": (2.0, 1.0, 3.0)}, "budget_combos": 8,
-                "lam0": 2.4674011002723395}
+                "axes": {"p": (2.0, 1.0, 3.0)}, "budget_combos": 8}
         log = tmp_path / "log.jsonl"
         with pytest.raises(ConfigurationError):
             harness.sweep(spec, log)
@@ -965,13 +1072,12 @@ class TestRescaledRules:
         # localization-weak's log profile localizes at alpha = 1, also
         # with a combo amplitude of 50; the inverse-square profile of
         # propagation-straight propagates
-        lam0 = 5.783185962946785
         weak = harness.load_scenario(SCENARIOS / "localization-weak.ini")
         strong = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
         for combo in ({"alpha": 1.0}, {"alpha": 1.0, "amplitude": 50.0}):
-            assert harness._analytic_verdict(combo, weak, lam0)[0] \
+            assert harness._analytic_verdict(combo, weak)[0] \
                 == "localization"
-            assert harness._analytic_verdict(combo, strong, lam0)[0] \
+            assert harness._analytic_verdict(combo, strong)[0] \
                 == "propagation"
 
     def test_analytic_sweep_speed_from_curve_or_combo(self, monkeypatch):
@@ -986,16 +1092,16 @@ class TestRescaledRules:
         monkeypatch.setattr(spectral, "blowup_functional", spy)
         base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
         base.curve_cfg = dict(base.curve_cfg, velocity=(0.3, 0.4))
-        harness._analytic_verdict({"alpha": 1.0}, base, 5.78)
-        harness._analytic_verdict({"velocity": 0.25}, base, 5.78)
+        harness._analytic_verdict({"alpha": 1.0}, base)
+        harness._analytic_verdict({"velocity": 0.25}, base)
         assert speeds == pytest.approx([0.5, 0.25], rel=1e-12)
 
     def test_analytic_sweep_uses_base_growth_window(self, monkeypatch):
         windows = self.windows(monkeypatch)
         base = harness.load_scenario(SCENARIOS / "propagation-straight.ini")
         base.rules = dict(base.rules, growth_window=2)
-        harness._analytic_verdict({"alpha": 1.0}, base, 5.78)
-        harness._analytic_verdict({"alpha": 1.0}, None, 5.78)
+        harness._analytic_verdict({"alpha": 1.0}, base)
+        harness._analytic_verdict({"alpha": 1.0}, None)
         assert windows == [2, 3]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from heatlab import geometry, potential
 from heatlab.errors import ConfigurationError, DomainError
+from heatlab.grids import Grid
 from heatlab.potential import DecayProfile, Potential
 
 
@@ -90,6 +91,22 @@ class TestEvalH:
             assert v == pytest.approx(
                 math.exp(-2.0 / geometry.parabolic_distance(
                     (p, 0.8), straight_curve, refine=False) ** 2), rel=1e-12)
+
+    def test_grid_levels(self, straight_curve):
+        # every node of the grid, read-only, with the underflow count
+        grid = Grid.interval(-1.0, 1.0, 21, 0.01)
+        pot = Potential(DecayProfile("inverse-square", 50.0), "parabolic",
+                        curve=straight_curve)
+        vals, n_under = potential.grid_levels(pot, grid)(0.3)
+        ref, ref_under = pot.evaluate_grid(grid.points(), 0.3)
+        assert np.array_equal(vals, ref) and n_under == ref_under > 0
+        assert not vals.flags.writeable
+
+    def test_grid_levels_need_the_curve_dimension(self, straight_curve):
+        pot = Potential(DecayProfile("log", 1.0), "parabolic",
+                        curve=straight_curve)
+        with pytest.raises(ConfigurationError, match="dimensions disagree"):
+            potential.grid_levels(pot, Grid.unit_ball(11, 0.01, ndim=2))
 
 
 class TestSplit:

@@ -9,7 +9,7 @@ from heatlab import barriers, geometry, potential, solver, spectral
 from heatlab.errors import (BudgetError, ConfigurationError,
                             InfeasibleRestartError)
 from heatlab.grids import Field, Grid
-from heatlab.potential import DecayProfile, Potential
+from heatlab.potential import DecayProfile, Potential, grid_levels
 
 
 def box_grid(n=301, dt=2e-3, lo=-3.0, hi=3.0):
@@ -71,13 +71,13 @@ class TestStepImex:
                                    rtol=1e-12, atol=0)
 
     def test_field_absorption_matches_constant(self):
-        # a callable coefficient equal to the constant gives the same map
+        # a level function equal to the constant gives the same map
         g = box_grid(n=33, dt=1e-2)
         vals = np.linspace(0.0, 4.0, 33)
         for p in (2.0, 2.5):
             const = solver.Stepper(g, solver.PDESpec(p=p, absorption=3.0))
             field = solver.Stepper(g, solver.PDESpec(
-                p=p, absorption=lambda pts, t: np.full(len(pts), 3.0)))
+                p=p, absorption=lambda t: (np.full(33, 3.0), 0)))
             np.testing.assert_allclose(field.absorb(vals, 0.0, 0.5),
                                        const.absorb(vals, 0.0, 0.5),
                                        rtol=1e-14, atol=0)
@@ -113,7 +113,7 @@ class TestStepImex:
         res = solver.evolve(Field(g, vals, 0.0), solver.PDESpec(p=2.0),
                             10 * g.dt)
         assert res.diverged
-        assert res.events == [(g.dt, "non-finite")]
+        assert res.stop == "non-finite"
         assert res.times.size == res.log_linf.size == 1
 
     def test_curve_on_2d_grid_rejected(self):
@@ -318,8 +318,8 @@ def comparison_cases(draw):
     if draw(st.booleans()):
         absorption = a
     else:
-        def absorption(points, t):
-            return a * (1.0 + np.sum(points ** 2, axis=1)) * (1.0 + t)
+        def absorption(t):
+            return a * (1.0 + np.sum(g.points() ** 2, axis=1)) * (1.0 + t), 0
     spec = solver.PDESpec(p=p, drift=lambda t: c, absorption=absorption)
     return g, spec, draw(st.integers(0, 2 ** 32 - 1))
 
@@ -385,11 +385,12 @@ class TestSolveUk:
         self.curve = geometry.Curve.straight(1.0, 0.25, n=257)
 
     def test_k_monotone_comparison(self):
-        pot = Potential(DecayProfile("log", 2.0), "parabolic", curve=self.curve)
+        levels = grid_levels(Potential(DecayProfile("log", 2.0), "parabolic",
+                                       curve=self.curve), self.grid)
         snaps = {}
         times = np.array([0.1, 0.2])
         for k in (1e2, 1e4, 1e6):
-            run = solver.solve_uk(k, self.curve, pot, 2.0, 0.25, self.grid,
+            run = solver.solve_uk(k, self.curve, levels, 2.0, 0.25, self.grid,
                                   snapshot_times=times)
             snaps[k] = [v * math.exp(-s) for (_, v, s) in run.snapshots]
         for a, b in ((1e2, 1e4), (1e4, 1e6)):
@@ -399,9 +400,10 @@ class TestSolveUk:
     def test_absorption_below_linear_flow(self):
         # absorption only removes mass: pointwise below the matching linear
         # run, and near the closed-form kernel at the center
-        pot = Potential(None, "constant-floor", floor=1.0)
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
+                             self.grid)
         k = 0.5
-        run = solver.solve_uk(k, self.curve, pot, 2.0, 0.1, self.grid,
+        run = solver.solve_uk(k, self.curve, levels, 2.0, 0.1, self.grid,
                               t_start=0.01)
         lin_fld = solver.dirac_family(k, self.grid, 0.01)
         lin = solver.evolve(lin_fld, solver.PDESpec(p=2.0, absorption=None),
@@ -415,10 +417,11 @@ class TestSolveUk:
         # constant-floor absorption: the flat ODE ceiling plus the boundary
         # barrier dominates at every interior node and probed time
         beta, q = 1.0, 2.0
-        pot = Potential(None, "constant-floor", floor=beta)
+        levels = grid_levels(Potential(None, "constant-floor", floor=beta),
+                             self.grid)
         t0 = 0.01
         times = np.array([0.05, 0.1, 0.2])
-        run = solver.solve_uk(1e6, self.curve, pot, q, 0.25, self.grid,
+        run = solver.solve_uk(1e6, self.curve, levels, q, 0.25, self.grid,
                               t_start=t0, snapshot_times=times)
         x = self.grid.axes[0]
         r = 2.9
@@ -438,7 +441,7 @@ class TestSolveUk:
         vals = np.where(np.abs(x) <= 1.0, mu, 1e4).astype(float)
         vals[0] = vals[-1] = 0.0
         pot = Potential(None, "constant-floor", floor=beta)
-        spec = solver.PDESpec(p=q, absorption=pot)
+        spec = solver.PDESpec(p=q, absorption=grid_levels(pot, g))
         fld = Field(g, vals, 0.0)
         res = solver.evolve(fld, spec, 0.05)
         rho = 0.25  # annulus 0.5 < |x| < 1.0 crossed by a ball of this radius
@@ -446,17 +449,19 @@ class TestSolveUk:
         assert res.final.values[200] <= bound
 
     def test_divergence_ceiling_freezes_run(self):
-        pot = Potential(DecayProfile("inverse-square", 50.0), "parabolic",
-                        curve=self.curve)
-        run = solver.solve_uk(1e6, self.curve, pot, 2.0, 0.25, self.grid,
+        levels = grid_levels(Potential(DecayProfile("inverse-square", 50.0),
+                                       "parabolic", curve=self.curve),
+                             self.grid)
+        run = solver.solve_uk(1e6, self.curve, levels, 2.0, 0.25, self.grid,
                               ceiling=1e3)
         assert run.diverged
-        assert any("divergence-ceiling" in name for _, name in run.events)
+        assert run.stop == "divergence-ceiling"
         assert run.times.size < int(round(0.25 / self.grid.dt))
 
     def test_probe_series_lengths_match(self):
-        pot = Potential(None, "constant-floor", floor=1.0)
-        run = solver.solve_uk(1.0, self.curve, pot, 2.0, 0.1, self.grid,
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
+                             self.grid)
+        run = solver.solve_uk(1.0, self.curve, levels, 2.0, 0.1, self.grid,
                               t_start=0.01)
         assert run.times.size == run.log_probes.size == run.log_l2.size \
             == run.log_linf.size
