@@ -586,11 +586,11 @@ def _probe_window(seg, margin):
 
 
 def _window_max(run, window):
-    if window is None:  # monotone curve: on-curve probes of the whole run
-        return float(np.max(run.probes)) if run.log_probes.size else 0.0
-    lo, hi = window
-    vals = [v for (tau, t, v) in run.tau_probes if lo - 1e-12 <= tau <= hi + 1e-12]
-    return float(max(vals)) if vals else 0.0
+    """The largest curve probe of the run whose tau lies in the window (all
+    of them without one, a monotone curve), or 0 without any."""
+    lo, hi = window or (-math.inf, math.inf)
+    return max((v for tau, _, v in run.tau_probes
+                if lo - 1e-12 <= tau <= hi + 1e-12), default=0.0)
 
 
 def _run_tunnel(scenario):
@@ -699,6 +699,8 @@ def load_sweep(path):
         _check(read.get(key) is not None, path, section, key,  # None: unread
                f"not read by the {target.kind} base {target.name}")
         _check(values, path, section, key, "must be one or more numbers")
+        _check(len(set(values)) == len(values), path, section, key,
+               "must not repeat a value")
         for value in values:
             try:
                 combo = _scenario_for(target, {key: value})

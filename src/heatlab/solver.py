@@ -13,8 +13,8 @@ sub-map is monotone, so the discrete comparison principle holds and the
 Dirac ladder k -> u_k inherits the monotonicity of the continuum problem.
 
 Long rescaled runs decay through hundreds of e-foldings; fields therefore
-carry a ``log_scale`` offset and are renormalized on the fly, with probes
-and norms reported in logs.
+carry a ``log_scale`` offset and are renormalized on the fly, with norms
+reported in logs.
 """
 
 import math
@@ -33,7 +33,7 @@ from .grids import BALL, Field, stencil_slices
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 DIVERGENCE_CEILING = 1e12
 _RENORM_FLOOR = 1e-120
-_LOG_ZERO = -1e30  # stand-in for log(0) in probe series
+_LOG_ZERO = -1e30  # stand-in for log(0) in norm series
 
 
 @dataclass
@@ -59,19 +59,18 @@ class PDESpec:
 
 @dataclass
 class RunResult:
-    """Probe series and bookkeeping of one evolution run.
+    """Norm series, curve probes and bookkeeping of one evolution run.
 
-    Probe/norm series are stored as logs of the physical values (long runs
-    underflow doubles); the ``probes`` property exposes the exponentiated
-    probe series.  ``tau_probes`` collects (tau, t, value) hits of general
-    parametric curves.  ``stop`` names what froze the run early, if
-    anything (``non-finite`` or ``divergence-ceiling``); ``tail_mass`` is
-    the final share of the mass on the nodes next to the box faces.
+    Norm series are stored as logs of the physical values (long runs
+    underflow doubles), NaN after a non-finite step.  ``tau_probes`` holds
+    the (tau, t, value) samples of the solution along the curve, see
+    :func:`evolve`.  ``stop`` names what froze the run early, if anything
+    (``non-finite`` or ``divergence-ceiling``); ``tail_mass`` is the final
+    share of the mass on the nodes next to the box faces.
     """
 
     final: Field
     times: np.ndarray
-    log_probes: np.ndarray
     log_l2: np.ndarray
     log_linf: np.ndarray
     stop: str | None = None
@@ -84,11 +83,6 @@ class RunResult:
     @property
     def diverged(self):
         return self.stop is not None
-
-    @property
-    def probes(self):
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(self.log_probes)
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +317,9 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     The one stepping loop, behind :func:`solve_uk`, :func:`solve_rescaled`
     and :func:`tunnel_run`; each step gets its row of the drift velocities
     that :meth:`Stepper.velocities` gives ``DRIFT_BLOCK`` steps at a time.
-    A ``curve`` is probed by linear interpolation on 1D grids only.
+    A ``curve`` is probed by linear interpolation on 1D grids only: a graph
+    curve at x(min(t, horizon)) after every step, recorded with tau = t, a
+    parametric one at each sample whose t lies within dt/2 of a step.
     ``snapshot_times`` is an increasing array of times at which the working
     array is copied out (each matched to the nearest step within dt/2).
     """
@@ -335,7 +331,10 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     log_scale = fld.log_scale
     t = fld.time
     n_steps = int(round((t_end - t) / grid.dt))
-    times, log_probes, log_l2, log_linf = np.empty((4, n_steps))
+    if n_steps < 0:
+        raise ConfigurationError(
+            f"t_end = {t_end:.6g} lies before the field's time {t:.6g}")
+    times, log_l2, log_linf = np.full((3, n_steps), np.nan)
     tau_probes, snapshots, stop = [], [], None
     graph_curve = curve is not None and curve.kind == geometry.GRAPH
     snap_queue = list(snapshot_times) if snapshot_times is not None else []
@@ -360,20 +359,14 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
         log_l2[istep], log_linf[istep] = _log_norms(values, log_scale,
                                                     half_log_vol, stepper.vmax)
         if graph_curve:
-            pos = curve.position_at_time(min(t, curve.horizon))
-            v = float(np.interp(pos[0], grid.axes[0], values))
-            log_probes[istep] = (math.log(v) - log_scale) if v > 0 else _LOG_ZERO
-        elif curve is not None:
-            hits = np.where(np.abs(curve.t - t) <= grid.dt / 2.0)[0]
-            best = 0.0
-            for j in hits:
-                v = float(np.interp(curve.x[j][0], grid.axes[0], values)) \
-                    * math.exp(-log_scale)
-                tau_probes.append((float(curve.tau[j]), float(t), v))
-                best = max(best, v)
-            log_probes[istep] = math.log(best) if best > 0 else _LOG_ZERO
-        else:
-            log_probes[istep] = log_linf[istep]
+            hits = [(t, curve.position_at_time(min(t, curve.horizon))[0])]
+        else:  # a parametric curve's samples within dt/2 of t, if any
+            hits = () if curve is None else [
+                (float(curve.tau[j]), curve.x[j][0]) for j in
+                np.flatnonzero(np.abs(curve.t - t) <= grid.dt / 2.0)]
+        for tau, x in hits:
+            v = float(np.interp(x, grid.axes[0], values))
+            tau_probes.append((tau, t, v * math.exp(-log_scale)))
         if log_linf[istep] > log_ceiling:
             stop = "divergence-ceiling"
             n_steps = istep + 1
@@ -383,9 +376,9 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
             snap_queue.pop(0)
 
     return RunResult(final=Field(grid, values, t, log_scale),
-                     times=times[:n_steps], log_probes=log_probes[:n_steps],
-                     log_l2=log_l2[:n_steps], log_linf=log_linf[:n_steps],
-                     stop=stop, renormalizations=stepper.renorm_count,
+                     times=times[:n_steps], log_l2=log_l2[:n_steps],
+                     log_linf=log_linf[:n_steps], stop=stop,
+                     renormalizations=stepper.renorm_count,
                      underflows=stepper.underflow_count,
                      tail_mass=_tail_fraction(values, grid),
                      tau_probes=tau_probes, snapshots=snapshots)
@@ -418,9 +411,8 @@ def solve_uk(k, curve, levels, p, horizon, grid, t_start=None,
 
 @dataclass
 class RescaledResult:
-    """Zoomed run on the unit ball plus its blow-up instrumentation."""
+    """Zoomed run's blow-up instrumentation on the unit ball."""
 
-    run: RunResult
     log_center_final: float
     c1: float
     sigma_tau: float
@@ -470,14 +462,14 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
     fld = dirac_family(max(DEFAULT_LADDER), grid, t_start)
     snap_times = np.arange(1.0, t_end + 1e-9, _PROBE_STRIDE)
 
-    c1, sigma = math.nan, 0.0
-    result = evolve(fld, spec, t_end, curve=None, snapshot_times=snap_times)
+    result = evolve(fld, spec, t_end, snapshot_times=snap_times)
 
-    # Hopf ratio at the first stored time >= 1 and running feedback sup
-    for (t, vals, s) in result.snapshots:
+    c1, sigma = math.nan, 0.0
+    if result.snapshots:  # the Hopf ratio at the first stored time >= 1
+        _, vals, s = result.snapshots[0]
         phys = vals * math.exp(-s) if s < 700 else vals * 0.0
-        if math.isnan(c1):
-            c1 = float(np.min(phys[core] / psi_grid[core]))
+        c1 = float(np.min(phys[core] / psi_grid[core]))
+    for (t, vals, s) in result.snapshots:  # the running feedback sup
         b = drift(t)
         bnorm = float(np.linalg.norm(b))
         dots = (pts @ b if grid.ndim > 1 else pts[:, 0] * b[0]).reshape(grid.shape)
@@ -504,8 +496,7 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
     cval = result.final.values[center]
     log_center = (math.log(cval) - result.final.log_scale) if cval > 0 \
         else _LOG_ZERO
-    return RescaledResult(run=result, log_center_final=log_center,
-                          c1=c1, sigma_tau=sigma,
+    return RescaledResult(log_center_final=log_center, c1=c1, sigma_tau=sigma,
                           beta_tau=beta_tau, delta_tau=delta_tau,
                           conformance_margin=margin)
 
@@ -615,7 +606,6 @@ class TunnelResult:
     run serves every eps and profile (see :func:`tunnel_floors`).
     """
 
-    run: RunResult
     a: float
     c: float
     conformance_min: float
@@ -672,12 +662,9 @@ def tunnel_run(p, grid, gamma=None):
     snap_times = np.arange(_TAU_CAL + _A_SHIFT, 1.0 - 1e-9, 0.05)
     result = evolve(fld, spec, 1.0, snapshot_times=snap_times)
 
-    snaps = {round(t, 9): (vals, s) for t, vals, s in result.snapshots}
-    check_times = sorted(snaps)
-    if not check_times:
+    if not result.snapshots:
         raise NumericalError("tunnel run produced no comparison snapshots")
-    t0 = check_times[0]
-    vals, s = snaps[t0]
+    t0, vals, s = result.snapshots[0]
     w0 = vals * math.exp(-s)
     W0 = tunnel_subsolution(xi1, xi_perp, t0 - _A_SHIFT, lam, pair)
     sel = W0 >= 1e-10 * W0.max()
@@ -685,14 +672,13 @@ def tunnel_run(p, grid, gamma=None):
     c_val = min(c_val, 1.0)
 
     conf_min = math.inf
-    for t in check_times:
-        vals, s = snaps[t]
+    for t, vals, s in result.snapshots:
         w = vals * math.exp(-s)
         W = tunnel_subsolution(xi1, xi_perp, t - _A_SHIFT, lam, pair)
         conf_min = min(conf_min, float(np.min(w - c_val * W)))
 
-    return TunnelResult(run=result, a=_A_SHIFT, c=c_val,
-                        conformance_min=conf_min, lam=lam, gamma=gamma)
+    return TunnelResult(a=_A_SHIFT, c=c_val, conformance_min=conf_min,
+                        lam=lam, gamma=gamma)
 
 
 def tunnel_floors(result, eps, p, profile):

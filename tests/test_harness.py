@@ -393,7 +393,10 @@ class TestLoadValidation:
         # each combo used to fail at run time, naming neither file nor key
         ("propagation-straight.ini", "mode = numerical\nalpha = 0.5, 2.0",
          "alpha", "beyond the base curve's horizon 1"),
-        (None, "mode = numerical\np = 2, 3", "base", "needs a base")])
+        (None, "mode = numerical\np = 2, 3", "base", "needs a base"),
+        # a repeated value used to run its combo twice
+        ("propagation-straight.ini", "amplitude = 20, 20", "amplitude",
+         "must not repeat a value")])
     def test_sweep_key_not_run(self, tmp_path, monkeypatch, capsys, base,
                                body, key, rule):
         path = self.sweep_file(tmp_path, base, body)
@@ -721,7 +724,7 @@ def independent_rungs(scenario):
 
 
 def assert_same_run(a, b):
-    for name in ("times", "log_probes", "log_l2", "log_linf"):
+    for name in ("times", "log_l2", "log_linf"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.tau_probes == b.tau_probes
     for name in ("stop", "renormalizations", "underflows", "tail_mass"):
@@ -815,6 +818,28 @@ def ladder_pairs(draw):
         potential_cfg={"family": "inverse-square", "amplitude": 0.5,
                        "distance": "parabolic"},
         grid_cfg={"lo": -2.0, "hi": 2.0, "n": 81, "dt": 0.004})
+
+
+class TestWindowMax:
+    @staticmethod
+    def run(*probes):
+        return solver.RunResult(final=None, times=None, log_l2=None,
+                                log_linf=None, tau_probes=list(probes))
+
+    def test_without_window_the_largest_probe(self):
+        run = self.run((0.1, 0.1, 2.0), (0.2, 0.2, 7.0), (0.3, 0.3, 5.0))
+        assert harness._window_max(run, None) == 7.0
+        assert harness._window_max(self.run(), None) == 0.0
+
+    def test_window_counts_only_its_taus(self):
+        # a tau within 1e-12 past either end counts, one further out not
+        lo, hi = 0.2, 0.4
+        run = self.run((lo - 1e-11, 0.1, 9.0), (lo - 5e-13, 0.2, 3.0),
+                       (0.3, 0.3, 2.0), (hi + 5e-13, 0.3, 4.0),
+                       (hi + 1e-11, 0.4, 8.0))
+        assert harness._window_max(run, (lo, hi)) == 4.0
+        assert harness._window_max(run, (0.25, 0.35)) == 2.0
+        assert harness._window_max(run, (0.5, 0.6)) == 0.0
 
 
 class TestLadderMonotoneInK:

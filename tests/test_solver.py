@@ -115,6 +115,8 @@ class TestStepImex:
         assert res.diverged
         assert res.stop == "non-finite"
         assert res.times.size == res.log_linf.size == 1
+        # the step froze before its norms: they are NaN, not leftover memory
+        assert np.isnan(res.log_l2[-1]) and np.isnan(res.log_linf[-1])
 
     def test_curve_on_2d_grid_rejected(self):
         # curves are probed by 1D interpolation only
@@ -463,8 +465,58 @@ class TestSolveUk:
                              self.grid)
         run = solver.solve_uk(1.0, self.curve, levels, 2.0, 0.1, self.grid,
                               t_start=0.01)
-        assert run.times.size == run.log_probes.size == run.log_l2.size \
+        assert run.times.size == len(run.tau_probes) == run.log_l2.size \
             == run.log_linf.size
+
+    def test_end_before_the_datum_start_rejected(self):
+        # the datum starts at 4h**2 = 0.16 > 0.1; np.empty used to fail
+        # with "negative dimensions are not allowed"
+        g = Grid.interval(-3.0, 3.0, 31, 0.002)
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0), g)
+        with pytest.raises(ConfigurationError,
+                           match=r"t_end = 0\.1 lies before the field's "
+                                 r"time 0\.16"):
+            solver.solve_uk(1.0, None, levels, 2.0, 0.1, g)
+
+    def test_graph_curve_probed_at_every_step(self):
+        # one probe per step, tau = t, at x(min(t, horizon)): the run goes
+        # past the curve's horizon 0.25
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
+                             self.grid)
+        run = solver.solve_uk(1e3, self.curve, levels, 2.0, 0.3, self.grid,
+                              snapshot_times=np.array([0.1, 0.3]))
+        assert [tau for tau, _, _ in run.tau_probes] \
+            == [t for _, t, _ in run.tau_probes] == run.times.tolist()
+        probes = {t: v for _, t, v in run.tau_probes}
+        assert len(run.snapshots) == 2 and run.snapshots[1][0] > 0.25
+        for t, vals, s in run.snapshots:
+            x = self.curve.position_at_time(min(t, 0.25))[0]
+            assert probes[t] > 0
+            assert probes[t] == float(np.interp(x, self.grid.axes[0], vals)) \
+                * math.exp(-s)
+
+    def test_parametric_curve_probed_at_its_samples(self):
+        # each sample whose t lies within dt/2 of a step, with its own tau;
+        # the arc's ends at t = 0 lie before the first step
+        arc = geometry.Curve.parametric(lambda s: 0.8 * s,
+                                        lambda s: s * (1.0 - s), 1.0, n=65)
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
+                             self.grid)
+        run = solver.solve_uk(1e3, arc, levels, 2.0, 0.3, self.grid)
+        half = self.grid.dt / 2.0
+        hits = [(float(arc.tau[j]), t) for t in run.times
+                for j in np.flatnonzero(np.abs(arc.t - t) <= half)]
+        assert 0 < len(hits) < arc.tau.size
+        assert [(tau, t) for tau, t, _ in run.tau_probes] == hits
+        # the values, against the fields at the probed steps
+        again = solver.solve_uk(1e3, arc, levels, 2.0, 0.3, self.grid,
+                                snapshot_times=sorted({t for _, t in hits}))
+        fields = {t: (vals, s) for t, vals, s in again.snapshots}
+        tau_x = dict(zip(arc.tau.tolist(), arc.x[:, 0].tolist()))
+        for tau, t, v in run.tau_probes:
+            vals, s = fields[t]
+            assert v == float(np.interp(tau_x[tau], self.grid.axes[0], vals)) \
+                * math.exp(-s)
 
 
 class TestFrameConsistency:
@@ -500,7 +552,6 @@ class TestRescaled:
     def test_instrumentation(self):
         prof = DecayProfile("inverse-square", 50.0)
         res = solver.solve_rescaled(0.2, self.curve, 2.0, 1.0, self.grid)
-        assert res.run.snapshots[0][0] == pytest.approx(1.0)
         assert res.c1 > 0
         assert res.sigma_tau > 0
         assert res.beta_tau == pytest.approx(0.2 * 0.5)
@@ -509,6 +560,15 @@ class TestRescaled:
                       + res.log_center_final)
         assert spectral.log_amplification(2.0, prof, 0.2) \
             + res.log_center_final == pytest.approx(expect_amp)
+
+    def test_aligned_start_hits_t_one(self):
+        # solve_rescaled starts its datum at a multiple of dt, so its first
+        # snapshot, which sets the Hopf ratio c1, falls on t = 1 exactly
+        fld = solver.dirac_family(1.0, self.grid,
+                                  solver.datum_start(self.grid))
+        run = solver.evolve(fld, solver.PDESpec(p=2.0, absorption=1.0), 1.5,
+                            snapshot_times=np.array([1.0]))
+        assert run.snapshots[0][0] == 1.0
 
     def test_no_drift_reduces_constants(self):
         still = geometry.Curve.straight(0.0, 1.0, n=257)
@@ -605,8 +665,8 @@ class TestTunnel:
     def test_floors_check_the_shifted_profile(self):
         # the weighted bound needs l(s) + gamma ln s nonincreasing, which
         # the log profile with gamma = 2.5 is not; no run is needed to see it
-        res = solver.TunnelResult(run=None, a=0.1, c=1.0, conformance_min=0.0,
-                                  lam=2.5, gamma=2.5)
+        res = solver.TunnelResult(a=0.1, c=1.0, conformance_min=0.0, lam=2.5,
+                                  gamma=2.5)
         with pytest.raises(ConfigurationError, match="shifted profile"):
             solver.tunnel_floors(res, (0.2, 0.1), 3.0,
                                  DecayProfile("log", 1.0))
