@@ -1,4 +1,4 @@
-"""Tour of degeneracy curves and the two distances built on them.
+"""Tour of degeneracy curves and the parabolic distance built on them.
 
 Run:  python demos/01_distances_and_curves.py
 """
@@ -22,11 +22,6 @@ xs = np.linspace(-1.0, 3.0, 9)
 row = ", ".join(f"{geometry.parabolic_distance((x, 1.0), curve):.3f}" for x in xs)
 print("  d_P(x, 1) along x:", row)
 
-# Anisotropic distance to the x1 axis in the initial plane: max(sqrt(t), |x'|).
-print("\nline in the initial plane:")
-for point in [(5.0, 0.0, 0.25), (0.0, 0.3, 0.04), (-7.0, 0.0, 0.0)]:
-    print(f"  d_inf({point}) = {geometry.anisotropic_distance(point):.3f}")
-
 # Monotonicity classification: an arc rises then falls; a re-entering curve
 # triggers the box witness (center, radius, time window).
 arc = Curve.parametric(lambda s: 1.6 * s, lambda s: s * (1 - s), 1.0, n=513)
@@ -40,7 +35,3 @@ seg = geometry.classify_segments(boxed)
 print("boxed segments:", seg.labels)
 a, r0, window = seg.box
 print(f"box witness: center={a}, radius={r0:.3f}, window={window}")
-
-# Tube membership is strict: boundary points are outside.
-print("\ntube tests:", geometry.tube_membership((0.55, 0.5), curve, 0.1),
-      geometry.tube_membership((0.6, 0.5), curve, 0.1))

@@ -26,17 +26,18 @@ print("\nr^2 l(r) for the flat family:", set(np.round(rs**2 * potential.eval_pro
 # h vanishes exactly on the curve and grows with distance.
 pot = Potential(prof, "parabolic", curve=curve)
 print("\nh along a ray leaving the curve at t = 0.5:")
-for x in (0.5, 0.7, 1.0, 1.5, 3.0):
-    print(f"  x={x}: h = {pot.evaluate((np.array([x]), 0.5)):.3e}")
+xs = np.array([[0.5], [0.7], [1.0], [1.5], [3.0]])
+for x, h in zip(xs[:, 0], pot.evaluate_grid(xs, 0.5)[0]):
+    print(f"  x={x}: h = {h:.3e}")
 
-# Weighted split for the line-degeneracy case: weight * exp-factor
-# reassembles h exactly; the supercritical gate rejects small exponents.
-line_pot = Potential(DecayProfile("inverse-square", 8.0), "anisotropic")
-pt = (0.4, np.array([0.3]), 0.02)
-w, e = potential.split_h(line_pot, 2.5, pt, p=3.0, n_dim=2)
+# Weighted split for the line-degeneracy case: the weight s**gamma times
+# exp(-l~(s)), l~ the shifted profile, reassembles h = exp(-l(s)); the
+# supercritical gate rejects small exponents.
+line_prof, s = DecayProfile("inverse-square", 8.0), 0.3
+w, e = s ** 2.5, np.exp(-potential.shifted_profile(line_prof, 2.5, s))
 print(f"\nsplit: weight={w:.4e}, exp={e:.4e}, product={w * e:.4e}, "
-      f"h={line_pot.evaluate(pt):.4e}")
+      f"h={np.exp(-line_prof(s)):.4e}")
 try:
-    potential.split_h(line_pot, 1.0, pt, p=3.0, n_dim=2)
+    potential.check_weight_gate(1.0, 3.0, n_dim=2)
 except Exception as exc:
     print("gate:", exc)

@@ -23,11 +23,6 @@ for t in (0.25, 0.5, 1.0, 2.0):
     print(f"  t={t}: y_M={barriers.ode_maximal(1.0, 2.0, t):.4f}, "
           f"phi_3={barriers.decayed_ode(3.0, 1.0, 2.0, t):.4f}")
 
-# Interior ceiling: blows up like (r - |x|)^(-2/(q-1)) at the wall.
-for xx in (0.0, 0.5, 0.9, 0.99):
-    print(f"  keller_osserman(|x|={xx}) = "
-          f"{barriers.keller_osserman(1.0, 2.0, 1.0, xx):.4g}")
-
 # The radial drift barrier is calibrated per (N, q, c, eta): the smallest
 # constant whose discrete residual is sign-stable at two refinements.
 C = barriers.drift_barrier_constant(1, 2.0, c=1.0, eta=1.0)

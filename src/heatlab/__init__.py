@@ -5,7 +5,7 @@ coefficient h vanishes along a space-time curve, and turns the analytic
 propagation-vs-localization dichotomy for Dirac-type initial data into
 runnable, verifiable experiments:
 
-* :mod:`heatlab.geometry`  - degeneracy curves, parabolic/anisotropic distances
+* :mod:`heatlab.geometry`  - degeneracy curves and their parabolic distance
 * :mod:`heatlab.potential` - decay profiles and the coefficient h
 * :mod:`heatlab.barriers`  - closed-form super/subsolutions + grid verifiers
 * :mod:`heatlab.spectral`  - Dirichlet ground states, drift shift, blow-up functionals
@@ -15,7 +15,7 @@ runnable, verifiable experiments:
 
 from . import barriers, geometry, grids, harness, potential, solver, spectral
 from .errors import (BudgetError, ConfigurationError, DomainError,
-                     HeatlabError, InfeasibleRestartError, NumericalError)
+                     HeatlabError, NumericalError)
 from .geometry import Curve
 from .grids import Field, Grid
 from .potential import DecayProfile, Potential

@@ -189,24 +189,6 @@ def drift_radial_barrier(rho, c, eta, q, center, y, n_dim=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def keller_osserman(beta, q, r, x, n_dim=1):
-    """Interior ceiling C(N,q) * (beta*(r - |x|)**2)**(-1/(q-1)) on B_r.
-
-    Dominates the maximal solution of -lap(v) + beta*v**q = 0: the
-    calibrated radial barrier psi satisfies psi <= C/(r - |x|)**(2/(q-1))
-    after rho**2 - |x|**2 >= rho*(rho - |x|).
-    """
-    if beta <= 0 or q <= 1 or r <= 0:
-        raise ConfigurationError("keller_osserman needs beta > 0, q > 1, r > 0")
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x) if x.ndim == 0 or n_dim == 1 else np.linalg.norm(x, axis=-1)
-    if np.any(ax >= r):
-        raise DomainError("keller_osserman blows up at |x| = r")
-    C = drift_barrier_constant(n_dim, q, c=0.0, eta=1.0, rho=1.0)
-    out = C * (beta * (r - ax) ** 2) ** (-1.0 / (q - 1.0))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # ----------------------------------------------------------------------
 # tunnel subsolution (line degeneracy)
 # ----------------------------------------------------------------------

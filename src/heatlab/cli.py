@@ -79,18 +79,25 @@ def _cmd_report(args):
     return 0
 
 
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="heatlab",
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--budget", type=float, default=None,
-                    help="wall budget in seconds")
     sub = ap.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("scenario")
+    p_run.add_argument("--budget", type=float, default=None,
+                       help="wall budget in seconds")
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("sweep")
+    p_sweep.add_argument("--workers", type=_positive_int, default=1,
+                         help="worker processes (1 runs in this process)")
     sub.add_parser("verify-barriers", help="residual-check the barrier suite")
     p_eig = sub.add_parser("eigen", help="solve a Dirichlet ground state")
     p_eig.add_argument("domain", choices=["interval", "ball"])

@@ -28,6 +28,3 @@ class BudgetError(HeatlabError, RuntimeError):
         super().__init__(message)
         self.limiting_parameter = limiting_parameter
 
-
-class InfeasibleRestartError(HeatlabError, RuntimeError):
-    """A mass-matching restart cannot be built from the available field mass."""

@@ -3,9 +3,8 @@
 A curve is a sampled map ``tau -> (x(tau), t(tau))`` issued from the
 space-time origin.  Everything downstream (potentials, moving-frame
 solvers, scenario classification) consumes curves through the small API
-here: parabolic distance, tube membership and monotonicity classification
-of the time component.  A degeneracy line in the initial plane is not a
-curve: its anisotropic distance max(sqrt(t), |x'|) needs the point alone.
+here: parabolic distance and monotonicity classification of the time
+component.
 """
 
 import warnings
@@ -14,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 GRAPH = "graph-over-t"
 PARAMETRIC = "general-parametric"
@@ -229,15 +228,6 @@ def parabolic_distance_grid(points, t, curve):
     return d.min(axis=1)
 
 
-def anisotropic_distance(point):
-    """max(sqrt(t), |x'|) for a point split as (x1, x', t); independent of x1."""
-    x1, xp, t = point
-    if t < 0:
-        raise DomainError("anisotropic distance needs t >= 0")
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    return float(max(np.sqrt(t), np.linalg.norm(xp)))
-
-
 def classify_segments(curve):
     """Label maximal monotone t(tau) intervals and detect box re-entry.
 
@@ -285,17 +275,6 @@ def classify_segments(curve):
             box = (a, r0, (float(t[-1]), float(t[k0])))
             intervals = intervals[:1] + [(tau[k0], tau[-1], "box")]
     return SegmentClass(intervals=tuple(intervals), box=box)
-
-
-def tube_membership(point, curve, radius):
-    """Strict spherical-tube test |x - x(t)| < radius around a graph curve."""
-    if curve.kind != GRAPH:
-        raise ConfigurationError("tube membership needs a graph-over-t curve")
-    x, t = _split_point(point, curve.dim)
-    if t < -1e-15 or t > curve.horizon + 1e-15:
-        raise DomainError(f"time {t} outside the curve window [0, {curve.horizon}]")
-    xc = curve.position_at_time(t)
-    return bool(np.linalg.norm(x - xc) < radius)
 
 
 # ----------------------------------------------------------------------

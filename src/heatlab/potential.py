@@ -8,10 +8,9 @@ span the propagation/localization boundary:
 * ``power``:          l(r) = A / r**theta
 * ``log``:            l(r) = A * ln(1/r), clamped to 0 for r >= 1
 
-The distance feeding l is either the parabolic distance to a space-time
-curve, the anisotropic distance max(sqrt(t), |x'|) to a line in the initial
-plane (point values only), or a constant floor (h identically beta, for
-cylinder estimates).
+The distance feeding l is the parabolic distance to a space-time curve;
+a constant floor (h identically beta, for cylinder estimates) stands in
+for h without a distance.
 """
 
 from dataclasses import dataclass
@@ -27,9 +26,8 @@ LOG = "log"
 FAMILIES = (INVERSE_SQUARE, POWER, LOG)
 
 PARABOLIC = "parabolic"
-ANISOTROPIC = "anisotropic"
 CONSTANT_FLOOR = "constant-floor"
-DISTANCES = (PARABOLIC, ANISOTROPIC, CONSTANT_FLOOR)
+DISTANCES = (PARABOLIC, CONSTANT_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,7 @@ def eval_profile(profile, r):
 class Potential:
     """Absorption coefficient h tied to a profile and a distance functional.
 
-    ``distance`` selects parabolic (needs ``curve``), anisotropic (line in
-    the initial plane, point split as (x1, x', t)) or constant-floor
+    ``distance`` selects parabolic (needs ``curve``) or constant-floor
     (h == ``floor`` everywhere, for minimum-of-h cylinder estimates).
     """
 
@@ -89,27 +86,9 @@ class Potential:
         if self.distance == CONSTANT_FLOOR and not (self.floor and self.floor > 0):
             raise ConfigurationError("constant-floor potential needs floor > 0")
 
-    # ------------------------------------------------------------------
-    def distance_value(self, point):
-        if self.distance == PARABOLIC:
-            return geometry.parabolic_distance(point, self.curve)
-        if self.distance == ANISOTROPIC:
-            return geometry.anisotropic_distance(point)
-        return None  # constant floor has no distance
-
-    def evaluate(self, point):
-        """h at a single point; exactly 0 on the degeneracy set."""
-        if self.distance == CONSTANT_FLOOR:
-            return float(self.floor)
-        d = self.distance_value(point)
-        if d == 0.0:
-            return 0.0
-        return float(np.exp(-eval_profile(self.profile, d)))
-
     def evaluate_grid(self, points, t):
-        """Vectorized h over solver nodes at one time level, for the
-        parabolic distance or the constant floor; the anisotropic distance
-        has point values only.
+        """Vectorized h over solver nodes at one time level; exactly 0 on
+        the degeneracy set.
 
         Returns ``(values, n_underflow)`` where the count records nodes at
         positive distance whose exp(-l) underflowed to zero; those zeros are
@@ -117,9 +96,6 @@ class Potential:
         """
         if self.distance == CONSTANT_FLOOR:
             return np.full(len(points), float(self.floor)), 0
-        if self.distance == ANISOTROPIC:
-            raise ConfigurationError("grid levels of h need the parabolic "
-                                     "distance or a constant floor")
         d = geometry.parabolic_distance_grid(points, t, self.curve)
         vals = np.zeros_like(d)
         pos = d > 0
@@ -147,30 +123,6 @@ def grid_levels(pot, grid):
     return levels
 
 
-def split_h(pot, gamma, point, p=None, n_dim=None):
-    """Split h into (weight, exp_factor) with weight = d**gamma.
-
-    The pair multiplies back to ``pot.evaluate(point)`` exactly: the shifted profile is
-    l(s) + gamma*ln(s), so exp_factor = s**(-gamma) * exp(-l(s)).  When the
-    supercritical exponent data (p, n_dim) are supplied the weight exponent
-    is gated by gamma > n_dim*(p - 1) - 2.
-    """
-    if pot.distance != ANISOTROPIC:
-        raise ConfigurationError("split form needs the anisotropic distance")
-    if gamma < 0:
-        raise ConfigurationError("gamma must be >= 0")
-    if p is not None and n_dim is not None:
-        check_weight_gate(gamma, p, n_dim)
-    d = pot.distance_value(point)
-    if d == 0.0:
-        return 0.0, 0.0
-    h = pot.evaluate(point)
-    if gamma == 0.0:
-        return 1.0, h
-    weight = d ** gamma
-    return float(weight), float(h / weight)
-
-
 def check_weight_gate(gamma, p, n_dim):
     """Raise unless the weight exponent gamma >= 0 passes the supercritical
     gate gamma > N(p-1) - 2 of the weighted line-degeneracy form."""
@@ -192,5 +144,5 @@ def check_weighted_tunnel(gamma, p, profile, eps):
 
 
 def shifted_profile(profile, gamma, s):
-    """l~(s) = l(s) + gamma*ln(s): the profile driving the split exp factor."""
+    """l~(s) = l(s) + gamma*ln(s), so that h = s**gamma * exp(-l~(s))."""
     return eval_profile(profile, s) + gamma * np.log(s)

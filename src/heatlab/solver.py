@@ -26,8 +26,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import geometry, potential as potential_mod, spectral
 from .barriers import gaussian_cos_integral, heat_kernel, tunnel_subsolution
-from .errors import (BudgetError, ConfigurationError,
-                     InfeasibleRestartError, NumericalError)
+from .errors import BudgetError, ConfigurationError, NumericalError
 from .grids import BALL, Field, stencil_slices
 
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
@@ -63,7 +62,8 @@ class RunResult:
 
     Norm series are stored as logs of the physical values (long runs
     underflow doubles), NaN after a non-finite step.  ``tau_probes`` holds
-    the (tau, t, value) samples of the solution along the curve, see
+    the (tau, t, value) samples of the solution along the curve and
+    ``observed`` what the observer returned at each of its times, see
     :func:`evolve`.  ``stop`` names what froze the run early, if anything
     (``non-finite`` or ``divergence-ceiling``); ``tail_mass`` is the final
     share of the mass on the nodes next to the box faces.
@@ -78,7 +78,7 @@ class RunResult:
     underflows: int = 0
     tail_mass: float = 0.0
     tau_probes: list = dfield(default_factory=list)
-    snapshots: list = dfield(default_factory=list)
+    observed: list = dfield(default_factory=list)
 
     @property
     def diverged(self):
@@ -311,7 +311,7 @@ def _log_norms(values, log_scale, half_log_vol, vmax):
 
 
 def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
-           snapshot_times=None):
+           observe=None):
     """Drive a field to t_end recording probes, norms and run counters.
 
     The one stepping loop, behind :func:`solve_uk`, :func:`solve_rescaled`
@@ -320,8 +320,12 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     A ``curve`` is probed by linear interpolation on 1D grids only: a graph
     curve at x(min(t, horizon)) after every step, recorded with tau = t, a
     parametric one at each sample whose t lies within dt/2 of a step.
-    ``snapshot_times`` is an increasing array of times at which the working
-    array is copied out (each matched to the nearest step within dt/2).
+    ``observe`` is None or a pair (times, fn) with ``times`` increasing:
+    each time, in order, is matched to the first step at or after time -
+    dt/2 (none after an early stop), and there ``fn(t, values, log_scale)``
+    reduces the field, physical = values * exp(-log_scale), to what
+    ``RunResult.observed`` keeps.  ``values`` is the working array: ``fn``
+    reads it and neither keeps nor changes it.
     """
     grid = fld.grid
     if curve is not None and grid.ndim != 1:
@@ -335,9 +339,9 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
         raise ConfigurationError(
             f"t_end = {t_end:.6g} lies before the field's time {t:.6g}")
     times, log_l2, log_linf = np.full((3, n_steps), np.nan)
-    tau_probes, snapshots, stop = [], [], None
+    tau_probes, observed, stop = [], [], None
     graph_curve = curve is not None and curve.kind == geometry.GRAPH
-    snap_queue = list(snapshot_times) if snapshot_times is not None else []
+    obs_times, obs_fn = observe or ((), None)
     half_log_vol = 0.5 * math.log(grid.cell_volume)
     log_ceiling = math.log(ceiling)
 
@@ -371,9 +375,9 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
             stop = "divergence-ceiling"
             n_steps = istep + 1
             break
-        while snap_queue and t >= snap_queue[0] - grid.dt / 2.0:
-            snapshots.append((t, values.copy(), log_scale))
-            snap_queue.pop(0)
+        while len(observed) < len(obs_times) and \
+                t >= obs_times[len(observed)] - grid.dt / 2.0:
+            observed.append(obs_fn(t, values, log_scale))
 
     return RunResult(final=Field(grid, values, t, log_scale),
                      times=times[:n_steps], log_l2=log_l2[:n_steps],
@@ -381,7 +385,7 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
                      renormalizations=stepper.renorm_count,
                      underflows=stepper.underflow_count,
                      tail_mass=_tail_fraction(values, grid),
-                     tau_probes=tau_probes, snapshots=snapshots)
+                     tau_probes=tau_probes, observed=observed)
 
 
 def _tail_fraction(values, grid):
@@ -394,7 +398,7 @@ def _tail_fraction(values, grid):
 
 
 def solve_uk(k, curve, levels, p, horizon, grid, t_start=None,
-             ceiling=DIVERGENCE_CEILING, snapshot_times=None):
+             ceiling=DIVERGENCE_CEILING, observe=None):
     """Evolve the Dirac-datum solution u_k probing along the curve.
 
     Numerical blow-up is recorded (run frozen, ``stop`` set) when the
@@ -406,7 +410,7 @@ def solve_uk(k, curve, levels, p, horizon, grid, t_start=None,
     fld = dirac_family(k, grid, t_start)
     spec = PDESpec(p=p, drift=None, absorption=levels)
     return evolve(fld, spec, horizon, curve=curve, ceiling=ceiling,
-                   snapshot_times=snapshot_times)
+                  observe=observe)
 
 
 @dataclass
@@ -445,7 +449,7 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
         raise ConfigurationError("curve horizon must reach alpha")
     check_step_budget(eps, alpha, grid.dt)
     t_end = alpha / (eps * eps)
-    # align the mollification time to the step grid so snapshot targets
+    # align the mollification time to the step grid so the observed times
     # (multiples of dt) are hit exactly
     t_start = datum_start(grid)
 
@@ -456,41 +460,39 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
         psi0 = _ground_state_for(grid)
     psi_grid = _psi_on_grid(psi0, grid)
     core = grid.interior_mask() & (psi_grid >= 1e-3)
+    log_psi = np.log(psi_grid[core])
     pts = grid.points()
+    c1 = log_c1 = math.nan
 
-    spec = PDESpec(p=p, drift=drift, absorption=1.0)
-    fld = dirac_family(max(DEFAULT_LADDER), grid, t_start)
-    snap_times = np.arange(1.0, t_end + 1e-9, _PROBE_STRIDE)
-
-    result = evolve(fld, spec, t_end, snapshot_times=snap_times)
-
-    c1, sigma = math.nan, 0.0
-    if result.snapshots:  # the Hopf ratio at the first stored time >= 1
-        _, vals, s = result.snapshots[0]
-        phys = vals * math.exp(-s) if s < 700 else vals * 0.0
-        c1 = float(np.min(phys[core] / psi_grid[core]))
-    for (t, vals, s) in result.snapshots:  # the running feedback sup
+    def observe(t, vals, s):
+        """(t, feedback term, min over core of ln u - ln(c1 psi0)) at t."""
+        nonlocal c1, log_c1
+        if math.isnan(c1):  # the Hopf ratio at the first observed time >= 1
+            phys = vals * math.exp(-s) if s < 700 else vals * 0.0
+            c1 = float(np.min(phys[core] / psi_grid[core]))
+            log_c1 = math.log(c1) if c1 > 0 else math.nan
         b = drift(t)
         bnorm = float(np.linalg.norm(b))
         dots = (pts @ b if grid.ndim > 1 else pts[:, 0] * b[0]).reshape(grid.shape)
         wmax = float(np.max(vals * np.exp(-0.5 * dots))) * math.exp(-s)
-        sigma = max(sigma, math.exp(0.5 * (p - 1.0) * bnorm) * wmax ** (p - 1.0))
+        feedback = math.exp(0.5 * (p - 1.0) * bnorm) * wmax ** (p - 1.0)
+        with np.errstate(divide="ignore"):
+            log_phys = np.where(vals[core] > 0,
+                                np.log(np.maximum(vals[core], 1e-300)) - s,
+                                _LOG_ZERO)
+        return t, feedback, float(np.min(log_phys - (log_c1 + log_psi)))
 
+    spec = PDESpec(p=p, drift=drift, absorption=1.0)
+    fld = dirac_family(max(DEFAULT_LADDER), grid, t_start)
+    obs_times = np.arange(1.0, t_end + 1e-9, _PROBE_STRIDE)
+    result = evolve(fld, spec, t_end, observe=(obs_times, observe))
+
+    sigma = max((f for _, f, _ in result.observed), default=0.0)
     beta_tau = eps * curve.sup_speed(eps * eps, alpha)
     delta_tau = eps ** 3 * curve.sup_accel(eps * eps, alpha)
     rate = spectral.envelope_rate(psi0.lam, beta_tau, delta_tau, sigma)
-
-    margin = math.inf
-    if not math.isnan(c1) and c1 > 0:
-        log_c1 = math.log(c1)
-        log_psi = np.log(psi_grid[core])
-        for (t, vals, s) in result.snapshots:
-            with np.errstate(divide="ignore"):
-                log_phys = np.where(vals[core] > 0,
-                                    np.log(np.maximum(vals[core], 1e-300)) - s,
-                                    _LOG_ZERO)
-            bound = log_c1 + log_psi - rate * (t - 1.0)
-            margin = min(margin, float(np.min(log_phys - bound)))
+    margin = min((gap + rate * (t - 1.0) for t, _, gap in result.observed),
+                 default=math.inf) if c1 > 0 else math.inf
 
     center = tuple(n // 2 for n in grid.shape)
     cval = result.final.values[center]
@@ -532,66 +534,6 @@ def _psi_on_grid(psi0, grid):
     pts = grid.points()
     return psi0.interpolate(pts[:, 0] if grid.ndim == 1 else pts) \
         .reshape(grid.shape)
-
-
-def restart_from_mass(source, k, grid, center=None, sigma=None):
-    """Truncated-restricted restart datum min(m, u) * indicator(B_sigma).
-
-    The level m solves the mass equation integral = k by bisection; when
-    ``sigma`` is omitted the smallest grid-representable ball (down to three
-    cells) holding mass k is used.  Raises InfeasibleRestartError when no
-    admissible ball carries enough mass (the localization signal).
-    """
-    fld = source.final if isinstance(source, RunResult) else source
-    if k < 0:
-        raise ConfigurationError("restart mass must be nonnegative")
-    if k == 0:
-        return Field(grid, np.zeros(grid.shape), fld.time)
-    u = fld.physical().reshape(grid.shape)
-    pts = grid.points()
-    if center is None:
-        center = pts[int(np.argmax(u.ravel()))]
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dists = np.linalg.norm(pts - center, axis=1).reshape(grid.shape)
-    vol = grid.cell_volume
-    h = max(grid.spacing)
-
-    def mass_in(sig, m):
-        sel = dists <= sig
-        return float(np.sum(np.minimum(u[sel], m)) * vol)
-
-    if sigma is None:
-        half_width = min(min(abs(center[i] - grid.lo[i]),
-                             abs(grid.hi[i] - center[i]))
-                         for i in range(grid.ndim))
-        candidates = np.arange(3 * h, half_width + h, h)
-        for sig in candidates:
-            if mass_in(sig, math.inf) >= k:
-                sigma = float(sig)
-                break
-        if sigma is None:
-            raise InfeasibleRestartError(
-                f"available mass {mass_in(half_width, math.inf):.6g} < k={k} "
-                "for every ball down to grid resolution")
-    elif mass_in(sigma, math.inf) < k:
-        raise InfeasibleRestartError(
-            f"ball of radius {sigma} holds mass "
-            f"{mass_in(sigma, math.inf):.6g} < k={k}")
-
-    lo, hi = 0.0, float(np.max(u)) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mass_in(sigma, mid) < k:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(hi, 1.0):
-            break
-    m = hi
-    vals = np.where(dists <= sigma, np.minimum(u, m), 0.0)
-    out = Field(grid, vals, fld.time)
-    out.note = f"restart sigma={sigma:.6g} m={m:.6g} k={k:.6g}"
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -659,25 +601,24 @@ def tunnel_run(p, grid, gamma=None):
     pair = spectral.dirichlet_ground_state("interval", grid.shape[1] - 2)
     lam = pair.lam
     xi1, xi_perp = grid.axes
-    snap_times = np.arange(_TAU_CAL + _A_SHIFT, 1.0 - 1e-9, 0.05)
-    result = evolve(fld, spec, 1.0, snapshot_times=snap_times)
+    c_val = None
 
-    if not result.snapshots:
-        raise NumericalError("tunnel run produced no comparison snapshots")
-    t0, vals, s = result.snapshots[0]
-    w0 = vals * math.exp(-s)
-    W0 = tunnel_subsolution(xi1, xi_perp, t0 - _A_SHIFT, lam, pair)
-    sel = W0 >= 1e-10 * W0.max()
-    c_val = float(np.min(w0[sel] / W0[sel])) * _C_SAFETY
-    c_val = min(c_val, 1.0)
-
-    conf_min = math.inf
-    for t, vals, s in result.snapshots:
+    def observe(t, vals, s):
+        """min of w(., t) - c W(., t - a), c fixed at the first time."""
+        nonlocal c_val
         w = vals * math.exp(-s)
         W = tunnel_subsolution(xi1, xi_perp, t - _A_SHIFT, lam, pair)
-        conf_min = min(conf_min, float(np.min(w - c_val * W)))
+        if c_val is None:
+            sel = W >= 1e-10 * W.max()
+            c_val = min(float(np.min(w[sel] / W[sel])) * _C_SAFETY, 1.0)
+        return float(np.min(w - c_val * W))
 
-    return TunnelResult(a=_A_SHIFT, c=c_val, conformance_min=conf_min,
+    obs_times = np.arange(_TAU_CAL + _A_SHIFT, 1.0 - 1e-9, 0.05)
+    result = evolve(fld, spec, 1.0, observe=(obs_times, observe))
+    if not result.observed:
+        raise NumericalError("tunnel run reached no comparison time")
+    return TunnelResult(a=_A_SHIFT, c=c_val,
+                        conformance_min=min(result.observed),
                         lam=lam, gamma=gamma)
 
 

@@ -150,8 +150,8 @@ def test_criterion_06_monotonicity_and_comparison():
     snaps = {}
     for k in (1e2, 1e4, 1e6):
         run = solver.solve_uk(k, curve, levels, 2.0, 0.25, grid, t_start=t0,
-                              snapshot_times=times)
-        snaps[k] = run.snapshots
+                              observe=(times, lambda t, v, s: (t, v.copy(), s)))
+        snaps[k] = run.observed
     for a, b in ((1e2, 1e4), (1e4, 1e6)):
         for (ta, va, sa), (tb, vb, sb) in zip(snaps[a], snaps[b]):
             assert np.all(va * math.exp(-sa) <= vb * math.exp(-sb) + 1e-8)

@@ -144,30 +144,6 @@ class TestOdeBarriers:
                 pytest.approx(0.0, abs=1e-8)
 
 
-class TestKellerOsserman:
-    def test_blows_up_at_boundary(self):
-        vals = [barriers.keller_osserman(1.0, 2.0, 1.0, x)
-                for x in (0.0, 0.5, 0.9, 0.99)]
-        assert np.all(np.diff(vals) > 0)
-        assert vals[-1] > 50 * vals[0]
-
-    def test_gap_doubling_exponent(self):
-        q = 2.0
-        v1 = barriers.keller_osserman(1.0, q, 1.0, 0.8)   # gap 0.2
-        v2 = barriers.keller_osserman(1.0, q, 1.0, 0.6)   # gap 0.4
-        assert v1 / v2 == pytest.approx(2.0 ** (2.0 / (q - 1.0)))
-
-    def test_exponent_q3(self):
-        # 2/(q-1) = 1 at q = 3: value scales like 1/(r - |x|)
-        v1 = barriers.keller_osserman(1.0, 3.0, 1.0, 0.5)
-        v2 = barriers.keller_osserman(1.0, 3.0, 1.0, 0.75)
-        assert v2 / v1 == pytest.approx(2.0, rel=1e-12)
-
-    def test_outside_ball(self):
-        with pytest.raises(DomainError):
-            barriers.keller_osserman(1.0, 2.0, 1.0, 1.0)
-
-
 class TestDriftRadialBarrier:
     def test_center_value(self):
         q, rho = 2.0, 0.5

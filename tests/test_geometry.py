@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heatlab import geometry
-from heatlab.errors import ConfigurationError, DomainError
+from heatlab.errors import ConfigurationError
 from heatlab.geometry import Curve
 
 
@@ -68,28 +68,6 @@ class TestParabolicDistance:
             assert dg == pytest.approx(dp, rel=1e-12)
 
 
-class TestAnisotropicDistance:
-    @pytest.mark.parametrize("point,expected", [
-        ((3.7, 0.0, 0.0), 0.0),
-        ((5.0, 0.0, 0.25), 0.5),
-        ((0.0, np.array([0.3]), 0.04), 0.3),
-    ])
-    def test_examples(self, point, expected):
-        assert geometry.anisotropic_distance(point) == pytest.approx(expected)
-
-    def test_independent_of_axis_coordinate(self, rng):
-        for _ in range(100):
-            xp = rng.uniform(-1, 1, size=2)
-            t = rng.uniform(0, 1)
-            a = geometry.anisotropic_distance((rng.uniform(-9, 9), xp, t))
-            b = geometry.anisotropic_distance((rng.uniform(-9, 9), xp, t))
-            assert a == b
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            geometry.anisotropic_distance((0.0, 0.0, -0.1))
-
-
 class TestClassifySegments:
     def test_monotone_graph_single_interval(self, straight_curve):
         seg = geometry.classify_segments(straight_curve)
@@ -140,29 +118,6 @@ class TestClassifySegments:
                   np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), horizon=1.0)
         with pytest.raises(ConfigurationError):
             geometry.classify_segments(c)
-
-
-class TestTubeMembership:
-    def test_on_axis_point(self, straight_curve):
-        assert geometry.tube_membership((0.3, 0.3), straight_curve, 1e-6)
-
-    def test_boundary_excluded(self, straight_curve):
-        eps = 0.25
-        assert not geometry.tube_membership((0.5 + eps, 0.5), straight_curve,
-                                            eps)
-
-    def test_half_radius_inside(self):
-        c = Curve.straight(0.0, 1.0, n=65)
-        assert geometry.tube_membership((0.5 * 0.2, 0.4), c, 0.2)
-
-    def test_time_outside_window(self, straight_curve):
-        with pytest.raises(DomainError):
-            geometry.tube_membership((0.0, 1.5), straight_curve, 0.1)
-
-    def test_needs_graph_curve(self):
-        c = Curve.parametric(lambda s: s, lambda s: s * (1 - s), 1.0, n=65)
-        with pytest.raises(ConfigurationError):
-            geometry.tube_membership((0.0, 0.1), c, 0.1)
 
 
 class TestCurveConstruction:

@@ -1319,3 +1319,27 @@ class TestCli:
         assert log.exists()
         assert cli.main(["report", str(log)]) == 0
 
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "x.ini", "--workers", "4"], "unrecognized arguments"),
+        (["sweep", "x.ini", "--budget", "5"], "unrecognized arguments"),
+        (["sweep", "x.ini", "--workers", "0"], "'0' is not an integer >= 1"),
+        (["sweep", "x.ini", "--workers", "2.5"], "not an integer")],
+        ids=["workers-on-run", "budget-on-sweep", "no-workers",
+             "fractional-workers"])
+    def test_flag_outside_its_command_is_a_usage_error(self, argv, message,
+                                                       capsys):
+        # --workers and --budget used to be global flags that run and
+        # sweep silently ignored; --workers 0 silently ran serially
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_flags_of_their_commands(self, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli, "_cmd_run", lambda a: seen.update(run=a))
+        monkeypatch.setattr(cli, "_cmd_sweep", lambda a: seen.update(sweep=a))
+        cli.main(["run", "x.ini", "--budget", "5"])
+        cli.main(["sweep", "x.ini", "--workers", "2"])
+        assert seen["run"].budget == 5.0 and seen["sweep"].workers == 2

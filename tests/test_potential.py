@@ -45,27 +45,34 @@ class TestProfiles:
             DecayProfile("gaussian", 1.0)
 
 
+def h_at(pot, x, t):
+    """h at the one point (x, t), through a one-row grid evaluation."""
+    vals, _ = pot.evaluate_grid(np.array([[x]]), t)
+    return vals[0]
+
+
 class TestEvalH:
     def test_zero_on_curve(self, straight_curve):
         pot = Potential(DecayProfile("inverse-square", 10.0), "parabolic",
                         curve=straight_curve)
-        assert pot.evaluate((np.array([0.5]), 0.5)) == 0.0
+        assert h_at(pot, 0.5, 0.5) == 0.0
 
     def test_inverse_square_at_unit_distance(self, straight_curve):
         pot = Potential(DecayProfile("inverse-square", 10.0), "parabolic",
                         curve=straight_curve)
-        val = pot.evaluate((np.array([2.0]), 1.0))  # distance 1 (oracle)
+        val = h_at(pot, 2.0, 1.0)  # distance 1 (oracle)
         assert val == pytest.approx(math.exp(-10.0), rel=1e-6)
 
     def test_constant_floor(self):
         pot = Potential(None, "constant-floor", floor=1.0)
-        assert pot.evaluate((np.array([3.0]), 0.2)) == 1.0
+        assert h_at(pot, 3.0, 0.2) == 1.0
 
-    def test_monotone_in_distance(self, rng):
-        prof = DecayProfile("power", 2.0, exponent=1.0)
-        pot = Potential(prof, "anisotropic")
-        pts = [(0.0, np.array([r]), 0.0) for r in np.sort(rng.uniform(0.01, 2, 50))]
-        vals = [pot.evaluate(p) for p in pts]
+    def test_monotone_in_distance(self, straight_curve, rng):
+        # at t = 0 the parabolic distance of x to the curve is |x|
+        pot = Potential(DecayProfile("power", 2.0, exponent=1.0), "parabolic",
+                        curve=straight_curve)
+        rs = np.sort(rng.uniform(0.01, 2, 50))
+        vals, _ = pot.evaluate_grid(rs[:, None], 0.0)
         assert np.all(np.diff(vals) >= -1e-15)
 
     def test_underflow_counted(self, straight_curve):
@@ -77,10 +84,9 @@ class TestEvalH:
         assert np.all(vals == 0.0)
 
     def test_grid_needs_parabolic_or_floor(self):
-        # the anisotropic distance has point values only
-        pot = Potential(DecayProfile("inverse-square", 8.0), "anisotropic")
-        with pytest.raises(ConfigurationError, match="parabolic"):
-            pot.evaluate_grid(np.zeros((4, 2)), 0.1)
+        # the anisotropic distance of a line in the initial plane is gone
+        with pytest.raises(ConfigurationError, match="unknown distance mode"):
+            Potential(DecayProfile("inverse-square", 8.0), "anisotropic")
 
     def test_grid_matches_pointwise(self, straight_curve):
         pot = Potential(DecayProfile("inverse-square", 2.0), "parabolic",
@@ -110,45 +116,36 @@ class TestEvalH:
 
 
 class TestSplit:
-    def setup_method(self):
-        self.pot = Potential(DecayProfile("inverse-square", 8.0), "anisotropic")
+    """h = s**gamma * exp(-l~(s)) with the shifted profile l~ = l + gamma ln s,
+    the split of the weighted line-degeneracy form."""
+
+    prof = DecayProfile("inverse-square", 8.0)
 
     def test_gamma_zero_degenerates(self):
-        pt = (0.2, np.array([0.3]), 0.01)
-        w, e = potential.split_h(self.pot, 0.0, pt)
-        assert w == 1.0
-        assert e == pytest.approx(self.pot.evaluate(pt), rel=1e-12)
+        s = np.array([0.05, 0.3, 1.4])
+        assert np.array_equal(potential.shifted_profile(self.prof, 0.0, s),
+                              potential.eval_profile(self.prof, s))
 
     def test_product_identity_bulk(self, rng):
-        # the split must reassemble h to 1e-12 relative on 1e4 random points
+        # the split must reassemble h to 1e-12 relative on 1e4 random s
         gamma = 2.5
-        for _ in range(10_000):
-            pt = (rng.uniform(-3, 3), np.array([rng.uniform(0.05, 1.5)]),
-                  rng.uniform(0.0, 1.0))
-            w, e = potential.split_h(self.pot, gamma, pt)
-            h = self.pot.evaluate(pt)
-            if h > 0:
-                assert w * e == pytest.approx(h, rel=1e-12)
+        s = rng.uniform(0.05, 1.5, size=10_000)
+        h = np.exp(-potential.eval_profile(self.prof, s))
+        split = s ** gamma * np.exp(-potential.shifted_profile(self.prof,
+                                                               gamma, s))
+        pos = h > 0
+        assert pos.sum() > 9000
+        assert np.allclose(split[pos], h[pos], rtol=1e-12, atol=0.0)
 
     def test_supercritical_gate(self):
-        pt = (0.0, np.array([0.4]), 0.01)
         # N=2, p=3: requires gamma > 2
-        w, e = potential.split_h(self.pot, 2.5, pt, p=3.0, n_dim=2)
-        assert w > 0
+        potential.check_weight_gate(2.5, 3.0, n_dim=2)
         with pytest.raises(ConfigurationError):
-            potential.split_h(self.pot, 2.0, pt, p=3.0, n_dim=2)
-
-    def test_needs_anisotropic_distance(self, straight_curve):
-        pot = Potential(DecayProfile("inverse-square", 8.0), "parabolic",
-                        curve=straight_curve)
-        with pytest.raises(ConfigurationError):
-            potential.split_h(pot, 1.0, (np.array([0.3]), 0.2))
+            potential.check_weight_gate(2.0, 3.0, n_dim=2)
 
     def test_shifted_profile_matches_split(self):
         s = 0.37
         gamma = 1.2
-        prof = self.pot.profile
-        lt = potential.shifted_profile(prof, gamma, s)
-        pt = (0.0, np.array([s]), 0.0)
-        _, e = potential.split_h(self.pot, gamma, pt)
-        assert e == pytest.approx(math.exp(-lt), rel=1e-12)
+        lt = potential.shifted_profile(self.prof, gamma, s)
+        assert lt == pytest.approx(8.0 / s ** 2 + gamma * math.log(s),
+                                   rel=1e-12)

@@ -6,14 +6,35 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from heatlab import barriers, geometry, potential, solver, spectral
-from heatlab.errors import (BudgetError, ConfigurationError,
-                            InfeasibleRestartError)
+from heatlab.errors import BudgetError, ConfigurationError
 from heatlab.grids import Field, Grid
 from heatlab.potential import DecayProfile, Potential, grid_levels
 
 
 def box_grid(n=301, dt=2e-3, lo=-3.0, hi=3.0):
     return Grid.interval(lo, hi, n, dt)
+
+
+def copies(t, values, log_scale):
+    """An observer that keeps the whole field at each of its times."""
+    return t, values.copy(), log_scale
+
+
+def keep_copies(monkeypatch, kept):
+    """Make every solver.evolve call also append a copy of the field at each
+    observed time to ``kept``, ahead of the observer the caller passed."""
+    real = solver.evolve
+
+    def evolve(fld, spec, t_end, observe):
+        times, fn = observe
+
+        def both(t, values, log_scale):
+            kept.append(copies(t, values, log_scale))
+            return fn(t, values, log_scale)
+
+        return real(fld, spec, t_end, observe=(times, both))
+
+    monkeypatch.setattr(solver, "evolve", evolve)
 
 
 def one_step(stepper, values, t, log_scale=0.0):
@@ -393,8 +414,8 @@ class TestSolveUk:
         times = np.array([0.1, 0.2])
         for k in (1e2, 1e4, 1e6):
             run = solver.solve_uk(k, self.curve, levels, 2.0, 0.25, self.grid,
-                                  snapshot_times=times)
-            snaps[k] = [v * math.exp(-s) for (_, v, s) in run.snapshots]
+                                  observe=(times, copies))
+            snaps[k] = [v * math.exp(-s) for (_, v, s) in run.observed]
         for a, b in ((1e2, 1e4), (1e4, 1e6)):
             for va, vb in zip(snaps[a], snaps[b]):
                 assert np.all(va <= vb + 1e-8)
@@ -424,12 +445,12 @@ class TestSolveUk:
         t0 = 0.01
         times = np.array([0.05, 0.1, 0.2])
         run = solver.solve_uk(1e6, self.curve, levels, q, 0.25, self.grid,
-                              t_start=t0, snapshot_times=times)
+                              t_start=t0, observe=(times, copies))
         x = self.grid.axes[0]
         r = 2.9
         inside = np.abs(x) < r * 0.999
         psi = barriers.drift_radial_barrier(r, 0.0, beta, q, 0.0, x[inside])
-        for (t, vals, s) in run.snapshots:
+        for (t, vals, s) in run.observed:
             u = vals * math.exp(-s)
             ceiling = barriers.ode_maximal(beta, q, t, t0=t0) + psi
             assert np.all(u[inside] <= ceiling + 1e-8)
@@ -460,6 +481,31 @@ class TestSolveUk:
         assert run.stop == "divergence-ceiling"
         assert run.times.size < int(round(0.25 / self.grid.dt))
 
+    def test_observer_timing(self):
+        # one call per time, in order, at the first step at or after
+        # time - dt/2, and none from the step that hits the ceiling on;
+        # absorption -1 is a source, so the field grows like u' = u**2
+        g = box_grid(n=61, dt=1e-2)
+        vals = np.full(g.shape, 2.0)
+        vals[[0, -1]] = 0.0
+        times = np.arange(0.0, 1.0, 0.0125)  # 0.4125 matches the stop
+        calls = []
+        run = solver.evolve(Field(g, vals, 0.0),
+                            solver.PDESpec(p=2.0, absorption=-1.0), 1.0,
+                            ceiling=10.0,
+                            observe=(times, lambda t, v, s: calls.append(t)))
+        assert run.stop == "divergence-ceiling"
+        stepped = run.times[:-1].tolist()
+        expected = []
+        for time in times:
+            later = [t for t in stepped if t >= time - g.dt / 2.0]
+            if not later:
+                break
+            expected.append(later[0])
+        assert 1 < len(expected) < len(times)
+        assert calls == expected
+        assert run.observed == [None] * len(calls)
+
     def test_probe_series_lengths_match(self):
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
@@ -484,12 +530,12 @@ class TestSolveUk:
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
         run = solver.solve_uk(1e3, self.curve, levels, 2.0, 0.3, self.grid,
-                              snapshot_times=np.array([0.1, 0.3]))
+                              observe=(np.array([0.1, 0.3]), copies))
         assert [tau for tau, _, _ in run.tau_probes] \
             == [t for _, t, _ in run.tau_probes] == run.times.tolist()
         probes = {t: v for _, t, v in run.tau_probes}
-        assert len(run.snapshots) == 2 and run.snapshots[1][0] > 0.25
-        for t, vals, s in run.snapshots:
+        assert len(run.observed) == 2 and run.observed[1][0] > 0.25
+        for t, vals, s in run.observed:
             x = self.curve.position_at_time(min(t, 0.25))[0]
             assert probes[t] > 0
             assert probes[t] == float(np.interp(x, self.grid.axes[0], vals)) \
@@ -510,8 +556,8 @@ class TestSolveUk:
         assert [(tau, t) for tau, t, _ in run.tau_probes] == hits
         # the values, against the fields at the probed steps
         again = solver.solve_uk(1e3, arc, levels, 2.0, 0.3, self.grid,
-                                snapshot_times=sorted({t for _, t in hits}))
-        fields = {t: (vals, s) for t, vals, s in again.snapshots}
+                                observe=(sorted({t for _, t in hits}), copies))
+        fields = {t: (vals, s) for t, vals, s in again.observed}
         tau_x = dict(zip(arc.tau.tolist(), arc.x[:, 0].tolist()))
         for tau, t, v in run.tau_probes:
             vals, s = fields[t]
@@ -563,12 +609,40 @@ class TestRescaled:
 
     def test_aligned_start_hits_t_one(self):
         # solve_rescaled starts its datum at a multiple of dt, so its first
-        # snapshot, which sets the Hopf ratio c1, falls on t = 1 exactly
+        # observed time, which sets the Hopf ratio c1, falls on t = 1 exactly
         fld = solver.dirac_family(1.0, self.grid,
                                   solver.datum_start(self.grid))
         run = solver.evolve(fld, solver.PDESpec(p=2.0, absorption=1.0), 1.5,
-                            snapshot_times=np.array([1.0]))
-        assert run.snapshots[0][0] == 1.0
+                            observe=(np.array([1.0]), copies))
+        assert run.observed[0][0] == 1.0
+
+    def test_reductions_match_a_walk_of_copies(self, monkeypatch):
+        # c1 from the first observed field, sigma the feedback sup, the
+        # margin against c1 psi0 exp(-rate (t - 1)), all over full copies
+        kept, eps, p = [], 0.2, 2.0
+        keep_copies(monkeypatch, kept)
+        res = solver.solve_rescaled(eps, self.curve, p, 1.0, self.grid)
+        psi0 = solver._ground_state_for(self.grid)
+        psi = solver._psi_on_grid(psi0, self.grid)
+        core = self.grid.interior_mask() & (psi >= 1e-3)
+        x = self.grid.axes[0]
+        _, v1, s1 = kept[0]
+        c1 = float(np.min(v1[core] * math.exp(-s1) / psi[core]))
+        sigma = 0.0
+        for t, v, s in kept:
+            b = eps * self.curve.velocity_at_time(eps * eps * t)[0]
+            wmax = float(np.max(v * np.exp(-0.5 * x * b))) * math.exp(-s)
+            sigma = max(sigma, math.exp(0.5 * (p - 1.0) * abs(b))
+                        * wmax ** (p - 1.0))
+        rate = spectral.envelope_rate(psi0.lam, res.beta_tau, res.delta_tau,
+                                      sigma)
+        margin = min(float(np.min(
+            np.log(v[core]) - s
+            - (math.log(c1) + np.log(psi[core]) - rate * (t - 1.0))))
+            for t, v, s in kept)
+        assert len(kept) == 49
+        assert (res.c1, res.sigma_tau, res.conformance_margin) \
+            == (c1, sigma, margin)
 
     def test_no_drift_reduces_constants(self):
         still = geometry.Curve.straight(0.0, 1.0, n=257)
@@ -589,53 +663,33 @@ class TestRescaled:
             solver.solve_rescaled(0.2, arc, 2.0, 1.0, self.grid)
 
 
-class TestRestart:
-    def setup_method(self):
-        self.grid = box_grid(n=201, dt=1e-3, lo=-1.0, hi=1.0)
-
-    def field_with(self, values):
-        return Field(self.grid, values, 0.5)
-
-    def test_saturated_truncation_constant(self):
-        u = np.full(self.grid.shape, 10.0)
-        sigma = 0.3
-        k = 1.0
-        fld = solver.restart_from_mass(self.field_with(u), k, self.grid,
-                                       center=0.0, sigma=sigma)
-        x = self.grid.axes[0]
-        sel = np.abs(x) <= sigma
-        inner = fld.values[sel]
-        assert np.ptp(inner) == pytest.approx(0.0, abs=1e-10)
-        assert fld.mass() == pytest.approx(k, rel=1e-6)
-
-    def test_sigma_halving_raises_level(self):
-        x = self.grid.axes[0]
-        u = 40.0 * np.exp(-40.0 * x * x)
-        k = 0.8
-        m = {}
-        for sigma in (0.4, 0.2):
-            fld = solver.restart_from_mass(self.field_with(u), k, self.grid,
-                                           center=0.0, sigma=sigma)
-            m[sigma] = fld.values.max()
-        assert m[0.2] > m[0.4]
-
-    def test_zero_mass(self):
-        u = np.ones(self.grid.shape)
-        fld = solver.restart_from_mass(self.field_with(u), 0.0, self.grid)
-        assert np.all(fld.values == 0.0)
-
-    def test_infeasible_mass(self):
-        u = 1e-6 * np.ones(self.grid.shape)
-        with pytest.raises(InfeasibleRestartError):
-            solver.restart_from_mass(self.field_with(u), 100.0, self.grid,
-                                     center=0.0)
-
-
 class TestTunnel:
     def test_short_truncation_rejected(self):
         g = Grid.tunnel(4.0, 81, 21, 1e-3)
         with pytest.raises(ConfigurationError, match="truncation"):
             solver.tunnel_run(2.0, g)
+
+    def test_reductions_match_a_walk_of_copies(self, monkeypatch):
+        # c from the first observed field, deflated and capped at 1; the
+        # conformance minimum of w - c W over every observed field
+        kept = []
+        keep_copies(monkeypatch, kept)
+        g = Grid.tunnel(10.0, 101, 21, 2e-3)
+        res = solver.tunnel_run(2.0, g)
+        pair = spectral.dirichlet_ground_state("interval", g.shape[1] - 2)
+
+        def W(t):
+            return barriers.tunnel_subsolution(*g.axes, t - res.a, pair.lam,
+                                               pair)
+
+        t0, v0, s0 = kept[0]
+        sel = W(t0) >= 1e-10 * W(t0).max()
+        c = min(float(np.min(v0[sel] * math.exp(-s0) / W(t0)[sel])) * 0.9,
+                1.0)
+        conf = min(float(np.min(v * math.exp(-s) - c * W(t)))
+                   for t, v, s in kept)
+        assert len(kept) == 17
+        assert (res.c, res.conformance_min) == (c, conf)
 
     def test_tail_fraction_counts_corners_once(self):
         g = Grid.tunnel(4.0, 9, 9, 1e-3)
