@@ -2,8 +2,9 @@
 
 Sweeps the analytic blow-up functional over a grid of flat-profile
 amplitudes A and zoom depths alpha; the verdict boundary sits near
-A = (p - 1) * rate * alpha.  The sweep log is append-only: rerunning skips
-completed combinations.
+A = (p - 1) * rate * alpha.  The sweep log is append-only: the demo starts
+it afresh, then sweeps again over the full log, which skips every
+completed combination and hands back the same records.
 
 Run:  python demos/07_phase_sweep.py
 Writes demos/output/{phase.jsonl, phase_summary.csv}.
@@ -25,7 +26,11 @@ spec = {
     "budget_combos": 256,
 }
 log = out / "phase.jsonl"
+log.unlink(missing_ok=True)  # a log of an older spec would be refused
 records = harness.sweep(spec, log)
+resumed = harness.sweep(spec, log)  # computes nothing: every combo is done
+if resumed != records or len(log.read_text().splitlines()) != len(records):
+    raise SystemExit("the resumed sweep did not hand back the logged records")
 harness.write_sweep_summary(records, out / "phase_summary.csv")
 
 grid = {}
@@ -37,4 +42,5 @@ for alpha in spec["axes"]["alpha"]:
     rows = sorted(grid[alpha])
     marks = ["P" if out_ == "propagation" else "." for _, out_ in rows]
     print(f"{alpha:9g}", *(f"{m:>6s}" for m in marks))
-print("wrote", log.name, "and phase_summary.csv (P = propagation)")
+print("wrote", log.name, "and phase_summary.csv (P = propagation); the",
+      "resumed sweep read all", len(resumed), "records back from the log")

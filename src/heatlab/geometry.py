@@ -9,7 +9,6 @@ component.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -100,13 +99,6 @@ class Curve:
         return cls(GRAPH, t, t, x, horizon=float(horizon))
 
     @classmethod
-    def graph_of(cls, fx, horizon, n=513):
-        """Graph curve from a callable t -> x(t) (scalar or vector valued)."""
-        t = np.linspace(0.0, horizon, n)
-        x = np.array([np.atleast_1d(fx(ti)) for ti in t], dtype=float)
-        return cls(GRAPH, t, t, x, horizon=float(horizon))
-
-    @classmethod
     def parametric(cls, fx, ft, horizon, n=513):
         tau = np.linspace(0.0, horizon, n)
         t = np.array([ft(s) for s in tau], dtype=float)
@@ -123,46 +115,15 @@ class Curve:
                    horizon=float(data[-1, 0]))
 
     # ------------------------------------------------------------------
-    # interpolation and derivatives
+    # interpolation
     # ------------------------------------------------------------------
     def position_at_time(self, t):
-        """Linear interpolation of x(t) for graph curves."""
-        return self._at_time(t, self.x)
-
-    @cached_property
-    def _derivatives(self):
-        """Sampled x'(t) and x''(t) by central differences, once per curve
-        (on a straight curve they are the velocity and 0)."""
-        dx = np.gradient(self.x, self.t, axis=0)
-        return dx, np.gradient(dx, self.t, axis=0)
-
-    def velocity_at_time(self, t):
-        """x'(t) for graph curves, interpolated from the sampled x'."""
-        return self._at_time(t, self._derivatives[0])
-
-    def _at_time(self, t, rows):
-        """Rows of per-sample values interpolated at time(s) t."""
+        """Linear interpolation of x(t) at time(s) t for graph curves."""
         if self.kind != GRAPH:
             raise ConfigurationError("interpolation in t needs a graph-over-t curve")
         t = np.asarray(t, dtype=float)
-        return np.stack([np.interp(t, self.t, rows[:, j]) for j in range(self.dim)],
-                        axis=-1)
-
-    def sup_speed(self, t_lo, t_hi):
-        """sup |x'(t)| over the samples in [t_lo, t_hi]."""
-        return self._sup_norm(0, t_lo, t_hi, 2)
-
-    def sup_accel(self, t_lo, t_hi):
-        """sup |x''(t)| over the samples in [t_lo, t_hi]."""
-        return self._sup_norm(1, t_lo, t_hi, 3)
-
-    def _sup_norm(self, order, t_lo, t_hi, min_samples):
-        # a window holding fewer than ``min_samples`` samples takes them all
-        mask = (self.t >= t_lo - 1e-15) & (self.t <= t_hi + 1e-15)
-        if mask.sum() < min_samples:
-            mask = slice(None)
-        return float(np.max(np.linalg.norm(self._derivatives[order][mask],
-                                           axis=1)))
+        return np.stack([np.interp(t, self.t, self.x[:, j])
+                         for j in range(self.dim)], axis=-1)
 
 
 @dataclass(frozen=True)

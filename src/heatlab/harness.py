@@ -98,6 +98,7 @@ _RANGES = {"p": ("must be > 1", lambda v: v > 1),
            # the Dirac datum sits at the origin of a ladder's interval
            "lo": ("must be < 0", lambda v: v < 0),
            "hi": ("must be > 0", lambda v: v > 0),
+           "velocity": ("must be finite", lambda v: np.all(np.isfinite(v))),
            # the segment classification needs three or more samples
            "samples": ("must be at least 3", lambda v: v >= 3),
            # the cross-section ground state needs 16 interior nodes
@@ -160,9 +161,9 @@ class Scenario:
     The ``*_cfg`` dicts and ``rules`` hold the typed values of their file
     sections.  The constructor fills them, and the [scenario] fields left
     None, from ``_KIND_KEYS`` (a field the kind does not read stays None),
-    checks every value but the step budget and builds the grid, curve and
-    profile or potential once.  A tunnel is weighted (supercritical)
-    exactly when gamma is set.
+    checks every value but those of :meth:`check_runs` and builds the
+    grid, curve and profile or potential once.  A tunnel is weighted
+    (supercritical) exactly when gamma is set.
     """
 
     name: str
@@ -219,13 +220,24 @@ class Scenario:
                 self.gamma, self.p, self.build_profile(), self.eps_list),
                 "scenario", {"gamma": self.gamma})
 
-    def check_step_budget(self):
-        """The zoomed runs' step budget: checked where runs are due, not by
-        the constructor, which builds an analytic sweep's combos too."""
-        if self.kind == "rescaled":  # the last, smallest eps runs longest
-            _built(lambda: solver.check_step_budget(
-                self.eps_list[-1], self.alpha, self.grid_cfg["dt"]),
-                "scenario", {"eps": self.eps_list})
+    def check_runs(self):
+        """What the zoomed runs need, checked where runs are due, not by the
+        constructor, which builds an analytic sweep's combos too: the step
+        budget, alpha within the curve's horizon, and the drift's CFL limit
+        at the largest eps."""
+        if self.kind != "rescaled":
+            return
+        dt, cfg = self.grid_cfg["dt"], self.curve_cfg
+        # the last, smallest eps runs longest; the first drifts fastest
+        _built(lambda: solver.check_step_budget(
+            self.eps_list[-1], self.alpha, dt),
+            "scenario", {"eps": self.eps_list})
+        _require(self.alpha <= cfg["horizon"] + 1e-12, "scenario", "alpha",
+                 self.alpha, "must not lie beyond the curve's horizon "
+                 f"{cfg['horizon']:g}")
+        _built(lambda: solver.drift_cfl(
+            dt, self.eps_list[0] * np.asarray(cfg["velocity"]),
+            self.build_grid().spacing), "curve", {"velocity": cfg["velocity"]})
 
     def _run_ends(self):
         """The end time of each evolution the scenario runs."""
@@ -387,7 +399,7 @@ def load_scenario(path):
     try:
         scenario = Scenario(**{"name": Path(path).stem, **head}, **{
             attr: cfg[name] for name, attr in _FIELDS.items()})
-        scenario.check_step_budget()
+        scenario.check_runs()
         return scenario
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
@@ -413,7 +425,7 @@ class Verdict:
 def run_scenario(scenario, budget=None):
     """The verdict of a scenario: its driver's evidence, judged by decide."""
     start = time.perf_counter()
-    scenario.check_step_budget()
+    scenario.check_runs()
     if budget is not None:
         _check_budget(scenario, budget)
     evidence = {"rescaled": _run_rescaled, "ladder": _run_ladder,
@@ -499,11 +511,11 @@ def _check_budget(scenario, budget_seconds):
 def _run_rescaled(scenario):
     """Evidence of the zoomed runs (see :func:`decide` for its rules)."""
     rules = scenario.rules
-    curve = scenario.build_curve()
+    velocity = scenario.curve_cfg["velocity"]
     profile = scenario.build_profile()
     grid = scenario.build_grid()
     psi0 = solver._ground_state_for(grid)
-    per_eps = [solver.solve_rescaled(e, curve, scenario.p, scenario.alpha,
+    per_eps = [solver.solve_rescaled(e, velocity, scenario.p, scenario.alpha,
                                      grid, psi0=psi0)
                for e in scenario.eps_list]
     log_amp = [r.log_center_final + spectral.log_amplification(
@@ -512,7 +524,8 @@ def _run_rescaled(scenario):
     sigmas = [r.sigma_tau for r in per_eps]
     measured, analytic = (spectral.blowup_functional(
         "point", scenario.p, scenario.alpha, grid.ndim, psi0.lam, profile,
-        scenario.eps_list, curve=curve, sigma=sigma).values.tolist()
+        scenario.eps_list, beta_sup=float(np.linalg.norm(velocity)),
+        sigma=sigma).values.tolist()
         for sigma in (sigmas, 0.0))
     return {
         "eps": list(scenario.eps_list),
@@ -677,7 +690,7 @@ def load_sweep(path):
     """Sweep spec from an INI file; its base scenario is loaded (and
     checked) with :func:`load_scenario`.  Each axis must name a key that
     the base reads, and each value build a scenario (a numerical one also
-    keep alpha within the base curve's horizon, and steps in the budget);
+    pass :meth:`Scenario.check_runs`);
     an analytic sweep needs a rescaled base or none (``_ANALYTIC_BASE``)."""
     cp, cfg = _read_ini(path, ("sweep",))
     sw, section = cfg["sweep"], cp["sweep"]
@@ -705,13 +718,9 @@ def load_sweep(path):
             try:
                 combo = _scenario_for(target, {key: value})
                 if mode == "numerical":  # an analytic combo never steps
-                    combo.check_step_budget()
+                    combo.check_runs()
             except ConfigurationError as exc:
                 _check(False, path, section, key, str(exc))
-    if "alpha" in axes and mode == "numerical":  # runs follow the curve
-        horizon = base.curve_cfg["horizon"]
-        _check(max(axes["alpha"]) <= horizon + 1e-12, path, section, "alpha",
-               f"beyond the base curve's horizon {horizon:g}")
     return {"name": sw.get("name", Path(path).stem), "mode": mode,
             "base": base, "axes": axes,
             "budget_combos": sw.get("budget_combos", 512)}
@@ -731,11 +740,12 @@ def _analytic_verdict(combo, base):
     ``_ANALYTIC_BASE``) with the combo's values, and its record; lambda0
     is the unit ball's in the base's dimension."""
     sc = _scenario_for(base or _ANALYTIC_BASE, combo)
-    n_dim = len(sc.curve_cfg["velocity"])
+    velocity = sc.curve_cfg["velocity"]
+    n_dim = len(velocity)
     record = {"trace": spectral.blowup_functional(
         "point", sc.p, sc.alpha, n_dim, spectral.BALL_LAMBDA[n_dim],
         sc.build_profile(), sc.eps_list,
-        curve=sc.build_curve()).values.tolist()}
+        beta_sup=float(np.linalg.norm(velocity))).values.tolist()}
     return decide("analytic", record, sc.rules), record
 
 

@@ -7,10 +7,11 @@ diffusion axis by axis with Dirichlet zero on the lateral boundary.  What
 does not change from step to step is prepared once per run: each axis's
 diffusion operator is either inverted (at most ``DENSE_AXIS_MAX`` interior
 nodes; a step is one small matrix product per axis) or factored as LDL^T
-(a step is one O(m) substitution), and :func:`evolve` evaluates the drift
-velocity and its CFL check for ``DRIFT_BLOCK`` steps at a time.  Every
-sub-map is monotone, so the discrete comparison principle holds and the
-Dirac ladder k -> u_k inherits the monotonicity of the continuum problem.
+(a step is one O(m) substitution), and the drift, one constant velocity,
+is checked against the CFL limit and turned into per-axis upwind
+coefficients.  Every sub-map is monotone, so the discrete comparison
+principle holds and the Dirac ladder k -> u_k inherits the monotonicity of
+the continuum problem.
 
 Long rescaled runs decay through hundreds of e-foldings; fields therefore
 carry a ``log_scale`` offset and are renormalized on the fly, with norms
@@ -39,12 +40,11 @@ _LOG_ZERO = -1e30  # stand-in for log(0) in norm series
 class PDESpec:
     """Operator data for one run: d_t u - lap u + <drift, grad u> + a * u**p = 0.
 
-    ``drift`` is None or a callable taking an array of n times and
-    returning the velocity at each, shape (n, ndim), or one velocity for
-    all of them, shape (ndim,), read only by :meth:`Stepper.velocities`;
-    ``absorption`` is None, a constant >= 0, or a level function t ->
-    (values at every grid node, count of nodes whose value underflowed to
-    0), such as :func:`potential.grid_levels` returns.
+    ``drift`` is None or one velocity for the whole run, shape (ndim,),
+    which :class:`Stepper` checks against :func:`drift_cfl` once, when it
+    is built; ``absorption`` is None, a constant >= 0, or a level function
+    t -> (values at every grid node, count of nodes whose value underflowed
+    to 0), such as :func:`potential.grid_levels` returns.
     """
 
     p: float
@@ -91,8 +91,18 @@ class RunResult:
 # Axes with at most this many interior nodes diffuse through an explicit
 # dense inverse, longer ones through their LDL^T factors (see Stepper).
 DENSE_AXIS_MAX = 64
-# Steps whose drift velocities evolve evaluates in one call.
-DRIFT_BLOCK = 1024
+
+
+def drift_cfl(dt, velocity, spacing):
+    """The upwind CFL number dt * sum |c_i|/h_i of a constant drift
+    velocity; raises unless the velocity is finite and the number at most
+    0.5."""
+    if not np.all(np.isfinite(velocity)):
+        raise ConfigurationError("drift velocity is not finite")
+    cfl = dt * float(np.sum(np.abs(velocity) / np.asarray(spacing)))
+    if cfl > 0.5 + 1e-12:
+        raise ConfigurationError(f"drift CFL {cfl:.3g} exceeds 0.5")
+    return cfl
 
 
 class Stepper:
@@ -106,7 +116,9 @@ class Stepper:
     by its two O(m) triangular sweeps (``dpttrs``), never a multithreaded
     BLAS product that would oversubscribe parallel sweep workers; L's
     off-diagonal -r/d_i < 0 and D > 0, so both sweeps only add nonnegative
-    terms and the solve stays monotone.
+    terms and the solve stays monotone.  The drift is None or one velocity
+    (see :class:`PDESpec`); its shape and CFL number are checked here, and
+    each axis it moves along keeps its upwind coefficient dt * c / h.
     """
 
     def __init__(self, grid, spec):
@@ -133,51 +145,40 @@ class Stepper:
         self._dbuf = [np.empty(grid.shape[:ax] + (n - 2,)
                                + grid.shape[ax + 1:])
                       for ax, n in enumerate(grid.shape)]
+        # (axis, dt * c / h) of each axis the drift moves along
+        self._moving = []
+        if spec.drift is not None:
+            if np.shape(spec.drift) != (grid.ndim,):
+                raise ConfigurationError(
+                    f"drift of shape {np.shape(spec.drift)} on a "
+                    f"{grid.ndim}D grid: need one velocity, ({grid.ndim},)")
+            c = np.asarray(spec.drift, dtype=float)
+            drift_cfl(self.dt, c, self.hs)
+            self._moving = [(ax, self.dt * c[ax] * self._inv_hs[ax])
+                            for ax in range(grid.ndim) if c[ax] != 0.0]
         self.underflow_count = 0
         self.renorm_count = 0
         self.vmax = 0.0
 
-    def velocities(self, times):
-        """Drift velocity rows (n, ndim) at ``times`` before the first over
-        the CFL limit dt * sum |c_i|/h_i <= 0.5; raises if it is the first."""
-        shape = (len(times), self.grid.ndim)
-        c = np.zeros(shape) if self.spec.drift is None else \
-            np.asarray(self.spec.drift(times), dtype=float)
-        if c.shape not in (shape, shape[1:]):
-            raise ConfigurationError(
-                f"drift of shape {c.shape} on a {self.grid.ndim}D grid: "
-                f"need {shape} or {shape[1:]}")
-        c = np.broadcast_to(c, shape)
-        cfl = self.dt * (np.abs(c) / self.hs).sum(axis=1)
-        over = np.flatnonzero(cfl > 0.5 + 1e-12)
-        if over.size and over[0] == 0:
-            raise ConfigurationError(
-                f"drift CFL {cfl[0]:.3g} exceeds 0.5 at t={times[0]:.6g}")
-        return c[:over[0]] if over.size else c
-
-    def step(self, values, t, log_scale, c):
+    def step(self, values, t, log_scale):
         """Advance one time level from t; returns (values, log_scale).
 
-        ``c`` is this step's row of :meth:`velocities`, the drift velocity
-        at t already checked against the CFL limit.  ``values`` is left
-        unchanged and the returned array is new.  After the call ``vmax``
-        holds max |values| of the result, which is NaN or inf exactly when
-        the result has a non-finite entry.
+        ``values`` is left unchanged and the returned array is new.  After
+        the call ``vmax`` holds max |values| of the result, which is NaN or
+        inf exactly when the result has a non-finite entry.
         """
         values = self.absorb(values, t, log_scale)
 
         # first-order upwind drift; with several moving axes every
         # difference is taken from the pre-drift values
-        moving = [ax for ax in range(self.grid.ndim) if c[ax] != 0.0]
-        if moving:
+        if self._moving:
             work = self._work
             if values is not work:
                 np.copyto(work, values)
                 values = work
-            diffs = [self._upwind(values, ax,
-                                  self.dt * c[ax] * self._inv_hs[ax])
-                     for ax in moving]
-            for ax, d in zip(moving, diffs):
+            diffs = [self._upwind(values, ax, coef)
+                     for ax, coef in self._moving]
+            for (ax, _), d in zip(self._moving, diffs):
                 values[self._upwind_slices[ax][0]] -= d
 
         # implicit diffusion, axis by axis
@@ -315,11 +316,11 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     """Drive a field to t_end recording probes, norms and run counters.
 
     The one stepping loop, behind :func:`solve_uk`, :func:`solve_rescaled`
-    and :func:`tunnel_run`; each step gets its row of the drift velocities
-    that :meth:`Stepper.velocities` gives ``DRIFT_BLOCK`` steps at a time.
-    A ``curve`` is probed by linear interpolation on 1D grids only: a graph
-    curve at x(min(t, horizon)) after every step, recorded with tau = t, a
-    parametric one at each sample whose t lies within dt/2 of a step.
+    and :func:`tunnel_run`, on one :class:`Stepper` whose operator, drift
+    included, is fixed for the whole run.  A ``curve`` is probed by linear
+    interpolation on 1D grids only: a graph curve at x(min(t, horizon))
+    after every step, recorded with tau = t, a parametric one at each
+    sample whose t lies within dt/2 of a step.
     ``observe`` is None or a pair (times, fn) with ``times`` increasing:
     each time, in order, is matched to the first step at or after time -
     dt/2 (none after an early stop), and there ``fn(t, values, log_scale)``
@@ -345,15 +346,8 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     half_log_vol = 0.5 * math.log(grid.cell_volume)
     log_ceiling = math.log(ceiling)
 
-    block, block_end = None, 0
     for istep in range(n_steps):
-        if istep == block_end:  # a block stops short of a CFL violation
-            block = stepper.velocities(
-                fld.time + np.arange(istep, min(istep + DRIFT_BLOCK, n_steps))
-                * grid.dt)
-            block_start, block_end = istep, istep + len(block)
-        values, log_scale = stepper.step(values, t, log_scale,
-                                         block[istep - block_start])
+        values, log_scale = stepper.step(values, t, log_scale)
         t = fld.time + (istep + 1) * grid.dt
         times[istep] = t
         if not math.isfinite(stepper.vmax):
@@ -429,32 +423,28 @@ _PROBE_STRIDE = 0.5
 _MAX_STEPS = 2_000_000
 
 
-def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
+def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
     """Evolve the zoomed field on the unit ball out to time alpha/eps**2.
 
     The datum, of Dirac mass ``max(DEFAULT_LADDER)``, stands in for u_inf;
-    the moving frame contributes the drift eps * x'(eps**2 t); absorption is
-    the unit-coefficient power nonlinearity.  Records the center value at
-    the final time (as a log), the Hopf ratio c1 = min field(., 1)/psi0, the
-    measured nonlinear feedback sup, and the conformance margin against the
-    exponential lower envelope on [1, tau], checked every ``_PROBE_STRIDE``.
-    Runs over the step budget raise a BudgetError, see check_step_budget.
+    the moving frame of the straight curve x(t) = velocity * t drifts by
+    eps * velocity; absorption is the unit-coefficient power nonlinearity.
+    Records the center value at the final time (as a log), the Hopf ratio
+    c1 = min field(., 1)/psi0, the drift constants beta_tau = eps |velocity|
+    and delta_tau = 0, the measured nonlinear feedback sup, and the
+    conformance margin against the exponential lower envelope on [1, tau],
+    checked every ``_PROBE_STRIDE``.  Runs over the step budget raise a
+    BudgetError, see check_step_budget.
     """
-    if curve.kind != geometry.GRAPH:
-        raise ConfigurationError("rescaled runs need a graph-over-t curve")
-    if curve.dim != grid.ndim:
-        raise ConfigurationError(
-            f"a {curve.dim}D curve cannot drive a {grid.ndim}D grid")
-    if curve.horizon < alpha - 1e-12:
-        raise ConfigurationError("curve horizon must reach alpha")
+    if np.shape(velocity) != (grid.ndim,):
+        raise ConfigurationError(f"a velocity of shape {np.shape(velocity)} "
+                                 f"cannot drive a {grid.ndim}D grid")
     check_step_budget(eps, alpha, grid.dt)
     t_end = alpha / (eps * eps)
     # align the mollification time to the step grid so the observed times
     # (multiples of dt) are hit exactly
     t_start = datum_start(grid)
-
-    def drift(t):
-        return eps * curve.velocity_at_time(eps * eps * t)
+    drift = eps * np.asarray(velocity, dtype=float)
 
     if psi0 is None:
         psi0 = _ground_state_for(grid)
@@ -462,6 +452,10 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
     core = grid.interior_mask() & (psi_grid >= 1e-3)
     log_psi = np.log(psi_grid[core])
     pts = grid.points()
+    # the feedback term's drift tilt exp(-<x, b>/2) and lift exp(|b|/2)**(p-1)
+    dots = pts @ drift if grid.ndim > 1 else pts[:, 0] * drift[0]
+    tilt = np.exp(-0.5 * dots.reshape(grid.shape))
+    lift = math.exp(0.5 * (p - 1.0) * float(np.linalg.norm(drift)))
     c1 = log_c1 = math.nan
 
     def observe(t, vals, s):
@@ -471,11 +465,8 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
             phys = vals * math.exp(-s) if s < 700 else vals * 0.0
             c1 = float(np.min(phys[core] / psi_grid[core]))
             log_c1 = math.log(c1) if c1 > 0 else math.nan
-        b = drift(t)
-        bnorm = float(np.linalg.norm(b))
-        dots = (pts @ b if grid.ndim > 1 else pts[:, 0] * b[0]).reshape(grid.shape)
-        wmax = float(np.max(vals * np.exp(-0.5 * dots))) * math.exp(-s)
-        feedback = math.exp(0.5 * (p - 1.0) * bnorm) * wmax ** (p - 1.0)
+        wmax = float(np.max(vals * tilt)) * math.exp(-s)
+        feedback = lift * wmax ** (p - 1.0)
         with np.errstate(divide="ignore"):
             log_phys = np.where(vals[core] > 0,
                                 np.log(np.maximum(vals[core], 1e-300)) - s,
@@ -488,8 +479,7 @@ def solve_rescaled(eps, curve, p, alpha, grid, psi0=None):
     result = evolve(fld, spec, t_end, observe=(obs_times, observe))
 
     sigma = max((f for _, f, _ in result.observed), default=0.0)
-    beta_tau = eps * curve.sup_speed(eps * eps, alpha)
-    delta_tau = eps ** 3 * curve.sup_accel(eps * eps, alpha)
+    beta_tau, delta_tau = eps * float(np.linalg.norm(velocity)), 0.0
     rate = spectral.envelope_rate(psi0.lam, beta_tau, delta_tau, sigma)
     margin = min((gap + rate * (t - 1.0) for t, _, gap in result.observed),
                  default=math.inf) if c1 > 0 else math.inf

@@ -229,14 +229,13 @@ class BlowupFunctionalTrace:
 
 
 def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
-                      beta_sup=0.0, delta_sup=0.0, sigma=0.0, curve=None):
+                      beta_sup=0.0, delta_sup=0.0, sigma=0.0):
     """Evaluate the blow-up functional along a decreasing zoom sequence.
 
     Drift constants per eps follow the moving-frame scaling: beta_tau =
-    eps * sup|x'|, delta_tau = eps**3 * sup|x''|, the sups running over
-    [eps**2, alpha] (taken from ``curve`` when given, else from
-    ``beta_sup``/``delta_sup``).  ``sigma`` may be a scalar or a per-eps
-    sequence of measured nonlinear feedback values.
+    eps * ``beta_sup`` and delta_tau = eps**3 * ``delta_sup``, the sups of
+    |x'| and |x''| over [eps**2, alpha].  ``sigma`` may be a scalar or a
+    per-eps sequence of measured nonlinear feedback values.
     """
     if kind not in (POINT, MASS):
         raise ConfigurationError(f"unknown functional kind {kind!r}")
@@ -248,13 +247,8 @@ def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), eps.shape)
     vals, betas, deltas = np.empty((3, eps.size))
     for i, e in enumerate(eps):
-        if curve is not None:
-            b_sup = curve.sup_speed(e * e, alpha)
-            d_sup = curve.sup_accel(e * e, alpha)
-        else:
-            b_sup, d_sup = beta_sup, delta_sup
-        b_tau = e * b_sup
-        d_tau = e ** 3 * d_sup
+        b_tau = e * beta_sup
+        d_tau = e ** 3 * delta_sup
         betas[i], deltas[i] = b_tau, d_tau
         rate = envelope_rate(lam0, b_tau, d_tau, sig[i])
         vals[i] = log_amplification(p, profile, e) - rate * alpha / (e * e)

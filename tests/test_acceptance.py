@@ -111,8 +111,7 @@ def test_criterion_05_decay_envelopes():
     h = grid.spacing[0]
     l2_start = float(np.linalg.norm(data) * math.sqrt(grid.cell_volume))
     beta = 0.8
-    spec = solver.PDESpec(p=2.0, absorption=None,
-                          drift=lambda t: np.array([beta]))
+    spec = solver.PDESpec(p=2.0, absorption=None, drift=np.array([beta]))
     res = solver.evolve(Field(grid, data, 0.0), spec, 2.0)
     slack = 1.0 + 5.0 * h * h
     lam0 = INTERVAL_LAMBDA

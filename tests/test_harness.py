@@ -392,7 +392,7 @@ class TestLoadValidation:
          "rescaled base"),
         # each combo used to fail at run time, naming neither file nor key
         ("propagation-straight.ini", "mode = numerical\nalpha = 0.5, 2.0",
-         "alpha", "beyond the base curve's horizon 1"),
+         "alpha", "beyond the curve's horizon 1"),
         (None, "mode = numerical\np = 2, 3", "base", "needs a base"),
         # a repeated value used to run its combo twice
         ("propagation-straight.ini", "amplitude = 20, 20", "amplitude",
@@ -488,14 +488,26 @@ LATE_FAILURES = {
     "step-budget": ("propagation-straight.ini", "eps = 0.2, 0.1, 0.05",
                     "eps = 0.2, 0.1, 0.001", "scenario", "eps",
                     lambda: harness.run_scenario(harness.Scenario(
-                        "x", eps_list=(0.2, 0.1, 0.001))))}
+                        "x", eps_list=(0.2, 0.1, 0.001)))),
+    # a zoomed run past its curve's horizon, or drifting over the CFL limit
+    # at its largest eps (dt 0.005 * 0.2 * 100 / h 0.05 = 2), used to fail
+    # only when its run started, naming neither file nor key
+    "alpha-horizon": ("propagation-straight.ini", "alpha = 1.0",
+                      "alpha = 2.0", "scenario", "alpha",
+                      lambda: harness.run_scenario(harness.Scenario(
+                          "x", alpha=2.0))),
+    "drift-cfl": ("propagation-straight.ini", "velocity = 1.0, 0.0",
+                  "velocity = 100.0, 0.0", "curve", "velocity",
+                  lambda: harness.run_scenario(harness.Scenario(
+                      "x", curve_cfg={"velocity": (100.0, 0.0)})))}
 
 
 class TestScenarioChecks:
-    """Every check but the step budget runs in the Scenario constructor: a
-    bad input is the same ConfigurationError from a file, from a sweep
-    combo and from an in-process caller, and it is raised before any step.
-    The step budget is checked where zoomed runs are due (a file, a
+    """Every check but those of the zoomed runs runs in the Scenario
+    constructor: a bad input is the same ConfigurationError from a file,
+    from a sweep combo and from an in-process caller, and it is raised
+    before any step.  The step budget, alpha within the curve's horizon and
+    the drift's CFL limit are checked where zoomed runs are due (a file, a
     numerical sweep, run_scenario), for an analytic combo never steps."""
 
     @pytest.mark.parametrize("name, old, new, section, key, build", [
@@ -542,11 +554,15 @@ class TestScenarioChecks:
         ("line-blowup.ini", "length = 10.0", "length = 4.0", "grid", "length",
          lambda: harness.Scenario("t", kind="tunnel",
                                   grid_cfg={"length": 4.0})),
+        # an inf velocity used to end in a traceback under -W error
+        ("propagation-straight.ini", "velocity = 1.0, 0.0",
+         "velocity = inf, 0.0", "curve", "velocity",
+         lambda: harness.Scenario("x", curve_cfg={"velocity": (math.nan,)})),
         *LATE_FAILURES.values()],
         ids=["tunnel-ladder-keys", "velocity-width", "kind", "expected",
              "one-rung", "sweep-p", "amplitude", "n_cross", "eps-order",
              "tunnel-eps-order", "n_cross-ground-state", "shifted-profile",
-             "truncation", *LATE_FAILURES])
+             "truncation", "velocity-finite", *LATE_FAILURES])
     def test_file_and_caller_get_the_same_error(self, tmp_path, name, old,
                                                 new, section, key, build):
         path = TestLoadValidation.edited(tmp_path, name, old, new)
@@ -1035,17 +1051,16 @@ class TestSweepCombos:
         sc = harness._scenario_for(base, {"velocity": 0.5})
         assert sc.curve_cfg["velocity"] == (0.5, 0.0)
         sc.eps_list = (0.5,)
-        rows = []
-        orig = solver.Stepper.velocities
+        drifts = []
+        orig = solver.Stepper.__init__
 
-        def spy(stepper, times):
-            rows.append(orig(stepper, times))
-            return rows[-1]
+        def spy(stepper, grid, spec):
+            drifts.append(spec.drift)
+            orig(stepper, grid, spec)
 
-        monkeypatch.setattr(solver.Stepper, "velocities", spy)
+        monkeypatch.setattr(solver.Stepper, "__init__", spy)
         harness.run_scenario(sc)
-        drift = np.concatenate(rows)
-        assert np.array_equal(drift, np.tile([0.25, 0.0], (len(drift), 1)))
+        assert len(drifts) == 1 and np.array_equal(drifts[0], [0.25, 0.0])
 
     @pytest.mark.parametrize("base", [
         lambda: harness.load_scenario(SCENARIOS / "downslope-arc.ini"),

@@ -37,12 +37,6 @@ def keep_copies(monkeypatch, kept):
     monkeypatch.setattr(solver, "evolve", evolve)
 
 
-def one_step(stepper, values, t, log_scale=0.0):
-    """A single Stepper.step with its drift row from Stepper.velocities."""
-    return stepper.step(values, t, log_scale,
-                        stepper.velocities(np.array([t]))[0])
-
-
 class TestStepImex:
     def test_zero_field_stays_zero(self):
         g = box_grid()
@@ -105,8 +99,7 @@ class TestStepImex:
 
     def test_cfl_guard(self):
         g = box_grid(n=61, dt=0.05)
-        spec = solver.PDESpec(p=2.0, drift=lambda t: np.array([2.0]),
-                              absorption=None)
+        spec = solver.PDESpec(p=2.0, drift=np.array([2.0]), absorption=None)
         fld = Field(g, np.ones(g.shape), 0.0)
         with pytest.raises(ConfigurationError, match="CFL"):
             solver.evolve(fld, spec, g.dt)
@@ -115,8 +108,7 @@ class TestStepImex:
         g = box_grid(n=101, dt=1e-3)
         vals = rng.uniform(0.0, 5.0, size=g.shape)
         vals[0] = vals[-1] = 0.0
-        spec = solver.PDESpec(p=2.0, drift=lambda t: np.array([0.4]),
-                              absorption=1.0)
+        spec = solver.PDESpec(p=2.0, drift=np.array([0.4]), absorption=1.0)
         fld = solver.evolve(Field(g, vals, 0.0), spec, 50 * g.dt).final
         assert fld.values.min() >= -1e-12
 
@@ -149,32 +141,43 @@ class TestStepImex:
 
 
 class TestDriftWidth:
-    """A drift row holds one velocity per grid axis; a narrower row is
-    rejected, not spread across the axes."""
+    """A drift is one constant velocity per grid axis; any other drift is
+    refused when the Stepper is built, before any step."""
 
     def test_one_column_drift_on_2d_grid_rejected(self):
         g = Grid.unit_ball(21, 1e-3, ndim=2)
-        spec = solver.PDESpec(p=2.0,
-                              drift=lambda t: np.full((len(t), 1), 0.1))
-        with pytest.raises(ConfigurationError, match="drift of shape"):
-            solver.Stepper(g, spec).velocities(np.arange(4) * g.dt)
+        spec = solver.PDESpec(p=2.0, drift=np.array([0.1]))
+        with pytest.raises(ConfigurationError,
+                           match=r"drift of shape \(1,\) on a 2D grid"):
+            solver.Stepper(g, spec)
 
-    def test_constant_and_full_rows_accepted(self):
+    @pytest.mark.parametrize("drift, message", [
+        (np.tile([0.1, 0.0], (4, 1)), r"drift of shape \(4, 2\)"),
+        (lambda t: np.array([0.1, 0.0]), r"drift of shape \(\)"),
+        (np.array([30.0, 0.0]), "drift CFL 3 exceeds 0.5"),
+        (np.array([np.nan, 0.0]), "drift velocity is not finite")],
+        ids=["rows", "callable", "cfl", "nan"])
+    def test_refused_when_built(self, drift, message):
+        # dt * 30 / h = 3 with h = 0.1; the old time-varying path took a
+        # callable and checked the CFL limit only as its steps came due
+        g = Grid.unit_ball(21, 0.01, ndim=2)
+        with pytest.raises(ConfigurationError, match=message):
+            solver.Stepper(g, solver.PDESpec(p=2.0, drift=drift))
+
+    def test_constant_velocity_accepted(self):
+        # a list or an array; each moving axis keeps dt * c / h, once
         g = Grid.unit_ball(21, 1e-3, ndim=2)
-        times = np.arange(4) * g.dt
-        for drift in (lambda t: np.array([0.1, 0.0]),
-                      lambda t: np.tile([0.1, 0.0], (len(t), 1))):
-            rows = solver.Stepper(g, solver.PDESpec(p=2.0, drift=drift)) \
-                .velocities(times)
-            assert np.array_equal(rows, np.tile([0.1, 0.0], (4, 1)))
+        for drift in ((0.1, 0.0), np.array([0.1, 0.0])):
+            st_ = solver.Stepper(g, solver.PDESpec(p=2.0, drift=drift))
+            assert st_._moving == [(0, 1e-3 * 0.1 * (1.0 / g.spacing[0]))]
+        assert solver.Stepper(g, solver.PDESpec(p=2.0))._moving == []
 
     def test_1d_curve_on_2d_ball_rejected(self):
         # the one-column drift of a 1D curve used to move the zoomed field
         # diagonally across both axes
         g = Grid.unit_ball(21, 0.01, ndim=2)
-        curve = geometry.Curve.straight(1.0, 1.0, n=65)
-        with pytest.raises(ConfigurationError, match="1D curve"):
-            solver.solve_rescaled(0.5, curve, 2.0, 0.25, g)
+        with pytest.raises(ConfigurationError, match="shape \\(1,\\)"):
+            solver.solve_rescaled(0.5, (1.0,), 2.0, 0.25, g)
 
 
 class TestPropagators:
@@ -208,7 +211,7 @@ class TestPropagators:
             g = Grid("box", (-1.0,) * ndim, (1.0,) * ndim, shape, dt)
             st_ = solver.Stepper(g, solver.PDESpec(p=2.0))
             vals = rng.uniform(0.1, 1.0, size=shape)
-            out, ls = one_step(st_, vals, 0.0)
+            out, ls = st_.step(vals, 0.0, 0.0)
             inner = vals[(slice(1, -1),) * ndim]
             ref = np.zeros(shape)
             inner = solve_banded((1, 1), st_._ab[0], inner)
@@ -244,75 +247,6 @@ class TestPropagators:
             assert out.min() >= 0.0
 
 
-def _stepwise(fld, spec, n_steps):
-    """Reference loop: every step evaluates and checks its own drift."""
-    stepper = solver.Stepper(fld.grid, spec)
-    vals, ls = fld.values.copy(), fld.log_scale
-    for i in range(n_steps):
-        t = fld.time if i == 0 else fld.time + i * fld.grid.dt
-        vals, ls = one_step(stepper, vals, t, ls)
-    return vals, ls
-
-
-class TestDriftBlocks:
-    N_STEPS = 2 * solver.DRIFT_BLOCK + 300
-
-    def setup_method(self):
-        self.grid = Grid.unit_ball(41, 1e-3, ndim=1)
-        x = self.grid.axes[0]
-        self.fld = Field(self.grid, np.where(np.abs(x) < 1.0,
-                                             np.cos(0.5 * np.pi * x), 0.0),
-                         0.01)
-
-    def test_time_dependent_drift_equals_stepwise(self):
-        # a curved graph: its velocity changes every step and is evaluated
-        # by interpolation, in blocks by evolve and one time at a time here
-        curve = geometry.Curve.graph_of(lambda t: np.sin(6.0 * t), 4.0)
-        calls = []
-
-        def drift(t):
-            calls.append(np.size(t))
-            return 0.3 * curve.velocity_at_time(t)
-
-        spec = solver.PDESpec(p=2.0, drift=drift, absorption=2.0)
-        t_end = self.fld.time + self.N_STEPS * self.grid.dt
-        res = solver.evolve(self.fld, spec, t_end)
-        # three blocks and no other drift evaluation
-        assert calls == [solver.DRIFT_BLOCK, solver.DRIFT_BLOCK, 300]
-        vals, ls = _stepwise(self.fld, spec, self.N_STEPS)
-        assert res.final.log_scale == ls
-        np.testing.assert_array_equal(res.final.values, vals)
-
-    def test_cfl_violation_in_later_block(self, monkeypatch):
-        # the drift crosses the CFL limit inside the second block: evolve
-        # takes every step before it and raises there, as a stepwise run
-        bad = solver.DRIFT_BLOCK + 123
-        t_bad = self.fld.time + bad * self.grid.dt
-        speed = 0.5 * self.grid.spacing[0] / self.grid.dt
-
-        def drift(t):
-            t = np.asarray(t, dtype=float)
-            return np.where(t < t_bad - 1e-12, 0.5 * speed, 1.5 * speed)[:, None]
-
-        spec = solver.PDESpec(p=2.0, drift=drift, absorption=1.0)
-        with pytest.raises(ConfigurationError) as ref:
-            _stepwise(self.fld, spec, self.N_STEPS)
-        assert f"at t={t_bad:.6g}" in str(ref.value)
-        steps = []
-        orig = solver.Stepper.step
-
-        def counted(stepper, *args):
-            steps.append(args[1])
-            return orig(stepper, *args)
-
-        monkeypatch.setattr(solver.Stepper, "step", counted)
-        with pytest.raises(ConfigurationError) as got:
-            solver.evolve(self.fld, spec,
-                          self.fld.time + self.N_STEPS * self.grid.dt)
-        assert str(got.value) == str(ref.value)
-        assert len(steps) == bad
-
-
 @st.composite
 def comparison_cases(draw):
     """A grid on either side of the dense cutoff, a constant drift with
@@ -343,7 +277,7 @@ def comparison_cases(draw):
     else:
         def absorption(t):
             return a * (1.0 + np.sum(g.points() ** 2, axis=1)) * (1.0 + t), 0
-    spec = solver.PDESpec(p=p, drift=lambda t: c, absorption=absorption)
+    spec = solver.PDESpec(p=p, drift=c, absorption=absorption)
     return g, spec, draw(st.integers(0, 2 ** 32 - 1))
 
 
@@ -357,8 +291,8 @@ class TestComparisonPrinciple:
         v = u + rng.uniform(0.0, 3.0, size=g.shape) \
             * (rng.random(g.shape) < 0.5)
         stepper = solver.Stepper(g, spec)
-        su, lu = one_step(stepper, u, 0.1)
-        sv, lv = one_step(stepper, v, 0.1)
+        su, lu = stepper.step(u, 0.1, 0.0)
+        sv, lv = stepper.step(v, 0.1, 0.0)
         su, sv = su * math.exp(-lu), sv * math.exp(-lv)
         tol = 1e-12 * max(float(np.max(np.abs(sv))), 1e-300)
         assert np.all(su <= sv + tol)
@@ -388,9 +322,8 @@ class TestDiracFamily:
             raise Started
 
         monkeypatch.setattr(solver, "dirac_family", spy)
-        curve = geometry.Curve.straight((1.0,), 1.0, n=65)
         with pytest.raises(Started):
-            solver.solve_rescaled(0.5, curve, 2.0, 0.25,
+            solver.solve_rescaled(0.5, (1.0,), 2.0, 0.25,
                                   Grid.unit_ball(21, 0.01))
         with pytest.raises(Started):
             solver.tunnel_run(2.0, Grid.tunnel(10.0, 41, 11, 0.01))
@@ -579,7 +512,7 @@ class TestFrameConsistency:
             fixed_spec = solver.PDESpec(p=2.0, absorption=1.0)
             fixed = solver.evolve(Field(g, data.copy(), t0), fixed_spec, t1)
             moving_spec = solver.PDESpec(
-                p=2.0, absorption=1.0, drift=lambda t: np.array([v]))
+                p=2.0, absorption=1.0, drift=np.array([v]))
             moving = solver.evolve(Field(g, data.copy(), t0), moving_spec, t1)
             # with the +<v, grad> drift convention, w(y, t) = u(y - v(t-t0), t)
             shift = v * (t1 - t0)
@@ -592,12 +525,12 @@ class TestFrameConsistency:
 
 class TestRescaled:
     def setup_method(self):
-        self.curve = geometry.Curve.straight(0.5, 1.0, n=257)
+        self.velocity = (0.5,)
         self.grid = Grid.unit_ball(81, 0.005, ndim=1)
 
     def test_instrumentation(self):
         prof = DecayProfile("inverse-square", 50.0)
-        res = solver.solve_rescaled(0.2, self.curve, 2.0, 1.0, self.grid)
+        res = solver.solve_rescaled(0.2, self.velocity, 2.0, 1.0, self.grid)
         assert res.c1 > 0
         assert res.sigma_tau > 0
         assert res.beta_tau == pytest.approx(0.2 * 0.5)
@@ -619,9 +552,10 @@ class TestRescaled:
     def test_reductions_match_a_walk_of_copies(self, monkeypatch):
         # c1 from the first observed field, sigma the feedback sup, the
         # margin against c1 psi0 exp(-rate (t - 1)), all over full copies
+        # and with the drift's tilt taken anew at every copy
         kept, eps, p = [], 0.2, 2.0
         keep_copies(monkeypatch, kept)
-        res = solver.solve_rescaled(eps, self.curve, p, 1.0, self.grid)
+        res = solver.solve_rescaled(eps, self.velocity, p, 1.0, self.grid)
         psi0 = solver._ground_state_for(self.grid)
         psi = solver._psi_on_grid(psi0, self.grid)
         core = self.grid.interior_mask() & (psi >= 1e-3)
@@ -630,7 +564,7 @@ class TestRescaled:
         c1 = float(np.min(v1[core] * math.exp(-s1) / psi[core]))
         sigma = 0.0
         for t, v, s in kept:
-            b = eps * self.curve.velocity_at_time(eps * eps * t)[0]
+            b = eps * self.velocity[0]
             wmax = float(np.max(v * np.exp(-0.5 * x * b))) * math.exp(-s)
             sigma = max(sigma, math.exp(0.5 * (p - 1.0) * abs(b))
                         * wmax ** (p - 1.0))
@@ -645,22 +579,24 @@ class TestRescaled:
             == (c1, sigma, margin)
 
     def test_no_drift_reduces_constants(self):
-        still = geometry.Curve.straight(0.0, 1.0, n=257)
-        res = solver.solve_rescaled(0.2, still, 2.0, 1.0, self.grid)
+        res = solver.solve_rescaled(0.2, (0.0,), 2.0, 1.0, self.grid)
         assert res.beta_tau == 0.0
         assert res.delta_tau == 0.0
         assert res.conformance_margin >= -1e-6
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError) as exc:
-            solver.solve_rescaled(1e-3, self.curve, 2.0, 1.0, self.grid)
+            solver.solve_rescaled(1e-3, self.velocity, 2.0, 1.0, self.grid)
         assert exc.value.limiting_parameter == "eps"
 
-    def test_needs_graph_curve(self):
-        arc = geometry.Curve.parametric(lambda s: s, lambda s: s * (1 - s),
-                                        1.0, n=65)
-        with pytest.raises(ConfigurationError):
-            solver.solve_rescaled(0.2, arc, 2.0, 1.0, self.grid)
+    def test_drift_constants_are_exact(self):
+        # a straight frame has no acceleration and one speed; derivatives
+        # sampled from Curve.straight(0.3, 1.0) used to give this run at
+        # eps = 0.2 a delta_tau of 7.3e-15 and a beta_tau 2.4e-15 off
+        for eps in (0.2, 0.1):
+            res = solver.solve_rescaled(eps, (0.3,), 2.0, 0.25, self.grid)
+            assert res.delta_tau == 0.0
+            assert res.beta_tau == pytest.approx(eps * 0.3, rel=1e-15, abs=0)
 
 
 class TestTunnel:
