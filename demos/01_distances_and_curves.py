@@ -32,6 +32,6 @@ boxed = Curve.parametric(
     lambda s: 2.0 * min(s, 0.4) + 0.1 * np.sin(2 * np.pi * max(s - 0.4, 0) / 0.6),
     lambda s: float(np.interp(s, tau_k, t_k)), 1.0, n=513)
 seg = geometry.classify_segments(boxed)
-print("boxed segments:", seg.labels)
+print("boxed segments:", tuple(label for _, _, label in seg.intervals))
 a, r0, window = seg.box
 print(f"box witness: center={a}, radius={r0:.3f}, window={window}")

@@ -36,7 +36,7 @@ for x, h in zip(xs[:, 0], pot.evaluate_grid(xs, 0.5)[0]):
 line_prof, s = DecayProfile("inverse-square", 8.0), 0.3
 w, e = s ** 2.5, np.exp(-potential.shifted_profile(line_prof, 2.5, s))
 print(f"\nsplit: weight={w:.4e}, exp={e:.4e}, product={w * e:.4e}, "
-      f"h={np.exp(-line_prof(s)):.4e}")
+      f"h={np.exp(-potential.eval_profile(line_prof, s)):.4e}")
 try:
     potential.check_weight_gate(1.0, 3.0, n_dim=2)
 except Exception as exc:

@@ -1,17 +1,11 @@
 """Every closed-form barrier, evaluated and residual-verified on a grid.
 
 Run:  python demos/03_barrier_gallery.py
-Writes demos/output/barriers.csv (one row per residual check).
 """
-
-from pathlib import Path
 
 import numpy as np
 
 from heatlab import barriers
-
-out = Path(__file__).parent / "output"
-out.mkdir(exist_ok=True)
 
 # Fundamental solution: normalized, semigroup-consistent.
 x = np.linspace(-12, 12, 10001)
@@ -28,12 +22,9 @@ for t in (0.25, 0.5, 1.0, 2.0):
 C = barriers.drift_barrier_constant(1, 2.0, c=1.0, eta=1.0)
 print(f"\ncalibrated C(N=1, q=2, c=1, eta=1) = {C:.4f}")
 
-reports = barriers.standard_reports()
-barriers.write_reports(reports, out / "barriers.csv")
-for rep in reports:
+for rep in barriers.standard_reports():
     print(f"  {rep.name}: min residual {rep.min_residual:.3e}, "
           f"violations {rep.violations}/{rep.n_checked}")
-print("wrote", out / "barriers.csv")
 
 # The tunnel subsolution is the exact solution of the linearized problem:
 # bounded by one, vanishing on the cross-section boundary.

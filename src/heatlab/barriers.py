@@ -1,4 +1,4 @@
-"""Closed-form barriers and heat-kernel representations, with grid verifiers.
+"""Closed-form barriers and the heat kernel, with grid verifiers.
 
 Every explicit super/subsolution used by the solvers is exposed twice: as a
 pointwise evaluator (the formulas below) and through
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .grids import Field, Grid, stencil_slices
+from .grids import Grid, stencil_slices
 
 
 # ----------------------------------------------------------------------
@@ -34,48 +34,6 @@ def heat_kernel(x, y, t, n_dim=1):
         sq = np.sum(diff * diff, axis=-1)
     out = (4.0 * np.pi * t) ** (-n_dim / 2.0) * np.exp(-sq / (4.0 * t))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def represent_linear(mass, nu, grid, t, quad_points=65):
-    """Kernel representation of the linear flow with Dirac initial mass.
-
-    Evaluates ``mass * K(x, 0, t)`` plus the space-time convolution of the
-    source density ``nu(points, s)`` (``None`` for no source).  The time
-    integral substitutes u = sqrt(t - s) to absorb the kernel singularity at
-    s = t and applies a composite trapezoid rule in u.
-
-    At t = 0 the Dirac datum is not a function; a flagged zero measure row
-    is returned instead.
-    """
-    if t < 0:
-        raise DomainError("representation needs t >= 0")
-    pts = grid.points()
-    ndim = grid.ndim
-    if t == 0:
-        return Field(grid, np.zeros(grid.shape), 0.0, note=(
-            f"measure-row: mass {mass} at origin" if mass != 0 else None))
-    origin = np.zeros(ndim) if ndim > 1 else 0.0
-    xs = pts if ndim > 1 else pts[:, 0]
-    vals = mass * heat_kernel(xs, origin, t, n_dim=ndim)
-    if nu is not None:
-        u_nodes = np.linspace(0.0, np.sqrt(t), quad_points)
-        h_space = grid.cell_volume
-        h_min = min(grid.spacing)
-        integrand = np.zeros((quad_points, pts.shape[0]))
-        for j, u in enumerate(u_nodes):
-            s = t - u * u
-            dens = np.asarray(nu(pts, s), dtype=float).ravel()
-            if 2.0 * u < h_min:
-                conv = dens  # kernel narrower than the mesh: delta limit
-            else:
-                diff = xs[:, None] - xs[None] if ndim == 1 else \
-                    pts[:, None, :] - pts[None, :, :]
-                kern = heat_kernel(diff, 0.0 if ndim == 1 else np.zeros(ndim),
-                                   u * u, n_dim=ndim)
-                conv = kern @ dens * h_space
-            integrand[j] = 2.0 * u * conv
-        vals = vals + np.trapezoid(integrand, u_nodes, axis=0)
-    return Field(grid, vals.reshape(grid.shape), t)
 
 
 # ----------------------------------------------------------------------
@@ -246,21 +204,6 @@ class BarrierReport:
     min_residual: float
     violations: int
     n_checked: int
-
-    @property
-    def passed(self):
-        return self.violations == 0
-
-    def csv_row(self):
-        return (f"{self.name},{self.grid},{self.tol:.6g},"
-                f"{self.min_residual:.12g},{self.violations},{self.n_checked}")
-
-
-def write_reports(reports, path):
-    with open(path, "w") as fh:
-        fh.write("name,grid,tol,min_residual,violations,n_checked\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")
 
 
 def verify_supersolution(values, grid, times, q, absorption=None, drift=None,

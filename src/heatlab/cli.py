@@ -1,9 +1,8 @@
 """Command-line entry points.
 
-Subcommands: ``run`` a scenario file, ``sweep`` a sweep file,
-``verify-barriers`` for the standard barrier residual suite, ``eigen`` to
-solve a ground state, ``report`` to summarize a sweep log.  Exit codes:
-0 when outcomes match their expected verdicts, 2 on a mismatch, 1 on error.
+Subcommands: ``run`` a scenario file, ``sweep`` a sweep file, ``report``
+to summarize a sweep log.  Exit codes: 0 when outcomes match their
+expected verdicts, 2 on a mismatch, 1 on error.
 The output root comes from --out or the HEATLAB_OUT environment variable.
 """
 
@@ -12,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import barriers, harness, spectral
+from . import harness
 from .errors import HeatlabError
 
 
@@ -46,30 +45,6 @@ def _cmd_sweep(args):
     return 0
 
 
-def _cmd_verify_barriers(args):
-    reports = barriers.standard_reports()
-    out = _out_dir(args)
-    path = out / "barriers.csv"
-    barriers.write_reports(reports, path)
-    ok = True
-    for rep in reports:
-        print(f"{rep.name}: min_residual={rep.min_residual:.3e} "
-              f"violations={rep.violations}")
-        ok &= rep.passed
-    print(f"wrote {path}")
-    return 0 if ok else 2
-
-
-def _cmd_eigen(args):
-    pair = spectral.dirichlet_ground_state(args.domain, args.n)
-    out = _out_dir(args)
-    path = out / f"eigen_{args.domain}_{args.n}.txt"
-    spectral.write_eigen_table(pair, path)
-    print(f"{args.domain} n={args.n}: lambda0={pair.lam:.10f} "
-          f"({pair.iterations} iterations) -> {path}")
-    return 0
-
-
 def _cmd_report(args):
     records = harness.read_sweep_log(args.log)
     out = _out_dir(args)
@@ -98,15 +73,10 @@ def main(argv=None):
     p_sweep.add_argument("sweep")
     p_sweep.add_argument("--workers", type=_positive_int, default=1,
                          help="worker processes (1 runs in this process)")
-    sub.add_parser("verify-barriers", help="residual-check the barrier suite")
-    p_eig = sub.add_parser("eigen", help="solve a Dirichlet ground state")
-    p_eig.add_argument("domain", choices=["interval", "ball"])
-    p_eig.add_argument("n", type=int)
     p_rep = sub.add_parser("report", help="summarize a sweep log")
     p_rep.add_argument("log")
     args = ap.parse_args(argv)
     command = {"run": _cmd_run, "sweep": _cmd_sweep,
-               "verify-barriers": _cmd_verify_barriers, "eigen": _cmd_eigen,
                "report": _cmd_report}[args.command]
     try:
         return command(args)

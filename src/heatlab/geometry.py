@@ -138,10 +138,6 @@ class SegmentClass:
     intervals: tuple
     box: tuple | None = None
 
-    @property
-    def labels(self):
-        return tuple(lbl for _, _, lbl in self.intervals)
-
 
 def parabolic_distance(point, curve, refine=True):
     """Distance inf_{s <= t} |x - y(s)| + sqrt(t - s) from a point to a curve.

@@ -119,26 +119,16 @@ class Field:
     """Grid function at one time level.
 
     Physical values are ``values * exp(-log_scale)``; the log offset lets
-    long linear-decay runs stay inside double range.  ``note`` flags
-    non-function rows (e.g. a measure row at t = 0 for Dirac data).
+    long linear-decay runs stay inside double range.
     """
 
     grid: Grid
     values: np.ndarray
     time: float
     log_scale: float = 0.0
-    note: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ConfigurationError(
                 f"field shape {self.values.shape} != grid shape {self.grid.shape}")
-
-    def physical(self):
-        return self.values * np.exp(-self.log_scale)
-
-    def mass(self):
-        """Grid-sum quadrature of the physical field."""
-        return float(self.values.sum() * self.grid.cell_volume
-                     * np.exp(-self.log_scale))

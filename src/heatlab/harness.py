@@ -104,7 +104,16 @@ _RANGES = {"p": ("must be > 1", lambda v: v > 1),
            # the cross-section ground state needs 16 interior nodes
            "n_cross": ("must be at least 18", lambda v: v >= 18),
            # the functional reads the tail of two or more values
-           "growth_window": ("must be at least 2", lambda v: v >= 2)}
+           "growth_window": ("must be at least 2", lambda v: v >= 2),
+           # each ceiling goes through math.log; a tolerance or the
+           # stabilization below 0 would fail even exact evidence
+           **dict.fromkeys(
+               ("divergence_ceiling", "amplified_ceiling", "bounded_ceiling"),
+               ("must be > 0", lambda v: v > 0)),
+           **dict.fromkeys(("stabilization", "conformance_tol", "tunnel_tol"),
+                           ("must be >= 0", lambda v: v >= 0)),
+           # an infinite amplitude makes the log profile inf * ln(1) = nan
+           "amplitude": ("must be finite", math.isfinite)}
 
 
 def _require(ok, section, key, value, rule):
@@ -487,13 +496,14 @@ def _diverging(values, rules):
 # Measured verdict seconds per node-step, by scenario kind: the medians
 # of ``solver.s_per_node_step.*`` over three runs of
 # ``python3 perfbench/run.py --workload W --seed 1 --seconds 25 --trace 1``
-# for W in zoom, ladder and tunnel-sweep (rescaled 3.09e-8, ladder 4.21e-7,
-# tunnel 2.57e-8 on a shared 2-CPU x86-64 host, Python 3.11, numpy 2.4,
-# scipy 1.17).  Ladder runs cost more per node: a time level of their
-# 1D grid is a few hundred nodes, so per-step call overhead and the
-# evaluation of h (a distance to every curve sample so far) dominate.
-_SECONDS_PER_NODE_STEP = {"rescaled": 3.1e-8, "ladder": 4.2e-7,
-                          "tunnel": 2.6e-8}
+# for W in zoom, ladder and tunnel-sweep (rescaled 1.91e-8, ladder 3.85e-7,
+# tunnel 2.21e-8 on a shared 2-vCPU Intel Xeon host, Python 3.11.7,
+# numpy 2.4.6, scipy 1.17.1).  Ladder runs cost more per node: a time
+# level of their 1D grid is a few hundred nodes, so per-step call overhead
+# and the evaluation of h (a distance to every curve sample so far)
+# dominate.
+_SECONDS_PER_NODE_STEP = {"rescaled": 1.9e-8, "ladder": 3.9e-7,
+                          "tunnel": 2.2e-8}
 
 
 def _check_budget(scenario, budget_seconds):
@@ -523,9 +533,8 @@ def _run_rescaled(scenario):
     margins = [r.conformance_margin for r in per_eps]
     sigmas = [r.sigma_tau for r in per_eps]
     measured, analytic = (spectral.blowup_functional(
-        "point", scenario.p, scenario.alpha, grid.ndim, psi0.lam, profile,
-        scenario.eps_list, beta_sup=float(np.linalg.norm(velocity)),
-        sigma=sigma).values.tolist()
+        scenario.p, scenario.alpha, psi0.lam, profile, scenario.eps_list,
+        beta_sup=float(np.linalg.norm(velocity)), sigma=sigma).tolist()
         for sigma in (sigmas, 0.0))
     return {
         "eps": list(scenario.eps_list),
@@ -743,9 +752,8 @@ def _analytic_verdict(combo, base):
     velocity = sc.curve_cfg["velocity"]
     n_dim = len(velocity)
     record = {"trace": spectral.blowup_functional(
-        "point", sc.p, sc.alpha, n_dim, spectral.BALL_LAMBDA[n_dim],
-        sc.build_profile(), sc.eps_list,
-        beta_sup=float(np.linalg.norm(velocity))).values.tolist()}
+        sc.p, sc.alpha, spectral.BALL_LAMBDA[n_dim], sc.build_profile(),
+        sc.eps_list, beta_sup=float(np.linalg.norm(velocity))).tolist()}
     return decide("analytic", record, sc.rules), record
 
 

@@ -46,9 +46,6 @@ class DecayProfile:
         if self.family == POWER and not (self.exponent and self.exponent > 0):
             raise ConfigurationError("power profile needs exponent > 0")
 
-    def __call__(self, r):
-        return eval_profile(self, r)
-
 
 def eval_profile(profile, r):
     """Evaluate l(r) for r > 0 (vectorized)."""

@@ -80,10 +80,6 @@ class RunResult:
     tau_probes: list = dfield(default_factory=list)
     observed: list = dfield(default_factory=list)
 
-    @property
-    def diverged(self):
-        return self.stop is not None
-
 
 # ----------------------------------------------------------------------
 # stepper
@@ -415,7 +411,6 @@ class RescaledResult:
     c1: float
     sigma_tau: float
     beta_tau: float
-    delta_tau: float
     conformance_margin: float
 
 
@@ -430,11 +425,11 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
     the moving frame of the straight curve x(t) = velocity * t drifts by
     eps * velocity; absorption is the unit-coefficient power nonlinearity.
     Records the center value at the final time (as a log), the Hopf ratio
-    c1 = min field(., 1)/psi0, the drift constants beta_tau = eps |velocity|
-    and delta_tau = 0, the measured nonlinear feedback sup, and the
-    conformance margin against the exponential lower envelope on [1, tau],
-    checked every ``_PROBE_STRIDE``.  Runs over the step budget raise a
-    BudgetError, see check_step_budget.
+    c1 = min field(., 1)/psi0, the drift constant beta_tau = eps |velocity|,
+    the measured nonlinear feedback sup, and the conformance margin against
+    the exponential lower envelope on [1, tau], checked every
+    ``_PROBE_STRIDE``.  Runs over the step budget raise a BudgetError, see
+    check_step_budget.
     """
     if np.shape(velocity) != (grid.ndim,):
         raise ConfigurationError(f"a velocity of shape {np.shape(velocity)} "
@@ -479,8 +474,8 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
     result = evolve(fld, spec, t_end, observe=(obs_times, observe))
 
     sigma = max((f for _, f, _ in result.observed), default=0.0)
-    beta_tau, delta_tau = eps * float(np.linalg.norm(velocity)), 0.0
-    rate = spectral.envelope_rate(psi0.lam, beta_tau, delta_tau, sigma)
+    beta_tau = eps * float(np.linalg.norm(velocity))
+    rate = spectral.envelope_rate(psi0.lam, beta_tau, sigma)
     margin = min((gap + rate * (t - 1.0) for t, _, gap in result.observed),
                  default=math.inf) if c1 > 0 else math.inf
 
@@ -489,8 +484,7 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
     log_center = (math.log(cval) - result.final.log_scale) if cval > 0 \
         else _LOG_ZERO
     return RescaledResult(log_center_final=log_center, c1=c1, sigma_tau=sigma,
-                          beta_tau=beta_tau, delta_tau=delta_tau,
-                          conformance_margin=margin)
+                          beta_tau=beta_tau, conformance_margin=margin)
 
 
 def check_step_budget(eps, alpha, dt):

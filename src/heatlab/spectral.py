@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .potential import INVERSE_SQUARE, POWER, eval_profile
+from .potential import eval_profile
 
 INTERVAL = "interval"
 BALL = "ball"
@@ -52,13 +52,6 @@ class EigenPair:
         rs = np.concatenate([[0.0], self.nodes, [1.0]])
         vs = np.concatenate([[self.values[0]], self.values, [0.0]])
         return np.interp(r, rs, vs, right=0.0)
-
-    def rayleigh_quotient(self):
-        """lam recomputed from the discrete operator (consistency check)."""
-        A, w = _operator(self.domain, self.n_dim, self.nodes.size)
-        v = self.values
-        Av = _apply_tridiag(A, v)
-        return float(np.dot(Av, w * v) / np.dot(v, w * v))
 
 
 def dirichlet_ground_state(domain, n, n_dim=None):
@@ -187,120 +180,44 @@ def crossover_constant(n_dim, lam0):
     return float(np.exp(n_dim / 4.0) * (4.0 * lam0 / n_dim) ** (n_dim / 4.0))
 
 
-def lower_envelope(c1, lam0, beta_tau, delta_tau, sigma_tau, t, psi0):
-    """Persistence floor c1 * exp(-rate * (t-1)) * psi0 valid on [1, tau]."""
-    if t < 1.0:
-        raise DomainError("lower envelope is valid for t >= 1 only")
-    rate = envelope_rate(lam0, beta_tau, delta_tau, sigma_tau)
-    return c1 * np.exp(-rate * (t - 1.0)) * psi0.values
-
-
-def envelope_rate(lam0, beta_tau, delta_tau, sigma_tau):
-    """Decay rate lam0 + beta**2/4 + delta/2 + sigma of the lower envelope."""
-    if min(beta_tau, delta_tau, sigma_tau) < 0:
+def envelope_rate(lam0, beta_tau, sigma_tau):
+    """Decay rate lam0 + beta**2/4 + sigma of the lower envelope."""
+    if min(beta_tau, sigma_tau) < 0:
         raise DomainError("envelope constants must be nonnegative")
-    return float(lam0 + beta_tau ** 2 / 4.0 + delta_tau / 2.0 + sigma_tau)
+    return float(lam0 + beta_tau ** 2 / 4.0 + sigma_tau)
 
 
 # ----------------------------------------------------------------------
 # blow-up functionals
 # ----------------------------------------------------------------------
-POINT = "point"   # log of the amplified center value
-MASS = "mass"     # log of the amplified local mass
+def blowup_functional(p, alpha, lam0, profile, eps_seq, beta_sup=0.0,
+                      sigma=0.0):
+    """The point blow-up functional along a decreasing zoom sequence: per
+    eps, -2/(p-1) ln(eps) + l(eps)/(p-1) - rate * alpha/eps**2, an array.
 
-
-@dataclass(frozen=True)
-class BlowupFunctionalTrace:
-    """Trace of the log-scale blow-up functional along a zoom sequence.
-
-    ``kind='point'`` tracks -2/(p-1) ln(eps) + l(eps)/(p-1) - rate*alpha/eps**2;
-    ``kind='mass'`` adds N*ln(eps) to the leading log (local-mass version).
+    The drift constant per eps follows the moving-frame scaling beta_tau =
+    eps * ``beta_sup``, the speed of the straight curve.  ``sigma`` may be
+    a scalar or a per-eps sequence of measured nonlinear feedback values.
     Whether the values diverge is a rule of the scenario, judged by
     :func:`harness.decide`.
     """
-
-    kind: str
-    eps: np.ndarray
-    values: np.ndarray
-    inputs: dict
-
-    def csv_rows(self):
-        return [f"{e:.12g},{v:.12g}" for e, v in zip(self.eps, self.values)]
-
-
-def blowup_functional(kind, p, alpha, n_dim, lam0, profile, eps_seq,
-                      beta_sup=0.0, delta_sup=0.0, sigma=0.0):
-    """Evaluate the blow-up functional along a decreasing zoom sequence.
-
-    Drift constants per eps follow the moving-frame scaling: beta_tau =
-    eps * ``beta_sup`` and delta_tau = eps**3 * ``delta_sup``, the sups of
-    |x'| and |x''| over [eps**2, alpha].  ``sigma`` may be a scalar or a
-    per-eps sequence of measured nonlinear feedback values.
-    """
-    if kind not in (POINT, MASS):
-        raise ConfigurationError(f"unknown functional kind {kind!r}")
     eps = np.asarray(list(eps_seq), dtype=float)
     if eps.size == 0 or np.any(np.diff(eps) >= 0):
         raise ConfigurationError("eps sequence must be strictly decreasing")
     if p <= 1 or alpha <= 0:
         raise ConfigurationError("need p > 1 and alpha > 0")
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), eps.shape)
-    vals, betas, deltas = np.empty((3, eps.size))
+    vals = np.empty(eps.size)
     for i, e in enumerate(eps):
-        b_tau = e * beta_sup
-        d_tau = e ** 3 * delta_sup
-        betas[i], deltas[i] = b_tau, d_tau
-        rate = envelope_rate(lam0, b_tau, d_tau, sig[i])
+        rate = envelope_rate(lam0, e * beta_sup, sig[i])
         vals[i] = log_amplification(p, profile, e) - rate * alpha / (e * e)
-        if kind == MASS:
-            vals[i] += n_dim * np.log(e)
-    inputs = {"p": p, "alpha": alpha, "n_dim": n_dim, "lam0": lam0,
-              "beta_tau": betas.tolist(), "delta_tau": deltas.tolist(),
-              "sigma": sig.tolist(), "profile": (profile.family,
-                                                 profile.amplitude,
-                                                 profile.exponent)}
-    return BlowupFunctionalTrace(kind=kind, eps=eps, values=vals,
-                                 inputs=inputs)
+    return vals
 
 
 def log_amplification(p, profile, eps):
     """-2/(p-1) ln(eps) + l(eps)/(p-1): the log of the amplification
     prefactor eps**(-2/(p-1)) exp(l(eps)/(p-1)) of the zoom at scale eps."""
     return -2.0 / (p - 1.0) * math.log(eps) + eval_profile(profile, eps) / (p - 1.0)
-
-
-def limit_flatness(profile):
-    """liminf of r**2 l(r) as r -> 0 for the three profile families."""
-    if profile.family == INVERSE_SQUARE:
-        return profile.amplitude
-    if profile.family == POWER:
-        if profile.exponent > 2:
-            return np.inf
-        return profile.amplitude if profile.exponent == 2 else 0.0
-    return 0.0  # log
-
-
-def propagation_alpha_threshold(profile, p, lam0, sigma=0.0):
-    """Zoom-depth threshold alpha0 = liminf(r**2 l(r)) / ((p-1) * rate):
-    the point functional diverges for every alpha below it (zero drift)."""
-    L = limit_flatness(profile)
-    return float(L / ((p - 1.0) * envelope_rate(lam0, 0.0, 0.0, sigma)))
-
-
-def write_trace(trace, path):
-    with open(path, "w") as fh:
-        fh.write("eps,value\n")
-        for row in trace.csv_rows():
-            fh.write(row + "\n")
-
-
-def write_eigen_table(pair, path):
-    with open(path, "w") as fh:
-        fh.write(f"# domain {pair.domain} n_dim {pair.n_dim} "
-                 f"lambda {pair.lam:.12g}\n")
-        fh.write("# node value\n")
-        for xi, vi in zip(pair.nodes, pair.values):
-            fh.write(f"{xi:.12g} {vi:.12g}\n")
 
 
 # ----------------------------------------------------------------------

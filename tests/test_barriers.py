@@ -45,54 +45,6 @@ class TestHeatKernel:
         assert vals[1] == pytest.approx(vals[0] * math.exp(-2.0 / 2.0))
 
 
-class TestRepresentLinear:
-    def setup_method(self):
-        self.grid = Grid.interval(-4.0, 4.0, 401, dt=1e-3)
-
-    def test_pure_dirac_equals_kernel(self):
-        fld = barriers.represent_linear(1.0, None, self.grid, 0.5)
-        x = self.grid.axes[0]
-        assert np.allclose(fld.values, barriers.heat_kernel(x, 0.0, 0.5))
-
-    def test_zero_data_zero_field(self):
-        fld = barriers.represent_linear(0.0, None, self.grid, 0.5)
-        assert np.all(fld.values == 0.0)
-
-    def test_linearity_in_mass(self):
-        f1 = barriers.represent_linear(1.0, None, self.grid, 0.3)
-        f2 = barriers.represent_linear(2.0, None, self.grid, 0.3)
-        assert np.allclose(f2.values, 2.0 * f1.values)
-
-    def test_measure_row_at_zero(self):
-        fld = barriers.represent_linear(1.0, None, self.grid, 0.0)
-        assert fld.note is not None and "measure-row" in fld.note
-        assert np.all(fld.values == 0.0)
-
-    def test_discrete_heat_residual_refines(self):
-        # applying the FD heat operator must produce residual -> 0 at order ~2
-        def nu(pts, s):
-            x = pts[:, 0]
-            return np.exp(-x * x) * (1.0 + s)
-
-        errs = []
-        for n in (201, 401):
-            grid = Grid.interval(-4.0, 4.0, n, dt=1e-3)
-            h = grid.spacing[0]
-            dt = 0.25 * h * h
-            t0 = 0.25
-            stack = [barriers.represent_linear(1.0, nu, grid, t0 + k * dt,
-                                               quad_points=129).values
-                     for k in (-1, 0, 1)]
-            x = grid.axes[0]
-            u_t = (stack[2] - stack[0]) / (2 * dt)
-            u_xx = np.zeros_like(stack[1])
-            u_xx[1:-1] = (stack[1][2:] - 2 * stack[1][1:-1] + stack[1][:-2]) / h ** 2
-            res = u_t - u_xx - nu(x[:, None], t0)
-            errs.append(np.max(np.abs(res[5:-5])))
-        assert errs[1] < errs[0]
-        assert errs[1] < 0.05
-
-
 class TestOdeBarriers:
     @pytest.mark.parametrize("beta,q,dt,expected", [
         (1.0, 2.0, 1.0, 1.0),
@@ -274,7 +226,7 @@ class TestVerifySupersolution:
         grid = Grid.interval(-1.0, 1.0, 65, dt=0.01)
         rep = barriers.verify_supersolution(np.zeros(65), grid, None, 2.0,
                                             absorption=1.0)
-        assert rep.passed
+        assert rep.violations == 0
         assert rep.min_residual == 0.0
 
     def test_subsolution_sign_flip(self):
@@ -288,18 +240,8 @@ class TestVerifySupersolution:
         rep_sub = barriers.verify_supersolution(u, grid, None, 2.0,
                                                 absorption=1.0, tol=1e-12,
                                                 sign=-1)
-        assert rep_sup.passed
-        assert not rep_sub.passed
-
-    def test_csv_report(self, tmp_path):
-        grid = Grid.interval(-1.0, 1.0, 65, dt=0.01)
-        rep = barriers.verify_supersolution(np.zeros(65), grid, None, 2.0,
-                                            name="zero")
-        path = tmp_path / "reports.csv"
-        barriers.write_reports([rep], path)
-        text = path.read_text().splitlines()
-        assert text[0].startswith("name,grid,tol")
-        assert text[1].startswith("zero,")
+        assert rep_sup.violations == 0
+        assert rep_sub.violations > 0
 
     def test_time_dependent_needs_three_levels(self):
         grid = Grid.interval(-1.0, 1.0, 65, dt=0.01)

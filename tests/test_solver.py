@@ -46,7 +46,7 @@ class TestStepImex:
         assert out.time == pytest.approx(g.dt)
 
     def test_gaussian_matches_kernel_under_refinement(self):
-        # pure diffusion against the closed-form representation
+        # pure diffusion against the heat kernel
         errs = []
         for n in (151, 301):
             h = 6.0 / (n - 1)
@@ -57,7 +57,7 @@ class TestStepImex:
             fld = Field(g, barriers.heat_kernel(x, 0.0, 0.02), 0.02)
             spec = solver.PDESpec(p=2.0, absorption=None)
             res = solver.evolve(fld, spec, 0.07)
-            exact = barriers.represent_linear(1.0, None, g, 0.07).values
+            exact = barriers.heat_kernel(x, 0.0, 0.07)
             errs.append(np.max(np.abs(res.final.values - exact)))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.7
@@ -125,7 +125,6 @@ class TestStepImex:
         vals[30] = np.nan
         res = solver.evolve(Field(g, vals, 0.0), solver.PDESpec(p=2.0),
                             10 * g.dt)
-        assert res.diverged
         assert res.stop == "non-finite"
         assert res.times.size == res.log_linf.size == 1
         # the step froze before its norms: they are NaN, not leftover memory
@@ -304,7 +303,8 @@ class TestDiracFamily:
         g = box_grid(n=601, dt=1e-4)
         for k in (1.0, 100.0):
             fld = solver.dirac_family(k, g, 0.01)
-            assert fld.mass() == pytest.approx(k, rel=1e-4)
+            mass = fld.values.sum() * g.cell_volume * math.exp(-fld.log_scale)
+            assert mass == pytest.approx(k, rel=1e-4)
 
     def test_zero_mass(self):
         g = box_grid()
@@ -410,7 +410,6 @@ class TestSolveUk:
                              self.grid)
         run = solver.solve_uk(1e6, self.curve, levels, 2.0, 0.25, self.grid,
                               ceiling=1e3)
-        assert run.diverged
         assert run.stop == "divergence-ceiling"
         assert run.times.size < int(round(0.25 / self.grid.dt))
 
@@ -568,8 +567,7 @@ class TestRescaled:
             wmax = float(np.max(v * np.exp(-0.5 * x * b))) * math.exp(-s)
             sigma = max(sigma, math.exp(0.5 * (p - 1.0) * abs(b))
                         * wmax ** (p - 1.0))
-        rate = spectral.envelope_rate(psi0.lam, res.beta_tau, res.delta_tau,
-                                      sigma)
+        rate = spectral.envelope_rate(psi0.lam, res.beta_tau, sigma)
         margin = min(float(np.min(
             np.log(v[core]) - s
             - (math.log(c1) + np.log(psi[core]) - rate * (t - 1.0))))
@@ -581,7 +579,6 @@ class TestRescaled:
     def test_no_drift_reduces_constants(self):
         res = solver.solve_rescaled(0.2, (0.0,), 2.0, 1.0, self.grid)
         assert res.beta_tau == 0.0
-        assert res.delta_tau == 0.0
         assert res.conformance_margin >= -1e-6
 
     def test_budget_guard(self):
@@ -590,12 +587,11 @@ class TestRescaled:
         assert exc.value.limiting_parameter == "eps"
 
     def test_drift_constants_are_exact(self):
-        # a straight frame has no acceleration and one speed; derivatives
-        # sampled from Curve.straight(0.3, 1.0) used to give this run at
-        # eps = 0.2 a delta_tau of 7.3e-15 and a beta_tau 2.4e-15 off
+        # a straight frame has one speed; derivatives sampled from
+        # Curve.straight(0.3, 1.0) used to give this run at eps = 0.2 a
+        # beta_tau 2.4e-15 off
         for eps in (0.2, 0.1):
             res = solver.solve_rescaled(eps, (0.3,), 2.0, 0.25, self.grid)
-            assert res.delta_tau == 0.0
             assert res.beta_tau == pytest.approx(eps * 0.3, rel=1e-15, abs=0)
 
 

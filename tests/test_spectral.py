@@ -13,6 +13,12 @@ from heatlab.potential import DecayProfile
 INTERVAL_LAMBDA = math.pi ** 2 / 4.0
 
 
+def lower_envelope(c1, lam0, beta_tau, t, psi0):
+    """The persistence floor c1 * exp(-rate * (t-1)) * psi0 on [1, tau]."""
+    rate = spectral.envelope_rate(lam0, beta_tau, 0.0)
+    return c1 * np.exp(-rate * (t - 1.0)) * psi0.values
+
+
 def shooting_ball_eigenvalue(n_dim=2):
     """Independent oracle: first radial Dirichlet eigenvalue of the unit ball
     by shooting on psi'' + (N-1)/r psi' + lam psi = 0."""
@@ -59,9 +65,14 @@ class TestGroundState:
                            interval_pair.values[::-1], atol=1e-10)
 
     def test_rayleigh_consistency(self, interval_pair, ball_pair):
+        # lam recomputed from the discrete operator
         for pair in (interval_pair, ball_pair):
-            assert pair.rayleigh_quotient() == pytest.approx(pair.lam,
-                                                             rel=1e-8)
+            A, w = spectral._operator(pair.domain, pair.n_dim,
+                                      pair.nodes.size)
+            v = pair.values
+            Av = spectral._apply_tridiag(A, v)
+            assert float(np.dot(Av, w * v) / np.dot(v, w * v)) \
+                == pytest.approx(pair.lam, rel=1e-8)
 
     def test_boundary_interpolation_zero(self, interval_pair):
         assert interval_pair.interpolate(1.0) == pytest.approx(0.0, abs=1e-12)
@@ -162,14 +173,12 @@ class TestEnvelopes:
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_lower_envelope_at_one(self, interval_pair):
-        vals = spectral.lower_envelope(0.3, interval_pair.lam, 0.0, 0.0, 0.0,
-                                       1.0, interval_pair)
+        vals = lower_envelope(0.3, interval_pair.lam, 0.0, 1.0, interval_pair)
         assert np.allclose(vals, 0.3 * interval_pair.values)
 
     def test_lower_envelope_pure_decay(self, interval_pair):
         t = 2.5
-        vals = spectral.lower_envelope(1.0, interval_pair.lam, 0.0, 0.0, 0.0,
-                                       t, interval_pair)
+        vals = lower_envelope(1.0, interval_pair.lam, 0.0, t, interval_pair)
         expect = math.exp(-interval_pair.lam * (t - 1.0)) * interval_pair.values
         assert np.allclose(vals, expect)
 
@@ -183,20 +192,20 @@ class TestEnvelopes:
         for t in (1.0, 2.0, 4.0):
             exact = (c1 * math.exp(-drifted.lam * (t - 1.0))
                      * np.exp(0.5 * b * x) * interval_pair.values)
-            bound = spectral.lower_envelope(c1 * np.exp(0.5 * b * x).min(),
-                                            interval_pair.lam, b, 0.0, 0.0,
-                                            t, interval_pair)
+            bound = lower_envelope(c1 * np.exp(0.5 * b * x).min(),
+                                   interval_pair.lam, b, t, interval_pair)
             assert np.all(exact - bound >= -1e-12)
 
-    def test_domain_guard(self, interval_pair):
-        with pytest.raises(DomainError):
-            spectral.lower_envelope(1.0, 2.0, 0.0, 0.0, 0.0, 0.5, interval_pair)
+    def test_domain_guard(self):
+        for beta_tau, sigma_tau in ((-0.1, 0.0), (0.0, -0.1)):
+            with pytest.raises(DomainError):
+                spectral.envelope_rate(2.0, beta_tau, sigma_tau)
 
 
 def judged(trace, **rules):
     """The analytic outcome of a trace under the default rescaled rules
     (threshold 50, window 3), with ``rules`` replacing some of them."""
-    return harness.decide("analytic", {"trace": trace.values.tolist()},
+    return harness.decide("analytic", {"trace": trace.tolist()},
                           {**harness.Scenario("rules").rules, **rules})
 
 
@@ -205,20 +214,20 @@ class TestBlowupFunctional:
 
     def test_flat_profile_diverges(self):
         prof = DecayProfile("inverse-square", 50.0)
-        tr = spectral.blowup_functional("point", 2.0, 1.0, 1, self.lam0, prof,
-                                        [0.2, 0.1, 0.05])
+        eps = [0.2, 0.1, 0.05]
+        tr = spectral.blowup_functional(2.0, 1.0, self.lam0, prof, eps)
         # hand-evaluated: -2 ln(eps) + 50/eps^2 - 2.4674/eps^2
-        for e, v in zip(tr.eps, tr.values):
+        for e, v in zip(eps, tr):
             expect = -2.0 * math.log(e) + (50.0 - self.lam0) / e ** 2
             assert v == pytest.approx(expect, rel=1e-12)
-        assert np.all(np.diff(tr.values) > 0)
+        assert np.all(np.diff(tr) > 0)
         assert judged(tr) == "propagation"
 
     def test_log_profile_localizes(self):
         prof = DecayProfile("log", 1.0)
-        tr = spectral.blowup_functional("point", 2.0, 1.0, 1, self.lam0, prof,
-                                        [0.2, 0.1, 0.05])
-        for e, v in zip(tr.eps, tr.values):
+        eps = [0.2, 0.1, 0.05]
+        tr = spectral.blowup_functional(2.0, 1.0, self.lam0, prof, eps)
+        for e, v in zip(eps, tr):
             expect = (-2.0 * math.log(e) + math.log(1.0 / e)
                       - self.lam0 / e ** 2)
             assert v == pytest.approx(expect, rel=1e-12)
@@ -227,32 +236,35 @@ class TestBlowupFunctional:
     def test_alpha_scaling_flips_verdict(self):
         # bracketing amplitude: diverges at alpha=1, localizes at alpha=2
         prof = DecayProfile("inverse-square", 4.0)
-        lo = spectral.blowup_functional("point", 2.0, 1.0, 1, self.lam0, prof,
+        lo = spectral.blowup_functional(2.0, 1.0, self.lam0, prof,
                                         [0.2, 0.1, 0.05])
-        hi = spectral.blowup_functional("point", 2.0, 2.0, 1, self.lam0, prof,
+        hi = spectral.blowup_functional(2.0, 2.0, self.lam0, prof,
                                         [0.2, 0.1, 0.05])
         assert judged(lo) == "propagation"
         assert judged(hi) == "localization"
 
-    def test_point_mass_differ_by_n_log_eps(self):
+    def test_drift_speed_lowers_by_alpha_beta_sq_over_4(self):
+        # beta_tau = eps * beta_sup adds beta_tau**2/4 to the rate, which
+        # the functional weighs by alpha/eps**2
         prof = DecayProfile("inverse-square", 10.0)
-        kw = dict(p=2.0, alpha=1.0, n_dim=2, lam0=self.lam0, profile=prof,
-                  eps_seq=[0.2, 0.1, 0.05], beta_sup=1.0, delta_sup=0.5)
-        a = spectral.blowup_functional("point", **kw)
-        b = spectral.blowup_functional("mass", **kw)
-        assert np.allclose(b.values - a.values, 2 * np.log(a.eps))
+        kw = dict(p=2.0, alpha=1.5, lam0=self.lam0, profile=prof,
+                  eps_seq=[0.2, 0.1, 0.05])
+        still = spectral.blowup_functional(**kw)
+        moving = spectral.blowup_functional(**kw, beta_sup=2.0)
+        assert np.allclose(still - moving, 1.5 * 2.0 ** 2 / 4.0, rtol=0,
+                           atol=1e-9)
 
     def test_alpha_threshold_existence(self):
-        # for flatness limit L > 0 every alpha below L/((p-1) rate) diverges
+        # for flatness limit L = liminf r**2 l(r) > 0, the amplitude of the
+        # inverse-square family, every alpha below L/((p-1) rate) diverges
         prof = DecayProfile("inverse-square", 30.0)
-        alpha0 = spectral.propagation_alpha_threshold(prof, 2.0, self.lam0)
-        assert alpha0 == pytest.approx(30.0 / self.lam0)
+        alpha0 = 30.0 / ((2.0 - 1.0) * self.lam0)
         for alpha in (0.25 * alpha0, 0.5 * alpha0, 0.9 * alpha0):
-            tr = spectral.blowup_functional("point", 2.0, alpha, 1, self.lam0,
-                                            prof, [0.2, 0.1, 0.05, 0.025])
+            tr = spectral.blowup_functional(2.0, alpha, self.lam0, prof,
+                                            [0.2, 0.1, 0.05, 0.025])
             assert judged(tr) == "propagation"
-        tr = spectral.blowup_functional("point", 2.0, 1.5 * alpha0, 1,
-                                        self.lam0, prof, [0.2, 0.1, 0.05, 0.025])
+        tr = spectral.blowup_functional(2.0, 1.5 * alpha0, self.lam0, prof,
+                                        [0.2, 0.1, 0.05, 0.025])
         assert judged(tr) == "localization"
 
     def test_growth_window_decides_verdict(self):
@@ -260,10 +272,8 @@ class TestBlowupFunctional:
         # eps = 0.5 to 0.25, then rise past the threshold at 0.05, so the
         # last two increase and the last three do not
         prof = DecayProfile("power", 1.0, 3.0)
-        kw = dict(kind="point", p=2.0, alpha=1.0, n_dim=1, lam0=10.0,
-                  profile=prof, eps_seq=[0.5, 0.25, 0.05])
-        tr = spectral.blowup_functional(**kw)
-        assert tr.values[1] < tr.values[0] and tr.values[2] > 50.0
+        tr = spectral.blowup_functional(2.0, 1.0, 10.0, prof, [0.5, 0.25, 0.05])
+        assert tr[1] < tr[0] and tr[2] > 50.0
         assert judged(tr, growth_window=2) == "propagation"
         assert judged(tr, growth_window=3) == "localization"
         assert judged(tr) == "localization"
@@ -273,22 +283,4 @@ class TestBlowupFunctional:
     def test_eps_must_decrease(self):
         prof = DecayProfile("inverse-square", 10.0)
         with pytest.raises(ConfigurationError):
-            spectral.blowup_functional("point", 2.0, 1.0, 1, self.lam0, prof,
-                                       [0.1, 0.2])
-
-    def test_limit_flatness_families(self):
-        assert spectral.limit_flatness(DecayProfile("inverse-square", 7.0)) == 7.0
-        assert spectral.limit_flatness(DecayProfile("log", 2.0)) == 0.0
-        assert spectral.limit_flatness(DecayProfile("power", 3.0, 1.0)) == 0.0
-        assert spectral.limit_flatness(DecayProfile("power", 3.0, 2.0)) == 3.0
-        assert spectral.limit_flatness(DecayProfile("power", 3.0, 2.5)) == np.inf
-
-    def test_trace_csv(self, tmp_path):
-        prof = DecayProfile("inverse-square", 50.0)
-        tr = spectral.blowup_functional("point", 2.0, 1.0, 1, self.lam0, prof,
-                                        [0.2, 0.1])
-        path = tmp_path / "trace.csv"
-        spectral.write_trace(tr, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "eps,value"
-        assert len(lines) == 3
+            spectral.blowup_functional(2.0, 1.0, self.lam0, prof, [0.1, 0.2])
