@@ -224,6 +224,17 @@ class Scenario:
                  f"before the run's end {horizon:.12g}")
         _built(lambda: self.build_potential(curve) if self.kind == "ladder"
                else self.build_profile(), "potential", self.potential_cfg)
+        if self.kind != "ladder":
+            # the verdict reads l at each eps, a weighted tunnel's bound on
+            # [min(eps)/8, max(eps)]; l is nonincreasing, so it is largest
+            # at the smallest of these radii
+            r = min(self.eps_list) / (1.0 if self.gamma is None else 8.0)
+            with np.errstate(over="ignore", divide="ignore"):
+                l_max = potential_mod.eval_profile(self.build_profile(), r)
+            _require(math.isfinite(l_max), "potential", "amplitude",
+                     self.potential_cfg["amplitude"],
+                     f"must keep the profile finite down to r = {r:.6g}, "
+                     "the smallest radius the verdict reads")
         if self.gamma is not None:
             _built(lambda: potential_mod.check_weighted_tunnel(
                 self.gamma, self.p, self.build_profile(), self.eps_list),
@@ -496,13 +507,15 @@ def _diverging(values, rules):
 # Measured verdict seconds per node-step, by scenario kind: the medians
 # of ``solver.s_per_node_step.*`` over three runs of
 # ``python3 perfbench/run.py --workload W --seed 1 --seconds 25 --trace 1``
-# for W in zoom, ladder and tunnel-sweep (rescaled 1.91e-8, ladder 3.85e-7,
+# for W in zoom, ladder and tunnel-sweep (rescaled 9.5e-10, ladder 3.85e-7,
 # tunnel 2.21e-8 on a shared 2-vCPU Intel Xeon host, Python 3.11.7,
-# numpy 2.4.6, scipy 1.17.1).  Ladder runs cost more per node: a time
-# level of their 1D grid is a few hundred nodes, so per-step call overhead
-# and the evaluation of h (a distance to every curve sample so far)
-# dominate.
-_SECONDS_PER_NODE_STEP = {"rescaled": 1.9e-8, "ladder": 3.9e-7,
+# numpy 2.4.6, scipy 1.17.1).  A zoomed run steps only until it reaches
+# its linear tail and fast-forwards the rest (see ``solver.evolve``), so a
+# rescaled node-step counts every step of the run but costs a fraction of
+# one.  Ladder runs cost more per node: a time level of their 1D grid is a
+# few hundred nodes, so per-step call overhead and the evaluation of h (a
+# distance to every curve sample so far) dominate.
+_SECONDS_PER_NODE_STEP = {"rescaled": 9.5e-10, "ladder": 3.9e-7,
                           "tunnel": 2.2e-8}
 
 

@@ -15,7 +15,11 @@ the continuum problem.
 
 Long rescaled runs decay through hundreds of e-foldings; fields therefore
 carry a ``log_scale`` offset and are renormalized on the fly, with norms
-reported in logs.
+reported in logs.  Most of such a run is a linear tail: once the field is
+small enough that the absorption map changes no bit, a step is one fixed
+linear map, and after the field settles on its top eigenvector
+:func:`evolve` advances ``log_scale`` by the map's Rayleigh quotient in
+place of stepping.
 """
 
 import math
@@ -33,6 +37,10 @@ from .grids import BALL, Field, stencil_slices
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 DIVERGENCE_CEILING = 1e12
 _RENORM_FLOOR = 1e-120
+# ln 2**-60: a decay rate x below it leaves 1 + x == 1 (see evolve)
+_NOOP_LOG = -60.0 * math.log(2.0)
+# one-step residual, relative to max|u|, below which a run fast-forwards
+_LINEAR_RTOL = 1e-13
 _LOG_ZERO = -1e30  # stand-in for log(0) in norm series
 
 
@@ -66,7 +74,9 @@ class RunResult:
     ``observed`` what the observer returned at each of its times, see
     :func:`evolve`.  ``stop`` names what froze the run early, if anything
     (``non-finite`` or ``divergence-ceiling``); ``tail_mass`` is the final
-    share of the mass on the nodes next to the box faces.
+    share of the mass on the nodes next to the box faces.  ``linear_from``
+    is the time from which the run was fast-forwarded as one linear map,
+    None if it stepped to the end (see :func:`evolve`).
     """
 
     final: Field
@@ -79,6 +89,7 @@ class RunResult:
     tail_mass: float = 0.0
     tau_probes: list = dfield(default_factory=list)
     observed: list = dfield(default_factory=list)
+    linear_from: float | None = None
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +334,18 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     reduces the field, physical = values * exp(-log_scale), to what
     ``RunResult.observed`` keeps.  ``values`` is the working array: ``fn``
     reads it and neither keeps nor changes it.
+
+    A run without a curve whose absorption is None or a constant >= 0 ends
+    in a linear tail: once its decay map is a bitwise no-op, each step
+    applies one fixed, nonnegative and irreducible linear map, and the
+    field becomes that map's top eigenvector (the power method; Perron-
+    Frobenius).  When one step then multiplies the field by its Rayleigh
+    quotient mu to within ``_LINEAR_RTOL`` (0 < mu < 1), the run stops
+    stepping at that step, ``linear_from``: the values stay as they are,
+    and each remaining step only lowers the physical field by mu, through
+    ``log_scale``.  ``times`` and the norm series keep one entry per step,
+    and each later observer time gets the frozen values with the
+    ``log_scale`` of the step it matches.
     """
     grid = fld.grid
     if curve is not None and grid.ndim != 1:
@@ -341,6 +364,20 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     obs_times, obs_fn = observe or ((), None)
     half_log_vol = 0.5 * math.log(grid.cell_volume)
     log_ceiling = math.log(ceiling)
+    # below this log ||u||_inf the decay map of Stepper.absorb is a bitwise
+    # no-op, x = a (p-1) dt ||u||_inf**(p-1) < 2**-60; a run without a curve
+    # and with no absorption or a constant one >= 0 never raises ||u||_inf,
+    # so from there on one step is a fixed linear map.  Other runs never
+    # switch: a level function varies in t, and a negative constant is a
+    # source under which ||u||_inf can grow
+    a, pm1 = spec.absorption, spec.p - 1.0
+    if curve is not None or callable(a) or (a is not None and a < 0):
+        linf_noop = -math.inf
+    elif a is None or a == 0:
+        linf_noop = math.inf
+    else:
+        linf_noop = (_NOOP_LOG - math.log(a * pm1 * grid.dt)) / pm1
+    noop_at = ln_mu = None
 
     for istep in range(n_steps):
         values, log_scale = stepper.step(values, t, log_scale)
@@ -368,6 +405,40 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
         while len(observed) < len(obs_times) and \
                 t >= obs_times[len(observed)] - grid.dt / 2.0:
             observed.append(obs_fn(t, values, log_scale))
+        if log_linf[istep] < linf_noop:  # so the next step is linear
+            if noop_at == istep - 1:
+                ln_mu = _linear_rate(before, values, before_scale - log_scale,
+                                     stepper.vmax)
+                if ln_mu is not None:
+                    break
+            noop_at, before, before_scale = istep, values, log_scale
+
+    linear_from = None
+    if ln_mu is not None:
+        # every later step multiplies the field by mu: the values stay,
+        # log_scale rises by -ln mu a step, and the series are filled in
+        # place, times last, from the count of steps past the switch
+        linear_from, first = t, istep + 1
+        past = times[first:]
+        past.fill(1.0)
+        np.cumsum(past, out=past)
+        for series, top in zip((log_l2, log_linf), _log_norms(
+                values, 0.0, half_log_vol, stepper.vmax)):
+            rest = series[first:]
+            np.multiply(past, -ln_mu, out=rest)
+            rest += log_scale
+            np.subtract(top, rest, out=rest)
+        past += first
+        past *= grid.dt
+        past += fld.time  # fld.time + (istep + 1) * dt, as stepped
+        for obs_t in obs_times[len(observed):]:
+            j = int(np.searchsorted(past, obs_t - grid.dt / 2.0))
+            if j == past.size:
+                break
+            observed.append(obs_fn(float(past[j]), values,
+                                   log_scale - (j + 1) * ln_mu))
+        log_scale -= past.size * ln_mu
+        t = fld.time + n_steps * grid.dt
 
     return RunResult(final=Field(grid, values, t, log_scale),
                      times=times[:n_steps], log_l2=log_l2[:n_steps],
@@ -375,7 +446,33 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
                      renormalizations=stepper.renorm_count,
                      underflows=stepper.underflow_count,
                      tail_mass=_tail_fraction(values, grid),
-                     tau_probes=tau_probes, observed=observed)
+                     tau_probes=tau_probes, observed=observed,
+                     linear_from=linear_from)
+
+
+def _linear_rate(u, v, shift, vmax):
+    """ln mu of the step u -> v, physical values exp(shift) apart, when
+    v = m u to ``_LINEAR_RTOL`` * max|v| with m = <v, u>/<u, u> in working
+    units and 0 < mu = m exp(shift) < 1; else None.
+
+    m - 1 is taken as <v - u, u>/<u, u>: v - u is exact where v is within
+    a factor 2 of u, so ln m = log1p(m - 1) keeps the digits that m itself,
+    rounded near 1, would lose, and which k fast-forwarded steps multiply
+    by k.
+    """
+    uf = u.ravel()
+    uu = float(uf @ uf)
+    if not uu > 0:
+        return None
+    d = v.ravel() - uf
+    m1 = float(d @ uf) / uu
+    if not m1 > -1.0:
+        return None
+    ln_mu = math.log1p(m1) + shift
+    d -= m1 * uf  # v - m u
+    if ln_mu < 0 and float(np.max(np.abs(d))) <= _LINEAR_RTOL * vmax:
+        return ln_mu
+    return None
 
 
 def _tail_fraction(values, grid):

@@ -535,7 +535,27 @@ LATE_FAILURES = {
                          "amplitude = inf", "potential", "amplitude",
                          lambda: harness.Scenario(
                              "x", kind="ladder",
-                             potential_cfg={"amplitude": math.inf}))}
+                             potential_cfg={"amplitude": math.inf})),
+    # a finite amplitude whose profile overflows at a radius the verdict
+    # reads warned in eval_profile: at eps once every zoomed run had run,
+    # at eps in the tunnel floors, and below min(eps) = 0.1 in a weighted
+    # tunnel's load-time bound (1e306 / 0.0125**2 overflows, 1e306 / 0.1**2
+    # does not)
+    "amplitude-rescaled": ("propagation-straight.ini", "amplitude = 50.0",
+                           "amplitude = 1e308", "potential", "amplitude",
+                           lambda: harness.Scenario(
+                               "x", potential_cfg={"amplitude": 1e308})),
+    "amplitude-tunnel": ("line-blowup.ini", "amplitude = 8.0",
+                         "amplitude = 1e308", "potential", "amplitude",
+                         lambda: harness.Scenario(
+                             "t", kind="tunnel",
+                             potential_cfg={"amplitude": 1e308})),
+    "amplitude-weighted": ("line-blowup-weighted.ini", "amplitude = 8.0",
+                           "amplitude = 1e306", "potential", "amplitude",
+                           lambda: harness.Scenario(
+                               "t", kind="tunnel", p=3.0, gamma=2.5,
+                               eps_list=(0.2, 0.1),
+                               potential_cfg={"amplitude": 1e306}))}
 
 
 class TestScenarioChecks:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -677,3 +678,151 @@ class TestTunnel:
         for dm, df in zip(floors["delta_measured"], floors["delta_formula"]):
             assert dm < df
         assert floors["log_floor_center"][1] > floors["log_floor_center"][0]
+
+
+def stepped(fld, spec, t_end, observe=None):
+    """The oracle of a run without a curve: Stepper.step at every step to
+    t_end, each observer time matched to the first step at or after it -
+    dt/2, as solver.evolve matches it, and no early stop."""
+    grid = fld.grid
+    stepper = solver.Stepper(grid, spec)
+    values, s, t = fld.values.copy(), fld.log_scale, fld.time
+    half_log_vol = 0.5 * math.log(grid.cell_volume)
+    obs_times, fn = observe or ((), None)
+    times, log_l2, log_linf, observed = [], [], [], []
+    for i in range(int(round((t_end - t) / grid.dt))):
+        values, s = stepper.step(values, t, s)
+        t = fld.time + (i + 1) * grid.dt
+        l2, linf = solver._log_norms(values, s, half_log_vol, stepper.vmax)
+        times.append(t)
+        log_l2.append(l2)
+        log_linf.append(linf)
+        while len(observed) < len(obs_times) and \
+                t >= obs_times[len(observed)] - grid.dt / 2.0:
+            observed.append(fn(t, values, s))
+    return solver.RunResult(final=Field(grid, values, t, s),
+                            times=np.array(times), log_l2=np.array(log_l2),
+                            log_linf=np.array(log_linf), observed=observed)
+
+
+def with_oracle(monkeypatch, call):
+    """Run ``call()``, which evolves one field, then step that run again by
+    the oracle; returns (the run, the oracle's run)."""
+    seen, real = [], solver.evolve
+
+    def evolve(fld, spec, t_end, curve=None, **kwargs):
+        assert curve is None
+        run = real(fld, spec, t_end, **kwargs)
+        seen.append((run, fld, spec, t_end, kwargs.get("observe")))
+        return run
+
+    monkeypatch.setattr(solver, "evolve", evolve)
+    call()
+    (run, fld, spec, t_end, observe), = seen
+    return run, stepped(fld, spec, t_end, observe)
+
+
+def assert_same_run(run, oracle):
+    """Bitwise the same run: series, final field and observations."""
+    assert run.linear_from is None
+    for name in ("times", "log_l2", "log_linf"):
+        assert np.array_equal(getattr(run, name), getattr(oracle, name))
+    assert np.array_equal(run.final.values, oracle.final.values)
+    assert (run.final.time, run.final.log_scale) \
+        == (oracle.final.time, oracle.final.log_scale)
+    assert run.observed == oracle.observed
+
+
+class TestLinearTail:
+    """A run whose absorption map has become a no-op fast-forwards once one
+    step multiplies the field by its Rayleigh quotient; any other run steps
+    to the end.  The oracle steps every run to the end."""
+
+    def setup_method(self):
+        # a small field on [-1, 1] reaches the no-op regime at once and its
+        # top mode within about 150 steps
+        self.grid = Grid.interval(-1.0, 1.0, 41, 1e-2)
+        x = self.grid.axes[0]
+        vals = 1e-20 * np.cos(0.5 * math.pi * x) ** 3
+        vals[[0, -1]] = 0.0
+        self.fld = Field(self.grid, vals, 0.0)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    def test_zoomed_runs_match_the_stepped_oracle(self, monkeypatch, p, eps):
+        # the shipped zoom's ball, step and frame; a feedback term below
+        # the normal range (p = 3, late times) is compared absolutely
+        grid = Grid.unit_ball(41, 0.005, ndim=2)
+        run, oracle = with_oracle(monkeypatch, lambda: solver.solve_rescaled(
+            eps, (1.0, 0.0), p, 1.0, grid))
+        assert run.linear_from is not None
+        assert run.linear_from < 1.0 / eps ** 2 - 1.0
+        assert np.array_equal(run.times, oracle.times)
+        assert len(run.observed) == len(oracle.observed) > 40
+        for (t, feedback, gap), (t_o, feedback_o, gap_o) in \
+                zip(run.observed, oracle.observed):
+            assert t == t_o
+            assert feedback == pytest.approx(feedback_o, rel=1e-12,
+                                             abs=sys.float_info.min)
+            assert gap == pytest.approx(gap_o, rel=1e-12, abs=1e-12)
+        center = (grid.shape[0] // 2,) * 2
+        log_center = [math.log(r.final.values[center]) - r.final.log_scale
+                      for r in (run, oracle)]
+        assert log_center[0] == pytest.approx(log_center[1], rel=1e-11)
+        for name in ("log_l2", "log_linf"):
+            np.testing.assert_allclose(getattr(run, name),
+                                       getattr(oracle, name), rtol=1e-11)
+
+    def test_level_function_run_steps_to_the_end(self, monkeypatch):
+        # constant h = 1 through a level function: the same run with the
+        # constant 1 fast-forwards
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
+                             self.grid)
+        run, oracle = with_oracle(monkeypatch, lambda: solver.solve_uk(
+            1e-20, None, levels, 2.0, 6.0, self.grid))
+        assert_same_run(run, oracle)
+        assert solver.solve_uk(1e-20, None, 1.0, 2.0, 6.0,
+                               self.grid).linear_from is not None
+
+    def test_tunnel_run_steps_to_the_end(self, monkeypatch):
+        g = Grid.tunnel(10.0, 101, 21, 2e-3)
+        run, oracle = with_oracle(monkeypatch,
+                                  lambda: solver.tunnel_run(2.0, g))
+        assert_same_run(run, oracle)
+
+    def test_negative_constant_steps_to_the_end(self):
+        # a source can raise max|u|; the same field under +1 fast-forwards
+        times = np.arange(0.5, 6.0, 0.5)
+
+        def obs(t, v, s):
+            return t, float(v.max()), s
+
+        spec = solver.PDESpec(p=2.0, absorption=-1.0)
+        run = solver.evolve(self.fld, spec, 6.0, observe=(times, obs))
+        assert_same_run(run, stepped(self.fld, spec, 6.0, (times, obs)))
+        assert solver.evolve(self.fld, solver.PDESpec(p=2.0, absorption=1.0),
+                             6.0).linear_from is not None
+
+    @pytest.mark.parametrize("absorption", [None, 1.0])
+    def test_observer_times_past_the_switch(self, absorption):
+        # off the step grid, two at one step, dt/2 after one (3.005: the
+        # step at 3.0 is the first at or after it), at the last step and
+        # past it
+        times = np.array([0.5, 2.0, 2.0043, 2.0051, 2.0052, 3.005, 5.999,
+                          6.004, 6.2])
+        assert times[5] - self.grid.dt / 2.0 == 300 * self.grid.dt
+
+        def obs(t, v, s):
+            return t, float(v.max()) * math.exp(-s)
+
+        spec = solver.PDESpec(p=2.0, absorption=absorption)
+        run = solver.evolve(self.fld, spec, 6.0, observe=(times, obs))
+        oracle = stepped(self.fld, spec, 6.0, (times, obs))
+        assert 0.5 < run.linear_from < 2.0
+        assert run.times.size == 600
+        assert [t for t, _ in run.observed] == \
+            [t for t, _ in oracle.observed]
+        assert len(run.observed) == 8
+        for (_, linf), (_, linf_o) in zip(run.observed, oracle.observed):
+            assert linf == pytest.approx(linf_o, rel=1e-12, abs=0)
+        assert run.final.time == oracle.final.time
