@@ -161,26 +161,22 @@ def parabolic_distance(point, curve, refine=True):
 
 
 def parabolic_distance_grid(points, t, curve):
-    """Vectorized sample-infimum parabolic distance for solver grids.
+    """Vectorized sample-infimum parabolic distance for 1D solver grids.
 
-    ``points`` has shape (M, N).  There is no golden refinement here, so
-    the sample infimum can overstate :func:`parabolic_distance` by up to
-    about sqrt(dt_s), with dt_s the curve's sample time spacing: at an
-    on-curve point at time t_j + delta between two samples, the refined
-    distance is about 0 while the sample infimum is at least sqrt(delta).
+    ``points`` has shape (M, 1) and the curve dimension 1.  There is no
+    golden refinement here, so the sample infimum can overstate
+    :func:`parabolic_distance` by up to about sqrt(dt_s), with dt_s the
+    curve's sample time spacing: at an on-curve point at time t_j + delta
+    between two samples, the refined distance is about 0 while the sample
+    infimum is at least sqrt(delta).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     mask = curve.t <= t + 1e-15
     if not np.any(mask):
         return np.full(pts.shape[0], np.inf)
-    ys = curve.x[mask]
-    if pts.shape[1] == 1:
-        # |x - y| directly: sqrt(d * d) == |d| in binary floating point
-        d = pts - ys[:, 0]
-        np.abs(d, out=d)
-    else:
-        diff = pts[:, None, :] - ys[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    # |x - y| directly: sqrt(d * d) == |d| in binary floating point
+    d = pts - curve.x[mask, 0]
+    np.abs(d, out=d)
     d += np.sqrt(np.maximum(t - curve.t[mask], 0.0))
     return d.min(axis=1)
 

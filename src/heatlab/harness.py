@@ -475,7 +475,7 @@ def decide(kind, evidence, rules):
         return "localization" if clean and max(amp) <= math.log(
             rules["bounded_ceiling"]) else "inconclusive"
     if kind == "ladder":
-        if ev["probe_maxima"][-2] == 0:  # no probe hit (see _window_max)
+        if ev["probe_maxima"][-2] == 0:  # no probe hit (see _curve_probe)
             return "inconclusive"
         if not ev["stabilization_gap"] <= rules["stabilization"]:
             return "propagation"
@@ -569,8 +569,9 @@ def _functional_verdict(values, rules):
     return "diverging" if _diverging(values, rules) else "bounded"
 
 
-def ladder_runs(scenario, curve):
-    """The runs u_k of the scenario's Dirac ladder, one per k, in order.
+def ladder_runs(scenario, curve, window):
+    """The runs u_k of the scenario's Dirac ladder, one per k, in order,
+    each observed by :func:`_curve_probe` on the curve and ``window``.
 
     The rungs step through the same time levels of the same h, so they
     share one cache of :func:`potential.grid_levels`, keyed by the exact
@@ -580,9 +581,37 @@ def ladder_runs(scenario, curve):
     grid = scenario.build_grid()
     levels = functools.cache(potential_mod.grid_levels(
         scenario.build_potential(curve), grid))
-    return [solver.solve_uk(k, curve, levels, scenario.p, scenario.horizon,
-                            grid, ceiling=scenario.rules["divergence_ceiling"])
+    observe = _curve_probe(curve, grid, window, scenario.horizon)
+    return [solver.solve_uk(k, levels, scenario.p, scenario.horizon, grid,
+                            ceiling=scenario.rules["divergence_ceiling"],
+                            observe=observe)
             for k in scenario.k_ladder]
+
+
+def _curve_probe(curve, grid, window, horizon):
+    """The observer (times, fn) of a ladder rung that :func:`solver.solve_uk`
+    runs to ``horizon``: at each step t, fn gives the largest value of the
+    solution on the curve whose tau lies in ``window`` (1e-12 slack; every
+    tau without one), or 0 without any.  A graph curve is probed at
+    x(min(t, horizon)) with tau = t, a parametric one at each sample whose
+    t lies within dt/2 of the step, by linear interpolation on the grid."""
+    lo, hi = window or (-math.inf, math.inf)
+    axis, half = grid.axes[0], grid.dt / 2.0
+
+    def probe(t, values, log_scale):
+        if curve.kind == geometry.GRAPH:
+            hits = [(t, curve.position_at_time(min(t, curve.horizon))[0])]
+        else:
+            hits = [(curve.tau[j], curve.x[j, 0])
+                    for j in np.flatnonzero(np.abs(curve.t - t) <= half)]
+        return max((float(np.interp(x, axis, values)) * math.exp(-log_scale)
+                    for tau, x in hits if lo - 1e-12 <= tau <= hi + 1e-12),
+                   default=0.0)
+
+    # the step times as solver.evolve counts them from solve_uk's datum
+    t0 = solver.datum_start(grid, aligned=False)
+    n_steps = int(round((horizon - t0) / grid.dt))
+    return t0 + np.arange(1, n_steps + 1) * grid.dt, probe
 
 
 def _run_ladder(scenario):
@@ -591,8 +620,8 @@ def _run_ladder(scenario):
     curve = scenario.build_curve()
     seg = geometry.classify_segments(curve)
     window = _probe_window(seg, scenario.rules["probe_margin"])
-    maxima = [_window_max(run, window)
-              for run in ladder_runs(scenario, curve)]
+    maxima = [max(run.observed, default=0.0)
+              for run in ladder_runs(scenario, curve, window)]
     m_lo, m_hi = maxima[-2], maxima[-1]
     gap = abs(m_hi - m_lo) / m_lo if m_lo > 0 else math.inf
     a, r0, tw = (None, None, None) if seg.box is None else seg.box
@@ -618,14 +647,6 @@ def _probe_window(seg, margin):
         return None
     lo, hi = spans[-1]
     return (lo + margin * (hi - lo), hi)
-
-
-def _window_max(run, window):
-    """The largest curve probe of the run whose tau lies in the window (all
-    of them without one, a monotone curve), or 0 without any."""
-    lo, hi = window or (-math.inf, math.inf)
-    return max((v for tau, _, v in run.tau_probes
-                if lo - 1e-12 <= tau <= hi + 1e-12), default=0.0)
 
 
 def _run_tunnel(scenario):

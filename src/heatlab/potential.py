@@ -108,8 +108,9 @@ def grid_levels(pot, grid):
     """The level function t -> :meth:`Potential.evaluate_grid` over every
     node of ``grid``, its values read-only: h never depends on the datum,
     so the rungs of a Dirac ladder can share one cache of it."""
-    if pot.distance == PARABOLIC and pot.curve.dim != grid.ndim:
-        raise ConfigurationError("curve and grid dimensions disagree")
+    if pot.distance == PARABOLIC and not pot.curve.dim == grid.ndim == 1:
+        raise ConfigurationError("curve and grid dimensions disagree or "
+                                 "exceed 1")
     points = grid.points()
 
     def levels(t):

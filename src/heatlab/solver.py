@@ -19,9 +19,11 @@ reported in logs.  Most of such a run is a linear tail: once the field is
 small enough that the absorption map changes no bit, a step is one fixed
 linear map, and after the field settles on its top eigenvector
 :func:`evolve` advances ``log_scale`` by the map's Rayleigh quotient in
-place of stepping.
+place of stepping.  Whatever a run measures, the ladder's curve probes
+included, one observer takes from the field at the steps it names.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field as dfield
 
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from . import geometry, potential as potential_mod, spectral
+from . import potential as potential_mod, spectral
 from .barriers import gaussian_cos_integral, heat_kernel, tunnel_subsolution
 from .errors import BudgetError, ConfigurationError, NumericalError
 from .grids import BALL, Field, stencil_slices
@@ -66,17 +68,16 @@ class PDESpec:
 
 @dataclass
 class RunResult:
-    """Norm series, curve probes and bookkeeping of one evolution run.
+    """Norm series, observations and bookkeeping of one evolution run.
 
     Norm series are stored as logs of the physical values (long runs
-    underflow doubles), NaN after a non-finite step.  ``tau_probes`` holds
-    the (tau, t, value) samples of the solution along the curve and
-    ``observed`` what the observer returned at each of its times, see
-    :func:`evolve`.  ``stop`` names what froze the run early, if anything
-    (``non-finite`` or ``divergence-ceiling``); ``tail_mass`` is the final
-    share of the mass on the nodes next to the box faces.  ``linear_from``
-    is the time from which the run was fast-forwarded as one linear map,
-    None if it stepped to the end (see :func:`evolve`).
+    underflow doubles), NaN after a non-finite step.  ``observed`` holds
+    what the observer returned at each of its times.  ``stop`` names what
+    froze the run early, if anything (``non-finite`` or
+    ``divergence-ceiling``); ``tail_mass`` is the final share of the mass
+    on the nodes next to the box faces.  ``linear_from`` is the time from
+    which the run was fast-forwarded as one linear map, None if it stepped
+    to the end.  See :func:`evolve`.
     """
 
     final: Field
@@ -87,7 +88,6 @@ class RunResult:
     renormalizations: int = 0
     underflows: int = 0
     tail_mass: float = 0.0
-    tau_probes: list = dfield(default_factory=list)
     observed: list = dfield(default_factory=list)
     linear_from: float | None = None
 
@@ -165,7 +165,12 @@ class Stepper:
                             for ax in range(grid.ndim) if c[ax] != 0.0]
         self.underflow_count = 0
         self.renorm_count = 0
-        self.vmax = 0.0
+        self.vmax = math.inf  # unknown until the first step
+        # absorb guards against overflow from the max|u| at which max|u|**(p-1)
+        # * max(|a| (p-1) dt, 1) = e**600, e**109 below the double limit
+        a = 1.0 if callable(spec.absorption) else abs(spec.absorption or 0.0)
+        self._vmax_safe = math.exp(min(700.0, (600.0 - math.log(max(
+            a * (spec.p - 1.0) * self.dt, 1.0))) / (spec.p - 1.0)))
 
     def step(self, values, t, log_scale):
         """Advance one time level from t; returns (values, log_scale).
@@ -213,28 +218,49 @@ class Stepper:
         u * (1 + x)**(-1/(p-1)) with x = (p-1) dt a |u|**(p-1) is evaluated
         as exp(-log1p(x)/(p-1)), which tends to u * exp(-a dt) as p -> 1
         instead of cancelling in 1 + x; at p = 2 it is the exact u / (1 + x).
+        If x can overflow (large |u| at large p), which ``vmax``, max|u|
+        after the last step, tells, the entries whose x does are mapped
+        through ln x, toward the finite limit sign(u) ((p-1) dt a)**(-1/(p-1))
+        (NaN under a source, a < 0), and the rest as ever.
         """
         p, dt, a = self.spec.p, self.dt, self.spec.absorption
         if a is None:
             return values
-        scale_pow = math.exp(-(p - 1.0) * log_scale) if \
-            (p - 1.0) * log_scale < 700 else 0.0
-        rate = np.abs(values, out=self._work)
-        if p != 2.0:
-            rate **= p - 1.0
+        h = None
         if callable(a):  # a level function, h at t and its underflows
             h, n_under = a(t)
             self.underflow_count += n_under
-            rate *= h.reshape(self.grid.shape)
-            a = 1.0
-        rate *= a * scale_pow * (p - 1.0) * dt
+            h, a = h.reshape(self.grid.shape), 1.0
+        scale_pow = math.exp(-(p - 1.0) * log_scale) if \
+            (p - 1.0) * log_scale < 700 else 0.0
+        coef = a * scale_pow * (p - 1.0) * dt
+        guard = self.vmax > self._vmax_safe or log_scale < 0.0
+        with np.errstate(over="ignore", invalid="ignore") if guard \
+                else contextlib.nullcontext():
+            rate = np.abs(values, out=self._work)
+            if p != 2.0:
+                rate **= p - 1.0
+            if h is not None:
+                rate *= h
+            rate *= coef
+        bad = ~np.isfinite(rate) if guard else None  # mapped again below
         if p == 2.0:
             rate += 1.0
-            return np.divide(values, rate, out=rate)
-        np.log1p(rate, out=rate)
-        rate *= -1.0 / (p - 1.0)
-        np.exp(rate, out=rate)
-        return np.multiply(values, rate, out=rate)
+            out = np.divide(values, rate, out=rate)
+        else:
+            np.log1p(rate, out=rate)
+            rate *= -1.0 / (p - 1.0)
+            np.exp(rate, out=rate)
+            out = np.multiply(values, rate, out=rate)
+        if bad is not None and bad.any():
+            u = values[bad]
+            with np.errstate(divide="ignore", invalid="ignore"):  # ln 0, ln a
+                log_x = (p - 1.0) * (np.log(np.abs(u)) - log_scale) \
+                    + np.log(a * (p - 1.0) * dt)
+                if h is not None:
+                    log_x += np.log(h[bad])
+            out[bad] = u * np.exp(np.logaddexp(0.0, log_x) / (1.0 - p))
+        return out
 
     def _upwind(self, values, ax, coef):
         """coef times the one-sided difference against the flow on the
@@ -318,25 +344,22 @@ def _log_norms(values, log_scale, half_log_vol, vmax):
             math.log(vmax) - log_scale)
 
 
-def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
-           observe=None):
-    """Drive a field to t_end recording probes, norms and run counters.
+def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
+    """Drive a field to t_end recording norms, observations and run counters.
 
     The one stepping loop, behind :func:`solve_uk`, :func:`solve_rescaled`
     and :func:`tunnel_run`, on one :class:`Stepper` whose operator, drift
-    included, is fixed for the whole run.  A ``curve`` is probed by linear
-    interpolation on 1D grids only: a graph curve at x(min(t, horizon))
-    after every step, recorded with tau = t, a parametric one at each
-    sample whose t lies within dt/2 of a step.
+    included, is fixed for the whole run.  A run is observed one way:
     ``observe`` is None or a pair (times, fn) with ``times`` increasing:
     each time, in order, is matched to the first step at or after time -
-    dt/2 (none after an early stop), and there ``fn(t, values, log_scale)``
-    reduces the field, physical = values * exp(-log_scale), to what
-    ``RunResult.observed`` keeps.  ``values`` is the working array: ``fn``
-    reads it and neither keeps nor changes it.
+    dt/2, and there ``fn(t, values, log_scale)`` reduces the field,
+    physical = values * exp(-log_scale), to what ``RunResult.observed``
+    keeps.  ``values`` is the working array: ``fn`` reads it and neither
+    keeps nor changes it.  Every finite step is observed, the one that
+    crosses the divergence ceiling included; none after it.
 
-    A run without a curve whose absorption is None or a constant >= 0 ends
-    in a linear tail: once its decay map is a bitwise no-op, each step
+    A run whose absorption is None or a constant >= 0 ends in a linear
+    tail: once its decay map is a bitwise no-op, each step
     applies one fixed, nonnegative and irreducible linear map, and the
     field becomes that map's top eigenvector (the power method; Perron-
     Frobenius).  When one step then multiplies the field by its Rayleigh
@@ -348,8 +371,6 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
     ``log_scale`` of the step it matches.
     """
     grid = fld.grid
-    if curve is not None and grid.ndim != 1:
-        raise ConfigurationError("curve probes need a 1D grid")
     stepper = Stepper(grid, spec)
     values = fld.values.copy()
     log_scale = fld.log_scale
@@ -359,19 +380,18 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
         raise ConfigurationError(
             f"t_end = {t_end:.6g} lies before the field's time {t:.6g}")
     times, log_l2, log_linf = np.full((3, n_steps), np.nan)
-    tau_probes, observed, stop = [], [], None
-    graph_curve = curve is not None and curve.kind == geometry.GRAPH
+    observed, stop = [], None
     obs_times, obs_fn = observe or ((), None)
     half_log_vol = 0.5 * math.log(grid.cell_volume)
     log_ceiling = math.log(ceiling)
     # below this log ||u||_inf the decay map of Stepper.absorb is a bitwise
-    # no-op, x = a (p-1) dt ||u||_inf**(p-1) < 2**-60; a run without a curve
-    # and with no absorption or a constant one >= 0 never raises ||u||_inf,
+    # no-op, x = a (p-1) dt ||u||_inf**(p-1) < 2**-60; a run with no
+    # absorption or a constant one >= 0 never raises ||u||_inf,
     # so from there on one step is a fixed linear map.  Other runs never
     # switch: a level function varies in t, and a negative constant is a
     # source under which ||u||_inf can grow
     a, pm1 = spec.absorption, spec.p - 1.0
-    if curve is not None or callable(a) or (a is not None and a < 0):
+    if callable(a) or (a is not None and a < 0):
         linf_noop = -math.inf
     elif a is None or a == 0:
         linf_noop = math.inf
@@ -389,22 +409,13 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
             break
         log_l2[istep], log_linf[istep] = _log_norms(values, log_scale,
                                                     half_log_vol, stepper.vmax)
-        if graph_curve:
-            hits = [(t, curve.position_at_time(min(t, curve.horizon))[0])]
-        else:  # a parametric curve's samples within dt/2 of t, if any
-            hits = () if curve is None else [
-                (float(curve.tau[j]), curve.x[j][0]) for j in
-                np.flatnonzero(np.abs(curve.t - t) <= grid.dt / 2.0)]
-        for tau, x in hits:
-            v = float(np.interp(x, grid.axes[0], values))
-            tau_probes.append((tau, t, v * math.exp(-log_scale)))
+        while len(observed) < len(obs_times) and \
+                t >= obs_times[len(observed)] - grid.dt / 2.0:
+            observed.append(obs_fn(t, values, log_scale))
         if log_linf[istep] > log_ceiling:
             stop = "divergence-ceiling"
             n_steps = istep + 1
             break
-        while len(observed) < len(obs_times) and \
-                t >= obs_times[len(observed)] - grid.dt / 2.0:
-            observed.append(obs_fn(t, values, log_scale))
         if log_linf[istep] < linf_noop:  # so the next step is linear
             if noop_at == istep - 1:
                 ln_mu = _linear_rate(before, values, before_scale - log_scale,
@@ -446,7 +457,7 @@ def evolve(fld, spec, t_end, curve=None, ceiling=DIVERGENCE_CEILING,
                      renormalizations=stepper.renorm_count,
                      underflows=stepper.underflow_count,
                      tail_mass=_tail_fraction(values, grid),
-                     tau_probes=tau_probes, observed=observed,
+                     observed=observed,
                      linear_from=linear_from)
 
 
@@ -484,20 +495,20 @@ def _tail_fraction(values, grid):
     return (total - inner) / total
 
 
-def solve_uk(k, curve, levels, p, horizon, grid, t_start=None,
+def solve_uk(k, levels, p, horizon, grid, t_start=None,
              ceiling=DIVERGENCE_CEILING, observe=None):
-    """Evolve the Dirac-datum solution u_k probing along the curve.
+    """Evolve the Dirac-datum solution u_k to ``horizon``.
 
     Numerical blow-up is recorded (run frozen, ``stop`` set) when the
     field's L-infinity norm exceeds the divergence ceiling.  ``levels`` is
-    h's level function on ``grid``, see :func:`potential.grid_levels`.
+    h's level function on ``grid``, see :func:`potential.grid_levels`;
+    ``observe`` is :func:`evolve`'s.
     """
     if t_start is None:
         t_start = datum_start(grid, aligned=False)
     fld = dirac_family(k, grid, t_start)
     spec = PDESpec(p=p, drift=None, absorption=levels)
-    return evolve(fld, spec, horizon, curve=curve, ceiling=ceiling,
-                  observe=observe)
+    return evolve(fld, spec, horizon, ceiling=ceiling, observe=observe)
 
 
 @dataclass

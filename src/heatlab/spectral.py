@@ -44,11 +44,12 @@ class EigenPair:
         return self.interpolate(points)
 
     def interpolate(self, points):
-        """Evaluate by interpolation; radial profiles take |x|."""
+        """Evaluate by interpolation; radial profiles take |x| of points of
+        shape (..., n_dim)."""
         pts = np.asarray(points, dtype=float)
         if self.domain == INTERVAL:
             return np.interp(pts, self.nodes, self.values, left=0.0, right=0.0)
-        r = np.abs(pts) if pts.ndim <= 1 else np.linalg.norm(pts, axis=-1)
+        r = np.linalg.norm(pts, axis=-1)
         rs = np.concatenate([[0.0], self.nodes, [1.0]])
         vs = np.concatenate([[self.values[0]], self.values, [0.0]])
         return np.interp(r, rs, vs, right=0.0)
@@ -79,55 +80,24 @@ def dirichlet_ground_state(domain, n, n_dim=None):
 
 @dataclass(frozen=True)
 class DriftedPair:
-    """Ground state of -lap + <beta, grad> obtained by the exponential tilt.
+    """Ground state of -lap + beta d/dx on (-1, 1) by the exponential tilt:
+    lam = base.lam + beta**2 / 4 exactly, and ``values`` on the base nodes
+    are exp(beta x/2) * psi0 renormalized to maximum 1."""
 
-    lam = base.lam + |beta|**2 / 4 exactly; the eigenfunction is
-    exp(<beta, x>/2) * psi0 renormalized to maximum 1.
-    """
-
-    base: EigenPair
-    beta: np.ndarray
     lam: float
-    norm: float
-
-    def __call__(self, points):
-        return self.interpolate(points)
-
-    def interpolate(self, points):
-        pts = np.asarray(points, dtype=float)
-        if self.base.domain == INTERVAL:
-            tilt = np.exp(0.5 * self.beta[0] * pts)
-        else:
-            dots = pts @ self.beta if pts.ndim > 1 else pts * self.beta[0]
-            tilt = np.exp(0.5 * dots)
-        return tilt * self.base.interpolate(points) / self.norm
-
-    @property
-    def values(self):
-        """Tilted eigenfunction on the base nodes (interval domains)."""
-        if self.base.domain != INTERVAL:
-            raise ConfigurationError("nodal values only for interval domains")
-        return (np.exp(0.5 * self.beta[0] * self.base.nodes)
-                * self.base.values / self.norm)
+    values: np.ndarray
 
 
 def drift_shift(beta, base):
-    """Shift the ground state by a constant drift: lam -> lam + |beta|**2/4."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if base.domain == INTERVAL and beta.size != 1:
-        raise ConfigurationError("interval domain takes a scalar drift")
-    if base.domain == BALL and beta.size != base.n_dim:
-        raise ConfigurationError("drift dimension must match the ball dimension")
-    lam = base.lam + float(beta @ beta) / 4.0
-    if base.domain == INTERVAL:
-        tilted = np.exp(0.5 * beta[0] * base.nodes) * base.values
-        norm = float(tilted.max())
-    else:
-        # the maximum of exp(<beta,x>/2) psi0(|x|) sits on the ray along beta
-        speed = float(np.linalg.norm(beta))
-        rs = np.linspace(0.0, 1.0, 4097)
-        norm = float(np.max(np.exp(0.5 * speed * rs) * base.interpolate(rs)))
-    return DriftedPair(base=base, beta=beta, lam=lam, norm=norm)
+    """Shift the interval ground state by a constant drift: lam -> lam +
+    beta**2/4."""
+    if base.domain != INTERVAL or np.size(beta) != 1:
+        raise ConfigurationError("the drift shift takes an interval ground "
+                                 "state and a scalar drift")
+    beta = float(np.ravel(beta)[0])
+    tilted = np.exp(0.5 * beta * base.nodes) * base.values
+    return DriftedPair(lam=base.lam + beta * beta / 4.0,
+                       values=tilted / tilted.max())
 
 
 def drift_ground_state(beta, n):

@@ -142,13 +142,12 @@ def test_criterion_05_decay_envelopes():
 
 def test_criterion_06_monotonicity_and_comparison():
     grid = Grid.interval(-3.0, 3.0, 301, 2e-3)
-    curve = None
     levels = grid_levels(Potential(None, "constant-floor", floor=1.0), grid)
     t0 = 0.01
     times = np.array([0.05, 0.1, 0.2])
     snaps = {}
     for k in (1e2, 1e4, 1e6):
-        run = solver.solve_uk(k, curve, levels, 2.0, 0.25, grid, t_start=t0,
+        run = solver.solve_uk(k, levels, 2.0, 0.25, grid, t_start=t0,
                               observe=(times, lambda t, v, s: (t, v.copy(), s)))
         snaps[k] = run.observed
     for a, b in ((1e2, 1e4), (1e4, 1e6)):

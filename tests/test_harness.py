@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from heatlab import cli, geometry, harness, potential, solver, spectral
 from heatlab.errors import BudgetError, ConfigurationError
+from heatlab.grids import Grid
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -785,20 +786,22 @@ class TestLadderScenario:
 
 def independent_rungs(scenario):
     """The ladder's rungs as separate solve_uk runs, each with its own
-    uncached level function (nothing shared)."""
+    uncached level function and curve probe (nothing shared)."""
     curve = scenario.build_curve()
     grid = scenario.build_grid()
     pot = scenario.build_potential(curve)
-    return [solver.solve_uk(k, curve, potential.grid_levels(pot, grid),
+    return [solver.solve_uk(k, potential.grid_levels(pot, grid),
                             scenario.p, scenario.horizon, grid,
-                            ceiling=scenario.rules["divergence_ceiling"])
+                            ceiling=scenario.rules["divergence_ceiling"],
+                            observe=harness._curve_probe(curve, grid, None,
+                                                         scenario.horizon))
             for k in scenario.k_ladder]
 
 
 def assert_same_run(a, b):
     for name in ("times", "log_l2", "log_linf"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.tau_probes == b.tau_probes
+    assert a.observed == b.observed
     for name in ("stop", "renormalizations", "underflows", "tail_mass"):
         assert getattr(a, name) == getattr(b, name), name
     assert np.array_equal(a.final.values, b.final.values)
@@ -830,7 +833,7 @@ class TestSharedLadderLevels:
         sc = tiny_ladder_scenario(k_ladder=(1e2, 1e4, 1e6), potential_cfg=cfg)
         ref = independent_rungs(sc)
         calls = self.count_evaluations(monkeypatch)
-        shared = harness.ladder_runs(sc, sc.build_curve())
+        shared = harness.ladder_runs(sc, sc.build_curve(), None)
         for a, b in zip(shared, ref):
             assert_same_run(a, b)
         # one evaluation per time level, whatever the number of rungs
@@ -846,7 +849,7 @@ class TestSharedLadderLevels:
         sc.rules = dict(sc.rules, divergence_ceiling=1e6)
         ref = independent_rungs(sc)
         calls = self.count_evaluations(monkeypatch)
-        shared = harness.ladder_runs(sc, sc.build_curve())
+        shared = harness.ladder_runs(sc, sc.build_curve(), None)
         assert [run.stop is not None for run in shared] \
             == [False, True, False]
         assert shared[1].times.size < shared[0].times.size \
@@ -863,14 +866,14 @@ class TestSharedLadderLevels:
         near, seen = math.nextafter(0.1, 1.0), []
         orig = solver.solve_uk
 
-        def probe(k, curve, levels, *args, **kwargs):
+        def probe(k, levels, *args, **kwargs):
             seen.append(levels(0.1)[0])
             levels(near)
-            return orig(k, curve, levels, *args, **kwargs)
+            return orig(k, levels, *args, **kwargs)
 
         monkeypatch.setattr(solver, "solve_uk", probe)
         sc = tiny_ladder_scenario()
-        harness.ladder_runs(sc, sc.build_curve())
+        harness.ladder_runs(sc, sc.build_curve(), None)
         assert len(seen) == 2 and seen[0] is seen[1]
         assert not seen[0].flags.writeable
         assert calls.count(0.1) == calls.count(near) == 1
@@ -894,33 +897,68 @@ def ladder_pairs(draw):
 
 
 class TestWindowMax:
-    @staticmethod
-    def run(*probes):
-        return solver.RunResult(final=None, times=None, log_l2=None,
-                                log_linf=None, tau_probes=list(probes))
+    """The ladder's curve probe keeps, at each step, the largest value
+    whose tau lies in its window; on a graph curve tau = t, and a field
+    of constant value v reads v at every point of the curve."""
+
+    grid = Grid.interval(-1.0, 1.0, 21, 0.01)
+
+    def observed(self, window, *probes):
+        curve = geometry.Curve.straight(0.5, 1.0, n=65)
+        _, probe = harness._curve_probe(curve, self.grid, window, 1.0)
+        return [probe(t, np.full(self.grid.shape, v), 0.0)
+                for t, v in probes]
 
     def test_without_window_the_largest_probe(self):
-        run = self.run((0.1, 0.1, 2.0), (0.2, 0.2, 7.0), (0.3, 0.3, 5.0))
-        assert harness._window_max(run, None) == 7.0
-        assert harness._window_max(self.run(), None) == 0.0
+        observed = self.observed(None, (0.1, 2.0), (0.2, 7.0), (0.3, 5.0))
+        assert max(observed, default=0.0) == 7.0
+        assert max(self.observed(None), default=0.0) == 0.0
+        # a parametric curve with no sample within dt/2 of the step
+        arc = geometry.Curve.parametric(lambda s: 0.8 * s,
+                                        lambda s: s * (1.0 - s), 1.0, n=65)
+        _, probe = harness._curve_probe(arc, self.grid, None, 1.0)
+        assert probe(0.3, np.full(self.grid.shape, 9.0), 0.0) == 0.0
 
     def test_window_counts_only_its_taus(self):
         # a tau within 1e-12 past either end counts, one further out not
         lo, hi = 0.2, 0.4
-        run = self.run((lo - 1e-11, 0.1, 9.0), (lo - 5e-13, 0.2, 3.0),
-                       (0.3, 0.3, 2.0), (hi + 5e-13, 0.3, 4.0),
-                       (hi + 1e-11, 0.4, 8.0))
-        assert harness._window_max(run, (lo, hi)) == 4.0
-        assert harness._window_max(run, (0.25, 0.35)) == 2.0
-        assert harness._window_max(run, (0.5, 0.6)) == 0.0
+        probes = ((lo - 1e-11, 9.0), (lo - 5e-13, 3.0), (0.3, 2.0),
+                  (hi + 5e-13, 4.0), (hi + 1e-11, 8.0))
+        assert max(self.observed((lo, hi), *probes)) == 4.0
+        assert max(self.observed((0.25, 0.35), *probes)) == 2.0
+        assert max(self.observed((0.5, 0.6), *probes)) == 0.0
+
+
+class TestCeilingStep:
+    """A rung that crosses the divergence ceiling is probed at the step
+    that crosses it.  No shipped rung stops early, so these runs pin the
+    probe maxima of two shipped ladders with the ceiling lowered to 1e3."""
+
+    @pytest.mark.parametrize("name, maxima", [
+        ("control-straight",
+         [51.04195948867685, 510.4195948867686, 5104.195948867687,
+          51041.95948867687, 510419.5948867686, 5104195.948867687]),
+        ("downslope-arc",
+         [1.6643803765127414, 10.451908194030038, 1.0375760155233017e-11,
+          7.31814130258872e-11, 2.2372801018609076e-10,
+          3.896221007609162e-10]),
+    ])
+    def test_probe_maxima_include_the_ceiling_step(self, name, maxima):
+        sc = harness.load_scenario(SCENARIOS / f"{name}.ini")
+        sc.rules = dict(sc.rules, divergence_ceiling=1e3)
+        runs = harness.ladder_runs(sc, sc.build_curve(), None)
+        assert any(run.stop == "divergence-ceiling" for run in runs)
+        v = harness.run_scenario(sc)
+        assert v.outcome == "propagation"
+        assert v.evidence["probe_maxima"] == pytest.approx(maxima, rel=1e-12)
 
 
 class TestLadderMonotoneInK:
     @settings(max_examples=40, deadline=None)
     @given(ladder_pairs())
     def test_probe_maxima_and_fields_ordered(self, sc):
-        lo, hi = harness.ladder_runs(sc, sc.build_curve())
-        m_lo, m_hi = (harness._window_max(run, None) for run in (lo, hi))
+        lo, hi = harness.ladder_runs(sc, sc.build_curve(), None)
+        m_lo, m_hi = (max(run.observed, default=0.0) for run in (lo, hi))
         assert m_lo <= m_hi * (1.0 + 1e-12)
         u_lo, u_hi = (run.final.values * np.exp(-run.final.log_scale)
                       for run in (lo, hi))

@@ -1,12 +1,13 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from heatlab import barriers, geometry, potential, solver, spectral
+from heatlab import barriers, geometry, harness, solver, spectral
 from heatlab.errors import BudgetError, ConfigurationError
 from heatlab.grids import Field, Grid
 from heatlab.potential import DecayProfile, Potential, grid_levels
@@ -98,6 +99,56 @@ class TestStepImex:
                                        const.absorb(vals, 0.0, 0.5),
                                        rtol=1e-14, atol=0)
 
+    def test_overflowing_decay_rate_takes_its_limit(self):
+        # p = 100: |u|**99 overflows for |u| > 1300, where the map used to
+        # warn and return 0; one step of u' = -a u**p from there is the
+        # closed form sign(u) ((p-1) dt a)**(-1/(p-1)), and an entry whose
+        # x stays finite keeps the bits of the plain formula
+        p, a = 100.0, 2.0
+        g = box_grid(n=8, dt=1e-3)
+        vals = np.array([0.0, 0.5, -3.0, 7.0, 1e3, 2e3, -1e8, 1e300])
+        stepper = solver.Stepper(g, solver.PDESpec(p=p, absorption=a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = stepper.absorb(vals, 0.0, 0.0)
+        limit = ((p - 1.0) * g.dt * a) ** (-1.0 / (p - 1.0))
+        np.testing.assert_allclose(out[5:], np.sign(vals[5:]) * limit,
+                                   rtol=1e-13, atol=0)
+        x = np.abs(vals[:5]) ** (p - 1.0) * (a * 1.0 * (p - 1.0) * g.dt)
+        plain = vals[:5] * np.exp(np.log1p(x) * (-1.0 / (p - 1.0)))
+        assert np.array_equal(out[:5], plain)
+        # with max|u| known to be small the map takes the common path
+        small = np.where(np.abs(vals) < 10.0, vals, 1.0)
+        stepper.vmax = 7.0
+        assert np.array_equal(stepper.absorb(small, 0.0, 0.0)[:4], plain[:4])
+
+    def test_overflowing_rate_where_h_vanishes(self):
+        # h = 0 makes x = 0 however large |u|**(p-1): the node keeps its
+        # value (the overflowed power times 0 used to read NaN)
+        p = 100.0
+        g = box_grid(n=5, dt=1e-3)
+        vals = np.array([1e8, 1e8, 0.5, 0.0, 0.5])
+        h = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+        stepper = solver.Stepper(g, solver.PDESpec(
+            p=p, absorption=lambda t: (h, 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = stepper.absorb(vals, 0.0, 0.0)
+        assert out[0] == 1e8 and out[2] == 0.5 and out[3] == 0.0
+        assert out[1] == pytest.approx(((p - 1.0) * g.dt) ** (-1 / (p - 1)),
+                                       rel=1e-13)
+
+    def test_first_step_at_large_p_is_finite(self):
+        # max|u| is unknown before the first step, so its map is guarded
+        g = box_grid(n=61, dt=1e-3)
+        fld = solver.dirac_family(1e6, g, solver.datum_start(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = solver.evolve(fld, solver.PDESpec(p=100.0, absorption=1.0),
+                                fld.time + 2 * g.dt)
+        assert run.stop is None
+        assert 0.0 < run.final.values.max() < 1.1
+
     def test_cfl_guard(self):
         g = box_grid(n=61, dt=0.05)
         spec = solver.PDESpec(p=2.0, drift=np.array([2.0]), absorption=None)
@@ -131,13 +182,6 @@ class TestStepImex:
         # the step froze before its norms: they are NaN, not leftover memory
         assert np.isnan(res.log_l2[-1]) and np.isnan(res.log_linf[-1])
 
-    def test_curve_on_2d_grid_rejected(self):
-        # curves are probed by 1D interpolation only
-        g = Grid.unit_ball(21, 1e-3, ndim=2)
-        curve = geometry.Curve.straight((1.0, 0.0), 1.0, n=65)
-        fld = Field(g, np.zeros(g.shape), 0.0)
-        with pytest.raises(ConfigurationError, match="1D grid"):
-            solver.evolve(fld, solver.PDESpec(p=2.0), 10 * g.dt, curve=curve)
 
 
 class TestDriftWidth:
@@ -347,7 +391,7 @@ class TestSolveUk:
         snaps = {}
         times = np.array([0.1, 0.2])
         for k in (1e2, 1e4, 1e6):
-            run = solver.solve_uk(k, self.curve, levels, 2.0, 0.25, self.grid,
+            run = solver.solve_uk(k, levels, 2.0, 0.25, self.grid,
                                   observe=(times, copies))
             snaps[k] = [v * math.exp(-s) for (_, v, s) in run.observed]
         for a, b in ((1e2, 1e4), (1e4, 1e6)):
@@ -360,7 +404,7 @@ class TestSolveUk:
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
         k = 0.5
-        run = solver.solve_uk(k, self.curve, levels, 2.0, 0.1, self.grid,
+        run = solver.solve_uk(k, levels, 2.0, 0.1, self.grid,
                               t_start=0.01)
         lin_fld = solver.dirac_family(k, self.grid, 0.01)
         lin = solver.evolve(lin_fld, solver.PDESpec(p=2.0, absorption=None),
@@ -378,7 +422,7 @@ class TestSolveUk:
                              self.grid)
         t0 = 0.01
         times = np.array([0.05, 0.1, 0.2])
-        run = solver.solve_uk(1e6, self.curve, levels, q, 0.25, self.grid,
+        run = solver.solve_uk(1e6, levels, q, 0.25, self.grid,
                               t_start=t0, observe=(times, copies))
         x = self.grid.axes[0]
         r = 2.9
@@ -409,15 +453,16 @@ class TestSolveUk:
         levels = grid_levels(Potential(DecayProfile("inverse-square", 50.0),
                                        "parabolic", curve=self.curve),
                              self.grid)
-        run = solver.solve_uk(1e6, self.curve, levels, 2.0, 0.25, self.grid,
+        run = solver.solve_uk(1e6, levels, 2.0, 0.25, self.grid,
                               ceiling=1e3)
         assert run.stop == "divergence-ceiling"
         assert run.times.size < int(round(0.25 / self.grid.dt))
 
     def test_observer_timing(self):
         # one call per time, in order, at the first step at or after
-        # time - dt/2, and none from the step that hits the ceiling on;
-        # absorption -1 is a source, so the field grows like u' = u**2
+        # time - dt/2, the step that hits the ceiling included, and none
+        # after it; absorption -1 is a source, so the field grows like
+        # u' = u**2
         g = box_grid(n=61, dt=1e-2)
         vals = np.full(g.shape, 2.0)
         vals[[0, -1]] = 0.0
@@ -428,7 +473,7 @@ class TestSolveUk:
                             ceiling=10.0,
                             observe=(times, lambda t, v, s: calls.append(t)))
         assert run.stop == "divergence-ceiling"
-        stepped = run.times[:-1].tolist()
+        stepped = run.times.tolist()
         expected = []
         for time in times:
             later = [t for t in stepped if t >= time - g.dt / 2.0]
@@ -436,15 +481,19 @@ class TestSolveUk:
                 break
             expected.append(later[0])
         assert 1 < len(expected) < len(times)
-        assert calls == expected
+        assert calls == expected and calls[-1] == stepped[-1]
         assert run.observed == [None] * len(calls)
 
     def test_probe_series_lengths_match(self):
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
-        run = solver.solve_uk(1.0, self.curve, levels, 2.0, 0.1, self.grid,
-                              t_start=0.01)
-        assert run.times.size == len(run.tau_probes) == run.log_l2.size \
+        steps = solver.solve_uk(1.0, levels, 2.0, 0.1, self.grid,
+                                t_start=0.01).times
+        run = solver.solve_uk(1.0, levels, 2.0, 0.1, self.grid, t_start=0.01,
+                              observe=(steps, lambda t, v, s: t))
+        # an observer at the time of every step is called once a step
+        assert run.observed == steps.tolist()
+        assert run.times.size == len(run.observed) == run.log_l2.size \
             == run.log_linf.size
 
     def test_end_before_the_datum_start_rejected(self):
@@ -455,47 +504,60 @@ class TestSolveUk:
         with pytest.raises(ConfigurationError,
                            match=r"t_end = 0\.1 lies before the field's "
                                  r"time 0\.16"):
-            solver.solve_uk(1.0, None, levels, 2.0, 0.1, g)
+            solver.solve_uk(1.0, levels, 2.0, 0.1, g)
+
+    def probed(self, curve):
+        """u_1000 run to t = 0.3 and observed by the ladder's curve probe
+        (see harness.ladder_runs): per step (t, probe, field, log_scale)."""
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
+                             self.grid)
+        steps, probe = harness._curve_probe(curve, self.grid, None, 0.3)
+        run = solver.solve_uk(
+            1e3, levels, 2.0, 0.3, self.grid,
+            observe=(steps, lambda t, v, s: (t, probe(t, v, s), v.copy(), s)))
+        assert [t for t, *_ in run.observed] == run.times.tolist()
+        return run
 
     def test_graph_curve_probed_at_every_step(self):
         # one probe per step, tau = t, at x(min(t, horizon)): the run goes
         # past the curve's horizon 0.25
-        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
-                             self.grid)
-        run = solver.solve_uk(1e3, self.curve, levels, 2.0, 0.3, self.grid,
-                              observe=(np.array([0.1, 0.3]), copies))
-        assert [tau for tau, _, _ in run.tau_probes] \
-            == [t for _, t, _ in run.tau_probes] == run.times.tolist()
-        probes = {t: v for _, t, v in run.tau_probes}
-        assert len(run.observed) == 2 and run.observed[1][0] > 0.25
-        for t, vals, s in run.observed:
+        run = self.probed(self.curve)
+        assert run.times[-1] > 0.25
+        for t, v, vals, s in run.observed:
             x = self.curve.position_at_time(min(t, 0.25))[0]
-            assert probes[t] > 0
-            assert probes[t] == float(np.interp(x, self.grid.axes[0], vals)) \
+            assert v > 0
+            assert v == float(np.interp(x, self.grid.axes[0], vals)) \
                 * math.exp(-s)
+        # tau = t: a window keeps only the steps inside it
+        _, probe = harness._curve_probe(self.curve, self.grid, (0.1, 0.2),
+                                        0.3)
+        inside = [0.1 <= t <= 0.2 for t, *_ in run.observed]
+        assert 0 < sum(inside) < len(inside)
+        for keep, (t, v, vals, s) in zip(inside, run.observed):
+            assert probe(t, vals, s) == (v if keep else 0.0)
 
     def test_parametric_curve_probed_at_its_samples(self):
         # each sample whose t lies within dt/2 of a step, with its own tau;
         # the arc's ends at t = 0 lie before the first step
         arc = geometry.Curve.parametric(lambda s: 0.8 * s,
                                         lambda s: s * (1.0 - s), 1.0, n=65)
-        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
-                             self.grid)
-        run = solver.solve_uk(1e3, arc, levels, 2.0, 0.3, self.grid)
+        run = self.probed(arc)
         half = self.grid.dt / 2.0
-        hits = [(float(arc.tau[j]), t) for t in run.times
-                for j in np.flatnonzero(np.abs(arc.t - t) <= half)]
-        assert 0 < len(hits) < arc.tau.size
-        assert [(tau, t) for tau, t, _ in run.tau_probes] == hits
-        # the values, against the fields at the probed steps
-        again = solver.solve_uk(1e3, arc, levels, 2.0, 0.3, self.grid,
-                                observe=(sorted({t for _, t in hits}), copies))
-        fields = {t: (vals, s) for t, vals, s in again.observed}
-        tau_x = dict(zip(arc.tau.tolist(), arc.x[:, 0].tolist()))
-        for tau, t, v in run.tau_probes:
-            vals, s = fields[t]
-            assert v == float(np.interp(tau_x[tau], self.grid.axes[0], vals)) \
-                * math.exp(-s)
+        hits = {t: np.flatnonzero(np.abs(arc.t - t) <= half)
+                for t in run.times}
+        probed = np.concatenate(list(hits.values()))
+        assert 0 < probed.size < arc.tau.size
+        assert 0 not in probed and arc.tau.size - 1 not in probed
+        for t, v, vals, s in run.observed:
+            values = [float(np.interp(arc.x[j, 0], self.grid.axes[0], vals))
+                      * math.exp(-s) for j in hits[t]]
+            assert v == max(values, default=0.0)
+            for j, vj in zip(hits[t], values):
+                # a window holding only this sample's tau keeps its value
+                tau = arc.tau[j]
+                _, probe = harness._curve_probe(arc, self.grid, (tau, tau),
+                                                0.3)
+                assert probe(t, vals, s) == vj
 
 
 class TestFrameConsistency:
@@ -710,8 +772,7 @@ def with_oracle(monkeypatch, call):
     the oracle; returns (the run, the oracle's run)."""
     seen, real = [], solver.evolve
 
-    def evolve(fld, spec, t_end, curve=None, **kwargs):
-        assert curve is None
+    def evolve(fld, spec, t_end, **kwargs):
         run = real(fld, spec, t_end, **kwargs)
         seen.append((run, fld, spec, t_end, kwargs.get("observe")))
         return run
@@ -779,9 +840,9 @@ class TestLinearTail:
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
         run, oracle = with_oracle(monkeypatch, lambda: solver.solve_uk(
-            1e-20, None, levels, 2.0, 6.0, self.grid))
+            1e-20, levels, 2.0, 6.0, self.grid))
         assert_same_run(run, oracle)
-        assert solver.solve_uk(1e-20, None, 1.0, 2.0, 6.0,
+        assert solver.solve_uk(1e-20, 1.0, 2.0, 6.0,
                                self.grid).linear_from is not None
 
     def test_tunnel_run_steps_to_the_end(self, monkeypatch):

@@ -128,16 +128,14 @@ class TestDriftShift:
             h = 2.0 / (n + 1)
             assert abs(lam_direct - d.lam) < 5.0 * h * h
 
-    def test_ball_drift_callable(self, ball_pair):
-        d = spectral.drift_shift((0.5, 0.0), ball_pair)
-        assert d.lam == pytest.approx(ball_pair.lam + 0.0625)
-        pts = np.array([[0.0, 0.0], [0.3, 0.4]])
-        vals = d.interpolate(pts)
-        assert np.all(vals >= 0) and np.all(vals <= 1.0 + 1e-12)
+    def test_dimension_mismatch(self, interval_pair):
+        with pytest.raises(ConfigurationError, match="scalar drift"):
+            spectral.drift_shift((1.0, 0.0), interval_pair)
 
-    def test_dimension_mismatch(self, ball_pair):
-        with pytest.raises(ConfigurationError):
-            spectral.drift_shift((1.0, 0.0, 0.0), ball_pair)
+    def test_ball_base_rejected(self, ball_pair):
+        # the shift is taken on the interval only (criterion 03)
+        with pytest.raises(ConfigurationError, match="interval ground state"):
+            spectral.drift_shift(0.5, ball_pair)
 
 
 class TestEnvelopes:
