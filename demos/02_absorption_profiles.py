@@ -38,6 +38,6 @@ w, e = s ** 2.5, np.exp(-potential.shifted_profile(line_prof, 2.5, s))
 print(f"\nsplit: weight={w:.4e}, exp={e:.4e}, product={w * e:.4e}, "
       f"h={np.exp(-potential.eval_profile(line_prof, s)):.4e}")
 try:
-    potential.check_weight_gate(1.0, 3.0, n_dim=2)
+    potential.check_weight_gate(1.0, 3.0)
 except Exception as exc:
     print("gate:", exc)

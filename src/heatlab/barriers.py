@@ -128,16 +128,16 @@ def drift_barrier_constant(n_dim, q, c=0.0, eta=1.0, rho=1.0):
     return _CAL_CACHE[key] * eta ** (-1.0 / (q - 1.0))
 
 
-def drift_radial_barrier(rho, c, eta, q, center, y, n_dim=None):
+def drift_radial_barrier(rho, c, eta, q, center, y):
     """Radial supersolution of -lap(psi) - c|grad(psi)| + eta*psi**q >= 0.
 
     psi(y) = C * rho**(2/(q-1)) / (rho**2 - |y-z|**2)**(2/(q-1)) on the open
-    ball B_rho(z), with C calibrated per (N, q, c, eta).
+    ball B_rho(z), with C calibrated per (N, q, c, eta); N is the size of
+    ``center``.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     y = np.asarray(y, dtype=float)
-    if n_dim is None:
-        n_dim = center.size
+    n_dim = center.size
     d2 = _dist2(y, center, n_dim)
     if np.any(d2 >= rho * rho):
         raise DomainError("radial barrier is defined on the open ball only")
@@ -207,7 +207,7 @@ class BarrierReport:
 
 
 def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
-                         tol=1e-9, name="barrier", mask=None, sign=+1):
+                         tol=1e-9, name="barrier", mask=None):
     """Scan the parabolic residual of a sampled field and report its sign.
 
     Parameters
@@ -228,10 +228,9 @@ def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
     mask : ndarray of bool, optional
         Restriction of the spatial check region; it is intersected with
         ``grid.interior_mask()``, the default.
-    sign : +1 for a supersolution check, -1 for a subsolution check.
 
     Returns a :class:`BarrierReport`; ``violations`` counts nodes where
-    ``sign * residual < -tol``.
+    ``residual < -tol``.
     """
     vals = np.asarray(values, dtype=float)
     spatial = grid.shape
@@ -262,7 +261,7 @@ def verify_supersolution(values, grid, times, q, absorption=None, drift=None,
             res -= drift * _grad_norm(u, hs)
         if absorption is not None:
             res += absorption * np.abs(u) ** (q - 1.0) * u
-        got = sign * res[mask]
+        got = res[mask]
         checked += got.size
         if got.size:
             worst = min(worst, float(np.min(got)))

@@ -106,12 +106,13 @@ class Curve:
         return cls(PARAMETRIC, tau, t, x, horizon=float(horizon))
 
     @classmethod
-    def from_table(cls, path, kind=PARAMETRIC):
-        """Load samples from a whitespace table: tau  t  x_1 .. x_N ('#' comments)."""
+    def from_table(cls, path):
+        """Load a parametric curve's samples from a whitespace table:
+        tau  t  x_1 .. x_N ('#' comments)."""
         data = np.loadtxt(path, comments="#", ndmin=2)
         if data.shape[1] < 3:
             raise ConfigurationError(f"curve table {path} needs at least 3 columns")
-        return cls(kind, data[:, 0], data[:, 1], data[:, 2:],
+        return cls(PARAMETRIC, data[:, 0], data[:, 1], data[:, 2:],
                    horizon=float(data[-1, 0]))
 
     # ------------------------------------------------------------------

@@ -121,10 +121,10 @@ def grid_levels(pot, grid):
     return levels
 
 
-def check_weight_gate(gamma, p, n_dim):
+def check_weight_gate(gamma, p):
     """Raise unless the weight exponent gamma >= 0 passes the supercritical
-    gate gamma > N(p-1) - 2 of the weighted line-degeneracy form."""
-    required = n_dim * (p - 1.0) - 2.0
+    gate gamma > N(p-1) - 2, N = 2, of the weighted line-degeneracy form."""
+    required = 2.0 * (p - 1.0) - 2.0
     if not (gamma >= 0 and gamma > required):
         raise ConfigurationError(
             f"gamma = {gamma} must be >= 0 and exceed N(p-1)-2 = {required} "
@@ -134,7 +134,7 @@ def check_weight_gate(gamma, p, n_dim):
 def check_weighted_tunnel(gamma, p, profile, eps):
     """Raise unless the weighted tunnel bound holds: gamma passes the 2D
     gate and the shifted profile is nonincreasing on [min(eps)/8, max(eps)]."""
-    check_weight_gate(gamma, p, n_dim=2)
+    check_weight_gate(gamma, p)
     s = np.linspace(min(eps) / 8, max(eps), 64)
     if np.any(np.diff(shifted_profile(profile, gamma, s)) > 1e-9):
         raise ConfigurationError("shifted profile not nonincreasing below "

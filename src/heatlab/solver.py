@@ -1,17 +1,17 @@
 """IMEX finite-difference evolution of the absorption equation.
 
-One step applies, in order: the exact pointwise decay map of the absorption
-term (explicit in data, unconditionally stable, positivity preserving),
-first-order upwind transport for the moving-frame drift, and backward-Euler
-diffusion axis by axis with Dirichlet zero on the lateral boundary.  What
-does not change from step to step is prepared once per run: each axis's
-diffusion operator is either inverted (at most ``DENSE_AXIS_MAX`` interior
-nodes; a step is one small matrix product per axis) or factored as LDL^T
-(a step is one O(m) substitution), and the drift, one constant velocity,
-is checked against the CFL limit and turned into per-axis upwind
-coefficients.  Every sub-map is monotone, so the discrete comparison
-principle holds and the Dirac ladder k -> u_k inherits the monotonicity of
-the continuum problem.
+One step applies the exact pointwise decay map of the absorption term
+(explicit in data, unconditionally stable, positivity preserving), then,
+axis by axis, first-order upwind transport for the moving-frame drift and
+backward-Euler diffusion with Dirichlet zero on the lateral boundary (a
+per-axis, Lie splitting).  The drift is one constant velocity, checked
+against the CFL limit once, so every axis's map is fixed and prepared once
+per run: an axis that is short (at most ``DENSE_AXIS_MAX`` interior nodes)
+or that the drift moves along steps by one dense matrix, the inverse of
+its diffusion matrix times its upwind map; a longer drift-free axis is
+factored as LDL^T (a step is one O(m) substitution).  Every sub-map is
+monotone, so the discrete comparison principle holds and the Dirac ladder
+k -> u_k inherits the monotonicity of the continuum problem.
 
 Long rescaled runs decay through hundreds of e-foldings; fields therefore
 carry a ``log_scale`` offset and are renormalized on the fly, with norms
@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from . import potential as potential_mod, spectral
 from .barriers import gaussian_cos_integral, heat_kernel, tunnel_subsolution
 from .errors import BudgetError, ConfigurationError, NumericalError
-from .grids import BALL, Field, stencil_slices
+from .grids import BALL, Field
 
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 DIVERGENCE_CEILING = 1e12
@@ -113,19 +113,23 @@ def drift_cfl(dt, velocity, spacing):
 
 
 class Stepper:
-    """IMEX stepper on one grid with per-axis propagators built once.
+    """IMEX stepper on one grid with per-axis operators built once.
 
     Each Dirichlet axis carries the backward-Euler matrix I - dt * D2, a
-    symmetric positive-definite tridiagonal M-matrix.  An axis with at most
-    ``DENSE_AXIS_MAX`` interior nodes steps by its inverse P (``P0 @ v @
-    P1`` in 2D; P is symmetric and entrywise >= 0, see ``_propagator``).  A
-    longer axis is factored once as L D L^T (LAPACK ``dpttrf``) and steps
-    by its two O(m) triangular sweeps (``dpttrs``), never a multithreaded
-    BLAS product that would oversubscribe parallel sweep workers; L's
-    off-diagonal -r/d_i < 0 and D > 0, so both sweeps only add nonnegative
-    terms and the solve stays monotone.  The drift is None or one velocity
-    (see :class:`PDESpec`); its shape and CFL number are checked here, and
-    each axis it moves along keeps its upwind coefficient dt * c / h.
+    symmetric positive-definite tridiagonal M-matrix with inverse P, and
+    the interior upwind map U of its CFL number r = dt * c / h, U = I where
+    c = 0, under the drift c, None or one velocity (see :class:`PDESpec`;
+    its shape and CFL number are checked here).  An axis with at most
+    ``DENSE_AXIS_MAX`` interior nodes, or one the drift moves along, steps
+    by the dense product P U (``PU0 @ v @ (PU1)^T`` in 2D; entrywise >= 0,
+    see ``_axis_operator``), so a drift is applied axis by axis, each
+    axis's upwind map just before its diffusion, and a long moving axis
+    costs O(m**2) a step.  A longer drift-free axis is factored once as
+    L D L^T (LAPACK ``dpttrf``) and steps by its two O(m) triangular sweeps
+    (``dpttrs``), never a multithreaded BLAS product that would
+    oversubscribe parallel sweep workers; L's off-diagonal -r/d_i < 0 and
+    D > 0, so both sweeps only add nonnegative terms and the solve stays
+    monotone.
     """
 
     def __init__(self, grid, spec):
@@ -133,27 +137,11 @@ class Stepper:
         self.spec = spec
         self.dt = grid.dt
         self.hs = grid.spacing
-        self._inv_hs = tuple(1.0 / h for h in self.hs)
         self._ball = grid.interior_mask().astype(float) \
             if grid.kind == BALL else None
         self._inner = (slice(1, -1),) * grid.ndim
         self._work = np.empty(grid.shape)
-        self._ab = [_banded(n - 2, self.dt / (h * h))
-                    for n, h in zip(grid.shape, self.hs)]
-        self._props = [_propagator(ab) if ab.shape[1] <= DENSE_AXIS_MAX
-                       else None for ab in self._ab]
-        # (d, e) of L D L^T; dpttrf cannot fail on these SPD matrices
-        self._factors = [dpttrf(ab[1], ab[2, :-1])[:2] if prop is None
-                         else None for ab, prop in zip(self._ab, self._props)]
-        # per axis: interior, backward and forward slices of the upwind
-        # difference, and a buffer for it
-        self._upwind_slices = [stencil_slices(grid.ndim, ax)
-                               for ax in range(grid.ndim)]
-        self._dbuf = [np.empty(grid.shape[:ax] + (n - 2,)
-                               + grid.shape[ax + 1:])
-                      for ax, n in enumerate(grid.shape)]
-        # (axis, dt * c / h) of each axis the drift moves along
-        self._moving = []
+        c = np.zeros(grid.ndim)
         if spec.drift is not None:
             if np.shape(spec.drift) != (grid.ndim,):
                 raise ConfigurationError(
@@ -161,8 +149,16 @@ class Stepper:
                     f"{grid.ndim}D grid: need one velocity, ({grid.ndim},)")
             c = np.asarray(spec.drift, dtype=float)
             drift_cfl(self.dt, c, self.hs)
-            self._moving = [(ax, self.dt * c[ax] * self._inv_hs[ax])
-                            for ax in range(grid.ndim) if c[ax] != 0.0]
+        self._ab = [_banded(n - 2, self.dt / (h * h))
+                    for n, h in zip(grid.shape, self.hs)]
+        # a short or moving axis steps by its dense operator, any other by
+        # the (d, e) of its L D L^T; dpttrf cannot fail on these SPD matrices
+        rs = self.dt * c / np.asarray(self.hs)
+        self._props = [_axis_operator(ab, r, ax)
+                       if ab.shape[1] <= DENSE_AXIS_MAX or r != 0.0 else None
+                       for ax, (ab, r) in enumerate(zip(self._ab, rs))]
+        self._factors = [dpttrf(ab[1], ab[2, :-1])[:2] if prop is None
+                         else None for ab, prop in zip(self._ab, self._props)]
         self.underflow_count = 0
         self.renorm_count = 0
         self.vmax = math.inf  # unknown until the first step
@@ -181,29 +177,17 @@ class Stepper:
         """
         values = self.absorb(values, t, log_scale)
 
-        # first-order upwind drift; with several moving axes every
-        # difference is taken from the pre-drift values
-        if self._moving:
-            work = self._work
-            if values is not work:
-                np.copyto(work, values)
-                values = work
-            diffs = [self._upwind(values, ax, coef)
-                     for ax, coef in self._moving]
-            for (ax, _), d in zip(self._moving, diffs):
-                values[self._upwind_slices[ax][0]] -= d
-
-        # implicit diffusion, axis by axis
+        # drift and implicit diffusion, axis by axis
         out = np.zeros(self.grid.shape)
         out[self._inner] = self._diffuse(values[self._inner])
         if self._ball is not None:
             out *= self._ball
 
-        # keep the working array inside double range on decaying runs;
-        # physical = values * exp(-log_scale), so dividing by vmax adds
-        # -log(vmax) to the offset
+        # keep the working array inside double range on decaying and on
+        # huge runs; physical = values * exp(-log_scale), so dividing by
+        # vmax adds -log(vmax) to the offset
         vmax = float(np.abs(out, out=self._work).max())
-        if 0.0 < vmax < _RENORM_FLOOR:
+        if 0.0 < vmax < _RENORM_FLOOR or 1.0 / _RENORM_FLOOR < vmax < math.inf:
             out /= vmax
             log_scale -= math.log(vmax)
             self.renorm_count += 1
@@ -231,8 +215,10 @@ class Stepper:
             h, n_under = a(t)
             self.underflow_count += n_under
             h, a = h.reshape(self.grid.shape), 1.0
-        scale_pow = math.exp(-(p - 1.0) * log_scale) if \
-            (p - 1.0) * log_scale < 700 else 0.0
+        # |physical / values|**(p-1): 0 or inf past e**700, either way
+        # mapped as ever or, once inf (log_scale < 0, guarded), through ln x
+        e = -(p - 1.0) * log_scale
+        scale_pow = math.exp(e) if abs(e) < 700 else 0.0 if e < 0 else math.inf
         coef = a * scale_pow * (p - 1.0) * dt
         guard = self.vmax > self._vmax_safe or log_scale < 0.0
         with np.errstate(over="ignore", invalid="ignore") if guard \
@@ -262,22 +248,11 @@ class Stepper:
             out[bad] = u * np.exp(np.logaddexp(0.0, log_x) / (1.0 - p))
         return out
 
-    def _upwind(self, values, ax, coef):
-        """coef times the one-sided difference against the flow on the
-        interior of axis ``ax`` (coef = dt * speed / h)."""
-        mid, back, fwd = self._upwind_slices[ax]
-        if coef > 0:
-            d = np.subtract(values[mid], values[back], out=self._dbuf[ax])
-        else:
-            d = np.subtract(values[fwd], values[mid], out=self._dbuf[ax])
-        d *= coef
-        return d
-
     def _diffuse(self, inner):
-        """Backward-Euler diffusion of the interior block, axis by axis."""
+        """Upwind drift and backward-Euler diffusion of the interior block,
+        axis by axis."""
         for ax, (prop, fac) in enumerate(zip(self._props, self._factors)):
-            if prop is not None:
-                # prop is symmetric, so it is its own transpose on axis 1
+            if prop is not None:  # stored transposed on axis 1
                 inner = prop @ inner if ax == 0 else inner @ prop
             elif ax == 0:
                 inner = dpttrs(*fac, inner)[0]
@@ -293,16 +268,26 @@ def _banded(m, r):
                      np.r_[off, 0.0]])
 
 
-def _propagator(ab):
-    """Inverse of the symmetric tridiagonal matrix ``ab`` (banded form).
+def _axis_operator(ab, r, ax):
+    """Dense step operator P U of axis ``ax``, transposed on axis 1, where
+    it acts from the right: P the inverse of the symmetric tridiagonal
+    ``ab`` (banded form), U the interior upwind map of the CFL number r.
 
     The elimination on this diagonally dominant M-matrix only adds
-    nonnegative terms, so every entry is >= 0 in floating point.  The two
-    triangles agree to rounding; averaging them makes the result exactly
-    symmetric.
+    nonnegative terms, so every entry of P is >= 0 in floating point.  Its
+    two triangles agree to rounding; averaging them makes P exactly
+    symmetric, so at r = 0 the operator is P itself on either axis.  U has
+    1 - |r| on the diagonal and |r| on the upwind neighbour, a Dirichlet
+    neighbour reading 0; the CFL check keeps both >= 0.
     """
-    inv = solve_banded((1, 1), ab, np.eye(ab.shape[1]))
-    return 0.5 * (inv + inv.T)
+    m = ab.shape[1]
+    inv = solve_banded((1, 1), ab, np.eye(m))
+    prop = 0.5 * (inv + inv.T)
+    if r == 0.0:
+        return prop
+    up = (1.0 - abs(r)) * np.eye(m) + abs(r) * np.eye(m, k=-1 if r > 0 else 1)
+    prop = prop @ up
+    return prop if ax == 0 else np.ascontiguousarray(prop.T)
 
 
 # ----------------------------------------------------------------------
@@ -679,7 +664,7 @@ def tunnel_run(p, grid, gamma=None):
         raise ConfigurationError("tunnel runs use a 2D (axis x cross) grid")
     absorption = 1.0
     if gamma is not None:
-        potential_mod.check_weight_gate(gamma, p, n_dim=2)
+        potential_mod.check_weight_gate(gamma, p)
         xperp = np.abs(grid.points()[:, 1])
 
         def absorption(t):

@@ -232,14 +232,13 @@ class TestVerifySupersolution:
     def test_subsolution_sign_flip(self):
         grid = Grid.interval(-1.0, 1.0, 65, dt=0.01)
         x = grid.axes[0]
-        # steady positive bump is a subsolution candidate for -lap + u**q only
-        # where -lap(u) + u**q <= 0 fails; sign=-1 counts the opposite side
+        # a steady positive bump is a supersolution of -lap + |u|**(q-1) u;
+        # its negative, a subsolution, has a negative residual
         u = 0.01 * np.cos(np.pi * x / 2.0)
         rep_sup = barriers.verify_supersolution(u, grid, None, 2.0,
                                                 absorption=1.0, tol=1e-12)
-        rep_sub = barriers.verify_supersolution(u, grid, None, 2.0,
-                                                absorption=1.0, tol=1e-12,
-                                                sign=-1)
+        rep_sub = barriers.verify_supersolution(-u, grid, None, 2.0,
+                                                absorption=1.0, tol=1e-12)
         assert rep_sup.violations == 0
         assert rep_sub.violations > 0
 

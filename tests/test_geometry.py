@@ -162,7 +162,7 @@ class TestCurveConstruction:
             fh.write("# tau t x_1\n")
             for s in np.linspace(0.0, 1.0, 33):
                 fh.write(f"{s} {s} {0.5 * s}\n")
-        c = Curve.from_table(path, kind="graph-over-t")
+        c = Curve.from_table(path)
         assert c.dim == 1
         assert geometry.parabolic_distance((0.25, 0.5), c) == \
             pytest.approx(0.0, abs=1e-3)

@@ -139,9 +139,9 @@ class TestSplit:
 
     def test_supercritical_gate(self):
         # N=2, p=3: requires gamma > 2
-        potential.check_weight_gate(2.5, 3.0, n_dim=2)
+        potential.check_weight_gate(2.5, 3.0)
         with pytest.raises(ConfigurationError):
-            potential.check_weight_gate(2.0, 3.0, n_dim=2)
+            potential.check_weight_gate(2.0, 3.0)
 
     def test_shifted_profile_matches_split(self):
         s = 0.37

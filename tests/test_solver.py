@@ -9,7 +9,7 @@ from scipy.linalg import solve_banded
 
 from heatlab import barriers, geometry, harness, solver, spectral
 from heatlab.errors import BudgetError, ConfigurationError
-from heatlab.grids import Field, Grid
+from heatlab.grids import Field, Grid, stencil_slices
 from heatlab.potential import DecayProfile, Potential, grid_levels
 
 
@@ -164,6 +164,43 @@ class TestStepImex:
         fld = solver.evolve(Field(g, vals, 0.0), spec, 50 * g.dt).final
         assert fld.values.min() >= -1e-12
 
+    def test_huge_field_renormalizes(self):
+        # a Dirac mass of 1e301 used to overflow squaring the field for its
+        # L2 norm; scaled down, the linear run is the unit-mass run shifted
+        # by ln 1e301 in log norms
+        g = box_grid()
+        runs = []
+        for k in (1.0, 1e301):
+            fld = solver.dirac_family(k, g, solver.datum_start(g))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(solver.evolve(fld, solver.PDESpec(p=2.0),
+                                          fld.time + 3 * g.dt,
+                                          ceiling=math.inf))
+        unit, huge = runs
+        assert huge.stop is None and huge.renormalizations == 1
+        assert huge.final.values.max() <= 1.0
+        for a, b in zip((unit.log_l2, unit.log_linf),
+                        (huge.log_l2, huge.log_linf)):
+            np.testing.assert_allclose(b - a, math.log(1e301), rtol=1e-13)
+
+    def test_absorption_below_a_negative_log_scale(self):
+        # physical = values * e**700: |physical / values|**(p-1) = e**1400
+        # is out of double range, where it used to raise; each entry takes
+        # the decay map of its physical value
+        p, dt = 3.0, 1e-3
+        g = box_grid(n=5, dt=dt)
+        stepper = solver.Stepper(g, solver.PDESpec(p=p, absorption=1.0))
+        vals = np.array([0.0, 1e-300, -1e-200, 0.5, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = stepper.absorb(vals, 0.0, -700.0)
+        phys = vals[:3] * math.exp(700.0)
+        expect = vals[:3] / np.sqrt(1.0 + (p - 1.0) * dt * phys ** 2)
+        np.testing.assert_allclose(out[:3], expect, rtol=1e-13, atol=0)
+        limit = math.exp(-700.0) / math.sqrt((p - 1.0) * dt)
+        np.testing.assert_allclose(out[3:], [limit, -limit], rtol=1e-13)
+
     @pytest.mark.parametrize("p", [1.0, 0.5])
     def test_exponent_at_most_one_rejected(self, p):
         # the absorption map used to return the field untouched, so such a
@@ -209,12 +246,12 @@ class TestDriftWidth:
             solver.Stepper(g, solver.PDESpec(p=2.0, drift=drift))
 
     def test_constant_velocity_accepted(self):
-        # a list or an array; each moving axis keeps dt * c / h, once
+        # a list or an array, folded into the same axis operators
         g = Grid.unit_ball(21, 1e-3, ndim=2)
-        for drift in ((0.1, 0.0), np.array([0.1, 0.0])):
-            st_ = solver.Stepper(g, solver.PDESpec(p=2.0, drift=drift))
-            assert st_._moving == [(0, 1e-3 * 0.1 * (1.0 / g.spacing[0]))]
-        assert solver.Stepper(g, solver.PDESpec(p=2.0))._moving == []
+        ops = [solver.Stepper(g, solver.PDESpec(p=2.0, drift=drift))._props
+               for drift in ((0.1, 0.0), np.array([0.1, 0.0]))]
+        for a, b in zip(*ops):
+            assert np.array_equal(a, b)
 
     def test_1d_curve_on_2d_ball_rejected(self):
         # the one-column drift of a 1D curve used to move the zoomed field
@@ -265,6 +302,58 @@ class TestPropagators:
             assert ls == 0.0
             np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0)
 
+
+    @staticmethod
+    def explicit_step(g, c, vals):
+        """One drift-and-diffusion step written out: upwind differences on
+        the full grid, all from the pre-drift values, then a banded solve
+        of I - dt * D2 along each axis, then the ball mask."""
+        moved = vals.copy()
+        for ax, h in enumerate(g.spacing):
+            r = g.dt * c[ax] / h
+            mid, back, fwd = stencil_slices(g.ndim, ax)
+            diff = vals[mid] - vals[back] if r > 0 else vals[fwd] - vals[mid]
+            moved[mid] -= r * diff
+        block = moved[(slice(1, -1),) * g.ndim]
+        for ax, (n, h) in enumerate(zip(g.shape, g.spacing)):
+            r, m = g.dt / (h * h), n - 2
+            ab = np.array([np.r_[0.0, np.full(m - 1, -r)],
+                           np.full(m, 1.0 + 2.0 * r),
+                           np.r_[np.full(m - 1, -r), 0.0]])
+            block = np.moveaxis(solve_banded(
+                (1, 1), ab, np.moveaxis(block, ax, 0)), 0, ax)
+        out = np.zeros(g.shape)
+        out[(slice(1, -1),) * g.ndim] = block
+        return out * g.interior_mask()
+
+    @pytest.mark.parametrize("g", [
+        Grid.unit_ball(41, 0.005, ndim=2),
+        Grid.unit_ball(solver.DENSE_AXIS_MAX + 5, 0.005, ndim=1)],
+        ids=["shipped-ball", "long-1d-ball"])
+    def test_drift_folds_into_axis_operators(self, rng, g):
+        # one step with the upwind map inside each moving axis's operator
+        # against the explicit step; a moving axis is dense at any length
+        vals = rng.uniform(0.1, 1.0, size=g.shape) * g.interior_mask()
+        for ax in range(g.ndim):
+            for speed in (0.1, -0.1):
+                c = np.zeros(g.ndim)
+                c[ax] = speed
+                st_ = solver.Stepper(g, solver.PDESpec(p=2.0, drift=c))
+                assert st_._props[ax] is not None
+                out, ls = st_.step(vals, 0.0, 0.0)
+                assert ls == 0.0
+                np.testing.assert_allclose(out, self.explicit_step(g, c, vals),
+                                           rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("g", [
+        Grid.unit_ball(41, 0.005, ndim=2),
+        Grid("box", (-1.0, -1.0), (1.0, 1.0), (23, 66), 2e-3)])
+    def test_drift_free_operator_is_the_inverse(self, g):
+        # bit for bit the averaged banded inverse, on either axis
+        st_ = solver.Stepper(g, solver.PDESpec(p=2.0))
+        for ab, prop in zip(st_._ab, st_._props):
+            inv = solve_banded((1, 1), ab, np.eye(ab.shape[1]))
+            assert np.array_equal(prop, 0.5 * (inv + inv.T))
 
     @pytest.mark.parametrize("n", [65, 66, 67, 199, 299])
     @pytest.mark.parametrize("dt", [2e-4, 2e-3])
