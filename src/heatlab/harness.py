@@ -243,8 +243,8 @@ class Scenario:
     def check_runs(self):
         """What the zoomed runs need, checked where runs are due, not by the
         constructor, which builds an analytic sweep's combos too: the step
-        budget, alpha within the curve's horizon, and the drift's CFL limit
-        at the largest eps."""
+        budget, alpha within the curve's horizon, and at the largest eps a
+        feedback lift within double range and the drift's CFL limit."""
         if self.kind != "rescaled":
             return
         dt, cfg = self.grid_cfg["dt"], self.curve_cfg
@@ -255,6 +255,12 @@ class Scenario:
         _require(self.alpha <= cfg["horizon"] + 1e-12, "scenario", "alpha",
                  self.alpha, "must not lie beyond the curve's horizon "
                  f"{cfg['horizon']:g}")
+        # the feedback lift exp(0.5 (p - 1) eps |velocity|) of solve_rescaled
+        lift = 0.5 * (self.p - 1.0) * max(self.eps_list) \
+            * float(np.linalg.norm(cfg["velocity"]))
+        _require(lift <= 700.0, "scenario", "p", self.p,
+                 f"the feedback lift exp({lift:.3g}) at the largest eps "
+                 "exceeds exp(700)")
         _built(lambda: solver.drift_cfl(
             dt, self.eps_list[0] * np.asarray(cfg["velocity"]),
             self.build_grid().spacing), "curve", {"velocity": cfg["velocity"]})
@@ -608,10 +614,9 @@ def _curve_probe(curve, grid, window, horizon):
                     for tau, x in hits if lo - 1e-12 <= tau <= hi + 1e-12),
                    default=0.0)
 
-    # the step times as solver.evolve counts them from solve_uk's datum
-    t0 = solver.datum_start(grid, aligned=False)
-    n_steps = int(round((horizon - t0) / grid.dt))
-    return t0 + np.arange(1, n_steps + 1) * grid.dt, probe
+    # the step times of solver.evolve from solve_uk's datum
+    return solver.step_times(solver.datum_start(grid, aligned=False),
+                             horizon, grid.dt), probe
 
 
 def _run_ladder(scenario):

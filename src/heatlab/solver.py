@@ -14,13 +14,14 @@ monotone, so the discrete comparison principle holds and the Dirac ladder
 k -> u_k inherits the monotonicity of the continuum problem.
 
 Long rescaled runs decay through hundreds of e-foldings; fields therefore
-carry a ``log_scale`` offset and are renormalized on the fly, with norms
-reported in logs.  Most of such a run is a linear tail: once the field is
-small enough that the absorption map changes no bit, a step is one fixed
-linear map, and after the field settles on its top eigenvector
-:func:`evolve` advances ``log_scale`` by the map's Rayleigh quotient in
-place of stepping.  Whatever a run measures, the ladder's curve probes
-included, one observer takes from the field at the steps it names.
+carry a ``log_scale`` offset and are renormalized on the fly.  Most of such
+a run is a linear tail: once the field is small enough that the absorption
+map changes no bit, a step is one fixed linear map, and after the field
+settles on its top eigenvector :func:`evolve` advances ``log_scale`` by the
+map's Rayleigh quotient in place of stepping.  A run keeps no norm series:
+whatever it measures, the ladder's curve probes included, one observer
+takes from the field at the steps it names, on the grid of
+:func:`step_times`.
 """
 
 import contextlib
@@ -43,7 +44,7 @@ _RENORM_FLOOR = 1e-120
 _NOOP_LOG = -60.0 * math.log(2.0)
 # one-step residual, relative to max|u|, below which a run fast-forwards
 _LINEAR_RTOL = 1e-13
-_LOG_ZERO = -1e30  # stand-in for log(0) in norm series
+_LOG_ZERO = -1e30  # stand-in for log(0) in a zoomed run's log values
 
 
 @dataclass
@@ -68,22 +69,20 @@ class PDESpec:
 
 @dataclass
 class RunResult:
-    """Norm series, observations and bookkeeping of one evolution run.
+    """Step times, observations and bookkeeping of one evolution run.
 
-    Norm series are stored as logs of the physical values (long runs
-    underflow doubles), NaN after a non-finite step.  ``observed`` holds
-    what the observer returned at each of its times.  ``stop`` names what
-    froze the run early, if anything (``non-finite`` or
-    ``divergence-ceiling``); ``tail_mass`` is the final share of the mass
-    on the nodes next to the box faces.  ``linear_from`` is the time from
-    which the run was fast-forwarded as one linear map, None if it stepped
-    to the end.  See :func:`evolve`.
+    ``times`` holds the time of every step, fast-forwarded ones included,
+    through the one that stopped the run, if any: a prefix of
+    :func:`step_times`.  ``observed`` holds what the observer returned at
+    each of its times.  ``stop`` names what froze the run early, if
+    anything (``non-finite`` or ``divergence-ceiling``); ``tail_mass`` is
+    the final share of the mass on the nodes next to the box faces.
+    ``linear_from`` is the time from which the run was fast-forwarded as
+    one linear map, None if it stepped to the end.  See :func:`evolve`.
     """
 
     final: Field
     times: np.ndarray
-    log_l2: np.ndarray
-    log_linf: np.ndarray
     stop: str | None = None
     renormalizations: int = 0
     underflows: int = 0
@@ -320,17 +319,19 @@ def dirac_family(k, grid, t_start):
 # ----------------------------------------------------------------------
 # evolution drivers
 # ----------------------------------------------------------------------
-def _log_norms(values, log_scale, half_log_vol, vmax):
-    if vmax == 0.0:
-        return _LOG_ZERO, _LOG_ZERO
-    flat = values.ravel()
-    l2 = math.sqrt(flat @ flat)
-    return (math.log(l2) + half_log_vol - log_scale,
-            math.log(vmax) - log_scale)
+def step_times(t0, t_end, dt):
+    """The step grid t0 + k dt, k = 1 .. round((t_end - t0) / dt), of a run
+    from t0 to t_end; raises if t_end lies before t0 by more than dt/2."""
+    n_steps = int(round((t_end - t0) / dt))
+    if n_steps < 0:
+        raise ConfigurationError(
+            f"t_end = {t_end:.6g} lies before the field's time {t0:.6g}")
+    return t0 + np.arange(1, n_steps + 1) * dt
 
 
 def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
-    """Drive a field to t_end recording norms, observations and run counters.
+    """Drive a field to t_end recording step times, observations and run
+    counters.
 
     The one stepping loop, behind :func:`solve_uk`, :func:`solve_rescaled`
     and :func:`tunnel_run`, on one :class:`Stepper` whose operator, drift
@@ -351,23 +352,18 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
     quotient mu to within ``_LINEAR_RTOL`` (0 < mu < 1), the run stops
     stepping at that step, ``linear_from``: the values stay as they are,
     and each remaining step only lowers the physical field by mu, through
-    ``log_scale``.  ``times`` and the norm series keep one entry per step,
-    and each later observer time gets the frozen values with the
-    ``log_scale`` of the step it matches.
+    ``log_scale``.  ``times`` keeps one entry per step, and each later
+    observer time gets the frozen values with the ``log_scale`` of the step
+    it matches.
     """
     grid = fld.grid
     stepper = Stepper(grid, spec)
     values = fld.values.copy()
     log_scale = fld.log_scale
     t = fld.time
-    n_steps = int(round((t_end - t) / grid.dt))
-    if n_steps < 0:
-        raise ConfigurationError(
-            f"t_end = {t_end:.6g} lies before the field's time {t:.6g}")
-    times, log_l2, log_linf = np.full((3, n_steps), np.nan)
+    times = step_times(t, t_end, grid.dt)
     observed, stop = [], None
     obs_times, obs_fn = observe or ((), None)
-    half_log_vol = 0.5 * math.log(grid.cell_volume)
     log_ceiling = math.log(ceiling)
     # below this log ||u||_inf the decay map of Stepper.absorb is a bitwise
     # no-op, x = a (p-1) dt ||u||_inf**(p-1) < 2**-60; a run with no
@@ -384,24 +380,21 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
         linf_noop = (_NOOP_LOG - math.log(a * pm1 * grid.dt)) / pm1
     noop_at = ln_mu = None
 
-    for istep in range(n_steps):
+    for istep in range(times.size):
         values, log_scale = stepper.step(values, t, log_scale)
-        t = fld.time + (istep + 1) * grid.dt
-        times[istep] = t
+        t = float(times[istep])
         if not math.isfinite(stepper.vmax):
             stop = "non-finite"
-            n_steps = istep + 1
             break
-        log_l2[istep], log_linf[istep] = _log_norms(values, log_scale,
-                                                    half_log_vol, stepper.vmax)
+        log_linf = math.log(stepper.vmax) - log_scale if stepper.vmax > 0 \
+            else -math.inf
         while len(observed) < len(obs_times) and \
                 t >= obs_times[len(observed)] - grid.dt / 2.0:
             observed.append(obs_fn(t, values, log_scale))
-        if log_linf[istep] > log_ceiling:
+        if log_linf > log_ceiling:
             stop = "divergence-ceiling"
-            n_steps = istep + 1
             break
-        if log_linf[istep] < linf_noop:  # so the next step is linear
+        if log_linf < linf_noop:  # so the next step is linear
             if noop_at == istep - 1:
                 ln_mu = _linear_rate(before, values, before_scale - log_scale,
                                      stepper.vmax)
@@ -410,23 +403,12 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
             noop_at, before, before_scale = istep, values, log_scale
 
     linear_from = None
-    if ln_mu is not None:
-        # every later step multiplies the field by mu: the values stay,
-        # log_scale rises by -ln mu a step, and the series are filled in
-        # place, times last, from the count of steps past the switch
-        linear_from, first = t, istep + 1
-        past = times[first:]
-        past.fill(1.0)
-        np.cumsum(past, out=past)
-        for series, top in zip((log_l2, log_linf), _log_norms(
-                values, 0.0, half_log_vol, stepper.vmax)):
-            rest = series[first:]
-            np.multiply(past, -ln_mu, out=rest)
-            rest += log_scale
-            np.subtract(top, rest, out=rest)
-        past += first
-        past *= grid.dt
-        past += fld.time  # fld.time + (istep + 1) * dt, as stepped
+    if stop is not None:
+        times = times[:istep + 1]
+    elif ln_mu is not None:
+        # every later step multiplies the field by mu: the values stay and
+        # log_scale rises by -ln mu a step
+        linear_from, past = t, times[istep + 1:]
         for obs_t in obs_times[len(observed):]:
             j = int(np.searchsorted(past, obs_t - grid.dt / 2.0))
             if j == past.size:
@@ -434,11 +416,10 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
             observed.append(obs_fn(float(past[j]), values,
                                    log_scale - (j + 1) * ln_mu))
         log_scale -= past.size * ln_mu
-        t = fld.time + n_steps * grid.dt
+        t = float(times[-1])
 
     return RunResult(final=Field(grid, values, t, log_scale),
-                     times=times[:n_steps], log_l2=log_l2[:n_steps],
-                     log_linf=log_linf[:n_steps], stop=stop,
+                     times=times, stop=stop,
                      renormalizations=stepper.renorm_count,
                      underflows=stepper.underflow_count,
                      tail_mass=_tail_fraction(values, grid),
@@ -684,7 +665,8 @@ def tunnel_run(p, grid, gamma=None):
         """min of w(., t) - c W(., t - a), c fixed at the first time."""
         nonlocal c_val
         w = vals * math.exp(-s)
-        W = tunnel_subsolution(xi1, xi_perp, t - _A_SHIFT, lam, pair)
+        W = tunnel_subsolution(xi1, xi_perp, t - _A_SHIFT, lam,
+                               pair.interpolate)
         if c_val is None:
             sel = W >= 1e-10 * W.max()
             c_val = min(float(np.min(w[sel] / W[sel])) * _C_SAFETY, 1.0)

@@ -40,9 +40,6 @@ class EigenPair:
     lam: float
     iterations: int = field(compare=False, default=0)
 
-    def __call__(self, points):
-        return self.interpolate(points)
-
     def interpolate(self, points):
         """Evaluate by interpolation; radial profiles take |x| of points of
         shape (..., n_dim)."""

@@ -112,17 +112,26 @@ def test_criterion_05_decay_envelopes():
     l2_start = float(np.linalg.norm(data) * math.sqrt(grid.cell_volume))
     beta = 0.8
     spec = solver.PDESpec(p=2.0, absorption=None, drift=np.array([beta]))
-    res = solver.evolve(Field(grid, data, 0.0), spec, 2.0)
+    half_log_vol = 0.5 * math.log(grid.cell_volume)
+
+    def log_norms(t, v, s):
+        """(t, log L2, log L-infinity) of the physical field v * exp(-s)."""
+        return (t, math.log(math.sqrt(v @ v)) + half_log_vol - s,
+                math.log(float(np.max(np.abs(v)))) - s)
+
+    res = solver.evolve(Field(grid, data, 0.0), spec, 2.0,
+                        observe=(solver.step_times(0.0, 2.0, dt), log_norms))
+    assert len(res.observed) == res.times.size
     slack = 1.0 + 5.0 * h * h
     lam0 = INTERVAL_LAMBDA
     worst = -np.inf
-    for t, ll2 in zip(res.times, res.log_l2):
+    for t, ll2, _ in res.observed:
         bound = math.log(l2_start * slack) - lam0 * t
         worst = max(worst, ll2 - bound)
     assert worst <= 0.0
 
     c_linf = 3.0
-    for t, lli in zip(res.times, res.log_linf):
+    for t, _, lli in res.observed:
         _, linf_bound = spectral.decay_envelope(l2_start, lam0, t, 1,
                                                 c_linf=c_linf)
         assert lli <= math.log(linf_bound)

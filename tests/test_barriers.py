@@ -175,7 +175,8 @@ class TestTunnelSubsolution:
         pair = spectral.dirichlet_ground_state("interval", 39)
         phi = np.concatenate([[0.0], pair.values, [0.0]])
         for tau in (0.05, 0.3, 0.9):
-            w = barriers.tunnel_subsolution(xi1, xi_perp, tau, pair.lam, pair)
+            w = barriers.tunnel_subsolution(xi1, xi_perp, tau, pair.lam,
+                                             pair.interpolate)
             expect = np.exp(-(pair.lam + 1.0) * tau) * np.outer(
                 barriers.gaussian_cos_integral(xi1, tau), phi)
             assert np.array_equal(w, expect)

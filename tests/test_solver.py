@@ -166,23 +166,31 @@ class TestStepImex:
 
     def test_huge_field_renormalizes(self):
         # a Dirac mass of 1e301 used to overflow squaring the field for its
-        # L2 norm; scaled down, the linear run is the unit-mass run shifted
-        # by ln 1e301 in log norms
+        # L2 norm; scaled down at its first step, the linear run is the
+        # unit-mass run shifted by ln 1e301 in log norms at every step
         g = box_grid()
+        t0 = solver.datum_start(g)
+        t_end = t0 + 3 * g.dt
+
+        def log_norms(t, v, s):
+            return math.log(math.sqrt(v @ v)) - s, \
+                math.log(float(np.max(np.abs(v)))) - s
+
         runs = []
         for k in (1.0, 1e301):
-            fld = solver.dirac_family(k, g, solver.datum_start(g))
+            fld = solver.dirac_family(k, g, t0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                runs.append(solver.evolve(fld, solver.PDESpec(p=2.0),
-                                          fld.time + 3 * g.dt,
-                                          ceiling=math.inf))
+                runs.append(solver.evolve(
+                    fld, solver.PDESpec(p=2.0), t_end, ceiling=math.inf,
+                    observe=(solver.step_times(t0, t_end, g.dt), log_norms)))
         unit, huge = runs
         assert huge.stop is None and huge.renormalizations == 1
         assert huge.final.values.max() <= 1.0
-        for a, b in zip((unit.log_l2, unit.log_linf),
-                        (huge.log_l2, huge.log_linf)):
-            np.testing.assert_allclose(b - a, math.log(1e301), rtol=1e-13)
+        assert len(unit.observed) == len(huge.observed) == 3
+        np.testing.assert_allclose(
+            np.subtract(huge.observed, unit.observed), math.log(1e301),
+            rtol=1e-13)
 
     def test_absorption_below_a_negative_log_scale(self):
         # physical = values * e**700: |physical / values|**(p-1) = e**1400
@@ -215,9 +223,7 @@ class TestStepImex:
         res = solver.evolve(Field(g, vals, 0.0), solver.PDESpec(p=2.0),
                             10 * g.dt)
         assert res.stop == "non-finite"
-        assert res.times.size == res.log_linf.size == 1
-        # the step froze before its norms: they are NaN, not leftover memory
-        assert np.isnan(res.log_l2[-1]) and np.isnan(res.log_linf[-1])
+        assert res.times.tolist() == [g.dt]
 
 
 
@@ -582,8 +588,7 @@ class TestSolveUk:
                               observe=(steps, lambda t, v, s: t))
         # an observer at the time of every step is called once a step
         assert run.observed == steps.tolist()
-        assert run.times.size == len(run.observed) == run.log_l2.size \
-            == run.log_linf.size
+        assert np.array_equal(run.times, steps)
 
     def test_end_before_the_datum_start_rejected(self):
         # the datum starts at 4h**2 = 0.16 > 0.1; np.empty used to fail
@@ -764,7 +769,7 @@ class TestTunnel:
 
         def W(t):
             return barriers.tunnel_subsolution(*g.axes, t - res.a, pair.lam,
-                                               pair)
+                                               pair.interpolate)
 
         t0, v0, s0 = kept[0]
         sel = W(t0) >= 1e-10 * W(t0).max()
@@ -838,22 +843,20 @@ def stepped(fld, spec, t_end, observe=None):
     grid = fld.grid
     stepper = solver.Stepper(grid, spec)
     values, s, t = fld.values.copy(), fld.log_scale, fld.time
-    half_log_vol = 0.5 * math.log(grid.cell_volume)
     obs_times, fn = observe or ((), None)
-    times, log_l2, log_linf, observed = [], [], [], []
+    times, observed = [], []
     for i in range(int(round((t_end - t) / grid.dt))):
         values, s = stepper.step(values, t, s)
         t = fld.time + (i + 1) * grid.dt
-        l2, linf = solver._log_norms(values, s, half_log_vol, stepper.vmax)
         times.append(t)
-        log_l2.append(l2)
-        log_linf.append(linf)
         while len(observed) < len(obs_times) and \
                 t >= obs_times[len(observed)] - grid.dt / 2.0:
             observed.append(fn(t, values, s))
     return solver.RunResult(final=Field(grid, values, t, s),
-                            times=np.array(times), log_l2=np.array(log_l2),
-                            log_linf=np.array(log_linf), observed=observed)
+                            times=np.array(times), observed=observed,
+                            renormalizations=stepper.renorm_count,
+                            underflows=stepper.underflow_count,
+                            tail_mass=solver._tail_fraction(values, grid))
 
 
 def with_oracle(monkeypatch, call):
@@ -873,10 +876,12 @@ def with_oracle(monkeypatch, call):
 
 
 def assert_same_run(run, oracle):
-    """Bitwise the same run: series, final field and observations."""
+    """Bitwise the same run: step times, counters, final field and
+    observations."""
     assert run.linear_from is None
-    for name in ("times", "log_l2", "log_linf"):
-        assert np.array_equal(getattr(run, name), getattr(oracle, name))
+    assert np.array_equal(run.times, oracle.times)
+    for name in ("stop", "renormalizations", "underflows", "tail_mass"):
+        assert getattr(run, name) == getattr(oracle, name), name
     assert np.array_equal(run.final.values, oracle.final.values)
     assert (run.final.time, run.final.log_scale) \
         == (oracle.final.time, oracle.final.log_scale)
@@ -919,9 +924,6 @@ class TestLinearTail:
         log_center = [math.log(r.final.values[center]) - r.final.log_scale
                       for r in (run, oracle)]
         assert log_center[0] == pytest.approx(log_center[1], rel=1e-11)
-        for name in ("log_l2", "log_linf"):
-            np.testing.assert_allclose(getattr(run, name),
-                                       getattr(oracle, name), rtol=1e-11)
 
     def test_level_function_run_steps_to_the_end(self, monkeypatch):
         # constant h = 1 through a level function: the same run with the
@@ -976,3 +978,29 @@ class TestLinearTail:
         for (_, linf), (_, linf_o) in zip(run.observed, oracle.observed):
             assert linf == pytest.approx(linf_o, rel=1e-12, abs=0)
         assert run.final.time == oracle.final.time
+
+    def test_times_are_the_step_grid(self):
+        # one entry per step, stepped, fast-forwarded, or through the step
+        # that stops the run: the step count a run's times give
+        dt = self.grid.dt
+        steps = solver.step_times(0.0, 6.0, dt)
+        fast = solver.evolve(self.fld, solver.PDESpec(p=2.0, absorption=1.0),
+                             6.0)
+        slow = solver.evolve(self.fld,
+                             solver.PDESpec(p=2.0, absorption=-1.0), 6.0)
+        assert fast.linear_from is not None and slow.linear_from is None
+        for run in (fast, slow):
+            assert run.stop is None and np.array_equal(run.times, steps)
+        # a source (absorption -1) lifts a field of 2 over the ceiling
+        g = box_grid(n=61, dt=dt)
+        vals = np.full(g.shape, 2.0)
+        vals[[0, -1]] = 0.0
+        stopped = solver.evolve(Field(g, vals, 0.013),
+                                solver.PDESpec(p=2.0, absorption=-1.0), 1.0,
+                                ceiling=10.0)
+        steps = solver.step_times(0.013, 1.0, dt)
+        assert stopped.stop == "divergence-ceiling"
+        assert 0 < stopped.times.size < steps.size
+        assert np.array_equal(stopped.times, steps[:stopped.times.size])
+        # the arithmetic of a step at a time: t0 + k dt
+        assert steps.tolist() == [0.013 + k * dt for k in range(1, 100)]
