@@ -170,16 +170,33 @@ def parabolic_distance_grid(points, t, curve):
     curve's sample time spacing: at an on-curve point at time t_j + delta
     between two samples, the refined distance is about 0 while the sample
     infimum is at least sqrt(delta).
+
+    The infimum of |x - x_j| + s_j, s_j = sqrt(t - t_j), is a 1D L1
+    distance transform, taken in O((M + J) log J) by its lower envelope:
+    with the samples sorted by x_j, the best sample at or left of x
+    minimizes s_j - x_j over a prefix, the best at or right of it s_j + x_j
+    over a suffix, and each node evaluates these two candidates by
+    |x - x_j| + s_j.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
     mask = curve.t <= t + 1e-15
-    if not np.any(mask):
-        return np.full(pts.shape[0], np.inf)
-    # |x - y| directly: sqrt(d * d) == |d| in binary floating point
-    d = pts - curve.x[mask, 0]
-    np.abs(d, out=d)
-    d += np.sqrt(np.maximum(t - curve.t[mask], 0.0))
-    return d.min(axis=1)
+    if not mask.any():
+        return np.full(x.shape[0], np.inf)
+    xs = curve.x[:, 0][mask]
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
+    s = np.sqrt(np.maximum(t - curve.t[mask][order], 0.0))
+    # lo: where the running min of s - x from the left is attained, hi:
+    # that of s + x from the right.  A node's best sample at or left of it
+    # is the last of lo there, its best right of it the first of hi there
+    v, w = s - xs, (s + xs)[::-1]
+    lo = np.flatnonzero(v == np.minimum.accumulate(v))
+    hi = xs.size - 1 - np.flatnonzero(w == np.minimum.accumulate(w))[::-1]
+    a = lo[np.maximum(np.searchsorted(xs[lo], x, side="right") - 1, 0)]
+    b = hi[np.minimum(np.searchsorted(xs[hi], x, side="right"), hi.size - 1)]
+    # |x - y| directly, as the pointwise norm sqrt(d * d) gives it unless
+    # d * d underflows
+    return np.minimum(np.abs(x - xs[a]) + s[a], np.abs(x - xs[b]) + s[b])
 
 
 def classify_segments(curve):

@@ -119,7 +119,8 @@ class Field:
     """Grid function at one time level.
 
     Physical values are ``values * exp(-log_scale)``; the log offset lets
-    long linear-decay runs stay inside double range.
+    long linear-decay runs stay inside double range.  On a 1D grid the
+    values may also be a batch of fields, shape (m, K), one per column.
     """
 
     grid: Grid
@@ -129,6 +130,7 @@ class Field:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
+        shape = self.values.shape
+        if shape[:self.grid.ndim] != self.grid.shape or len(shape) > 2:
             raise ConfigurationError(
-                f"field shape {self.values.shape} != grid shape {self.grid.shape}")
+                f"field shape {shape} != grid shape {self.grid.shape}")

@@ -11,7 +11,6 @@ the defaults of ``_KIND_KEYS`` only back missing keys.
 """
 
 import configparser
-import functools
 import hashlib
 import itertools
 import json
@@ -512,16 +511,18 @@ def _diverging(values, rules):
 
 # Measured verdict seconds per node-step, by scenario kind: the medians
 # of ``solver.s_per_node_step.*`` over three runs of
-# ``python3 perfbench/run.py --workload W --seed 1 --seconds 25 --trace 1``
-# for W in zoom, ladder and tunnel-sweep (rescaled 9.5e-10, ladder 3.85e-7,
-# tunnel 2.21e-8 on a shared 2-vCPU Intel Xeon host, Python 3.11.7,
-# numpy 2.4.6, scipy 1.17.1).  A zoomed run steps only until it reaches
-# its linear tail and fast-forwards the rest (see ``solver.evolve``), so a
-# rescaled node-step counts every step of the run but costs a fraction of
-# one.  Ladder runs cost more per node: a time level of their 1D grid is a
-# few hundred nodes, so per-step call overhead and the evaluation of h (a
-# distance to every curve sample so far) dominate.
-_SECONDS_PER_NODE_STEP = {"rescaled": 9.5e-10, "ladder": 3.9e-7,
+# ``python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 1``
+# on a shared 2-vCPU Intel Xeon host, Python 3.11.7, numpy 2.4.6, scipy
+# 1.17.1: rescaled 9.5e-10 (W = zoom, S = 1), tunnel 2.21e-8
+# (tunnel-sweep, S = 1) and ladder 9.04e-8 (ladder, S = 1, 2, 3).  A
+# zoomed run steps only until it reaches its linear tail and
+# fast-forwards the rest (see ``solver.evolve``), so a rescaled node-step
+# counts every step of the run but costs a fraction of one.  Ladder runs
+# cost more per node: a time level of their 1D grid is a few hundred
+# nodes per rung, and the rungs, stepped as one batch, share one
+# evaluation of h a step (a lower envelope over the curve samples so
+# far), one absorption map and one solve, so per-call overhead dominates.
+_SECONDS_PER_NODE_STEP = {"rescaled": 9.5e-10, "ladder": 9.0e-8,
                           "tunnel": 2.2e-8}
 
 
@@ -579,28 +580,28 @@ def ladder_runs(scenario, curve, window):
     """The runs u_k of the scenario's Dirac ladder, one per k, in order,
     each observed by :func:`_curve_probe` on the curve and ``window``.
 
-    The rungs step through the same time levels of the same h, so they
-    share one cache of :func:`potential.grid_levels`, keyed by the exact
-    float t and freed on return; each run equals an independent
-    :func:`solver.solve_uk`, underflow count and divergence stop included.
+    The rungs step through the same time levels of the same h as the
+    columns of one :func:`solver.solve_uk` batch, so each level is
+    evaluated once for all of them; each run equals the run of its rung
+    alone, underflow count and divergence stop included.
     """
     grid = scenario.build_grid()
-    levels = functools.cache(potential_mod.grid_levels(
-        scenario.build_potential(curve), grid))
-    observe = _curve_probe(curve, grid, window, scenario.horizon)
-    return [solver.solve_uk(k, levels, scenario.p, scenario.horizon, grid,
-                            ceiling=scenario.rules["divergence_ceiling"],
-                            observe=observe)
-            for k in scenario.k_ladder]
+    return solver.solve_uk(
+        scenario.k_ladder,
+        potential_mod.grid_levels(scenario.build_potential(curve), grid),
+        scenario.p, scenario.horizon, grid,
+        ceiling=scenario.rules["divergence_ceiling"],
+        observe=_curve_probe(curve, grid, window, scenario.horizon))
 
 
 def _curve_probe(curve, grid, window, horizon):
-    """The observer (times, fn) of a ladder rung that :func:`solver.solve_uk`
-    runs to ``horizon``: at each step t, fn gives the largest value of the
-    solution on the curve whose tau lies in ``window`` (1e-12 slack; every
-    tau without one), or 0 without any.  A graph curve is probed at
-    x(min(t, horizon)) with tau = t, a parametric one at each sample whose
-    t lies within dt/2 of the step, by linear interpolation on the grid."""
+    """The batch observer (times, fn) of the ladder that
+    :func:`solver.solve_uk` runs to ``horizon``: at each step t, fn gives
+    for each column the largest value of its solution on the curve whose
+    tau lies in ``window`` (1e-12 slack; every tau without one), or 0
+    without any.  A graph curve is probed at x(min(t, horizon)) with tau =
+    t, a parametric one at each sample whose t lies within dt/2 of the
+    step, by linear interpolation on the grid."""
     lo, hi = window or (-math.inf, math.inf)
     axis, half = grid.axes[0], grid.dt / 2.0
 
@@ -610,13 +611,29 @@ def _curve_probe(curve, grid, window, horizon):
         else:
             hits = [(curve.tau[j], curve.x[j, 0])
                     for j in np.flatnonzero(np.abs(curve.t - t) <= half)]
-        return max((float(np.interp(x, axis, values)) * math.exp(-log_scale)
-                    for tau, x in hits if lo - 1e-12 <= tau <= hi + 1e-12),
-                   default=0.0)
+        scale = np.array([math.exp(-s) for s in log_scale.tolist()])
+        found = [_interp_columns(x, axis, values) * scale
+                 for tau, x in hits if lo - 1e-12 <= tau <= hi + 1e-12]
+        return (np.max(found, axis=0) if found
+                else np.zeros(values.shape[1])).tolist()
 
     # the step times of solver.evolve from solve_uk's datum
     return solver.step_times(solver.datum_start(grid, aligned=False),
                              horizon, grid.dt), probe
+
+
+def _interp_columns(x, axis, values):
+    """``np.interp(x, axis, values[:, j])`` for every column j at once, by
+    the same arithmetic, so bitwise the same: the value at a node or past
+    either end, else slope * (x - axis[j]) + values[j] on the cell
+    axis[j] <= x < axis[j + 1]."""
+    j = int(np.searchsorted(axis, x, side="right")) - 1
+    if j < 0:
+        return values[0]
+    if j == axis.size - 1 or axis[j] == x:
+        return values[j]
+    slope = (values[j + 1] - values[j]) / (axis[j + 1] - axis[j])
+    return slope * (x - axis[j]) + values[j]
 
 
 def _run_ladder(scenario):

@@ -106,19 +106,14 @@ class Potential:
 
 def grid_levels(pot, grid):
     """The level function t -> :meth:`Potential.evaluate_grid` over every
-    node of ``grid``, its values read-only: h never depends on the datum,
-    so the rungs of a Dirac ladder can share one cache of it."""
+    node of ``grid``.  h never depends on the datum, so a Dirac ladder,
+    which steps as one batch (see :func:`solver.solve_uk`), evaluates each
+    level once for all its rungs."""
     if pot.distance == PARABOLIC and not pot.curve.dim == grid.ndim == 1:
         raise ConfigurationError("curve and grid dimensions disagree or "
                                  "exceed 1")
     points = grid.points()
-
-    def levels(t):
-        vals, n_underflow = pot.evaluate_grid(points, t)
-        vals.flags.writeable = False
-        return vals, n_underflow
-
-    return levels
+    return lambda t: pot.evaluate_grid(points, t)
 
 
 def check_weight_gate(gamma, p):

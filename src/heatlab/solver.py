@@ -22,6 +22,11 @@ map's Rayleigh quotient in place of stepping.  A run keeps no norm series:
 whatever it measures, the ladder's curve probes included, one observer
 takes from the field at the steps it names, on the grid of
 :func:`step_times`.
+
+On a 1D grid a field may hold a batch, one column per run: the rungs of a
+Dirac ladder step through the same levels of h, so one step evaluates h
+once and solves every column in one LAPACK call, and each column takes
+exactly the operations it would take alone.
 """
 
 import contextlib
@@ -65,6 +70,16 @@ class PDESpec:
     def __post_init__(self):
         if not self.p > 1:
             raise ConfigurationError(f"exponent p = {self.p} must be > 1")
+
+
+@dataclass
+class BatchResult:
+    """A batch run of :func:`evolve`: ``times`` holds the time of every
+    step the batch took, through the one where its last column stopped,
+    and ``runs`` one :class:`RunResult` per column, in order."""
+
+    times: np.ndarray
+    runs: list
 
 
 @dataclass
@@ -129,17 +144,31 @@ class Stepper:
     oversubscribe parallel sweep workers; L's off-diagonal -r/d_i < 0 and
     D > 0, so both sweeps only add nonnegative terms and the solve stays
     monotone.
+
+    With ``columns`` = K the stepper steps a batch of K fields on a 1D grid
+    without drift: values (m, K), one ``log_scale``, ``vmax`` and
+    ``renorm_count`` per column, one ``underflow_count`` for all.  Its axis
+    always steps by ``dpttrs``, which solves each column by the same
+    sweeps as alone; a dense product over K columns (BLAS gemm) could
+    round a column otherwise than one over a single column (gemv).
     """
 
-    def __init__(self, grid, spec):
+    def __init__(self, grid, spec, columns=None):
         self.grid = grid
         self.spec = spec
         self.dt = grid.dt
         self.hs = grid.spacing
-        self._ball = grid.interior_mask().astype(float) \
+        self.columns = columns
+        if columns is not None and (grid.ndim != 1 or spec.drift is not None):
+            raise ConfigurationError("a batch of fields steps on a 1D grid "
+                                     "without drift")
+        # shape of a node array that broadcasts over the batch's columns
+        self._nodes = grid.shape + ((1,) if columns is not None else ())
+        self._ball = grid.interior_mask().astype(float).reshape(self._nodes) \
             if grid.kind == BALL else None
         self._inner = (slice(1, -1),) * grid.ndim
-        self._work = np.empty(grid.shape)
+        # a batch, whose width falls as columns stop, takes fresh arrays
+        self._work = np.empty(grid.shape) if columns is None else None
         c = np.zeros(grid.ndim)
         if spec.drift is not None:
             if np.shape(spec.drift) != (grid.ndim,):
@@ -153,14 +182,15 @@ class Stepper:
         # a short or moving axis steps by its dense operator, any other by
         # the (d, e) of its L D L^T; dpttrf cannot fail on these SPD matrices
         rs = self.dt * c / np.asarray(self.hs)
-        self._props = [_axis_operator(ab, r, ax)
-                       if ab.shape[1] <= DENSE_AXIS_MAX or r != 0.0 else None
-                       for ax, (ab, r) in enumerate(zip(self._ab, rs))]
+        self._props = [_axis_operator(ab, r, ax) if columns is None and (
+            ab.shape[1] <= DENSE_AXIS_MAX or r != 0.0) else None
+            for ax, (ab, r) in enumerate(zip(self._ab, rs))]
         self._factors = [dpttrf(ab[1], ab[2, :-1])[:2] if prop is None
                          else None for ab, prop in zip(self._ab, self._props)]
         self.underflow_count = 0
-        self.renorm_count = 0
-        self.vmax = math.inf  # unknown until the first step
+        self.renorm_count = 0 if columns is None else np.zeros(columns, int)
+        # max|u| is unknown until the first step
+        self.vmax = math.inf if columns is None else np.full(columns, math.inf)
         # absorb guards against overflow from the max|u| at which max|u|**(p-1)
         # * max(|a| (p-1) dt, 1) = e**600, e**109 below the double limit
         a = 1.0 if callable(spec.absorption) else abs(spec.absorption or 0.0)
@@ -170,14 +200,15 @@ class Stepper:
     def step(self, values, t, log_scale):
         """Advance one time level from t; returns (values, log_scale).
 
-        ``values`` is left unchanged and the returned array is new.  After
-        the call ``vmax`` holds max |values| of the result, which is NaN or
-        inf exactly when the result has a non-finite entry.
+        ``values`` (and a batch's ``log_scale``) is left unchanged and the
+        returned array is new.  After the call ``vmax`` holds max |values|
+        of the result, per column in a batch, which is NaN or inf exactly
+        when the result (column) has a non-finite entry.
         """
         values = self.absorb(values, t, log_scale)
 
         # drift and implicit diffusion, axis by axis
-        out = np.zeros(self.grid.shape)
+        out = np.zeros(values.shape)
         out[self._inner] = self._diffuse(values[self._inner])
         if self._ball is not None:
             out *= self._ball
@@ -185,18 +216,34 @@ class Stepper:
         # keep the working array inside double range on decaying and on
         # huge runs; physical = values * exp(-log_scale), so dividing by
         # vmax adds -log(vmax) to the offset
-        vmax = float(np.abs(out, out=self._work).max())
-        if 0.0 < vmax < _RENORM_FLOOR or 1.0 / _RENORM_FLOOR < vmax < math.inf:
-            out /= vmax
-            log_scale -= math.log(vmax)
-            self.renorm_count += 1
-            vmax = 1.0
+        if self.columns is None:
+            vmax = float(np.abs(out, out=self._work).max())
+            if 0.0 < vmax < _RENORM_FLOOR or 1.0 / _RENORM_FLOOR < vmax < math.inf:
+                out /= vmax
+                log_scale -= math.log(vmax)
+                self.renorm_count += 1
+                vmax = 1.0
+        else:
+            vmax = np.abs(out, out=self._work).max(axis=0)
+            log_scale = log_scale.copy()
+            for j, v in enumerate(vmax.tolist()):
+                if 0.0 < v < _RENORM_FLOOR or \
+                        1.0 / _RENORM_FLOOR < v < math.inf:
+                    out[:, j] /= v
+                    log_scale[j] -= math.log(v)
+                    self.renorm_count[j] += 1
+                    vmax[j] = 1.0
         self.vmax = vmax
         return out, log_scale
 
+    def keep(self, cols):
+        """Keep only the batch columns flagged in ``cols``, in order."""
+        self.vmax = self.vmax[cols]
+        self.renorm_count = self.renorm_count[cols]
+
     def absorb(self, values, t, log_scale):
         """Exact decay map of u' = -a u**p over one step, coefficient frozen
-        at t: ``values`` itself without absorption, else the work array.
+        at t: ``values`` itself without absorption, else a work array.
 
         u * (1 + x)**(-1/(p-1)) with x = (p-1) dt a |u|**(p-1) is evaluated
         as exp(-log1p(x)/(p-1)), which tends to u * exp(-a dt) as p -> 1
@@ -204,7 +251,8 @@ class Stepper:
         If x can overflow (large |u| at large p), which ``vmax``, max|u|
         after the last step, tells, the entries whose x does are mapped
         through ln x, toward the finite limit sign(u) ((p-1) dt a)**(-1/(p-1))
-        (NaN under a source, a < 0), and the rest as ever.
+        (NaN under a source, a < 0), and the rest as ever.  A batch maps
+        each column with its own ``log_scale``.
         """
         p, dt, a = self.spec.p, self.dt, self.spec.absorption
         if a is None:
@@ -213,13 +261,21 @@ class Stepper:
         if callable(a):  # a level function, h at t and its underflows
             h, n_under = a(t)
             self.underflow_count += n_under
-            h, a = h.reshape(self.grid.shape), 1.0
+            h, a = h.reshape(self._nodes), 1.0
         # |physical / values|**(p-1): 0 or inf past e**700, either way
         # mapped as ever or, once inf (log_scale < 0, guarded), through ln x
         e = -(p - 1.0) * log_scale
-        scale_pow = math.exp(e) if abs(e) < 700 else 0.0 if e < 0 else math.inf
+        if self.columns is None:
+            scale_pow = math.exp(e) if abs(e) < 700 else \
+                0.0 if e < 0 else math.inf
+            guard = self.vmax > self._vmax_safe or log_scale < 0.0
+        else:  # each column's power as a single field's, by math.exp
+            scale_pow = np.array([math.exp(x) if abs(x) < 700 else
+                                  0.0 if x < 0 else math.inf
+                                  for x in e.tolist()])
+            guard = bool((self.vmax > self._vmax_safe).any()
+                         or (log_scale < 0.0).any())
         coef = a * scale_pow * (p - 1.0) * dt
-        guard = self.vmax > self._vmax_safe or log_scale < 0.0
         with np.errstate(over="ignore", invalid="ignore") if guard \
                 else contextlib.nullcontext():
             rate = np.abs(values, out=self._work)
@@ -240,10 +296,10 @@ class Stepper:
         if bad is not None and bad.any():
             u = values[bad]
             with np.errstate(divide="ignore", invalid="ignore"):  # ln 0, ln a
-                log_x = (p - 1.0) * (np.log(np.abs(u)) - log_scale) \
-                    + np.log(a * (p - 1.0) * dt)
+                log_x = (p - 1.0) * (np.log(np.abs(u)) - np.broadcast_to(
+                    log_scale, values.shape)[bad]) + np.log(a * (p - 1.0) * dt)
                 if h is not None:
-                    log_x += np.log(h[bad])
+                    log_x += np.log(np.broadcast_to(h, values.shape)[bad])
             out[bad] = u * np.exp(np.logaddexp(0.0, log_x) / (1.0 - p))
         return out
 
@@ -355,13 +411,19 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
     ``log_scale``.  ``times`` keeps one entry per step, and each later
     observer time gets the frozen values with the ``log_scale`` of the step
     it matches.
+
+    A batch field, values (m, K) on a 1D grid, steps its K columns as one
+    run each (see :func:`_evolve_batch`) and returns a
+    :class:`BatchResult`.
     """
     grid = fld.grid
+    times = step_times(fld.time, t_end, grid.dt)
+    if fld.values.ndim > grid.ndim:
+        return _evolve_batch(fld, spec, times, ceiling, observe)
     stepper = Stepper(grid, spec)
     values = fld.values.copy()
     log_scale = fld.log_scale
     t = fld.time
-    times = step_times(t, t_end, grid.dt)
     observed, stop = [], None
     obs_times, obs_fn = observe or ((), None)
     log_ceiling = math.log(ceiling)
@@ -427,6 +489,64 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
                      linear_from=linear_from)
 
 
+def _evolve_batch(fld, spec, times, ceiling, observe):
+    """:func:`evolve` on the columns of a batch field, each with its own
+    ``log_scale``, renormalization count and stop, and all on one h level
+    and one ``dpttrs`` call a step.  Its observer fn(t, values, log_scale)
+    gets the columns still running, values (m, K') and log_scale (K',), and
+    returns one observation per column.  A column that stops leaves the
+    batch; its run ends as a run of that column alone would.  A batch
+    never fast-forwards: each column would switch at its own step.
+    """
+    grid, t = fld.grid, fld.time
+    n_cols = fld.values.shape[1]
+    stepper = Stepper(grid, spec, columns=n_cols)
+    values = fld.values.copy()
+    log_scale = np.full(n_cols, fld.log_scale, dtype=float)
+    live = np.arange(n_cols)  # the batch column of each running column
+    runs, observed = [None] * n_cols, [[] for _ in range(n_cols)]
+    obs_times, obs_fn = observe or ((), None)
+    log_ceiling = math.log(ceiling)
+
+    def leave(gone, stop, n_steps):
+        """End the running columns flagged in ``gone`` after n_steps."""
+        nonlocal values, log_scale, live
+        for j in np.flatnonzero(gone):
+            col = values[:, j].copy()
+            runs[live[j]] = RunResult(
+                final=Field(grid, col, t, float(log_scale[j])),
+                times=times[:n_steps], stop=stop,
+                renormalizations=int(stepper.renorm_count[j]),
+                underflows=stepper.underflow_count,
+                tail_mass=_tail_fraction(col, grid),
+                observed=observed[live[j]])
+        keep = ~gone
+        values, log_scale, live = values[:, keep], log_scale[keep], live[keep]
+        stepper.keep(keep)
+
+    n_obs = istep = 0
+    for istep in range(times.size):
+        values, log_scale = stepper.step(values, t, log_scale)
+        t = float(times[istep])
+        finite = np.isfinite(stepper.vmax)
+        if not finite.all():
+            leave(~finite, "non-finite", istep + 1)
+        while live.size and n_obs < len(obs_times) and \
+                t >= obs_times[n_obs] - grid.dt / 2.0:
+            for j, obs in zip(live, obs_fn(t, values, log_scale)):
+                observed[j].append(obs)
+            n_obs += 1
+        over = np.array([v > 0 and math.log(v) - s > log_ceiling
+                         for v, s in zip(stepper.vmax.tolist(),
+                                         log_scale.tolist())], dtype=bool)
+        if over.any():
+            leave(over, "divergence-ceiling", istep + 1)
+        if not live.size:
+            break
+    leave(np.ones(live.size, dtype=bool), None, times.size)
+    return BatchResult(times=times[:istep + 1], runs=runs)
+
+
 def _linear_rate(u, v, shift, vmax):
     """ln mu of the step u -> v, physical values exp(shift) apart, when
     v = m u to ``_LINEAR_RTOL`` * max|v| with m = <v, u>/<u, u> in working
@@ -461,20 +581,24 @@ def _tail_fraction(values, grid):
     return (total - inner) / total
 
 
-def solve_uk(k, levels, p, horizon, grid, t_start=None,
+def solve_uk(masses, levels, p, horizon, grid, t_start=None,
              ceiling=DIVERGENCE_CEILING, observe=None):
-    """Evolve the Dirac-datum solution u_k to ``horizon``.
+    """Evolve the Dirac-datum solutions u_k, k in ``masses``, to
+    ``horizon`` as the columns of one batch; returns one
+    :class:`RunResult` per mass, in order.
 
-    Numerical blow-up is recorded (run frozen, ``stop`` set) when the
-    field's L-infinity norm exceeds the divergence ceiling.  ``levels`` is
+    Numerical blow-up is recorded (run frozen, ``stop`` set) when a
+    column's L-infinity norm exceeds the divergence ceiling.  ``levels`` is
     h's level function on ``grid``, see :func:`potential.grid_levels`;
-    ``observe`` is :func:`evolve`'s.
+    ``observe`` is a batch observer of :func:`evolve`, one observation per
+    running column.
     """
     if t_start is None:
         t_start = datum_start(grid, aligned=False)
-    fld = dirac_family(k, grid, t_start)
+    fld = Field(grid, np.column_stack([dirac_family(k, grid, t_start).values
+                                       for k in masses]), t_start)
     spec = PDESpec(p=p, drift=None, absorption=levels)
-    return evolve(fld, spec, horizon, ceiling=ceiling, observe=observe)
+    return evolve(fld, spec, horizon, ceiling=ceiling, observe=observe).runs
 
 
 @dataclass
@@ -646,11 +770,7 @@ def tunnel_run(p, grid, gamma=None):
     absorption = 1.0
     if gamma is not None:
         potential_mod.check_weight_gate(gamma, p)
-        xperp = np.abs(grid.points()[:, 1])
-
-        def absorption(t):
-            return np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma, 0
-
+        absorption = _tunnel_weight(grid, gamma)
     check_tunnel_axis(grid.hi[0])
     spec = PDESpec(p=p, drift=None, absorption=absorption)
     fld = dirac_family(max(DEFAULT_LADDER), grid, datum_start(grid))
@@ -679,6 +799,19 @@ def tunnel_run(p, grid, gamma=None):
     return TunnelResult(a=_A_SHIFT, c=c_val,
                         conformance_min=min(result.observed),
                         lam=lam, gamma=gamma)
+
+
+def _tunnel_weight(grid, gamma):
+    """The level function t -> ((max(sqrt(t), |xi'|))**gamma at every node
+    of ``grid``, 0) of the weighted tunnel.  |xi'|**gamma is taken once:
+    for gamma >= 0 the power is nondecreasing, so the max of the powers is
+    the power of the max."""
+    xpow = np.abs(grid.points()[:, 1]) ** gamma
+
+    def levels(t):
+        return np.maximum(np.power(math.sqrt(max(t, 0.0)), gamma), xpow), 0
+
+    return levels
 
 
 def tunnel_floors(result, eps, p, profile):

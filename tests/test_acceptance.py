@@ -154,11 +154,12 @@ def test_criterion_06_monotonicity_and_comparison():
     levels = grid_levels(Potential(None, "constant-floor", floor=1.0), grid)
     t0 = 0.01
     times = np.array([0.05, 0.1, 0.2])
-    snaps = {}
-    for k in (1e2, 1e4, 1e6):
-        run = solver.solve_uk(k, levels, 2.0, 0.25, grid, t_start=t0,
-                              observe=(times, lambda t, v, s: (t, v.copy(), s)))
-        snaps[k] = run.observed
+    ks = (1e2, 1e4, 1e6)
+    runs = solver.solve_uk(ks, levels, 2.0, 0.25, grid, t_start=t0,
+                           observe=(times, lambda t, v, s: [
+                               (t, v[:, j].copy(), s[j])
+                               for j in range(s.size)]))
+    snaps = {k: run.observed for k, run in zip(ks, runs)}
     for a, b in ((1e2, 1e4), (1e4, 1e6)):
         for (ta, va, sa), (tb, vb, sb) in zip(snaps[a], snaps[b]):
             assert np.all(va * math.exp(-sa) <= vb * math.exp(-sb) + 1e-8)

@@ -1,9 +1,62 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from heatlab import geometry
+from heatlab import geometry, harness, solver
 from heatlab.errors import ConfigurationError
 from heatlab.geometry import Curve
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+EPS = np.finfo(float).eps
+
+
+def brute_distance(points, t, curve):
+    """The sample infimum by brute force over every node and sample: the
+    grid distance as it was before its lower envelope."""
+    mask = curve.t <= t + 1e-15
+    if not np.any(mask):
+        return np.full(points.shape[0], np.inf)
+    d = np.abs(points - curve.x[mask, 0])
+    d += np.sqrt(np.maximum(t - curve.t[mask], 0.0))
+    return d.min(axis=1)
+
+
+# coordinates on a 1/16 grid, so that x repeats, or any in range; every
+# nonzero one far above the underflow of the pointwise norm's d * d
+_COORD = st.one_of(st.integers(-40, 40).map(lambda i: i / 16.0),
+                   st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-100))
+_TIME = st.one_of(st.integers(0, 30).map(lambda i: i / 32.0),
+                  st.floats(0.0, 1.0))
+
+
+@st.composite
+def envelope_cases(draw):
+    """A parametric curve with repeated x and non-monotone t, nodes inside
+    and outside its x-range in no order, and a time: a sample's, one
+    before every sample but the origin, or any."""
+    samples = {(0.0, 0.0): (0.0, 0.0)}
+    for _ in range(draw(st.integers(0, 12))):
+        t, x = draw(_TIME), draw(_COORD)
+        samples.setdefault((round(t, 12), round(x, 12)), (t, x))
+    t, x = np.array(list(samples.values())).T
+    curve = Curve("general-parametric", np.arange(t.size, dtype=float), t,
+                  x[:, None], horizon=float(max(t.size - 1, 1)))
+    nodes = np.array(draw(st.lists(
+        st.floats(-8.0, 8.0).filter(lambda v: v == 0 or abs(v) > 1e-100),
+        min_size=1, max_size=20)))
+    later = t[t > 0]
+    when = draw(st.sampled_from(["sample", "early", "any"]))
+    if when == "sample":
+        tq = draw(st.sampled_from(t.tolist()))
+    elif when == "early" and later.size:
+        tq = draw(st.floats(0.0, float(later.min()), exclude_max=True))
+    else:
+        tq = draw(st.floats(0.0, 1.5))
+    # the grid distance lets in samples up to 1e-15 late, the pointwise not
+    assume(not np.any((t > tq) & (t <= tq + 1e-15)))
+    return curve, nodes, tq
 
 
 class TestParabolicDistance:
@@ -66,6 +119,43 @@ class TestParabolicDistance:
             dp = geometry.parabolic_distance((p, t), straight_curve,
                                              refine=False)
             assert dg == pytest.approx(dp, rel=1e-12)
+
+
+class TestLowerEnvelope:
+    """The grid distance is the sample infimum |x - x_j| + sqrt(t - t_j)
+    over t_j <= t, taken by its lower envelope."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(envelope_cases())
+    def test_matches_the_pointwise_sample_infimum(self, case):
+        # each node's two candidates are picked by s_j -/+ x_j, which may
+        # round apart from |x - x_j| + s_j in a near tie: allow a few ulps
+        # of the coordinates (no such case has been seen; the values agree
+        # bitwise)
+        curve, nodes, t = case
+        got = geometry.parabolic_distance_grid(nodes[:, None], t, curve)
+        want = [geometry.parabolic_distance((x, t), curve, refine=False)
+                for x in nodes]
+        scale = np.abs(nodes) + np.max(np.abs(curve.x)) + np.sqrt(t)
+        assert np.all(np.abs(got - want) <= 4 * EPS * scale)
+
+    def test_shipped_ladders_match_the_brute_infimum(self):
+        # bitwise at every node of every level each shipped ladder evaluates
+        for name in ("box-reentry", "control-straight", "downslope-arc",
+                     "remark-localmax"):
+            sc = harness.load_scenario(SCENARIOS / f"{name}.ini")
+            curve, grid = sc.build_curve(), sc.build_grid()
+            t0 = solver.datum_start(grid, aligned=False)
+            for t in (t0, *solver.step_times(t0, sc.horizon, grid.dt)):
+                assert np.array_equal(
+                    geometry.parabolic_distance_grid(grid.points(), t, curve),
+                    brute_distance(grid.points(), t, curve))
+
+    def test_before_the_curve(self, straight_curve):
+        # no sample at or before t: infinitely far, as pointwise
+        d = geometry.parabolic_distance_grid(np.array([[0.0], [1.0]]), -0.1,
+                                             straight_curve)
+        assert np.all(d == np.inf)
 
 
 def labels(seg):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -790,16 +791,16 @@ class TestLadderScenario:
 
 
 def independent_rungs(scenario):
-    """The ladder's rungs as separate solve_uk runs, each with its own
-    uncached level function and curve probe (nothing shared)."""
+    """The ladder's rungs as one-rung solve_uk runs, each with its own
+    level function and curve probe (nothing shared)."""
     curve = scenario.build_curve()
     grid = scenario.build_grid()
     pot = scenario.build_potential(curve)
-    return [solver.solve_uk(k, potential.grid_levels(pot, grid),
+    return [solver.solve_uk((k,), potential.grid_levels(pot, grid),
                             scenario.p, scenario.horizon, grid,
                             ceiling=scenario.rules["divergence_ceiling"],
                             observe=harness._curve_probe(curve, grid, None,
-                                                         scenario.horizon))
+                                                         scenario.horizon))[0]
             for k in scenario.k_ladder]
 
 
@@ -814,6 +815,9 @@ def assert_same_run(a, b):
 
 
 class TestSharedLadderLevels:
+    """The rungs of a ladder step as the columns of one batch; each column
+    is bitwise the run of its rung alone."""
+
     # inverse-square profile: h underflows near the curve, so every rung
     # carries an h-underflow count
     STEEP = {"family": "inverse-square", "amplitude": 1.0,
@@ -862,25 +866,33 @@ class TestSharedLadderLevels:
             assert_same_run(a, b)
         assert len(calls) == shared[0].times.size
 
-    def test_levels_are_read_only_and_exact_in_t(self, monkeypatch):
-        # every rung of ladder_runs gets the same cache, keyed by the exact
-        # float t: a repeated t is the same read-only level, a nearby t a
-        # separate evaluation
+    def test_columns_renormalize_at_their_own_steps(self):
+        # control-straight's profile: h underflows to 0 at the datum's
+        # peak, so a mass of 1e301 is scaled down at its first step, a unit
+        # mass never; neither warns, and each column is its rung's run alone
+        sc = tiny_ladder_scenario(k_ladder=(1.0, 1e301), potential_cfg={
+            "family": "inverse-square", "amplitude": 50.0,
+            "distance": "parabolic"})
+        sc.rules = dict(sc.rules, divergence_ceiling=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = independent_rungs(sc)
+            shared = harness.ladder_runs(sc, sc.build_curve(), None)
+        assert shared[0].renormalizations == 0 < shared[1].renormalizations
+        assert shared[0].final.log_scale != shared[1].final.log_scale
+        for a, b in zip(shared, ref):
+            assert a.stop is None
+            assert_same_run(a, b)
+
+    def test_one_evaluation_per_level(self, monkeypatch):
+        # each level of h is evaluated once for the whole ladder, in step
+        # order, at the time each step starts from
+        sc = tiny_ladder_scenario(k_ladder=(1e1, 1e3, 1e5, 1e6))
         calls = self.count_evaluations(monkeypatch)
-        near, seen = math.nextafter(0.1, 1.0), []
-        orig = solver.solve_uk
-
-        def probe(k, levels, *args, **kwargs):
-            seen.append(levels(0.1)[0])
-            levels(near)
-            return orig(k, levels, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_uk", probe)
-        sc = tiny_ladder_scenario()
-        harness.ladder_runs(sc, sc.build_curve(), None)
-        assert len(seen) == 2 and seen[0] is seen[1]
-        assert not seen[0].flags.writeable
-        assert calls.count(0.1) == calls.count(near) == 1
+        runs = harness.ladder_runs(sc, sc.build_curve(), None)
+        t0 = solver.datum_start(sc.build_grid(), aligned=False)
+        assert calls == [t0, *runs[0].times[:-1]]
+        assert all(np.array_equal(run.times, runs[0].times) for run in runs)
 
 
 @st.composite
@@ -908,9 +920,10 @@ class TestWindowMax:
     grid = Grid.interval(-1.0, 1.0, 21, 0.01)
 
     def observed(self, window, *probes):
+        # a batch of one field: the probe gives one value per column
         curve = geometry.Curve.straight(0.5, 1.0, n=65)
         _, probe = harness._curve_probe(curve, self.grid, window, 1.0)
-        return [probe(t, np.full(self.grid.shape, v), 0.0)
+        return [probe(t, np.full(self.grid.shape + (1,), v), np.zeros(1))[0]
                 for t, v in probes]
 
     def test_without_window_the_largest_probe(self):
@@ -921,7 +934,25 @@ class TestWindowMax:
         arc = geometry.Curve.parametric(lambda s: 0.8 * s,
                                         lambda s: s * (1.0 - s), 1.0, n=65)
         _, probe = harness._curve_probe(arc, self.grid, None, 1.0)
-        assert probe(0.3, np.full(self.grid.shape, 9.0), 0.0) == 0.0
+        assert probe(0.3, np.full(self.grid.shape + (2,), 9.0),
+                     np.zeros(2)) == [0.0, 0.0]
+
+    def test_each_column_with_its_log_scale(self):
+        # columns of values 2 and 3 with offsets 0 and ln 2: 2 and 1.5
+        curve = geometry.Curve.straight(0.5, 1.0, n=65)
+        _, probe = harness._curve_probe(curve, self.grid, None, 1.0)
+        values = np.tile([2.0, 3.0], (self.grid.shape[0], 1))
+        assert probe(0.3, values, np.array([0.0, math.log(2.0)])) \
+            == [2.0, 3.0 * math.exp(-math.log(2.0))]
+
+    def test_columns_interpolate_as_numpy(self, rng):
+        # nodes, cells, both ends and beyond them: bitwise np.interp's
+        axis = self.grid.axes[0]
+        values = rng.uniform(0.0, 1e3, size=(axis.size, 3))
+        for x in (-1.5, -1.0, -0.95, axis[7], 0.123456789, 0.999, 1.0, 2.0):
+            assert np.array_equal(
+                harness._interp_columns(x, axis, values),
+                [np.interp(x, axis, values[:, j]) for j in range(3)])
 
     def test_window_counts_only_its_taus(self):
         # a tau within 1e-12 past either end counts, one further out not

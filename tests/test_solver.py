@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from heatlab.grids import Field, Grid, stencil_slices
 from heatlab.potential import DecayProfile, Potential, grid_levels
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
 def box_grid(n=301, dt=2e-3, lo=-3.0, hi=3.0):
     return Grid.interval(lo, hi, n, dt)
 
@@ -20,6 +24,12 @@ def box_grid(n=301, dt=2e-3, lo=-3.0, hi=3.0):
 def copies(t, values, log_scale):
     """An observer that keeps the whole field at each of its times."""
     return t, values.copy(), log_scale
+
+
+def column_copies(t, values, log_scale):
+    """A batch observer that keeps each column's field at each of its
+    times."""
+    return [copies(t, values[:, j], s) for j, s in enumerate(log_scale)]
 
 
 def keep_copies(monkeypatch, kept):
@@ -483,12 +493,12 @@ class TestSolveUk:
     def test_k_monotone_comparison(self):
         levels = grid_levels(Potential(DecayProfile("log", 2.0), "parabolic",
                                        curve=self.curve), self.grid)
-        snaps = {}
         times = np.array([0.1, 0.2])
-        for k in (1e2, 1e4, 1e6):
-            run = solver.solve_uk(k, levels, 2.0, 0.25, self.grid,
-                                  observe=(times, copies))
-            snaps[k] = [v * math.exp(-s) for (_, v, s) in run.observed]
+        ks = (1e2, 1e4, 1e6)
+        runs = solver.solve_uk(ks, levels, 2.0, 0.25, self.grid,
+                               observe=(times, column_copies))
+        snaps = {k: [v * math.exp(-s) for (_, v, s) in run.observed]
+                 for k, run in zip(ks, runs)}
         for a, b in ((1e2, 1e4), (1e4, 1e6)):
             for va, vb in zip(snaps[a], snaps[b]):
                 assert np.all(va <= vb + 1e-8)
@@ -499,8 +509,8 @@ class TestSolveUk:
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
         k = 0.5
-        run = solver.solve_uk(k, levels, 2.0, 0.1, self.grid,
-                              t_start=0.01)
+        run, = solver.solve_uk((k,), levels, 2.0, 0.1, self.grid,
+                               t_start=0.01)
         lin_fld = solver.dirac_family(k, self.grid, 0.01)
         lin = solver.evolve(lin_fld, solver.PDESpec(p=2.0, absorption=None),
                             0.1)
@@ -517,8 +527,8 @@ class TestSolveUk:
                              self.grid)
         t0 = 0.01
         times = np.array([0.05, 0.1, 0.2])
-        run = solver.solve_uk(1e6, levels, q, 0.25, self.grid,
-                              t_start=t0, observe=(times, copies))
+        run, = solver.solve_uk((1e6,), levels, q, 0.25, self.grid,
+                               t_start=t0, observe=(times, column_copies))
         x = self.grid.axes[0]
         r = 2.9
         inside = np.abs(x) < r * 0.999
@@ -548,8 +558,8 @@ class TestSolveUk:
         levels = grid_levels(Potential(DecayProfile("inverse-square", 50.0),
                                        "parabolic", curve=self.curve),
                              self.grid)
-        run = solver.solve_uk(1e6, levels, 2.0, 0.25, self.grid,
-                              ceiling=1e3)
+        run, = solver.solve_uk((1e6,), levels, 2.0, 0.25, self.grid,
+                               ceiling=1e3)
         assert run.stop == "divergence-ceiling"
         assert run.times.size < int(round(0.25 / self.grid.dt))
 
@@ -582,10 +592,11 @@ class TestSolveUk:
     def test_probe_series_lengths_match(self):
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
-        steps = solver.solve_uk(1.0, levels, 2.0, 0.1, self.grid,
-                                t_start=0.01).times
-        run = solver.solve_uk(1.0, levels, 2.0, 0.1, self.grid, t_start=0.01,
-                              observe=(steps, lambda t, v, s: t))
+        steps = solver.solve_uk((1.0,), levels, 2.0, 0.1, self.grid,
+                                t_start=0.01)[0].times
+        run, = solver.solve_uk((1.0,), levels, 2.0, 0.1, self.grid,
+                               t_start=0.01,
+                               observe=(steps, lambda t, v, s: [t]))
         # an observer at the time of every step is called once a step
         assert run.observed == steps.tolist()
         assert np.array_equal(run.times, steps)
@@ -598,17 +609,19 @@ class TestSolveUk:
         with pytest.raises(ConfigurationError,
                            match=r"t_end = 0\.1 lies before the field's "
                                  r"time 0\.16"):
-            solver.solve_uk(1.0, levels, 2.0, 0.1, g)
+            solver.solve_uk((1.0,), levels, 2.0, 0.1, g)
 
     def probed(self, curve):
         """u_1000 run to t = 0.3 and observed by the ladder's curve probe
-        (see harness.ladder_runs): per step (t, probe, field, log_scale)."""
+        (see harness.ladder_runs): per step (t, probe, the batch of this one
+        field, its log_scale)."""
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
         steps, probe = harness._curve_probe(curve, self.grid, None, 0.3)
-        run = solver.solve_uk(
-            1e3, levels, 2.0, 0.3, self.grid,
-            observe=(steps, lambda t, v, s: (t, probe(t, v, s), v.copy(), s)))
+        run, = solver.solve_uk(
+            (1e3,), levels, 2.0, 0.3, self.grid,
+            observe=(steps, lambda t, v, s: [(t, probe(t, v, s)[0], v.copy(),
+                                              s.copy())]))
         assert [t for t, *_ in run.observed] == run.times.tolist()
         return run
 
@@ -620,15 +633,15 @@ class TestSolveUk:
         for t, v, vals, s in run.observed:
             x = self.curve.position_at_time(min(t, 0.25))[0]
             assert v > 0
-            assert v == float(np.interp(x, self.grid.axes[0], vals)) \
-                * math.exp(-s)
+            assert v == float(np.interp(x, self.grid.axes[0], vals[:, 0])) \
+                * math.exp(-s[0])
         # tau = t: a window keeps only the steps inside it
         _, probe = harness._curve_probe(self.curve, self.grid, (0.1, 0.2),
                                         0.3)
         inside = [0.1 <= t <= 0.2 for t, *_ in run.observed]
         assert 0 < sum(inside) < len(inside)
         for keep, (t, v, vals, s) in zip(inside, run.observed):
-            assert probe(t, vals, s) == (v if keep else 0.0)
+            assert probe(t, vals, s) == [v if keep else 0.0]
 
     def test_parametric_curve_probed_at_its_samples(self):
         # each sample whose t lies within dt/2 of a step, with its own tau;
@@ -643,15 +656,74 @@ class TestSolveUk:
         assert 0 < probed.size < arc.tau.size
         assert 0 not in probed and arc.tau.size - 1 not in probed
         for t, v, vals, s in run.observed:
-            values = [float(np.interp(arc.x[j, 0], self.grid.axes[0], vals))
-                      * math.exp(-s) for j in hits[t]]
+            values = [float(np.interp(arc.x[j, 0], self.grid.axes[0],
+                                      vals[:, 0])) * math.exp(-s[0])
+                      for j in hits[t]]
             assert v == max(values, default=0.0)
             for j, vj in zip(hits[t], values):
                 # a window holding only this sample's tau keeps its value
                 tau = arc.tau[j]
                 _, probe = harness._curve_probe(arc, self.grid, (tau, tau),
                                                 0.3)
-                assert probe(t, vals, s) == vj
+                assert probe(t, vals, s) == [vj]
+
+
+class TestBatch:
+    def test_batch_needs_a_1d_grid_without_drift(self):
+        tunnel = Grid.tunnel(10.0, 21, 11, 1e-3)
+        with pytest.raises(ConfigurationError, match="batch"):
+            solver.Stepper(box_grid(), solver.PDESpec(
+                p=2.0, drift=np.array([0.1])), columns=2)
+        with pytest.raises(ConfigurationError, match="batch"):
+            solver.Stepper(tunnel, solver.PDESpec(p=2.0), columns=2)
+        with pytest.raises(ConfigurationError, match="field shape"):
+            Field(tunnel, np.zeros((21, 11, 2)), 0.0)
+        assert Field(box_grid(), np.zeros((301, 2)), 0.0).values.shape \
+            == (301, 2)
+
+    def test_columns_step_as_alone(self):
+        # a short axis, which a single field steps by its dense inverse:
+        # in a batch every column takes the LDL^T sweeps of a batch of one
+        g = box_grid(n=41, dt=1e-2)
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0), g)
+        obs = (np.array([0.2, 0.5]), column_copies)
+        batch = solver.solve_uk((1e-3, 1.0, 1e3), levels, 2.5, 0.6, g,
+                                observe=obs)
+        for k, run in zip((1e-3, 1.0, 1e3), batch):
+            alone, = solver.solve_uk((k,), levels, 2.5, 0.6, g, observe=obs)
+            assert np.array_equal(run.final.values, alone.final.values)
+            assert run.final.log_scale == alone.final.log_scale
+            for (t, v, s), (t_a, v_a, s_a) in zip(run.observed,
+                                                  alone.observed):
+                assert (t, s) == (t_a, s_a) and np.array_equal(v, v_a)
+
+
+    def test_a_non_finite_column_stops_alone(self):
+        # a source, absorption -1 at p = 3: u' = u**3 blows up by t =
+        # 1/(2 u(0)**2), where the decay map's 1 + x turns negative; the
+        # column of 2 turns non-finite, the one of 0.1 steps to the end
+        g = box_grid(n=61, dt=1e-2)
+        vals = np.zeros(g.shape + (2,))
+        vals[1:-1] = [0.1, 2.0]
+        spec = solver.PDESpec(p=3.0, absorption=-1.0)
+        obs = (np.arange(0.05, 1.0, 0.05), column_copies)
+        with np.errstate(all="ignore"):
+            batch = solver.evolve(Field(g, vals, 0.0), spec, 1.0,
+                                  ceiling=math.inf, observe=obs)
+            alone = [solver.evolve(Field(g, vals[:, [j]], 0.0), spec, 1.0,
+                                   ceiling=math.inf, observe=obs).runs[0]
+                     for j in range(2)]
+        assert [run.stop for run in batch.runs] == [None, "non-finite"]
+        assert batch.times.size == 100 > batch.runs[1].times.size
+        for run, ref in zip(batch.runs, alone):
+            assert np.array_equal(run.times, ref.times)
+            assert run.stop == ref.stop
+            assert np.array_equal(run.final.values, ref.final.values,
+                                  equal_nan=True)
+            assert len(run.observed) == len(ref.observed)
+            for (t, v, s), (t_r, v_r, s_r) in zip(run.observed,
+                                                  ref.observed):
+                assert (t, s) == (t_r, s_r) and np.array_equal(v, v_r)
 
 
 class TestFrameConsistency:
@@ -779,6 +851,21 @@ class TestTunnel:
                    for t, v, s in kept)
         assert len(kept) == 17
         assert (res.c, res.conformance_min) == (c, conf)
+
+    def test_weight_powers_each_level_as_the_max(self):
+        # the weight takes |xi'|**gamma once: at every level the shipped
+        # weighted tunnel steps through (its datum's time and every step
+        # time), bitwise the power of the max
+        sc = harness.load_scenario(SCENARIOS / "line-blowup-weighted.ini")
+        g, gamma = sc.build_grid(), sc.gamma
+        levels = solver._tunnel_weight(g, gamma)
+        xperp = np.abs(g.points()[:, 1])
+        t0 = solver.datum_start(g)
+        for t in (t0, *solver.step_times(t0, 1.0, g.dt)):
+            h, n_under = levels(t)
+            assert n_under == 0
+            assert np.array_equal(
+                h, np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma)
 
     def test_tail_fraction_counts_corners_once(self):
         g = Grid.tunnel(4.0, 9, 9, 1e-3)
@@ -930,11 +1017,13 @@ class TestLinearTail:
         # constant 1 fast-forwards
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
                              self.grid)
-        run, oracle = with_oracle(monkeypatch, lambda: solver.solve_uk(
-            1e-20, levels, 2.0, 6.0, self.grid))
+        fld = solver.dirac_family(
+            1e-20, self.grid, solver.datum_start(self.grid, aligned=False))
+        run, oracle = with_oracle(monkeypatch, lambda: solver.evolve(
+            fld, solver.PDESpec(p=2.0, absorption=levels), 6.0))
         assert_same_run(run, oracle)
-        assert solver.solve_uk(1e-20, 1.0, 2.0, 6.0,
-                               self.grid).linear_from is not None
+        assert solver.evolve(fld, solver.PDESpec(p=2.0, absorption=1.0),
+                             6.0).linear_from is not None
 
     def test_tunnel_run_steps_to_the_end(self, monkeypatch):
         g = Grid.tunnel(10.0, 101, 21, 2e-3)
