@@ -23,7 +23,6 @@ spec = {
     "base": None,
     "axes": {"amplitude": (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
              "alpha": (0.5, 1.0, 2.0, 4.0)},
-    "budget_combos": 256,
 }
 log = out / "phase.jsonl"
 log.unlink(missing_ok=True)  # a log of an older spec would be refused

@@ -14,8 +14,8 @@ runnable, verifiable experiments:
 """
 
 from . import barriers, geometry, grids, harness, potential, solver, spectral
-from .errors import (BudgetError, ConfigurationError, DomainError,
-                     HeatlabError, NumericalError)
+from .errors import (ConfigurationError, DomainError, HeatlabError,
+                     NumericalError)
 from .geometry import Curve
 from .grids import Field, Grid
 from .potential import DecayProfile, Potential

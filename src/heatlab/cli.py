@@ -25,7 +25,7 @@ def _out_dir(args):
 
 def _cmd_run(args):
     scenario = harness.load_scenario(args.scenario)
-    verdict = harness.run_scenario(scenario, budget=args.budget)
+    verdict = harness.run_scenario(scenario)
     out = _out_dir(args)
     harness.emit_report([verdict], out)
     print(f"{verdict.scenario}: outcome={verdict.outcome} "
@@ -67,8 +67,6 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("scenario")
-    p_run.add_argument("--budget", type=float, default=None,
-                       help="wall budget in seconds")
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("sweep")
     p_sweep.add_argument("--workers", type=_positive_int, default=1,

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all heatlab modules."""
+"""Exception hierarchy shared by all heatlab modules.
+
+An input past a size limit (the zoomed runs' step budget, a sweep's
+combination count) is a :class:`ConfigurationError`, like any other bad
+input: it fails before any step.
+"""
 
 
 class HeatlabError(Exception):
@@ -19,12 +24,4 @@ class NumericalError(HeatlabError, RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class BudgetError(HeatlabError, RuntimeError):
-    """A requested computation exceeds the configured step/time budget."""
-
-    def __init__(self, message, limiting_parameter=None):
-        super().__init__(message)
-        self.limiting_parameter = limiting_parameter
 

@@ -194,8 +194,7 @@ def parabolic_distance_grid(points, t, curve):
     hi = xs.size - 1 - np.flatnonzero(w == np.minimum.accumulate(w))[::-1]
     a = lo[np.maximum(np.searchsorted(xs[lo], x, side="right") - 1, 0)]
     b = hi[np.minimum(np.searchsorted(xs[hi], x, side="right"), hi.size - 1)]
-    # |x - y| directly, as the pointwise norm sqrt(d * d) gives it unless
-    # d * d underflows
+    # |x - y| directly, as the pointwise distance takes it
     return np.minimum(np.abs(x - xs[a]) + s[a], np.abs(x - xs[b]) + s[b])
 
 
@@ -259,10 +258,16 @@ def _split_point(point, dim):
     return x, float(t)
 
 
+def _norm(d):
+    """|d| over the last axis by hypot, which squares nothing: the norm's
+    sqrt(d * d) loses digits below |d| ~ 1e-154 and is 0 below ~ 1e-162."""
+    return np.hypot.reduce(np.abs(d), axis=-1)
+
+
 def _sample_values(x, t, curve):
     with np.errstate(invalid="ignore"):
         gap = t - curve.t
-        vals = np.linalg.norm(curve.x - x, axis=1) + np.sqrt(gap)
+        vals = _norm(curve.x - x) + np.sqrt(gap)
     vals[gap < 0] = np.inf
     return vals
 
@@ -281,7 +286,7 @@ def _golden_refine(x, t, curve, k):
         xs, ts = _curve_point(curve, s)
         if ts > t:
             return np.inf
-        return float(np.linalg.norm(x - xs) + np.sqrt(t - ts))
+        return float(_norm(x - xs) + np.sqrt(t - ts))
 
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)

@@ -3,8 +3,11 @@
 A scenario file (INI-style ``key = value`` sections) declares a curve, a
 potential, a grid, the decision rules, and an expected verdict; running it
 produces a :class:`Verdict` whose outcome is derived from the recorded
-evidence by those rules alone.  Sweeps run grids of scenarios with an
-append-only, resumable log.
+evidence by those rules alone.  Sweeps run grids of scenarios, at most
+``_MAX_COMBOS`` combinations each, with an append-only, resumable log.
+Nothing predicts a run's wall time; the two limits on what may be
+computed, the zoomed runs' step budget and a sweep's combination count,
+are checked before any step and fail as a ConfigurationError.
 
 All decision constants live in the scenario files (section ``[rules]``);
 the defaults of ``_KIND_KEYS`` only back missing keys.
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, potential as potential_mod, solver, spectral
-from .errors import BudgetError, ConfigurationError
+from .errors import ConfigurationError
 from .grids import Grid
 
 KINDS = ("rescaled", "ladder", "tunnel")
@@ -37,10 +40,11 @@ _EPS = (0.2, 0.1, 0.05)  # the zoom levels of a scenario without eps
 # The keys each scenario reads, by kind and section, with their defaults:
 # a key maps to its default, or, for a choice, to the keys each choice adds
 # (the first choice is the default); a type marks a key without a default.
-# A rescaled curve is linear and its velocity's width fixes the ball's
-# dimension; a ladder curve is one-dimensional (a line in the initial plane
-# is a tunnel's case); the kind fixes the grid.
-_CURVES = {"linear": {"velocity": (1.0,), "horizon": 1.0, "samples": 513},
+# A rescaled curve is linear, read for its velocity, whose width fixes the
+# ball's dimension, and horizon alone; a ladder curve is one-dimensional
+# (a line in the initial plane is a tunnel's case); the kind fixes the grid.
+_LINE = {"velocity": (1.0,), "horizon": 1.0}
+_CURVES = {"linear": {**_LINE, "samples": 513},
            "arc": {"speed": 0.8, "t_max": 0.25, "horizon": 1.0,
                    "samples": 513},
            "boxed": {"speed": 2.0, "t_max": 0.25, "wobble": 0.1,
@@ -53,7 +57,7 @@ _PROFILE = {"family": {potential_mod.INVERSE_SQUARE: {},
             "amplitude": 1.0}
 _KIND_KEYS = {
     "rescaled": {"scenario": {"alpha": 1.0, "eps": _EPS},
-                 "curve": _CURVES["linear"],
+                 "curve": _LINE,
                  "potential": _PROFILE,
                  "grid": {"n": 301, "dt": _DT},
                  "rules": {"functional_threshold": 50.0,
@@ -97,7 +101,8 @@ _RANGES = {"p": ("must be > 1", lambda v: v > 1),
            # the Dirac datum sits at the origin of a ladder's interval
            "lo": ("must be < 0", lambda v: v < 0),
            "hi": ("must be > 0", lambda v: v > 0),
-           "velocity": ("must be finite", lambda v: np.all(np.isfinite(v))),
+           "velocity": ("must be one or more finite numbers",
+                        lambda v: len(v) > 0 and np.all(np.isfinite(v))),
            # the segment classification needs three or more samples
            "samples": ("must be at least 3", lambda v: v >= 3),
            # the cross-section ground state needs 16 interior nodes
@@ -156,7 +161,7 @@ def _built(build, section, cfg, rule=""):
     """``build()``, its error naming the section and the ``cfg`` values."""
     try:
         return build()
-    except (OSError, ValueError, BudgetError) as exc:  # ConfigurationError too
+    except (OSError, ValueError) as exc:  # ConfigurationError too
         values = ", ".join(f"{key} = {value}" for key, value in cfg.items())
         raise ConfigurationError(f"[{section}] {values}: "
                                  f"{rule}{str(exc).splitlines()[0]}") from None
@@ -170,8 +175,8 @@ class Scenario:
     sections.  The constructor fills them, and the [scenario] fields left
     None, from ``_KIND_KEYS`` (a field the kind does not read stays None),
     checks every value but those of :meth:`check_runs` and builds the
-    grid, curve and profile or potential once.  A tunnel is weighted
-    (supercritical) exactly when gamma is set.
+    grid, and a ladder's curve and potential or the profile, once.  A
+    tunnel is weighted (supercritical) exactly when gamma is set.
     """
 
     name: str
@@ -196,20 +201,22 @@ class Scenario:
             setattr(self, attr, head.get(key))
         for section, attr in _FIELDS.items():
             setattr(self, attr, _read(self.kind, section, getattr(self, attr)))
-        dt, horizon = self.grid_cfg["dt"], min(self._run_ends())
+        dt, horizon = self.grid_cfg["dt"], self._run_end()
         _require(0 < dt < horizon, "grid", "dt", dt,
                  f"must be > 0 and below the run horizon {horizon:.12g}")
         curve, cfg = None, self.curve_cfg
-        if cfg:  # a tunnel reads no curve; a table is read here
-            key = "path" if cfg.get("form") == "table" else "velocity"
+        if self.kind == "rescaled":
+            _require(len(cfg["velocity"]) <= 2, "curve", "velocity",
+                     cfg["velocity"], "must have 1 or 2 components, one per "
+                     "axis of the grid")
+        elif self.kind == "ladder":  # a table is read here
+            key = "path" if cfg["form"] == "table" else "velocity"
             curve = _built(self.build_curve, "curve", {key: cfg[key]}
                            if key == "path" else cfg,
                            "no curve table: " if key == "path" else "")
-            width, count = (2, "1 or 2 components") \
-                if self.kind == "rescaled" else (1, "1 component")
-            _require(curve.dim <= width, "curve", key, cfg.get(key),
-                     f"must have {count}, one per axis of the grid (in a "
-                     "table, one x column each)")
+            _require(curve.dim <= 1, "curve", key, cfg.get(key),
+                     "must have 1 component, one per axis of the grid (in a "
+                     "table, one x column)")
         grid = _built(self.build_grid, "grid", self.grid_cfg)
         if self.kind == "tunnel":
             _built(lambda: solver.check_tunnel_axis(self.grid_cfg["length"]),
@@ -264,20 +271,23 @@ class Scenario:
             dt, self.eps_list[0] * np.asarray(cfg["velocity"]),
             self.build_grid().spacing), "curve", {"velocity": cfg["velocity"]})
 
-    def _run_ends(self):
-        """The end time of each evolution the scenario runs."""
+    def _run_end(self):
+        """The end time of the shortest evolution the scenario runs: at
+        the largest eps of a zoom."""
         if self.kind == "rescaled":
-            return [self.alpha / (e * e) for e in self.eps_list]
-        return [self.horizon] * len(self.k_ladder) \
-            if self.kind == "ladder" else [1.0]
+            return min(self.alpha / (e * e) for e in self.eps_list)
+        return self.horizon if self.kind == "ladder" else 1.0
 
     def build_curve(self):
-        """The closed-form curve of the [curve] section (see ``_CURVES``)."""
+        """The closed-form curve of the [curve] section (see ``_CURVES``);
+        a rescaled curve, whose runs read only its velocity, at
+        ``Curve.straight``'s default sample count."""
         cfg = self.curve_cfg
         form = cfg.get("form", "linear")  # rescaled curves name no form
         if form == "linear":
-            return geometry.Curve.straight(cfg["velocity"], cfg["horizon"],
-                                           n=cfg["samples"])
+            return geometry.Curve.straight(
+                cfg["velocity"], cfg["horizon"],
+                **({"n": cfg["samples"]} if "samples" in cfg else {}))
         if form == "arc":
             speed, t_max = cfg["speed"], cfg["t_max"]
             return geometry.Curve.parametric(
@@ -366,7 +376,7 @@ _KEYS = {
     **{section: {key: parse for keys in _KIND_KEYS.values()
                  for key, parse in _parsers(keys[section]).items()}
        for section in _FIELDS},
-    "sweep": {"name": str, "base": str, "mode": str, "budget_combos": int,
+    "sweep": {"name": str, "base": str, "mode": str,
               **dict.fromkeys(_AXES, _floats)},
 }
 
@@ -447,12 +457,10 @@ class Verdict:
         return self.expected in ("unknown", self.outcome)
 
 
-def run_scenario(scenario, budget=None):
+def run_scenario(scenario):
     """The verdict of a scenario: its driver's evidence, judged by decide."""
     start = time.perf_counter()
     scenario.check_runs()
-    if budget is not None:
-        _check_budget(scenario, budget)
     evidence = {"rescaled": _run_rescaled, "ladder": _run_ladder,
                 "tunnel": _run_tunnel}[scenario.kind](scenario)
     return Verdict(scenario=scenario.name, kind=scenario.kind,
@@ -507,35 +515,6 @@ def _diverging(values, rules):
     tail = np.asarray(values[-rules["growth_window"]:])
     return bool(tail.size >= 2 and np.all(np.diff(tail) > 0)
                 and tail[-1] > rules["functional_threshold"])
-
-
-# Measured verdict seconds per node-step, by scenario kind: the medians
-# of ``solver.s_per_node_step.*`` over three runs of
-# ``python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 1``
-# on a shared 2-vCPU Intel Xeon host, Python 3.11.7, numpy 2.4.6, scipy
-# 1.17.1: rescaled 9.5e-10 (W = zoom, S = 1), tunnel 2.21e-8
-# (tunnel-sweep, S = 1) and ladder 9.04e-8 (ladder, S = 1, 2, 3).  A
-# zoomed run steps only until it reaches its linear tail and
-# fast-forwards the rest (see ``solver.evolve``), so a rescaled node-step
-# counts every step of the run but costs a fraction of one.  Ladder runs
-# cost more per node: a time level of their 1D grid is a few hundred
-# nodes per rung, and the rungs, stepped as one batch, share one
-# evaluation of h a step (a lower envelope over the curve samples so
-# far), one absorption map and one solve, so per-call overhead dominates.
-_SECONDS_PER_NODE_STEP = {"rescaled": 9.5e-10, "ladder": 9.0e-8,
-                          "tunnel": 2.2e-8}
-
-
-def _check_budget(scenario, budget_seconds):
-    """Coarse step-count screen naming the limiting parameter."""
-    grid = scenario.build_grid()
-    nodes = float(np.prod(grid.shape))
-    steps = sum(scenario._run_ends()) / grid.dt
-    est = steps * nodes * _SECONDS_PER_NODE_STEP[scenario.kind]
-    if est > budget_seconds:
-        raise BudgetError(
-            f"estimated {est:.0f}s exceeds budget {budget_seconds}s",
-            limiting_parameter="eps" if scenario.kind == "rescaled" else "dt")
 
 
 def _run_rescaled(scenario):
@@ -751,6 +730,9 @@ def emit_report(verdicts, out_dir):
 # ----------------------------------------------------------------------
 # sweeps with an append-only resumable log
 # ----------------------------------------------------------------------
+_MAX_COMBOS = 512  # the most combinations one sweep runs
+
+
 def load_sweep(path):
     """Sweep spec from an INI file; its base scenario is loaded (and
     checked) with :func:`load_scenario`.  Each axis must name a key that
@@ -787,8 +769,7 @@ def load_sweep(path):
             except ConfigurationError as exc:
                 _check(False, path, section, key, str(exc))
     return {"name": sw.get("name", Path(path).stem), "mode": mode,
-            "base": base, "axes": axes,
-            "budget_combos": sw.get("budget_combos", 512)}
+            "base": base, "axes": axes}
 
 
 def _combo_key(combo):
@@ -832,10 +813,9 @@ def sweep(spec, log_path, workers=1):
     names = sorted(spec["axes"])
     combos = [dict(zip(names, values)) for values in
               itertools.product(*(spec["axes"][name] for name in names))]
-    if len(combos) > spec["budget_combos"]:
-        raise BudgetError(
-            f"{len(combos)} combinations exceed budget {spec['budget_combos']}",
-            limiting_parameter="axes")
+    if len(combos) > _MAX_COMBOS:
+        raise ConfigurationError(f"the sweep's {len(combos)} combinations "
+                                 f"exceed the limit of {_MAX_COMBOS}")
     log_path = Path(log_path)
     # the spec: the mode and what of the base decides outcomes, all but
     # its labels, with a curve table's text in place of its path

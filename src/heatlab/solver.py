@@ -39,7 +39,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import potential as potential_mod, spectral
 from .barriers import gaussian_cos_integral, heat_kernel, tunnel_subsolution
-from .errors import BudgetError, ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .grids import BALL, Field
 
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
@@ -626,8 +626,8 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
     c1 = min field(., 1)/psi0, the drift constant beta_tau = eps |velocity|,
     the measured nonlinear feedback sup, and the conformance margin against
     the exponential lower envelope on [1, tau], checked every
-    ``_PROBE_STRIDE``.  Runs over the step budget raise a BudgetError, see
-    check_step_budget.
+    ``_PROBE_STRIDE``.  Runs over the step budget raise a
+    ConfigurationError, see check_step_budget.
     """
     if np.shape(velocity) != (grid.ndim,):
         raise ConfigurationError(f"a velocity of shape {np.shape(velocity)} "
@@ -686,14 +686,13 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
 
 
 def check_step_budget(eps, alpha, dt):
-    """Raise a BudgetError if the zoomed run at ``eps`` out to time
+    """Raise a ConfigurationError if the zoomed run at ``eps`` out to time
     alpha/eps**2 takes more than ``_MAX_STEPS`` steps of ``dt``."""
     n_steps = int(round(alpha / (eps * eps) / dt))
     if n_steps > _MAX_STEPS:
-        raise BudgetError(
+        raise ConfigurationError(
             f"{n_steps} steps exceed the budget; raise eps above "
-            f"{math.sqrt(alpha / (_MAX_STEPS * dt)):.3g} or enlarge dt",
-            limiting_parameter="eps")
+            f"{math.sqrt(alpha / (_MAX_STEPS * dt)):.3g} or enlarge dt")
 
 
 def datum_start(grid, aligned=True):

@@ -23,10 +23,10 @@ def brute_distance(points, t, curve):
     return d.min(axis=1)
 
 
-# coordinates on a 1/16 grid, so that x repeats, or any in range; every
-# nonzero one far above the underflow of the pointwise norm's d * d
+# coordinates on a 1/16 grid, so that x repeats, or any in range,
+# subnormal ones included
 _COORD = st.one_of(st.integers(-40, 40).map(lambda i: i / 16.0),
-                   st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-100))
+                   st.floats(-3.0, 3.0))
 _TIME = st.one_of(st.integers(0, 30).map(lambda i: i / 32.0),
                   st.floats(0.0, 1.0))
 
@@ -43,9 +43,8 @@ def envelope_cases(draw):
     t, x = np.array(list(samples.values())).T
     curve = Curve("general-parametric", np.arange(t.size, dtype=float), t,
                   x[:, None], horizon=float(max(t.size - 1, 1)))
-    nodes = np.array(draw(st.lists(
-        st.floats(-8.0, 8.0).filter(lambda v: v == 0 or abs(v) > 1e-100),
-        min_size=1, max_size=20)))
+    nodes = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=1,
+                                   max_size=20)))
     later = t[t > 0]
     when = draw(st.sampled_from(["sample", "early", "any"]))
     if when == "sample":
@@ -110,6 +109,18 @@ class TestParabolicDistance:
             dx = geometry.parabolic_distance((x, t), straight_curve)
             dy = geometry.parabolic_distance((y, t), straight_curve)
             assert abs(dx - dy) <= abs(x - y) + 1e-8
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_tiny_distance_does_not_underflow(self, straight_curve, refine):
+        # |x - y| used to be np.linalg.norm's sqrt(d * d): at t = 0 a node
+        # at 6.5e-286 got 0, on the curve, and one at 1e-160 was 5.6e-6
+        # relative off; the grid distance gives both exactly
+        nodes = np.array([6.5e-286, 1e-160])
+        got = [geometry.parabolic_distance((x, 0.0), straight_curve,
+                                           refine=refine) for x in nodes]
+        assert got == nodes.tolist()
+        assert geometry.parabolic_distance_grid(
+            nodes[:, None], 0.0, straight_curve).tolist() == got
 
     def test_grid_variant_matches_pointwise(self, straight_curve, rng):
         pts = rng.uniform(-2, 2, size=(50, 1))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heatlab import cli, geometry, harness, potential, solver, spectral
-from heatlab.errors import BudgetError, ConfigurationError
+from heatlab.errors import ConfigurationError
 from heatlab.grids import Grid
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -295,7 +295,10 @@ class TestLoadValidation:
         ("downslope-arc.ini", "curve", "velocity", "speed = 1.6",
          "speed = 1.6\nvelocity = 1.0"),
         ("box-reentry.ini", "potential", "floor", "amplitude = 2.0",
-         "amplitude = 2.0\nfloor = 1.0")])
+         "amplitude = 2.0\nfloor = 1.0"),
+        # a rescaled run drifts by eps * velocity and reads no samples
+        ("localization-weak.ini", "curve", "samples", "horizon = 1.0",
+         "horizon = 1.0\nsamples = 513")])
     def test_key_not_read(self, tmp_path, monkeypatch, capsys, name, section,
                           key, old, new):
         path = self.edited(tmp_path, name, old, new)
@@ -309,7 +312,7 @@ class TestLoadValidation:
                            "velocity = 1.0, 0.0", "form = arc\nspeed = 1.0")
         msg = self.rejected(path, "curve", "form")
         assert "not read by this rescaled scenario, whose [curve] takes " \
-            "velocity, horizon, samples" in msg
+            "velocity, horizon" in msg
 
     def test_curve_table_next_to_the_file(self, tmp_path, monkeypatch,
                                           capsys):
@@ -398,7 +401,10 @@ class TestLoadValidation:
         (None, "mode = numerical\np = 2, 3", "base", "needs a base"),
         # a repeated value used to run its combo twice
         ("propagation-straight.ini", "amplitude = 20, 20", "amplitude",
-         "must not repeat a value")])
+         "must not repeat a value"),
+        # the combination limit is fixed at 512
+        ("propagation-straight.ini", "amplitude = 1, 2\nbudget_combos = 64",
+         "budget_combos", "unknown key")])
     def test_sweep_key_not_run(self, tmp_path, monkeypatch, capsys, base,
                                body, key, rule):
         path = self.sweep_file(tmp_path, base, body)
@@ -434,10 +440,9 @@ class TestLoadValidation:
         self.rejected(path, "sweep", axis, loader=harness.load_sweep)
 
     def test_sweep_duplicate_key(self, tmp_path):
-        path = self.edited(tmp_path, "sweep-phase.ini", "budget_combos = 512",
-                           "budget_combos = 512\nbudget_combos = 64")
-        self.duplicate(path, "sweep", "budget_combos",
-                       loader=harness.load_sweep)
+        path = self.edited(tmp_path, "sweep-phase.ini", "mode = analytic",
+                           "mode = analytic\nmode = numerical")
+        self.duplicate(path, "sweep", "mode", loader=harness.load_sweep)
 
     def test_cli_run_exits_1_with_one_line(self, tmp_path, monkeypatch,
                                            capsys):
@@ -468,8 +473,8 @@ def loaded(name):
 
 # inputs that used to load and then answer, or fail at run time naming no
 # key: a Dirac datum (at the origin) outside a ladder's interval, or
-# starting (at 4h**2) after the run's end, a curve too short to classify,
-# and a zoom beyond the solver's step budget
+# starting (at 4h**2) after the run's end, a curve too short to classify
+# or with no velocity, and a zoom beyond the solver's step budget
 LATE_FAILURES = {
     "origin-left": ("downslope-arc.ini", "lo = -2.5", "lo = 0.5", "grid",
                     "lo", lambda: harness.Scenario(
@@ -487,6 +492,18 @@ LATE_FAILURES = {
                 "samples", lambda: harness.Scenario(
                     "x", kind="ladder", curve_cfg={"form": "arc",
                                                    "samples": 2})),
+    # an empty velocity failed at load naming [grid] n and dt, which built
+    # a ball of no dimension, or on a ladder line loaded and failed at run
+    # time, naming no file or key
+    "velocity-empty": ("propagation-straight.ini", "velocity = 1.0, 0.0",
+                       "velocity =", "curve", "velocity",
+                       lambda: harness.Scenario(
+                           "x", curve_cfg={"velocity": ()})),
+    "ladder-velocity-empty": ("control-straight.ini", "velocity = 1.0",
+                              "velocity =", "curve", "velocity",
+                              lambda: harness.Scenario(
+                                  "x", kind="ladder",
+                                  curve_cfg={"velocity": ()})),
     "step-budget": ("propagation-straight.ini", "eps = 0.2, 0.1, 0.05",
                     "eps = 0.2, 0.1, 0.001", "scenario", "eps",
                     lambda: harness.run_scenario(harness.Scenario(
@@ -785,10 +802,6 @@ class TestLadderScenario:
         assert v.evidence["probe_maxima"] == [0.0, 0.0]
         assert v.outcome == "inconclusive"
 
-    def test_budget_error_names_parameter(self):
-        with pytest.raises(BudgetError):
-            harness.run_scenario(tiny_ladder_scenario(), budget=1e-6)
-
 
 def independent_rungs(scenario):
     """The ladder's rungs as one-rung solve_uk runs, each with its own
@@ -1042,8 +1055,7 @@ class TestSweep:
         # default base is 1D, so lambda0 is the interval's (pi/2)**2
         spec = {"name": "alpha-axis", "mode": "analytic", "base": None,
                 "axes": {"alpha": (0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
-                         "amplitude": (10.0, 50.0)},
-                "budget_combos": 64}
+                         "amplitude": (10.0, 50.0)}}
         records = harness.sweep(spec, tmp_path / "log.jsonl")
         rate = spectral.envelope_rate(spectral.BALL_LAMBDA[1], 0.2 * 1.0, 0.0)
         outcomes = {rec["outcome"] for rec in records}
@@ -1069,8 +1081,7 @@ class TestSweep:
         # threshold raised, the resumed sweep still answered propagation
         base = loaded("propagation-straight.ini")
         spec = {"name": "one", "mode": "analytic", "base": base,
-                "axes": {"amplitude": (20.0,), "alpha": (1.0,)},
-                "budget_combos": 1}
+                "axes": {"amplitude": (20.0,), "alpha": (1.0,)}}
         log = tmp_path / "log.jsonl"
         assert harness.sweep(spec, log)[0]["outcome"] == "propagation"
         raised = dict(spec, base=replace(base, rules=dict(
@@ -1095,7 +1106,7 @@ class TestSweep:
             base = tiny_ladder_scenario(
                 curve_cfg={"form": "table", "path": path}, **labels)
             return {"name": "s", "mode": "numerical", "base": base,
-                    "axes": {"p": (2.0,)}, "budget_combos": 1}
+                    "axes": {"p": (2.0,)}}
 
         log = tmp_path / "log.jsonl"
         first = harness.sweep(spec("arc.txt"), log)
@@ -1112,7 +1123,7 @@ class TestSweep:
         # p = 1 fails in the functional; the combo before it is already in
         # the log, and a rerun computes only what the log lacks
         spec = {"name": "p-axis", "mode": "analytic", "base": None,
-                "axes": {"p": (2.0, 1.0, 3.0)}, "budget_combos": 8}
+                "axes": {"p": (2.0, 1.0, 3.0)}}
         log = tmp_path / "log.jsonl"
         with pytest.raises(ConfigurationError):
             harness.sweep(spec, log)
@@ -1136,7 +1147,7 @@ class TestSweep:
         # worker; the verdict before it is already logged
         spec = {"name": "amp-axis", "mode": "numerical",
                 "base": tiny_ladder_scenario(),
-                "axes": {"amplitude": (2.0, -1.0)}, "budget_combos": 8}
+                "axes": {"amplitude": (2.0, -1.0)}}
         log = tmp_path / "log.jsonl"
         with pytest.raises(ConfigurationError, match="amplitude"):
             harness.sweep(spec, log, workers=2)
@@ -1150,17 +1161,26 @@ class TestSweep:
         # workers = 1, the default of heatlab sweep, runs in this process
         spec = {"name": "amp-axis", "mode": "numerical",
                 "base": tiny_ladder_scenario(),
-                "axes": {"amplitude": (2.0, 3.0)}, "budget_combos": 8}
+                "axes": {"amplitude": (2.0, 3.0)}}
         serial = harness.sweep(spec, tmp_path / "serial.jsonl")
         assert serial == harness.sweep(spec, tmp_path / "pool.jsonl",
                                        workers=2)
         assert serial[0]["outcome"] == "non-propagation-segment"
 
-    def test_combo_budget(self, tmp_path):
-        spec = harness.load_sweep(SCENARIOS / "sweep-phase.ini")
-        spec["budget_combos"] = 3
-        with pytest.raises(BudgetError):
-            harness.sweep(spec, tmp_path / "log.jsonl")
+    def test_combo_budget(self, tmp_path, monkeypatch):
+        # one combination past the fixed limit of 512 fails before any
+        # verdict is computed or any record written
+        computed = []
+        monkeypatch.setattr(harness, "_analytic_verdict",
+                            lambda *args: computed.append(args))
+        spec = {"name": "big", "mode": "analytic", "base": None,
+                "axes": {"amplitude": tuple(range(1, 172)),
+                         "alpha": (0.5, 1.0, 2.0)}}
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(ConfigurationError,
+                           match="513 combinations exceed the limit of 512"):
+            harness.sweep(spec, log)
+        assert computed == [] and not log.exists()
 
     def test_summary_table(self, tmp_path):
         spec = harness.load_sweep(SCENARIOS / "sweep-phase.ini")
@@ -1229,7 +1249,7 @@ class TestRescaledRules:
         sc = harness.Scenario(
             name="short-zoom", kind="rescaled", expected="unknown", p=2.0,
             alpha=0.5, eps_list=(0.5, 0.4),
-            curve_cfg={"velocity": (0.5,), "samples": 65},
+            curve_cfg={"velocity": (0.5,)},
             potential_cfg={"family": "inverse-square", "amplitude": 1.0},
             grid_cfg={"n": 41, "dt": 0.005})
         sc.rules = dict(sc.rules, growth_window=2)
@@ -1316,7 +1336,7 @@ class TestDecide:
         # the records lack the None-valued evidence, box_center included
         base = tiny_ladder_scenario()
         spec = {"name": "amp-axis", "mode": "numerical", "base": base,
-                "axes": {"amplitude": (0.5, 2.0)}, "budget_combos": 8}
+                "axes": {"amplitude": (0.5, 2.0)}}
         harness.sweep(spec, tmp_path / "log.jsonl", workers=2)
         records = harness.read_sweep_log(tmp_path / "log.jsonl")
         assert {rec["outcome"] for rec in records} \
@@ -1461,9 +1481,11 @@ class TestCli:
         (["run", "x.ini", "--workers", "4"], "unrecognized arguments"),
         (["sweep", "x.ini", "--budget", "5"], "unrecognized arguments"),
         (["sweep", "x.ini", "--workers", "0"], "'0' is not an integer >= 1"),
-        (["sweep", "x.ini", "--workers", "2.5"], "not an integer")],
+        (["sweep", "x.ini", "--workers", "2.5"], "not an integer"),
+        # the wall-time screen is gone with its per-kind seconds table
+        (["run", "x.ini", "--budget", "5"], "unrecognized arguments")],
         ids=["workers-on-run", "budget-on-sweep", "no-workers",
-             "fractional-workers"])
+             "fractional-workers", "budget-on-run"])
     def test_flag_outside_its_command_is_a_usage_error(self, argv, message,
                                                        capsys):
         # --workers and --budget used to be global flags that run and
@@ -1477,6 +1499,6 @@ class TestCli:
         seen = {}
         monkeypatch.setattr(cli, "_cmd_run", lambda a: seen.update(run=a))
         monkeypatch.setattr(cli, "_cmd_sweep", lambda a: seen.update(sweep=a))
-        cli.main(["run", "x.ini", "--budget", "5"])
+        cli.main(["run", "x.ini"])
         cli.main(["sweep", "x.ini", "--workers", "2"])
-        assert seen["run"].budget == 5.0 and seen["sweep"].workers == 2
+        assert seen["run"].scenario == "x.ini" and seen["sweep"].workers == 2
