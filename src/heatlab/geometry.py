@@ -66,7 +66,7 @@ class Curve:
             raise ConfigurationError("curve horizon must be positive")
         if np.any(t < 0):
             raise ConfigurationError("curve has negative times")
-        if abs(t[0]) > 0 or np.linalg.norm(x[0]) > 0:
+        if t[0] != 0 or np.any(x[0] != 0):  # exact: a norm can underflow
             raise ConfigurationError("curve must be issued from the origin")
         if self.kind == GRAPH:
             if np.any(np.diff(t) <= 0):
@@ -241,7 +241,7 @@ def classify_segments(curve):
                 and t[-1] <= t[k0] + tol):
             xs = curve.x[k0:]
             a = 0.5 * (xs.min(axis=0) + xs.max(axis=0))
-            r0 = float(np.max(np.linalg.norm(xs - a, axis=1))) + 1e-9
+            r0 = float(np.max(_norm(xs - a))) + 1e-9
             box = (a, r0, (float(t[-1]), float(t[k0])))
             intervals = intervals[:1] + [(tau[k0], tau[-1], "box")]
     return SegmentClass(intervals=tuple(intervals), box=box)

@@ -105,8 +105,11 @@ _RANGES = {"p": ("must be > 1", lambda v: v > 1),
                         lambda v: len(v) > 0 and np.all(np.isfinite(v))),
            # the segment classification needs three or more samples
            "samples": ("must be at least 3", lambda v: v >= 3),
-           # the cross-section ground state needs 16 interior nodes
-           "n_cross": ("must be at least 18", lambda v: v >= 18),
+           # a tunnel run steps one quadrant, mirrored at the centre nodes;
+           # its cross-section ground state needs 16 interior nodes
+           "n_axis": ("must be odd", lambda v: v % 2 == 1),
+           "n_cross": ("must be odd and at least 19",
+                       lambda v: v % 2 == 1 and v >= 19),
            # the functional reads the tail of two or more values
            "growth_window": ("must be at least 2", lambda v: v >= 2),
            # each ceiling goes through math.log; a tolerance or the
@@ -222,7 +225,7 @@ class Scenario:
             _built(lambda: solver.check_tunnel_axis(self.grid_cfg["length"]),
                    "grid", {"length": self.grid_cfg["length"]})
         # the datum starts at 4h**2, h set by n (by n_axis in a tunnel,
-        # whose n_cross is 18 or more), and must start before the run ends
+        # whose n_cross is 19 or more), and must start before the run ends
         key = "n_axis" if self.kind == "tunnel" else "n"
         start = solver.datum_start(grid, aligned=self.kind != "ladder")
         _require(start < horizon, "grid", key, self.grid_cfg[key],

@@ -13,6 +13,10 @@ factored as LDL^T (a step is one O(m) substitution).  Every sub-map is
 monotone, so the discrete comparison principle holds and the Dirac ladder
 k -> u_k inherits the monotonicity of the continuum problem.
 
+A run even in some axes (a tunnel) steps only the quadrant from the centre
+node of each mirrored axis on, and writes the rest of the full-size field
+as its mirror image (the method of images).
+
 Long rescaled runs decay through hundreds of e-foldings; fields therefore
 carry a ``log_scale`` offset and are renormalized on the fly.  Most of such
 a run is a linear tail: once the field is small enough that the absorption
@@ -60,12 +64,15 @@ class PDESpec:
     which :class:`Stepper` checks against :func:`drift_cfl` once, when it
     is built; ``absorption`` is None, a constant >= 0, or a level function
     t -> (values at every grid node, count of nodes whose value underflowed
-    to 0), such as :func:`potential.grid_levels` returns.
+    to 0), such as :func:`potential.grid_levels` returns.  ``mirror`` names
+    the axes in which the datum and the absorption are even, which only
+    :func:`tunnel_run` knows and declares (see :class:`Stepper`).
     """
 
     p: float
     drift: object = None
     absorption: object = None
+    mirror: tuple = ()
 
     def __post_init__(self):
         if not self.p > 1:
@@ -151,6 +158,13 @@ class Stepper:
     always steps by ``dpttrs``, which solves each column by the same
     sweeps as alone; a dense product over K columns (BLAS gemm) could
     round a column otherwise than one over a single column (gemv).
+
+    On each axis of ``spec.mirror`` (a box centred on 0, an odd node count,
+    no drift along it) only the quadrant from the centre node c on,
+    ``[c0:, c1:]``, steps and is then reflected into the full array.  Its
+    centre row (1 + 2r, -2r) is halved to stay symmetric, and so is its
+    right-hand side: ``dpttrs`` takes row 0 times 1/2, the dense operator
+    is P diag(1/2, 1, ..., 1); both are M-matrix solves, so stay monotone.
     """
 
     def __init__(self, grid, spec, columns=None):
@@ -166,9 +180,6 @@ class Stepper:
         self._nodes = grid.shape + ((1,) if columns is not None else ())
         self._ball = grid.interior_mask().astype(float).reshape(self._nodes) \
             if grid.kind == BALL else None
-        self._inner = (slice(1, -1),) * grid.ndim
-        # a batch, whose width falls as columns stop, takes fresh arrays
-        self._work = np.empty(grid.shape) if columns is None else None
         c = np.zeros(grid.ndim)
         if spec.drift is not None:
             if np.shape(spec.drift) != (grid.ndim,):
@@ -177,14 +188,29 @@ class Stepper:
                     f"{grid.ndim}D grid: need one velocity, ({grid.ndim},)")
             c = np.asarray(spec.drift, dtype=float)
             drift_cfl(self.dt, c, self.hs)
-        self._ab = [_banded(n - 2, self.dt / (h * h))
-                    for n, h in zip(grid.shape, self.hs)]
+        # the stepped quadrant and its interior, centre nodes included
+        self._mirror = tuple(ax in spec.mirror for ax in range(grid.ndim))
+        self._quad = tuple(slice(n // 2 if m else None, None)
+                           for n, m in zip(grid.shape, self._mirror))
+        self._inner = tuple(slice(0 if m else 1, -1) for m in self._mirror)
+        for ax in spec.mirror:
+            if grid.kind == BALL or grid.shape[ax] % 2 == 0 \
+                    or grid.lo[ax] != -grid.hi[ax] or c[ax] != 0.0:
+                raise ConfigurationError(
+                    f"axis {ax} mirrors only on a box centred on 0, with an "
+                    f"odd node count and no drift along it: {grid.describe()}"
+                    f", drift {c[ax]:g}")
+        # a batch, whose width falls as columns stop, takes fresh arrays
+        self._work = np.empty(grid.shape)[self._quad].copy() \
+            if columns is None else None
+        self._ab = [_banded(n // 2 if m else n - 2, self.dt / (h * h), m)
+                    for n, h, m in zip(grid.shape, self.hs, self._mirror)]
         # a short or moving axis steps by its dense operator, any other by
         # the (d, e) of its L D L^T; dpttrf cannot fail on these SPD matrices
         rs = self.dt * c / np.asarray(self.hs)
-        self._props = [_axis_operator(ab, r, ax) if columns is None and (
+        self._props = [_axis_operator(ab, r, ax, m) if columns is None and (
             ab.shape[1] <= DENSE_AXIS_MAX or r != 0.0) else None
-            for ax, (ab, r) in enumerate(zip(self._ab, rs))]
+            for ax, (ab, r, m) in enumerate(zip(self._ab, rs, self._mirror))]
         self._factors = [dpttrf(ab[1], ab[2, :-1])[:2] if prop is None
                          else None for ab, prop in zip(self._ab, self._props)]
         self.underflow_count = 0
@@ -205,11 +231,11 @@ class Stepper:
         of the result, per column in a batch, which is NaN or inf exactly
         when the result (column) has a non-finite entry.
         """
-        values = self.absorb(values, t, log_scale)
-
-        # drift and implicit diffusion, axis by axis
+        # absorption, then drift and implicit diffusion axis by axis
         out = np.zeros(values.shape)
-        out[self._inner] = self._diffuse(values[self._inner])
+        quad = out[self._quad]
+        quad[self._inner] = self._diffuse(
+            self.absorb(values[self._quad], t, log_scale)[self._inner])
         if self._ball is not None:
             out *= self._ball
 
@@ -217,22 +243,25 @@ class Stepper:
         # huge runs; physical = values * exp(-log_scale), so dividing by
         # vmax adds -log(vmax) to the offset
         if self.columns is None:
-            vmax = float(np.abs(out, out=self._work).max())
+            vmax = float(np.abs(quad, out=self._work).max())
             if 0.0 < vmax < _RENORM_FLOOR or 1.0 / _RENORM_FLOOR < vmax < math.inf:
-                out /= vmax
+                quad /= vmax
                 log_scale -= math.log(vmax)
                 self.renorm_count += 1
                 vmax = 1.0
         else:
-            vmax = np.abs(out, out=self._work).max(axis=0)
+            vmax = np.abs(quad, out=self._work).max(axis=0)
             log_scale = log_scale.copy()
             for j, v in enumerate(vmax.tolist()):
                 if 0.0 < v < _RENORM_FLOOR or \
                         1.0 / _RENORM_FLOOR < v < math.inf:
-                    out[:, j] /= v
+                    quad[:, j] /= v
                     log_scale[j] -= math.log(v)
                     self.renorm_count[j] += 1
                     vmax[j] = 1.0
+        for ax in self.spec.mirror:  # the mirror half from the kept half
+            along, c = out.swapaxes(0, ax), out.shape[ax] // 2
+            along[:c] = along[:c:-1]
         self.vmax = vmax
         return out, log_scale
 
@@ -261,7 +290,7 @@ class Stepper:
         if callable(a):  # a level function, h at t and its underflows
             h, n_under = a(t)
             self.underflow_count += n_under
-            h, a = h.reshape(self._nodes), 1.0
+            h, a = h.reshape(self._nodes)[self._quad], 1.0
         # |physical / values|**(p-1): 0 or inf past e**700, either way
         # mapped as ever or, once inf (log_scale < 0, guarded), through ln x
         e = -(p - 1.0) * log_scale
@@ -309,21 +338,27 @@ class Stepper:
         for ax, (prop, fac) in enumerate(zip(self._props, self._factors)):
             if prop is not None:  # stored transposed on axis 1
                 inner = prop @ inner if ax == 0 else inner @ prop
-            elif ax == 0:
-                inner = dpttrs(*fac, inner)[0]
-            else:
-                inner = dpttrs(*fac, inner.T)[0].T
+                continue
+            rhs = inner if ax == 0 else inner.T
+            if self._mirror[ax]:  # the halved centre row's right-hand side
+                rhs = np.array(rhs, order="F")
+                rhs[0] *= 0.5
+            inner = dpttrs(*fac, rhs)[0]
+            inner = inner if ax == 0 else inner.T
         return inner
 
 
-def _banded(m, r):
-    """I - r * D2 on m nodes in the (3, m) banded form of solve_banded."""
+def _banded(m, r, mirrored=False):
+    """I - r * D2 on m nodes in the (3, m) banded form of solve_banded,
+    ``mirrored`` with row 0, a centre node, halved to (1/2 + r, -r)."""
     off = np.full(m - 1, -r)
-    return np.array([np.r_[0.0, off], np.full(m, 1.0 + 2.0 * r),
-                     np.r_[off, 0.0]])
+    diag = np.full(m, 1.0 + 2.0 * r)
+    if mirrored:
+        diag[0] = 0.5 + r
+    return np.array([np.r_[0.0, off], diag, np.r_[off, 0.0]])
 
 
-def _axis_operator(ab, r, ax):
+def _axis_operator(ab, r, ax, mirrored=False):
     """Dense step operator P U of axis ``ax``, transposed on axis 1, where
     it acts from the right: P the inverse of the symmetric tridiagonal
     ``ab`` (banded form), U the interior upwind map of the CFL number r.
@@ -333,15 +368,19 @@ def _axis_operator(ab, r, ax):
     two triangles agree to rounding; averaging them makes P exactly
     symmetric, so at r = 0 the operator is P itself on either axis.  U has
     1 - |r| on the diagonal and |r| on the upwind neighbour, a Dirichlet
-    neighbour reading 0; the CFL check keeps both >= 0.
+    neighbour reading 0; the CFL check keeps both >= 0.  A ``mirrored``
+    axis (r = 0) steps by P diag(1/2, 1, ..., 1), the halved centre row's
+    right-hand side folded in.
     """
     m = ab.shape[1]
     inv = solve_banded((1, 1), ab, np.eye(m))
     prop = 0.5 * (inv + inv.T)
-    if r == 0.0:
-        return prop
-    up = (1.0 - abs(r)) * np.eye(m) + abs(r) * np.eye(m, k=-1 if r > 0 else 1)
-    prop = prop @ up
+    if r != 0.0:
+        up = (1.0 - abs(r)) * np.eye(m) \
+            + abs(r) * np.eye(m, k=-1 if r > 0 else 1)
+        prop = prop @ up
+    if mirrored:
+        prop[:, 0] *= 0.5
     return prop if ax == 0 else np.ascontiguousarray(prop.T)
 
 
@@ -771,7 +810,7 @@ def tunnel_run(p, grid, gamma=None):
         potential_mod.check_weight_gate(gamma, p)
         absorption = _tunnel_weight(grid, gamma)
     check_tunnel_axis(grid.hi[0])
-    spec = PDESpec(p=p, drift=None, absorption=absorption)
+    spec = PDESpec(p=p, drift=None, absorption=absorption, mirror=(0, 1))
     fld = dirac_family(max(DEFAULT_LADDER), grid, datum_start(grid))
     # the cross-section ground state at the tunnel discretization, before any
     # step: on the grid axis it is the nodal values, zeros on the boundary

@@ -212,6 +212,16 @@ class TestClassifySegments:
         assert np.all(c.t[k0:] <= t_hi + 1e-9)
         assert np.all(c.t[k0:] >= t_lo - 1e-9)
 
+    def test_shipped_box_radius_is_unchanged(self):
+        # in 1D the radius's hypot is |x - a|, bitwise the sqrt((x - a)**2)
+        # of the norm it replaced
+        curve = harness.load_scenario(SCENARIOS / "box-reentry.ini") \
+            .build_curve()
+        a, r0, _ = geometry.classify_segments(curve).box
+        xs = curve.x[np.argmax(curve.t):]
+        assert curve.dim == 1
+        assert r0 == float(np.max(np.linalg.norm(xs - a, axis=1))) + 1e-9
+
     def test_plain_dip_is_not_a_box(self):
         # decreasing all the way to the end: no re-entry, no box
         arc = Curve.parametric(lambda s: 1.5 * s, lambda s: s * (1 - s),
@@ -237,6 +247,14 @@ class TestCurveConstruction:
         with pytest.raises(ConfigurationError):
             Curve("graph-over-t", tau, tau, np.column_stack([tau + 1.0]),
                   horizon=1.0)
+
+    def test_origin_is_tested_exactly(self):
+        # the norm of x = 1e-170 underflows to 0: it used to pass as the
+        # origin
+        tau = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ConfigurationError, match="origin"):
+            Curve("general-parametric", tau, tau,
+                  np.column_stack([np.r_[1e-170, 0.5, 1.0]]), horizon=1.0)
 
     def test_self_intersection_rejected(self):
         tau = np.array([0.0, 0.5, 1.0])

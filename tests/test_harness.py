@@ -634,6 +634,13 @@ class TestScenarioChecks:
         ("line-blowup.ini", "length = 10.0", "length = 4.0", "grid", "length",
          lambda: harness.Scenario("t", kind="tunnel",
                                   grid_cfg={"length": 4.0})),
+        # a tunnel run steps one quadrant, mirrored at the centre nodes
+        ("line-blowup.ini", "n_axis = 201", "n_axis = 200", "grid", "n_axis",
+         lambda: harness.Scenario("t", kind="tunnel",
+                                  grid_cfg={"n_axis": 200})),
+        ("line-blowup.ini", "n_cross = 41", "n_cross = 40", "grid", "n_cross",
+         lambda: harness.Scenario("t", kind="tunnel",
+                                  grid_cfg={"n_cross": 40})),
         # an inf velocity used to end in a traceback under -W error
         ("propagation-straight.ini", "velocity = 1.0, 0.0",
          "velocity = inf, 0.0", "curve", "velocity",
@@ -642,7 +649,8 @@ class TestScenarioChecks:
         ids=["tunnel-ladder-keys", "velocity-width", "kind", "expected",
              "one-rung", "sweep-p", "amplitude", "n_cross", "eps-order",
              "tunnel-eps-order", "n_cross-ground-state", "shifted-profile",
-             "truncation", "velocity-finite", *LATE_FAILURES])
+             "truncation", "n_axis-odd", "n_cross-odd", "velocity-finite",
+             *LATE_FAILURES])
     def test_file_and_caller_get_the_same_error(self, tmp_path, name, old,
                                                 new, section, key, build):
         path = TestLoadValidation.edited(tmp_path, name, old, new)
@@ -672,7 +680,10 @@ class TestScenarioChecks:
          "family = inverse-square\namplitude = 8.0",
          "family = log\namplitude = 1.0", "scenario", "gamma"),
         ("line-blowup.ini", "length = 10.0", "length = 4.0", "grid",
-         "length"), *(row[:5] for row in LATE_FAILURES.values())])
+         "length"),
+        ("line-blowup.ini", "n_axis = 201", "n_axis = 200", "grid", "n_axis"),
+        ("line-blowup.ini", "n_cross = 41", "n_cross = 40", "grid",
+         "n_cross"), *(row[:5] for row in LATE_FAILURES.values())])
     def test_cli_fails_before_any_step(self, tmp_path, monkeypatch, capsys,
                                        name, old, new, section, key):
         # each used to load and fail only when its run started, naming no

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -361,6 +362,20 @@ class TestPropagators:
                 np.testing.assert_allclose(out, self.explicit_step(g, c, vals),
                                            rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("shape", [(21, 141), (141, 21), (141,), (21,)])
+    def test_mirrored_step_matches_the_full_step(self, rng, shape):
+        # a kept half stepped dense and by LDL^T sweeps, on either axis: one
+        # step of even data, mirrored in every axis and whole
+        ndim = len(shape)
+        g = Grid("box", (-1.0,) * ndim, (1.0,) * ndim, shape, 2e-3)
+        vals = rng.uniform(0.1, 1.0, size=shape)
+        for ax in range(ndim):
+            vals = vals + np.flip(vals, ax)
+        full, quad = (solver.Stepper(g, solver.PDESpec(
+            p=2.0, absorption=1.0, mirror=mirror)).step(vals, 0.0, 0.0)[0]
+            for mirror in ((), tuple(range(ndim))))
+        np.testing.assert_allclose(quad, full, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("g", [
         Grid.unit_ball(41, 0.005, ndim=2),
         Grid("box", (-1.0, -1.0), (1.0, 1.0), (23, 66), 2e-3)])
@@ -399,10 +414,14 @@ class TestPropagators:
 @st.composite
 def comparison_cases(draw):
     """A grid on either side of the dense cutoff, a constant drift with
-    any sign pattern below the CFL limit, and an absorption."""
-    kind = draw(st.sampled_from(["box1", "ball1", "box2", "ball2", "tunnel"]))
-    n0 = draw(st.integers(5, 80))
-    n1 = draw(st.integers(5, 80))
+    any sign pattern below the CFL limit, and an absorption; or a mirrored
+    box with odd counts, whose kept halves fall on either side of the
+    cutoff too, drifting along no mirrored axis."""
+    kind = draw(st.sampled_from(["box1", "ball1", "box2", "ball2", "tunnel",
+                                 "mirrored1", "mirrored2"]))
+    n_max = 160 if kind.startswith("mirrored") else 80
+    n0 = draw(st.integers(5, n_max))
+    n1 = draw(st.integers(5, n_max))
     dt = draw(st.floats(1e-4, 5e-2))
     if kind == "box1":
         g = Grid.interval(-2.0, 2.0, n0, dt)
@@ -412,10 +431,17 @@ def comparison_cases(draw):
         g = Grid("box", (-1.0, -2.0), (1.0, 2.0), (n0, n1), dt)
     elif kind == "ball2":
         g = Grid.unit_ball(n0, dt, ndim=2)
-    else:
+    elif kind == "tunnel":
         g = Grid.tunnel(3.0, n0, n1, dt)
+    elif kind == "mirrored1":
+        g = Grid.interval(-2.0, 2.0, n0 | 1, dt)
+    else:
+        g = Grid.tunnel(3.0, n0 | 1, n1 | 1, dt)
+    mirror = tuple(ax for ax in range(g.ndim) if draw(st.booleans())) \
+        if kind.startswith("mirrored") else ()
     signs = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=g.ndim,
                           max_size=g.ndim))
+    signs = [0 if ax in mirror else s for ax, s in enumerate(signs)]
     frac = draw(st.floats(0.0, 1.0))
     c = np.array([s * frac * 0.5 * h / (g.ndim * dt)
                   for s, h in zip(signs, g.spacing)])
@@ -426,7 +452,7 @@ def comparison_cases(draw):
     else:
         def absorption(t):
             return a * (1.0 + np.sum(g.points() ** 2, axis=1)) * (1.0 + t), 0
-    spec = solver.PDESpec(p=p, drift=c, absorption=absorption)
+    spec = solver.PDESpec(p=p, drift=c, absorption=absorption, mirror=mirror)
     return g, spec, draw(st.integers(0, 2 ** 32 - 1))
 
 
@@ -439,6 +465,8 @@ class TestComparisonPrinciple:
         u = rng.uniform(0.0, 3.0, size=g.shape)
         v = u + rng.uniform(0.0, 3.0, size=g.shape) \
             * (rng.random(g.shape) < 0.5)
+        for ax in spec.mirror:  # even data, as a mirrored run steps
+            u, v = u + np.flip(u, ax), v + np.flip(v, ax)
         stepper = solver.Stepper(g, spec)
         su, lu = stepper.step(u, 0.1, 0.0)
         sv, lv = stepper.step(v, 0.1, 0.0)
@@ -865,6 +893,55 @@ class TestTunnel:
             assert n_under == 0
             assert np.array_equal(
                 h, np.maximum(math.sqrt(max(t, 0.0)), xperp) ** gamma)
+
+    @pytest.mark.parametrize("p, gamma", [(2.0, None), (2.5, None),
+                                          (3.0, 2.5)])
+    def test_mirrored_quadrant_matches_the_full_grid(self, monkeypatch, p,
+                                                     gamma):
+        # the shipped tunnel grid, stepped as tunnel_run declares it (one
+        # quadrant mirrored in both axes) and whole: the same c and
+        # conformance minimum, and the final fields 1e-12 apart
+        g = Grid.tunnel(10.0, 201, 41, 5e-4)
+        real, finals, mirror = solver.evolve, {}, None
+
+        def evolve(fld, spec, t_end, **kwargs):
+            assert spec.mirror == (0, 1)
+            run = real(fld, dataclasses.replace(spec, mirror=mirror), t_end,
+                       **kwargs)
+            finals[mirror] = run.final.values * math.exp(-run.final.log_scale)
+            return run
+
+        monkeypatch.setattr(solver, "evolve", evolve)
+        res = {}
+        for mirror in ((0, 1), ()):
+            res[mirror] = solver.tunnel_run(p, g, gamma=gamma)
+        quad, full = finals[(0, 1)], finals[()]
+        assert np.max(np.abs(quad - full)) <= 1e-12 * np.max(full)
+        assert (res[(0, 1)].c, res[(0, 1)].conformance_min) \
+            == (res[()].c, res[()].conformance_min)
+
+    @pytest.mark.parametrize("grid, drift, mirror", [
+        (Grid.tunnel(10.0, 200, 41, 1e-3), None, (0,)),
+        (Grid("box", (-1.0, -2.0), (1.0, 3.0), (21, 21), 1e-3), None, (1,)),
+        (Grid.tunnel(10.0, 201, 41, 1e-3), (0.0, 1.0), (1,)),
+        (Grid.unit_ball(21, 1e-3, ndim=2), None, (0,))],
+        ids=["even-count", "off-centre", "drift-along", "ball"])
+    def test_mirror_needs_a_centred_odd_box(self, grid, drift, mirror):
+        with pytest.raises(ConfigurationError, match="mirrors"):
+            solver.Stepper(grid, solver.PDESpec(p=2.0, drift=drift,
+                                                mirror=mirror))
+        # a drift across the mirrored axis is fine
+        solver.Stepper(Grid.tunnel(10.0, 201, 41, 1e-3), solver.PDESpec(
+            p=2.0, drift=(1.0, 0.0), mirror=(1,)))
+
+    def test_even_grid_rejected_before_any_step(self, monkeypatch):
+        def step(*args):
+            raise AssertionError("Stepper.step called")
+
+        monkeypatch.setattr(solver.Stepper, "step", step)
+        for shape in ((200, 41), (201, 40)):
+            with pytest.raises(ConfigurationError, match="odd node count"):
+                solver.tunnel_run(2.0, Grid.tunnel(10.0, *shape, 1e-3))
 
     def test_tail_fraction_counts_corners_once(self):
         g = Grid.tunnel(4.0, 9, 9, 1e-3)
