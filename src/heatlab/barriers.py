@@ -63,7 +63,6 @@ def decayed_ode(m, eta, q, t):
 # ----------------------------------------------------------------------
 # radial absorption barriers and their calibrated constants
 # ----------------------------------------------------------------------
-_CAL_CACHE = {}
 _CAL_GRIDS_1D = (129, 257)
 _CAL_GRIDS_2D = (49, 97)
 
@@ -121,11 +120,8 @@ def drift_barrier_constant(n_dim, q, c=0.0, eta=1.0, rho=1.0):
     """
     if q <= 1:
         raise ConfigurationError("barrier constant needs q > 1")
-    c_hat = float(c) * float(rho)
-    key = (int(n_dim), float(q), round(c_hat, 12))
-    if key not in _CAL_CACHE:
-        _CAL_CACHE[key] = _calibrate_unit_constant(n_dim, q, c_hat)
-    return _CAL_CACHE[key] * eta ** (-1.0 / (q - 1.0))
+    return _calibrate_unit_constant(int(n_dim), q, float(c) * float(rho)) \
+        * eta ** (-1.0 / (q - 1.0))
 
 
 def drift_radial_barrier(rho, c, eta, q, center, y):

@@ -19,9 +19,6 @@ class DomainError(HeatlabError, ValueError):
 
 
 class NumericalError(HeatlabError, RuntimeError):
-    """An iterative procedure failed to converge or a linear solve broke down."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """A numerical procedure failed: an iteration did not converge, a
+    calibration found no constant, or a run's field turned non-finite."""
 

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dfield, replace
@@ -70,8 +71,7 @@ _KIND_KEYS = {
                    potential_mod.PARABOLIC: _PROFILE,
                    potential_mod.CONSTANT_FLOOR: {"floor": 1.0}}},
                "grid": {"lo": -3.0, "hi": 3.0, "n": 301, "dt": _DT},
-               "rules": {"divergence_ceiling": 1e12, "stabilization": 0.01,
-                         "probe_margin": 0.3}},
+               "rules": {"stabilization": 0.01, "probe_margin": 0.3}},
     "tunnel": {"scenario": {"eps": _EPS, "gamma": None}, "curve": {},
                "potential": _PROFILE,
                "grid": {"length": 10.0, "n_axis": 201, "n_cross": 41,
@@ -90,14 +90,17 @@ _FIELDS = {"curve": "curve_cfg", "potential": "potential_cfg",
 _GRIDS = {"ladder": Grid.interval, "tunnel": Grid.tunnel}
 # the range of each number that no builder checks: a rule and its test
 _RANGES = {"p": ("must be > 1", lambda v: v > 1),
-           "alpha": ("must be > 0", lambda v: v > 0),
-           "horizon": ("must be > 0", lambda v: v > 0),
-           "eps": ("must be one or more strictly decreasing positive numbers",
-                   lambda v: min(v, default=0) > 0
+           "alpha": ("must be finite and > 0", lambda v: 0 < v < math.inf),
+           "horizon": ("must be finite and > 0", lambda v: 0 < v < math.inf),
+           # a run ends at alpha/eps**2: eps**2 must not underflow to 0
+           "eps": ("must be one or more strictly decreasing positive numbers, "
+                   "each with a square > 0",
+                   lambda v: min(v, default=0) > 0 and min(v) ** 2 > 0
                    and all(a > b for a, b in zip(v, v[1:]))),
            # the verdict compares the last two rungs
-           "k_ladder": ("must be two or more positive numbers",
-                        lambda v: len(v) > 1 and min(v) > 0),
+           "k_ladder": ("must be two or more finite positive numbers",
+                        lambda v: len(v) > 1
+                        and all(0 < k < math.inf for k in v)),
            # the Dirac datum sits at the origin of a ladder's interval
            "lo": ("must be < 0", lambda v: v < 0),
            "hi": ("must be > 0", lambda v: v > 0),
@@ -114,13 +117,23 @@ _RANGES = {"p": ("must be > 1", lambda v: v > 1),
            "growth_window": ("must be at least 2", lambda v: v >= 2),
            # each ceiling goes through math.log; a tolerance or the
            # stabilization below 0 would fail even exact evidence
-           **dict.fromkeys(
-               ("divergence_ceiling", "amplified_ceiling", "bounded_ceiling"),
-               ("must be > 0", lambda v: v > 0)),
+           **dict.fromkeys(("amplified_ceiling", "bounded_ceiling"),
+                           ("must be > 0", lambda v: v > 0)),
            **dict.fromkeys(("stabilization", "conformance_tol", "tunnel_tol"),
                            ("must be >= 0", lambda v: v >= 0)),
-           # an infinite amplitude makes the log profile inf * ln(1) = nan
-           "amplitude": ("must be finite", math.isfinite)}
+           # the probe window starts this share into its interval
+           "probe_margin": ("must be >= 0 and < 1", lambda v: 0 <= v < 1),
+           # the measured half-width lies within this share of the formula's
+           "halfwidth_band": ("must be >= 0 and <= 1", lambda v: 0 <= v <= 1),
+           # an infinite amplitude makes the log profile inf * ln(1) = nan,
+           # and a tunnel axis of infinite length has infinite spacing
+           **dict.fromkeys(("amplitude", "length", "functional_threshold"),
+                           ("must be finite", math.isfinite))}
+
+
+# a scenario or sweep name, which names its report files and CSV rows
+_NAME = re.compile(r"[\w.-]+", re.ASCII)
+_NAME_RULE = "must be a plain file-name token: letters, digits, _ . or -"
 
 
 def _require(ok, section, key, value, rule):
@@ -252,8 +265,8 @@ class Scenario:
     def check_runs(self):
         """What the zoomed runs need, checked where runs are due, not by the
         constructor, which builds an analytic sweep's combos too: the step
-        budget, alpha within the curve's horizon, and at the largest eps a
-        feedback lift within double range and the drift's CFL limit."""
+        budget, alpha within the curve's horizon, and at the largest eps the
+        drift's CFL limit and a feedback lift within double range."""
         if self.kind != "rescaled":
             return
         dt, cfg = self.grid_cfg["dt"], self.curve_cfg
@@ -264,15 +277,16 @@ class Scenario:
         _require(self.alpha <= cfg["horizon"] + 1e-12, "scenario", "alpha",
                  self.alpha, "must not lie beyond the curve's horizon "
                  f"{cfg['horizon']:g}")
+        # in Python floats, which overflow to inf and fail the CFL limit
+        _built(lambda: solver.drift_cfl(
+            dt, [self.eps_list[0] * c for c in cfg["velocity"]],
+            self.build_grid().spacing), "curve", {"velocity": cfg["velocity"]})
         # the feedback lift exp(0.5 (p - 1) eps |velocity|) of solve_rescaled
         lift = 0.5 * (self.p - 1.0) * max(self.eps_list) \
             * float(np.linalg.norm(cfg["velocity"]))
         _require(lift <= 700.0, "scenario", "p", self.p,
                  f"the feedback lift exp({lift:.3g}) at the largest eps "
                  "exceeds exp(700)")
-        _built(lambda: solver.drift_cfl(
-            dt, self.eps_list[0] * np.asarray(cfg["velocity"]),
-            self.build_grid().spacing), "curve", {"velocity": cfg["velocity"]})
 
     def _run_end(self):
         """The end time of the shortest evolution the scenario runs: at
@@ -432,10 +446,12 @@ def load_scenario(path):
     _, cfg = _read_ini(path, ("scenario",) + tuple(_FIELDS))
     if "path" in cfg["curve"]:
         cfg["curve"]["path"] = str(Path(path).parent / cfg["curve"]["path"])
-    head = {_HEAD.get(key, key): value
-            for key, value in cfg["scenario"].items()}
+    head = {"name": Path(path).stem, **{
+        _HEAD.get(key, key): value for key, value in cfg["scenario"].items()}}
     try:
-        scenario = Scenario(**{"name": Path(path).stem, **head}, **{
+        _require(_NAME.fullmatch(head["name"]), "scenario", "name",
+                 head["name"], _NAME_RULE)
+        scenario = Scenario(**head, **{
             attr: cfg[name] for name, attr in _FIELDS.items()})
         scenario.check_runs()
         return scenario
@@ -565,14 +581,13 @@ def ladder_runs(scenario, curve, window):
     The rungs step through the same time levels of the same h as the
     columns of one :func:`solver.solve_uk` batch, so each level is
     evaluated once for all of them; each run equals the run of its rung
-    alone, underflow count and divergence stop included.
+    alone, underflow count included.
     """
     grid = scenario.build_grid()
     return solver.solve_uk(
         scenario.k_ladder,
         potential_mod.grid_levels(scenario.build_potential(curve), grid),
         scenario.p, scenario.horizon, grid,
-        ceiling=scenario.rules["divergence_ceiling"],
         observe=_curve_probe(curve, grid, window, scenario.horizon))
 
 
@@ -744,6 +759,8 @@ def load_sweep(path):
     an analytic sweep needs a rescaled base or none (``_ANALYTIC_BASE``)."""
     cp, cfg = _read_ini(path, ("sweep",))
     sw, section = cfg["sweep"], cp["sweep"]
+    name = sw.get("name", Path(path).stem)
+    _check(_NAME.fullmatch(name), path, section, "name", _NAME_RULE)
     mode = sw.get("mode", "analytic")
     _check(mode in ("analytic", "numerical"), path, section, "mode",
            "unknown sweep mode, not one of analytic, numerical")
@@ -771,8 +788,7 @@ def load_sweep(path):
                     combo.check_runs()
             except ConfigurationError as exc:
                 _check(False, path, section, key, str(exc))
-    return {"name": sw.get("name", Path(path).stem), "mode": mode,
-            "base": base, "axes": axes}
+    return {"name": name, "mode": mode, "base": base, "axes": axes}
 
 
 def _combo_key(combo):
@@ -798,13 +814,21 @@ def _analytic_verdict(combo, base):
 
 
 def read_sweep_log(path):
-    """The records of a sweep log, in file order."""
+    """The records of a sweep log, in file order; a record that fails to
+    parse is named by its file line."""
+    records = []
     try:
         with open(path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+            for n, line in enumerate(fh, 1):
+                if line.strip():
+                    records.append(json.loads(line))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"cannot read sweep log {path}: line {n} "
+                                 f"column {exc.colno}: {exc.msg}") from None
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read sweep log {path}: {exc}") \
             from None
+    return records
 
 
 def sweep(spec, log_path, workers=1):

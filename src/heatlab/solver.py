@@ -47,7 +47,6 @@ from .errors import ConfigurationError, NumericalError
 from .grids import BALL, Field
 
 DEFAULT_LADDER = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
-DIVERGENCE_CEILING = 1e12
 _RENORM_FLOOR = 1e-120
 # ln 2**-60: a decay rate x below it leaves 1 + x == 1 (see evolve)
 _NOOP_LOG = -60.0 * math.log(2.0)
@@ -62,11 +61,13 @@ class PDESpec:
 
     ``drift`` is None or one velocity for the whole run, shape (ndim,),
     which :class:`Stepper` checks against :func:`drift_cfl` once, when it
-    is built; ``absorption`` is None, a constant >= 0, or a level function
-    t -> (values at every grid node, count of nodes whose value underflowed
-    to 0), such as :func:`potential.grid_levels` returns.  ``mirror`` names
-    the axes in which the datum and the absorption are even, which only
-    :func:`tunnel_run` knows and declares (see :class:`Stepper`).
+    is built; ``absorption`` is None, a finite constant >= 0, or a level
+    function t -> (values at every grid node, count of nodes whose value
+    underflowed to 0), such as :func:`potential.grid_levels` returns.
+    ``mirror`` names the axes in which the datum and the absorption are
+    even, which only :func:`tunnel_run` knows and declares (see
+    :class:`Stepper`).  As the absorption is >= 0, no solution rises above
+    its datum's maximum (the comparison principle).
     """
 
     p: float
@@ -77,13 +78,16 @@ class PDESpec:
     def __post_init__(self):
         if not self.p > 1:
             raise ConfigurationError(f"exponent p = {self.p} must be > 1")
+        a = self.absorption
+        if not (a is None or callable(a) or 0.0 <= a < math.inf):
+            raise ConfigurationError(
+                f"constant absorption {a} must be finite and >= 0")
 
 
 @dataclass
 class BatchResult:
     """A batch run of :func:`evolve`: ``times`` holds the time of every
-    step the batch took, through the one where its last column stopped,
-    and ``runs`` one :class:`RunResult` per column, in order."""
+    step, and ``runs`` one :class:`RunResult` per column, in order."""
 
     times: np.ndarray
     runs: list
@@ -93,19 +97,16 @@ class BatchResult:
 class RunResult:
     """Step times, observations and bookkeeping of one evolution run.
 
-    ``times`` holds the time of every step, fast-forwarded ones included,
-    through the one that stopped the run, if any: a prefix of
+    ``times`` holds the time of every step, fast-forwarded ones included:
     :func:`step_times`.  ``observed`` holds what the observer returned at
-    each of its times.  ``stop`` names what froze the run early, if
-    anything (``non-finite`` or ``divergence-ceiling``); ``tail_mass`` is
-    the final share of the mass on the nodes next to the box faces.
-    ``linear_from`` is the time from which the run was fast-forwarded as
-    one linear map, None if it stepped to the end.  See :func:`evolve`.
+    each of its times; ``tail_mass`` is the final share of the mass on the
+    nodes next to the box faces.  ``linear_from`` is the time from which
+    the run was fast-forwarded as one linear map, None if it stepped to the
+    end.  See :func:`evolve`.
     """
 
     final: Field
     times: np.ndarray
-    stop: str | None = None
     renormalizations: int = 0
     underflows: int = 0
     tail_mass: float = 0.0
@@ -124,10 +125,10 @@ DENSE_AXIS_MAX = 64
 def drift_cfl(dt, velocity, spacing):
     """The upwind CFL number dt * sum |c_i|/h_i of a constant drift
     velocity; raises unless the velocity is finite and the number at most
-    0.5."""
+    0.5.  The sum is taken in Python floats, which overflow to inf."""
     if not np.all(np.isfinite(velocity)):
         raise ConfigurationError("drift velocity is not finite")
-    cfl = dt * float(np.sum(np.abs(velocity) / np.asarray(spacing)))
+    cfl = dt * sum(abs(float(c)) / h for c, h in zip(velocity, spacing))
     if cfl > 0.5 + 1e-12:
         raise ConfigurationError(f"drift CFL {cfl:.3g} exceeds 0.5")
     return cfl
@@ -200,9 +201,8 @@ class Stepper:
                     f"axis {ax} mirrors only on a box centred on 0, with an "
                     f"odd node count and no drift along it: {grid.describe()}"
                     f", drift {c[ax]:g}")
-        # a batch, whose width falls as columns stop, takes fresh arrays
-        self._work = np.empty(grid.shape)[self._quad].copy() \
-            if columns is None else None
+        self._work = np.empty(grid.shape + (
+            () if columns is None else (columns,)))[self._quad].copy()
         self._ab = [_banded(n // 2 if m else n - 2, self.dt / (h * h), m)
                     for n, h, m in zip(grid.shape, self.hs, self._mirror)]
         # a short or moving axis steps by its dense operator, any other by
@@ -218,8 +218,8 @@ class Stepper:
         # max|u| is unknown until the first step
         self.vmax = math.inf if columns is None else np.full(columns, math.inf)
         # absorb guards against overflow from the max|u| at which max|u|**(p-1)
-        # * max(|a| (p-1) dt, 1) = e**600, e**109 below the double limit
-        a = 1.0 if callable(spec.absorption) else abs(spec.absorption or 0.0)
+        # * max(a (p-1) dt, 1) = e**600, e**109 below the double limit
+        a = 1.0 if callable(spec.absorption) else spec.absorption or 0.0
         self._vmax_safe = math.exp(min(700.0, (600.0 - math.log(max(
             a * (spec.p - 1.0) * self.dt, 1.0))) / (spec.p - 1.0)))
 
@@ -265,11 +265,6 @@ class Stepper:
         self.vmax = vmax
         return out, log_scale
 
-    def keep(self, cols):
-        """Keep only the batch columns flagged in ``cols``, in order."""
-        self.vmax = self.vmax[cols]
-        self.renorm_count = self.renorm_count[cols]
-
     def absorb(self, values, t, log_scale):
         """Exact decay map of u' = -a u**p over one step, coefficient frozen
         at t: ``values`` itself without absorption, else a work array.
@@ -279,9 +274,9 @@ class Stepper:
         instead of cancelling in 1 + x; at p = 2 it is the exact u / (1 + x).
         If x can overflow (large |u| at large p), which ``vmax``, max|u|
         after the last step, tells, the entries whose x does are mapped
-        through ln x, toward the finite limit sign(u) ((p-1) dt a)**(-1/(p-1))
-        (NaN under a source, a < 0), and the rest as ever.  A batch maps
-        each column with its own ``log_scale``.
+        through ln x, toward the finite limit sign(u) ((p-1) dt a)**(-1/(p-1)),
+        and the rest as ever.  A batch maps each column with its own
+        ``log_scale``.
         """
         p, dt, a = self.spec.p, self.dt, self.spec.absorption
         if a is None:
@@ -324,12 +319,12 @@ class Stepper:
             out = np.multiply(values, rate, out=rate)
         if bad is not None and bad.any():
             u = values[bad]
-            with np.errstate(divide="ignore", invalid="ignore"):  # ln 0, ln a
+            with np.errstate(divide="ignore", invalid="ignore"):  # ln 0, NaN
                 log_x = (p - 1.0) * (np.log(np.abs(u)) - np.broadcast_to(
                     log_scale, values.shape)[bad]) + np.log(a * (p - 1.0) * dt)
                 if h is not None:
                     log_x += np.log(np.broadcast_to(h, values.shape)[bad])
-            out[bad] = u * np.exp(np.logaddexp(0.0, log_x) / (1.0 - p))
+                out[bad] = u * np.exp(np.logaddexp(0.0, log_x) / (1.0 - p))
         return out
 
     def _diffuse(self, inner):
@@ -424,7 +419,7 @@ def step_times(t0, t_end, dt):
     return t0 + np.arange(1, n_steps + 1) * dt
 
 
-def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
+def evolve(fld, spec, t_end, observe=None):
     """Drive a field to t_end recording step times, observations and run
     counters.
 
@@ -436,20 +431,19 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
     dt/2, and there ``fn(t, values, log_scale)`` reduces the field,
     physical = values * exp(-log_scale), to what ``RunResult.observed``
     keeps.  ``values`` is the working array: ``fn`` reads it and neither
-    keeps nor changes it.  Every finite step is observed, the one that
-    crosses the divergence ceiling included; none after it.
+    keeps nor changes it.  A step whose field is not finite raises a
+    NumericalError.
 
-    A run whose absorption is None or a constant >= 0 ends in a linear
-    tail: once its decay map is a bitwise no-op, each step
-    applies one fixed, nonnegative and irreducible linear map, and the
-    field becomes that map's top eigenvector (the power method; Perron-
-    Frobenius).  When one step then multiplies the field by its Rayleigh
-    quotient mu to within ``_LINEAR_RTOL`` (0 < mu < 1), the run stops
-    stepping at that step, ``linear_from``: the values stay as they are,
-    and each remaining step only lowers the physical field by mu, through
-    ``log_scale``.  ``times`` keeps one entry per step, and each later
-    observer time gets the frozen values with the ``log_scale`` of the step
-    it matches.
+    A run whose absorption is None or a constant ends in a linear tail:
+    once its decay map is a bitwise no-op, each step applies one fixed,
+    nonnegative and irreducible linear map, and the field becomes that
+    map's top eigenvector (the power method; Perron-Frobenius).  When one
+    step then multiplies the field by its Rayleigh quotient mu to within
+    ``_LINEAR_RTOL`` (0 < mu < 1), the run stops stepping at that step,
+    ``linear_from``: the values stay as they are, and each remaining step
+    only lowers the physical field by mu, through ``log_scale``.  ``times``
+    keeps one entry per step, and each later observer time gets the frozen
+    values with the ``log_scale`` of the step it matches.
 
     A batch field, values (m, K) on a 1D grid, steps its K columns as one
     run each (see :func:`_evolve_batch`) and returns a
@@ -458,44 +452,33 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
     grid = fld.grid
     times = step_times(fld.time, t_end, grid.dt)
     if fld.values.ndim > grid.ndim:
-        return _evolve_batch(fld, spec, times, ceiling, observe)
+        return _evolve_batch(fld, spec, times, observe)
     stepper = Stepper(grid, spec)
     values = fld.values.copy()
     log_scale = fld.log_scale
     t = fld.time
-    observed, stop = [], None
+    observed = []
     obs_times, obs_fn = observe or ((), None)
-    log_ceiling = math.log(ceiling)
     # below this log ||u||_inf the decay map of Stepper.absorb is a bitwise
-    # no-op, x = a (p-1) dt ||u||_inf**(p-1) < 2**-60; a run with no
-    # absorption or a constant one >= 0 never raises ||u||_inf,
-    # so from there on one step is a fixed linear map.  Other runs never
-    # switch: a level function varies in t, and a negative constant is a
-    # source under which ||u||_inf can grow
+    # no-op, x = a (p-1) dt ||u||_inf**(p-1) < 2**-60; no run raises
+    # ||u||_inf, so under no absorption or a constant one, from there on one
+    # step is a fixed linear map.  A level function varies in t: its runs
+    # never switch
     a, pm1 = spec.absorption, spec.p - 1.0
-    if callable(a) or (a is not None and a < 0):
-        linf_noop = -math.inf
-    elif a is None or a == 0:
-        linf_noop = math.inf
-    else:
-        linf_noop = (_NOOP_LOG - math.log(a * pm1 * grid.dt)) / pm1
+    linf_noop = -math.inf if callable(a) else math.inf if not a else \
+        (_NOOP_LOG - math.log(a * pm1 * grid.dt)) / pm1
     noop_at = ln_mu = None
 
     for istep in range(times.size):
         values, log_scale = stepper.step(values, t, log_scale)
         t = float(times[istep])
         if not math.isfinite(stepper.vmax):
-            stop = "non-finite"
-            break
-        log_linf = math.log(stepper.vmax) - log_scale if stepper.vmax > 0 \
-            else -math.inf
+            raise NumericalError(f"the field is not finite at t = {t:.6g}")
         while len(observed) < len(obs_times) and \
                 t >= obs_times[len(observed)] - grid.dt / 2.0:
             observed.append(obs_fn(t, values, log_scale))
-        if log_linf > log_ceiling:
-            stop = "divergence-ceiling"
-            break
-        if log_linf < linf_noop:  # so the next step is linear
+        # below linf_noop, the next step is linear
+        if 0 < stepper.vmax and math.log(stepper.vmax) - log_scale < linf_noop:
             if noop_at == istep - 1:
                 ln_mu = _linear_rate(before, values, before_scale - log_scale,
                                      stepper.vmax)
@@ -504,9 +487,7 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
             noop_at, before, before_scale = istep, values, log_scale
 
     linear_from = None
-    if stop is not None:
-        times = times[:istep + 1]
-    elif ln_mu is not None:
+    if ln_mu is not None:
         # every later step multiplies the field by mu: the values stay and
         # log_scale rises by -ln mu a step
         linear_from, past = t, times[istep + 1:]
@@ -519,8 +500,7 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
         log_scale -= past.size * ln_mu
         t = float(times[-1])
 
-    return RunResult(final=Field(grid, values, t, log_scale),
-                     times=times, stop=stop,
+    return RunResult(final=Field(grid, values, t, log_scale), times=times,
                      renormalizations=stepper.renorm_count,
                      underflows=stepper.underflow_count,
                      tail_mass=_tail_fraction(values, grid),
@@ -528,13 +508,12 @@ def evolve(fld, spec, t_end, ceiling=DIVERGENCE_CEILING, observe=None):
                      linear_from=linear_from)
 
 
-def _evolve_batch(fld, spec, times, ceiling, observe):
+def _evolve_batch(fld, spec, times, observe):
     """:func:`evolve` on the columns of a batch field, each with its own
-    ``log_scale``, renormalization count and stop, and all on one h level
-    and one ``dpttrs`` call a step.  Its observer fn(t, values, log_scale)
-    gets the columns still running, values (m, K') and log_scale (K',), and
-    returns one observation per column.  A column that stops leaves the
-    batch; its run ends as a run of that column alone would.  A batch
+    ``log_scale`` and renormalization count, and all on one h level and one
+    ``dpttrs`` call a step.  Its observer fn(t, values, log_scale) gets
+    values (m, K) and log_scale (K,), and returns one observation per
+    column.  Each column's run is the run of that column alone.  A batch
     never fast-forwards: each column would switch at its own step.
     """
     grid, t = fld.grid, fld.time
@@ -542,48 +521,27 @@ def _evolve_batch(fld, spec, times, ceiling, observe):
     stepper = Stepper(grid, spec, columns=n_cols)
     values = fld.values.copy()
     log_scale = np.full(n_cols, fld.log_scale, dtype=float)
-    live = np.arange(n_cols)  # the batch column of each running column
-    runs, observed = [None] * n_cols, [[] for _ in range(n_cols)]
+    observed = [[] for _ in range(n_cols)]
     obs_times, obs_fn = observe or ((), None)
-    log_ceiling = math.log(ceiling)
-
-    def leave(gone, stop, n_steps):
-        """End the running columns flagged in ``gone`` after n_steps."""
-        nonlocal values, log_scale, live
-        for j in np.flatnonzero(gone):
-            col = values[:, j].copy()
-            runs[live[j]] = RunResult(
-                final=Field(grid, col, t, float(log_scale[j])),
-                times=times[:n_steps], stop=stop,
-                renormalizations=int(stepper.renorm_count[j]),
-                underflows=stepper.underflow_count,
-                tail_mass=_tail_fraction(col, grid),
-                observed=observed[live[j]])
-        keep = ~gone
-        values, log_scale, live = values[:, keep], log_scale[keep], live[keep]
-        stepper.keep(keep)
-
-    n_obs = istep = 0
+    n_obs = 0
     for istep in range(times.size):
         values, log_scale = stepper.step(values, t, log_scale)
         t = float(times[istep])
-        finite = np.isfinite(stepper.vmax)
-        if not finite.all():
-            leave(~finite, "non-finite", istep + 1)
-        while live.size and n_obs < len(obs_times) and \
+        if not np.isfinite(stepper.vmax).all():
+            raise NumericalError(
+                f"a batch column is not finite at t = {t:.6g}")
+        while n_obs < len(obs_times) and \
                 t >= obs_times[n_obs] - grid.dt / 2.0:
-            for j, obs in zip(live, obs_fn(t, values, log_scale)):
-                observed[j].append(obs)
+            for col, obs in zip(observed, obs_fn(t, values, log_scale)):
+                col.append(obs)
             n_obs += 1
-        over = np.array([v > 0 and math.log(v) - s > log_ceiling
-                         for v, s in zip(stepper.vmax.tolist(),
-                                         log_scale.tolist())], dtype=bool)
-        if over.any():
-            leave(over, "divergence-ceiling", istep + 1)
-        if not live.size:
-            break
-    leave(np.ones(live.size, dtype=bool), None, times.size)
-    return BatchResult(times=times[:istep + 1], runs=runs)
+    # each column's run as a run of it alone, on a contiguous copy
+    return BatchResult(times=times, runs=[RunResult(
+        final=Field(grid, col, t, float(s)), times=times,
+        renormalizations=int(n), underflows=stepper.underflow_count,
+        tail_mass=_tail_fraction(col, grid), observed=obs)
+        for col, s, n, obs in zip(values.T.copy(), log_scale,
+                                  stepper.renorm_count, observed)])
 
 
 def _linear_rate(u, v, shift, vmax):
@@ -620,24 +578,21 @@ def _tail_fraction(values, grid):
     return (total - inner) / total
 
 
-def solve_uk(masses, levels, p, horizon, grid, t_start=None,
-             ceiling=DIVERGENCE_CEILING, observe=None):
+def solve_uk(masses, levels, p, horizon, grid, t_start=None, observe=None):
     """Evolve the Dirac-datum solutions u_k, k in ``masses``, to
     ``horizon`` as the columns of one batch; returns one
     :class:`RunResult` per mass, in order.
 
-    Numerical blow-up is recorded (run frozen, ``stop`` set) when a
-    column's L-infinity norm exceeds the divergence ceiling.  ``levels`` is
-    h's level function on ``grid``, see :func:`potential.grid_levels`;
-    ``observe`` is a batch observer of :func:`evolve`, one observation per
-    running column.
+    ``levels`` is h's level function on ``grid``, see
+    :func:`potential.grid_levels`; ``observe`` is a batch observer of
+    :func:`evolve`, one observation per column.
     """
     if t_start is None:
         t_start = datum_start(grid, aligned=False)
     fld = Field(grid, np.column_stack([dirac_family(k, grid, t_start).values
                                        for k in masses]), t_start)
     spec = PDESpec(p=p, drift=None, absorption=levels)
-    return evolve(fld, spec, horizon, ceiling=ceiling, observe=observe).runs
+    return evolve(fld, spec, horizon, observe=observe).runs
 
 
 @dataclass
@@ -726,11 +681,12 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
 
 def check_step_budget(eps, alpha, dt):
     """Raise a ConfigurationError if the zoomed run at ``eps`` out to time
-    alpha/eps**2 takes more than ``_MAX_STEPS`` steps of ``dt``."""
-    n_steps = int(round(alpha / (eps * eps) / dt))
-    if n_steps > _MAX_STEPS:
+    alpha/eps**2 takes more than ``_MAX_STEPS`` steps of ``dt`` (rounded to
+    the nearest count; an overflow to inf takes more)."""
+    n_steps = alpha / (eps * eps) / dt
+    if not n_steps <= _MAX_STEPS + 0.5:
         raise ConfigurationError(
-            f"{n_steps} steps exceed the budget; raise eps above "
+            f"{n_steps:.0f} steps exceed the budget; raise eps above "
             f"{math.sqrt(alpha / (_MAX_STEPS * dt)):.3g} or enlarge dt")
 
 

@@ -237,17 +237,14 @@ def _inverse_power(A, weight=None):
     v = np.ones(n)
     v /= np.sqrt(np.dot(v, w * v))
     lam_old = np.inf
-    trace = []
     for it in range(1, _MAX_ITER + 1):
         y = solve_banded((1, 1), ab, v)
         y /= np.sqrt(np.dot(y, w * y))
         Ay = _apply_tridiag(A, y)
         lam = float(np.dot(Ay, w * y))
         inc = abs(lam - lam_old)
-        trace.append(inc)
         v = y
         if inc < _EIG_TOL:
             return lam, v, it
         lam_old = lam
-    raise NumericalError("inverse power iteration did not converge",
-                         trace=trace[-50:])
+    raise NumericalError("inverse power iteration did not converge")

@@ -340,9 +340,42 @@ class TestLoadValidation:
 
     def test_percent_sign_is_plain_text(self, tmp_path):
         # '%' used to start an interpolation that ended in a traceback
+        tau = np.linspace(0.0, 1.0, 33)
+        np.savetxt(tmp_path / "arc 50%.txt", np.column_stack(
+            [tau, 0.25 * np.sin(np.pi * tau), 1.6 * tau]))
+        path = self.edited(tmp_path, "downslope-arc.ini",
+                           "form = arc\nspeed = 1.6\nt_max = 0.25\n"
+                           "horizon = 1.0\nsamples = 513",
+                           "form = table\npath = arc 50%.txt")
+        assert harness.load_scenario(path).curve_cfg["path"] \
+            == str(tmp_path / "arc 50%.txt")
+
+    @pytest.mark.parametrize("line", ["name = a/b", "name = x,y", "name =",
+                                      "name = box 50% reentry"])
+    def test_name_is_a_file_name_token(self, tmp_path, monkeypatch, capsys,
+                                       line):
+        # a/b used to end `heatlab run` in a FileNotFoundError once the
+        # verdict was known, x,y to write 6 fields under the 5-column
+        # header of verdicts.csv, and an empty name to write _trace.csv
         path = self.edited(tmp_path, "box-reentry.ini", "name = box-reentry",
-                           "name = box 50% reentry")
-        assert harness.load_scenario(path).name == "box 50% reentry"
+                           line)
+        msg = self.rejected_by_cli(path, "scenario", "name", "run",
+                                   monkeypatch, capsys)
+        assert "plain file-name token" in msg
+
+    def test_file_stem_is_a_name_too(self, tmp_path):
+        text = (SCENARIOS / "box-reentry.ini").read_text()
+        path = tmp_path / "box,reentry.ini"
+        path.write_text(text.replace("name = box-reentry\n", ""))
+        self.rejected(path, "scenario", "name")
+
+    def test_divergence_ceiling_is_an_unknown_rule(self, tmp_path):
+        # runs step to their end: the absorption never raises max|u|
+        path = self.edited(tmp_path, "downslope-arc.ini",
+                           "stabilization = 0.01",
+                           "divergence_ceiling = 1e12\nstabilization = 0.01")
+        assert "unknown rule" in self.rejected(path, "rules",
+                                               "divergence_ceiling")
 
     def test_unknown_section(self, tmp_path):
         path = self.edited(tmp_path, "box-reentry.ini", "[grid]", "[grdi]")
@@ -410,6 +443,15 @@ class TestLoadValidation:
         path = self.sweep_file(tmp_path, base, body)
         assert rule in self.rejected_by_cli(path, "sweep", key, "sweep",
                                             monkeypatch, capsys)
+
+    @pytest.mark.parametrize("name", ["a/b", "x,y", ""])
+    def test_sweep_name_is_a_file_name_token(self, tmp_path, monkeypatch,
+                                             capsys, name):
+        # a/b used to end `heatlab sweep` in a FileNotFoundError
+        path = tmp_path / "sweep.ini"
+        path.write_text(f"[sweep]\nname = {name}\namplitude = 1, 2\n")
+        assert "plain file-name token" in self.rejected_by_cli(
+            path, "sweep", "name", "sweep", monkeypatch, capsys)
 
     def test_sweep_velocity_axis_over_linear_base_loads(self, tmp_path):
         path = self.sweep_file(tmp_path, "propagation-straight.ini",
@@ -525,16 +567,10 @@ LATE_FAILURES = {
                   lambda: harness.run_scenario(harness.Scenario(
                       "x", curve_cfg={"velocity": (100.0, 0.0)}))),
     # a ceiling of 0 or below used to end in a math domain error at its
-    # math.log (divergence_ceiling's when the ladder ran, the others' when
-    # the verdict was judged), a stabilization or tolerance below 0 to
-    # demand more than exact evidence (downslope-arc with stabilization =
-    # -1 answered propagation), and an infinite amplitude to warn of a nan
-    # h at run time
-    "divergence-ceiling": ("downslope-arc.ini", "divergence_ceiling = 1e12",
-                           "divergence_ceiling = 0", "rules",
-                           "divergence_ceiling", lambda: harness.Scenario(
-                               "x", kind="ladder",
-                               rules={"divergence_ceiling": 0.0})),
+    # math.log when the verdict was judged, a stabilization or tolerance
+    # below 0 to demand more than exact evidence (downslope-arc with
+    # stabilization = -1 answered propagation), and an infinite amplitude
+    # to warn of a nan h at run time
     "amplified-ceiling": ("propagation-straight.ini",
                           "amplified_ceiling = 1e6", "amplified_ceiling = 0",
                           "rules", "amplified_ceiling",
@@ -579,7 +615,68 @@ LATE_FAILURES = {
                            lambda: harness.Scenario(
                                "t", kind="tunnel", p=3.0, gamma=2.5,
                                eps_list=(0.2, 0.1),
-                               potential_cfg={"amplitude": 1e306}))}
+                               potential_cfg={"amplitude": 1e306})),
+    # a number out of double range (inf, an eps whose square underflows, a
+    # velocity whose norm overflows) used to end in a traceback under -W
+    # error: OverflowError in the step budget, ZeroDivisionError in the run
+    # end, OverflowError in the tunnel's datum start, a RuntimeWarning in
+    # the curve and in the Dirac datum, an overflow in the feedback lift
+    "alpha-inf": ("propagation-straight.ini", "alpha = 1.0", "alpha = inf",
+                  "scenario", "alpha", lambda: harness.Scenario(
+                      "x", alpha=math.inf)),
+    "eps-underflow": ("propagation-straight.ini", "eps = 0.2, 0.1, 0.05",
+                      "eps = 0.2, 0.1, 1e-200", "scenario", "eps",
+                      lambda: harness.Scenario(
+                          "x", eps_list=(0.2, 0.1, 1e-200))),
+    "length-inf": ("line-blowup.ini", "length = 10.0", "length = inf",
+                   "grid", "length", lambda: harness.Scenario(
+                       "t", kind="tunnel", grid_cfg={"length": math.inf})),
+    "horizon-inf": ("downslope-arc.ini", "horizon = 1.0", "horizon = inf",
+                    "curve", "horizon", lambda: harness.Scenario(
+                        "x", kind="ladder", curve_cfg={"form": "arc",
+                                                       "horizon": math.inf})),
+    "ladder-horizon-inf": ("downslope-arc.ini", "horizon = 0.25",
+                           "horizon = inf", "scenario", "horizon",
+                           lambda: harness.Scenario(
+                               "x", kind="ladder", horizon=math.inf)),
+    "k-ladder-inf": ("downslope-arc.ini",
+                     "k_ladder = 1e1, 1e2, 1e3, 1e4, 1e5, 1e6",
+                     "k_ladder = 10, inf", "scenario", "k_ladder",
+                     lambda: harness.Scenario(
+                         "x", kind="ladder", k_ladder=(10.0, math.inf))),
+    "velocity-overflow": ("propagation-straight.ini", "velocity = 1.0, 0.0",
+                          "velocity = 1e308, 0.0", "curve", "velocity",
+                          lambda: harness.run_scenario(harness.Scenario(
+                              "x", curve_cfg={"velocity": (1e308, 0.0)}))),
+    # a rule without a range gave a silent verdict: probe_margin = -5
+    # turned downslope-arc into propagation, and each of the others
+    # answered inconclusive
+    "probe-margin-negative": ("downslope-arc.ini", "probe_margin = 0.3",
+                              "probe_margin = -5", "rules", "probe_margin",
+                              lambda: harness.Scenario(
+                                  "x", kind="ladder",
+                                  rules={"probe_margin": -5.0})),
+    "probe-margin-one": ("downslope-arc.ini", "probe_margin = 0.3",
+                         "probe_margin = 2", "rules", "probe_margin",
+                         lambda: harness.Scenario(
+                             "x", kind="ladder", rules={"probe_margin": 2.0})),
+    "probe-margin-nan": ("downslope-arc.ini", "probe_margin = 0.3",
+                         "probe_margin = nan", "rules", "probe_margin",
+                         lambda: harness.Scenario(
+                             "x", kind="ladder",
+                             rules={"probe_margin": math.nan})),
+    "halfwidth-band-nan": ("line-blowup.ini", "halfwidth_band = 0.2",
+                           "halfwidth_band = nan", "rules", "halfwidth_band",
+                           lambda: harness.Scenario(
+                               "t", kind="tunnel",
+                               rules={"halfwidth_band": math.nan})),
+    "functional-threshold-nan": ("propagation-straight.ini",
+                                 "functional_threshold = 50",
+                                 "functional_threshold = nan", "rules",
+                                 "functional_threshold",
+                                 lambda: harness.Scenario(
+                                     "x", rules={
+                                         "functional_threshold": math.nan}))}
 
 
 class TestScenarioChecks:
@@ -822,7 +919,6 @@ def independent_rungs(scenario):
     pot = scenario.build_potential(curve)
     return [solver.solve_uk((k,), potential.grid_levels(pot, grid),
                             scenario.p, scenario.horizon, grid,
-                            ceiling=scenario.rules["divergence_ceiling"],
                             observe=harness._curve_probe(curve, grid, None,
                                                          scenario.horizon))[0]
             for k in scenario.k_ladder]
@@ -831,7 +927,7 @@ def independent_rungs(scenario):
 def assert_same_run(a, b):
     assert np.array_equal(a.times, b.times)
     assert a.observed == b.observed
-    for name in ("stop", "renormalizations", "underflows", "tail_mass"):
+    for name in ("renormalizations", "underflows", "tail_mass"):
         assert getattr(a, name) == getattr(b, name), name
     assert np.array_equal(a.final.values, b.final.values)
     assert a.final.log_scale == b.final.log_scale
@@ -873,39 +969,24 @@ class TestSharedLadderLevels:
         if profile == "inverse-square":
             assert all(run.underflows > 0 for run in shared)
 
-    def test_diverging_rung_stops_alone(self, monkeypatch):
-        # the middle rung crosses the ceiling at its first step; the rung
-        # after it still steps through every level
-        sc = tiny_ladder_scenario(k_ladder=(1e2, 1e6, 1e4),
-                                  potential_cfg=self.STEEP)
-        sc.rules = dict(sc.rules, divergence_ceiling=1e6)
-        ref = independent_rungs(sc)
-        calls = self.count_evaluations(monkeypatch)
-        shared = harness.ladder_runs(sc, sc.build_curve(), None)
-        assert [run.stop is not None for run in shared] \
-            == [False, True, False]
-        assert shared[1].times.size < shared[0].times.size \
-            == shared[2].times.size
-        for a, b in zip(shared, ref):
-            assert_same_run(a, b)
-        assert len(calls) == shared[0].times.size
-
     def test_columns_renormalize_at_their_own_steps(self):
         # control-straight's profile: h underflows to 0 at the datum's
         # peak, so a mass of 1e301 is scaled down at its first step, a unit
-        # mass never; neither warns, and each column is its rung's run alone
+        # mass never; neither warns, both step to the horizon, and each
+        # column is its rung's run alone
         sc = tiny_ladder_scenario(k_ladder=(1.0, 1e301), potential_cfg={
             "family": "inverse-square", "amplitude": 50.0,
             "distance": "parabolic"})
-        sc.rules = dict(sc.rules, divergence_ceiling=math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ref = independent_rungs(sc)
             shared = harness.ladder_runs(sc, sc.build_curve(), None)
         assert shared[0].renormalizations == 0 < shared[1].renormalizations
         assert shared[0].final.log_scale != shared[1].final.log_scale
+        steps = solver.step_times(solver.datum_start(sc.build_grid(), False),
+                                  sc.horizon, sc.grid_cfg["dt"])
         for a, b in zip(shared, ref):
-            assert a.stop is None
+            assert np.array_equal(a.times, steps)
             assert_same_run(a, b)
 
     def test_one_evaluation_per_level(self, monkeypatch):
@@ -986,30 +1067,6 @@ class TestWindowMax:
         assert max(self.observed((lo, hi), *probes)) == 4.0
         assert max(self.observed((0.25, 0.35), *probes)) == 2.0
         assert max(self.observed((0.5, 0.6), *probes)) == 0.0
-
-
-class TestCeilingStep:
-    """A rung that crosses the divergence ceiling is probed at the step
-    that crosses it.  No shipped rung stops early, so these runs pin the
-    probe maxima of two shipped ladders with the ceiling lowered to 1e3."""
-
-    @pytest.mark.parametrize("name, maxima", [
-        ("control-straight",
-         [51.04195948867685, 510.4195948867686, 5104.195948867687,
-          51041.95948867687, 510419.5948867686, 5104195.948867687]),
-        ("downslope-arc",
-         [1.6643803765127414, 10.451908194030038, 1.0375760155233017e-11,
-          7.31814130258872e-11, 2.2372801018609076e-10,
-          3.896221007609162e-10]),
-    ])
-    def test_probe_maxima_include_the_ceiling_step(self, name, maxima):
-        sc = harness.load_scenario(SCENARIOS / f"{name}.ini")
-        sc.rules = dict(sc.rules, divergence_ceiling=1e3)
-        runs = harness.ladder_runs(sc, sc.build_curve(), None)
-        assert any(run.stop == "divergence-ceiling" for run in runs)
-        v = harness.run_scenario(sc)
-        assert v.outcome == "propagation"
-        assert v.evidence["probe_maxima"] == pytest.approx(maxima, rel=1e-12)
 
 
 class TestLadderMonotoneInK:
@@ -1479,6 +1536,18 @@ class TestCli:
         assert cli.main(["report", str(log)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(log) in err
+
+    def test_torn_record_is_named_by_its_line(self, tmp_path):
+        # json reads one line at a time, so a torn 11th record used to be
+        # reported as "line 1 column 41"
+        log = tmp_path / "log.jsonl"
+        record = '{"combo": {"p": 2.0}, "outcome": "propagation"}\n'
+        log.write_text(record * 5 + "\n" + record * 4
+                       + '{"combo": {"p": 3.0}, "outcome": "prop')
+        with pytest.raises(ConfigurationError,
+                           match=r"log\.jsonl: line 11 column 34: "
+                                 r"Unterminated string starting at$"):
+            harness.read_sweep_log(log)
 
     def test_sweep_and_report(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEATLAB_OUT", str(tmp_path))

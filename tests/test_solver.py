@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from heatlab import barriers, geometry, harness, solver, spectral
-from heatlab.errors import ConfigurationError
+from heatlab.errors import ConfigurationError, NumericalError
 from heatlab.grids import Field, Grid, stencil_slices
 from heatlab.potential import DecayProfile, Potential, grid_levels
 
@@ -157,7 +157,7 @@ class TestStepImex:
             warnings.simplefilter("error")
             run = solver.evolve(fld, solver.PDESpec(p=100.0, absorption=1.0),
                                 fld.time + 2 * g.dt)
-        assert run.stop is None
+        assert run.times.size == 2
         assert 0.0 < run.final.values.max() < 1.1
 
     def test_cfl_guard(self):
@@ -193,10 +193,10 @@ class TestStepImex:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 runs.append(solver.evolve(
-                    fld, solver.PDESpec(p=2.0), t_end, ceiling=math.inf,
+                    fld, solver.PDESpec(p=2.0), t_end,
                     observe=(solver.step_times(t0, t_end, g.dt), log_norms)))
         unit, huge = runs
-        assert huge.stop is None and huge.renormalizations == 1
+        assert huge.renormalizations == 1
         assert huge.final.values.max() <= 1.0
         assert len(unit.observed) == len(huge.observed) == 3
         np.testing.assert_allclose(
@@ -227,14 +227,20 @@ class TestStepImex:
         with pytest.raises(ConfigurationError, match="must be > 1"):
             solver.PDESpec(p=p, absorption=1.0)
 
-    def test_non_finite_field_stops_the_run(self):
+    @pytest.mark.parametrize("a", [-1.0, math.inf, math.nan])
+    def test_constant_absorption_must_be_finite_and_nonnegative(self, a):
+        # -1 is a source, under which max|u| can grow without bound
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            solver.PDESpec(p=2.0, absorption=a)
+
+    def test_non_finite_field_fails_the_run(self):
+        # such a run used to return a truncated result, read as any other
         g = box_grid(n=61, dt=1e-2)
         vals = np.zeros(g.shape)
         vals[30] = np.nan
-        res = solver.evolve(Field(g, vals, 0.0), solver.PDESpec(p=2.0),
-                            10 * g.dt)
-        assert res.stop == "non-finite"
-        assert res.times.tolist() == [g.dt]
+        with pytest.raises(NumericalError, match=r"not finite at t = 0\.01"):
+            solver.evolve(Field(g, vals, 0.0), solver.PDESpec(p=2.0),
+                          10 * g.dt)
 
 
 
@@ -474,6 +480,10 @@ class TestComparisonPrinciple:
         tol = 1e-12 * max(float(np.max(np.abs(sv))), 1e-300)
         assert np.all(su <= sv + tol)
         assert su.min() >= -tol
+        # no step raises max|u| (the maximum principle of an absorption
+        # equation), so a run needs no divergence ceiling
+        for before, after in ((u, su), (v, sv)):
+            assert after.max() <= before.max() * (1.0 + 1e-12)
 
 
 class TestDiracFamily:
@@ -582,39 +592,29 @@ class TestSolveUk:
         bound = mu + barriers.drift_radial_barrier(rho, 0.0, beta, q, 0.0, 0.0)
         assert res.final.values[200] <= bound
 
-    def test_divergence_ceiling_freezes_run(self):
-        levels = grid_levels(Potential(DecayProfile("inverse-square", 50.0),
-                                       "parabolic", curve=self.curve),
-                             self.grid)
-        run, = solver.solve_uk((1e6,), levels, 2.0, 0.25, self.grid,
-                               ceiling=1e3)
-        assert run.stop == "divergence-ceiling"
-        assert run.times.size < int(round(0.25 / self.grid.dt))
-
     def test_observer_timing(self):
         # one call per time, in order, at the first step at or after
-        # time - dt/2, the step that hits the ceiling included, and none
-        # after it; absorption -1 is a source, so the field grows like
-        # u' = u**2
+        # time - dt/2: off the step grid, several at one step, at the last
+        # step and none past it; an absorbing run that steps to the end
         g = box_grid(n=61, dt=1e-2)
         vals = np.full(g.shape, 2.0)
         vals[[0, -1]] = 0.0
-        times = np.arange(0.0, 1.0, 0.0125)  # 0.4125 matches the stop
+        times = np.array([0.0, 0.0049, 0.0051, 0.2, 0.2, 0.4567, 0.995,
+                          1.004, 1.2])
         calls = []
         run = solver.evolve(Field(g, vals, 0.0),
-                            solver.PDESpec(p=2.0, absorption=-1.0), 1.0,
-                            ceiling=10.0,
+                            solver.PDESpec(p=2.0, absorption=1.0), 1.0,
                             observe=(times, lambda t, v, s: calls.append(t)))
-        assert run.stop == "divergence-ceiling"
         stepped = run.times.tolist()
+        assert run.linear_from is None and len(stepped) == 100
         expected = []
         for time in times:
             later = [t for t in stepped if t >= time - g.dt / 2.0]
             if not later:
                 break
             expected.append(later[0])
-        assert 1 < len(expected) < len(times)
-        assert calls == expected and calls[-1] == stepped[-1]
+        assert calls == expected and len(calls) == len(times) - 1
+        assert calls[:3] == [stepped[0]] * 3 and calls[-1] == stepped[-1]
         assert run.observed == [None] * len(calls)
 
     def test_probe_series_lengths_match(self):
@@ -726,32 +726,19 @@ class TestBatch:
                 assert (t, s) == (t_a, s_a) and np.array_equal(v, v_a)
 
 
-    def test_a_non_finite_column_stops_alone(self):
-        # a source, absorption -1 at p = 3: u' = u**3 blows up by t =
-        # 1/(2 u(0)**2), where the decay map's 1 + x turns negative; the
-        # column of 2 turns non-finite, the one of 0.1 steps to the end
+    def test_a_non_finite_column_fails_the_batch(self):
+        # a NaN in one column's datum: the batch raises at its first step,
+        # where each column used to leave the batch on its own
         g = box_grid(n=61, dt=1e-2)
         vals = np.zeros(g.shape + (2,))
         vals[1:-1] = [0.1, 2.0]
-        spec = solver.PDESpec(p=3.0, absorption=-1.0)
-        obs = (np.arange(0.05, 1.0, 0.05), column_copies)
-        with np.errstate(all="ignore"):
-            batch = solver.evolve(Field(g, vals, 0.0), spec, 1.0,
-                                  ceiling=math.inf, observe=obs)
-            alone = [solver.evolve(Field(g, vals[:, [j]], 0.0), spec, 1.0,
-                                   ceiling=math.inf, observe=obs).runs[0]
-                     for j in range(2)]
-        assert [run.stop for run in batch.runs] == [None, "non-finite"]
-        assert batch.times.size == 100 > batch.runs[1].times.size
-        for run, ref in zip(batch.runs, alone):
-            assert np.array_equal(run.times, ref.times)
-            assert run.stop == ref.stop
-            assert np.array_equal(run.final.values, ref.final.values,
-                                  equal_nan=True)
-            assert len(run.observed) == len(ref.observed)
-            for (t, v, s), (t_r, v_r, s_r) in zip(run.observed,
-                                                  ref.observed):
-                assert (t, s) == (t_r, s_r) and np.array_equal(v, v_r)
+        vals[30, 1] = np.nan
+        spec = solver.PDESpec(p=3.0, absorption=1.0)
+        with pytest.raises(NumericalError,
+                           match=r"column is not finite at t = 0\.01"):
+            solver.evolve(Field(g, vals, 0.0), spec, 1.0,
+                          observe=(np.arange(0.05, 1.0, 0.05),
+                                   column_copies))
 
 
 class TestFrameConsistency:
@@ -1043,7 +1030,7 @@ def assert_same_run(run, oracle):
     observations."""
     assert run.linear_from is None
     assert np.array_equal(run.times, oracle.times)
-    for name in ("stop", "renormalizations", "underflows", "tail_mass"):
+    for name in ("renormalizations", "underflows", "tail_mass"):
         assert getattr(run, name) == getattr(oracle, name), name
     assert np.array_equal(run.final.values, oracle.final.values)
     assert (run.final.time, run.final.log_scale) \
@@ -1107,19 +1094,6 @@ class TestLinearTail:
                                   lambda: solver.tunnel_run(2.0, g))
         assert_same_run(run, oracle)
 
-    def test_negative_constant_steps_to_the_end(self):
-        # a source can raise max|u|; the same field under +1 fast-forwards
-        times = np.arange(0.5, 6.0, 0.5)
-
-        def obs(t, v, s):
-            return t, float(v.max()), s
-
-        spec = solver.PDESpec(p=2.0, absorption=-1.0)
-        run = solver.evolve(self.fld, spec, 6.0, observe=(times, obs))
-        assert_same_run(run, stepped(self.fld, spec, 6.0, (times, obs)))
-        assert solver.evolve(self.fld, solver.PDESpec(p=2.0, absorption=1.0),
-                             6.0).linear_from is not None
-
     @pytest.mark.parametrize("absorption", [None, 1.0])
     def test_observer_times_past_the_switch(self, absorption):
         # off the step grid, two at one step, dt/2 after one (3.005: the
@@ -1145,27 +1119,19 @@ class TestLinearTail:
         assert run.final.time == oracle.final.time
 
     def test_times_are_the_step_grid(self):
-        # one entry per step, stepped, fast-forwarded, or through the step
-        # that stops the run: the step count a run's times give
+        # one entry per step, stepped or fast-forwarded: the step count a
+        # run's times give; a level function's run never switches
         dt = self.grid.dt
         steps = solver.step_times(0.0, 6.0, dt)
+        levels = grid_levels(Potential(None, "constant-floor", floor=1.0),
+                             self.grid)
         fast = solver.evolve(self.fld, solver.PDESpec(p=2.0, absorption=1.0),
                              6.0)
         slow = solver.evolve(self.fld,
-                             solver.PDESpec(p=2.0, absorption=-1.0), 6.0)
+                             solver.PDESpec(p=2.0, absorption=levels), 6.0)
         assert fast.linear_from is not None and slow.linear_from is None
         for run in (fast, slow):
-            assert run.stop is None and np.array_equal(run.times, steps)
-        # a source (absorption -1) lifts a field of 2 over the ceiling
-        g = box_grid(n=61, dt=dt)
-        vals = np.full(g.shape, 2.0)
-        vals[[0, -1]] = 0.0
-        stopped = solver.evolve(Field(g, vals, 0.013),
-                                solver.PDESpec(p=2.0, absorption=-1.0), 1.0,
-                                ceiling=10.0)
+            assert np.array_equal(run.times, steps)
         steps = solver.step_times(0.013, 1.0, dt)
-        assert stopped.stop == "divergence-ceiling"
-        assert 0 < stopped.times.size < steps.size
-        assert np.array_equal(stopped.times, steps[:stopped.times.size])
         # the arithmetic of a step at a time: t0 + k dt
         assert steps.tolist() == [0.013 + k * dt for k in range(1, 100)]
