@@ -278,15 +278,12 @@ class Scenario:
                  self.alpha, "must not lie beyond the curve's horizon "
                  f"{cfg['horizon']:g}")
         # in Python floats, which overflow to inf and fail the CFL limit
-        _built(lambda: solver.drift_cfl(
-            dt, [self.eps_list[0] * c for c in cfg["velocity"]],
-            self.build_grid().spacing), "curve", {"velocity": cfg["velocity"]})
-        # the feedback lift exp(0.5 (p - 1) eps |velocity|) of solve_rescaled
-        lift = 0.5 * (self.p - 1.0) * max(self.eps_list) \
-            * float(np.linalg.norm(cfg["velocity"]))
-        _require(lift <= 700.0, "scenario", "p", self.p,
-                 f"the feedback lift exp({lift:.3g}) at the largest eps "
-                 "exceeds exp(700)")
+        drift = [self.eps_list[0] * c for c in cfg["velocity"]]
+        grid = self.build_grid()
+        _built(lambda: solver.drift_cfl(dt, drift, grid.spacing), "curve",
+               {"velocity": cfg["velocity"]})
+        _built(lambda: solver.check_drift(drift, self.p, grid), "scenario",
+               {"p": self.p}, "at the largest eps ")
 
     def _run_end(self):
         """The end time of the shortest evolution the scenario runs: at
@@ -754,9 +751,9 @@ _MAX_COMBOS = 512  # the most combinations one sweep runs
 def load_sweep(path):
     """Sweep spec from an INI file; its base scenario is loaded (and
     checked) with :func:`load_scenario`.  Each axis must name a key that
-    the base reads, and each value build a scenario (a numerical one also
-    pass :meth:`Scenario.check_runs`);
-    an analytic sweep needs a rescaled base or none (``_ANALYTIC_BASE``)."""
+    the base reads, and each value pass :meth:`Scenario.check_runs` (a
+    numerical sweep) or :func:`_analytic_verdict` (an analytic one, which
+    needs a rescaled base or none: ``_ANALYTIC_BASE``)."""
     cp, cfg = _read_ini(path, ("sweep",))
     sw, section = cfg["sweep"], cp["sweep"]
     name = sw.get("name", Path(path).stem)
@@ -783,9 +780,10 @@ def load_sweep(path):
                "must not repeat a value")
         for value in values:
             try:
-                combo = _scenario_for(target, {key: value})
-                if mode == "numerical":  # an analytic combo never steps
-                    combo.check_runs()
+                if mode == "analytic":  # an analytic combo never steps
+                    _analytic_verdict({key: value}, base)
+                else:
+                    _scenario_for(target, {key: value}).check_runs()
             except ConfigurationError as exc:
                 _check(False, path, section, key, str(exc))
     return {"name": name, "mode": mode, "base": base, "axes": axes}
@@ -802,14 +800,18 @@ _ANALYTIC_BASE = Scenario("analytic", potential_cfg={"amplitude": 50.0})
 
 def _analytic_verdict(combo, base):
     """Analytic point-functional outcome of the base scenario (default:
-    ``_ANALYTIC_BASE``) with the combo's values, and its record; lambda0
-    is the unit ball's in the base's dimension."""
+    ``_ANALYTIC_BASE``) with the combo's values, and its record, lambda0
+    the unit ball's in its dimension; a functional not finite raises."""
     sc = _scenario_for(base or _ANALYTIC_BASE, combo)
     velocity = sc.curve_cfg["velocity"]
-    n_dim = len(velocity)
-    record = {"trace": spectral.blowup_functional(
-        sc.p, sc.alpha, spectral.BALL_LAMBDA[n_dim], sc.build_profile(),
-        sc.eps_list, beta_sup=float(np.linalg.norm(velocity))).tolist()}
+    with np.errstate(over="ignore"):
+        trace = spectral.blowup_functional(
+            sc.p, sc.alpha, spectral.BALL_LAMBDA[len(velocity)],
+            sc.build_profile(), sc.eps_list,
+            beta_sup=float(np.linalg.norm(velocity)))
+    if not np.isfinite(trace).all():
+        raise ConfigurationError(f"{sc.name}: the functional is not finite")
+    record = {"trace": trace.tolist()}
     return decide("analytic", record, sc.rules), record
 
 

@@ -6,12 +6,10 @@ axis by axis, first-order upwind transport for the moving-frame drift and
 backward-Euler diffusion with Dirichlet zero on the lateral boundary (a
 per-axis, Lie splitting).  The drift is one constant velocity, checked
 against the CFL limit once, so every axis's map is fixed and prepared once
-per run: an axis that is short (at most ``DENSE_AXIS_MAX`` interior nodes)
-or that the drift moves along steps by one dense matrix, the inverse of
-its diffusion matrix times its upwind map; a longer drift-free axis is
-factored as LDL^T (a step is one O(m) substitution).  Every sub-map is
-monotone, so the discrete comparison principle holds and the Dirac ladder
-k -> u_k inherits the monotonicity of the continuum problem.
+per run: a field steps each axis by one dense matrix, the inverse of its
+diffusion matrix times its upwind map.  Every sub-map is monotone, so the
+discrete comparison principle holds and the Dirac ladder k -> u_k
+inherits the monotonicity of the continuum problem.
 
 A run even in some axes (a tunnel) steps only the quadrant from the centre
 node of each mirrored axis on, and writes the rest of the full-size field
@@ -29,8 +27,9 @@ takes from the field at the steps it names, on the grid of
 
 On a 1D grid a field may hold a batch, one column per run: the rungs of a
 Dirac ladder step through the same levels of h, so one step evaluates h
-once and solves every column in one LAPACK call, and each column takes
-exactly the operations it would take alone.
+once and solves every column in one LAPACK call on the axis's LDL^T
+factor, and each column takes exactly the operations it would take alone
+(a dense product over the columns could round a column otherwise).
 """
 
 import contextlib
@@ -117,11 +116,6 @@ class RunResult:
 # ----------------------------------------------------------------------
 # stepper
 # ----------------------------------------------------------------------
-# Axes with at most this many interior nodes diffuse through an explicit
-# dense inverse, longer ones through their LDL^T factors (see Stepper).
-DENSE_AXIS_MAX = 64
-
-
 def drift_cfl(dt, velocity, spacing):
     """The upwind CFL number dt * sum |c_i|/h_i of a constant drift
     velocity; raises unless the velocity is finite and the number at most
@@ -141,42 +135,39 @@ class Stepper:
     symmetric positive-definite tridiagonal M-matrix with inverse P, and
     the interior upwind map U of its CFL number r = dt * c / h, U = I where
     c = 0, under the drift c, None or one velocity (see :class:`PDESpec`;
-    its shape and CFL number are checked here).  An axis with at most
-    ``DENSE_AXIS_MAX`` interior nodes, or one the drift moves along, steps
-    by the dense product P U (``PU0 @ v @ (PU1)^T`` in 2D; entrywise >= 0,
-    see ``_axis_operator``), so a drift is applied axis by axis, each
-    axis's upwind map just before its diffusion, and a long moving axis
-    costs O(m**2) a step.  A longer drift-free axis is factored once as
-    L D L^T (LAPACK ``dpttrf``) and steps by its two O(m) triangular sweeps
-    (``dpttrs``), never a multithreaded BLAS product that would
-    oversubscribe parallel sweep workers; L's off-diagonal -r/d_i < 0 and
-    D > 0, so both sweeps only add nonnegative terms and the solve stays
-    monotone.
+    its shape and CFL number are checked here).  A single field steps
+    every axis, at any length, by the dense product P U (``PU0 @ v @
+    (PU1)^T`` in 2D; entrywise >= 0, see ``_axis_operator``), so a drift
+    is applied axis by axis, each axis's upwind map just before its
+    diffusion; an axis of m interior nodes costs O(m**2) a step.
 
     With ``columns`` = K the stepper steps a batch of K fields on a 1D grid
-    without drift: values (m, K), one ``log_scale``, ``vmax`` and
+    without drift or mirror: values (m, K), one ``log_scale``, ``vmax`` and
     ``renorm_count`` per column, one ``underflow_count`` for all.  Its axis
-    always steps by ``dpttrs``, which solves each column by the same
-    sweeps as alone; a dense product over K columns (BLAS gemm) could
-    round a column otherwise than one over a single column (gemv).
+    is factored once as L D L^T (LAPACK ``dpttrf``) and steps by its two
+    O(m) triangular sweeps (``dpttrs``), which solve each column by the
+    same sweeps as alone; a dense product over K columns (BLAS gemm) could
+    round a column otherwise than one over a single column (gemv).  L's
+    off-diagonal -r/d_i < 0 and D > 0, so both sweeps only add nonnegative
+    terms and the solve stays monotone.
 
     On each axis of ``spec.mirror`` (a box centred on 0, an odd node count,
     no drift along it) only the quadrant from the centre node c on,
     ``[c0:, c1:]``, steps and is then reflected into the full array.  Its
-    centre row (1 + 2r, -2r) is halved to stay symmetric, and so is its
-    right-hand side: ``dpttrs`` takes row 0 times 1/2, the dense operator
-    is P diag(1/2, 1, ..., 1); both are M-matrix solves, so stay monotone.
+    centre row (1 + 2r, -2r) is halved to (1/2 + r, -r) to stay symmetric,
+    and so is its right-hand side: the axis steps by P diag(1/2, 1, ...,
+    1), an M-matrix solve, so stays monotone.
     """
 
     def __init__(self, grid, spec, columns=None):
-        self.grid = grid
         self.spec = spec
         self.dt = grid.dt
         self.hs = grid.spacing
         self.columns = columns
-        if columns is not None and (grid.ndim != 1 or spec.drift is not None):
+        if columns is not None and (grid.ndim != 1 or spec.drift is not None
+                                    or spec.mirror):
             raise ConfigurationError("a batch of fields steps on a 1D grid "
-                                     "without drift")
+                                     "without drift or mirror")
         # shape of a node array that broadcasts over the batch's columns
         self._nodes = grid.shape + ((1,) if columns is not None else ())
         self._ball = grid.interior_mask().astype(float).reshape(self._nodes) \
@@ -190,10 +181,10 @@ class Stepper:
             c = np.asarray(spec.drift, dtype=float)
             drift_cfl(self.dt, c, self.hs)
         # the stepped quadrant and its interior, centre nodes included
-        self._mirror = tuple(ax in spec.mirror for ax in range(grid.ndim))
+        mirror = tuple(ax in spec.mirror for ax in range(grid.ndim))
         self._quad = tuple(slice(n // 2 if m else None, None)
-                           for n, m in zip(grid.shape, self._mirror))
-        self._inner = tuple(slice(0 if m else 1, -1) for m in self._mirror)
+                           for n, m in zip(grid.shape, mirror))
+        self._inner = tuple(slice(0 if m else 1, -1) for m in mirror)
         for ax in spec.mirror:
             if grid.kind == BALL or grid.shape[ax] % 2 == 0 \
                     or grid.lo[ax] != -grid.hi[ax] or c[ax] != 0.0:
@@ -204,15 +195,15 @@ class Stepper:
         self._work = np.empty(grid.shape + (
             () if columns is None else (columns,)))[self._quad].copy()
         self._ab = [_banded(n // 2 if m else n - 2, self.dt / (h * h), m)
-                    for n, h, m in zip(grid.shape, self.hs, self._mirror)]
-        # a short or moving axis steps by its dense operator, any other by
-        # the (d, e) of its L D L^T; dpttrf cannot fail on these SPD matrices
+                    for n, h, m in zip(grid.shape, self.hs, mirror)]
+        # a field's dense operators, or a batch's (d, e) of its L D L^T;
+        # dpttrf cannot fail on this SPD matrix
         rs = self.dt * c / np.asarray(self.hs)
-        self._props = [_axis_operator(ab, r, ax, m) if columns is None and (
-            ab.shape[1] <= DENSE_AXIS_MAX or r != 0.0) else None
-            for ax, (ab, r, m) in enumerate(zip(self._ab, rs, self._mirror))]
-        self._factors = [dpttrf(ab[1], ab[2, :-1])[:2] if prop is None
-                         else None for ab, prop in zip(self._ab, self._props)]
+        self._props = [_axis_operator(ab, r, ax, m) for ax, (ab, r, m) in
+                       enumerate(zip(self._ab, rs, mirror))] \
+            if columns is None else None
+        self._factor = dpttrf(self._ab[0][1], self._ab[0][2, :-1])[:2] \
+            if columns is not None else None
         self.underflow_count = 0
         self.renorm_count = 0 if columns is None else np.zeros(columns, int)
         # max|u| is unknown until the first step
@@ -330,16 +321,10 @@ class Stepper:
     def _diffuse(self, inner):
         """Upwind drift and backward-Euler diffusion of the interior block,
         axis by axis."""
-        for ax, (prop, fac) in enumerate(zip(self._props, self._factors)):
-            if prop is not None:  # stored transposed on axis 1
-                inner = prop @ inner if ax == 0 else inner @ prop
-                continue
-            rhs = inner if ax == 0 else inner.T
-            if self._mirror[ax]:  # the halved centre row's right-hand side
-                rhs = np.array(rhs, order="F")
-                rhs[0] *= 0.5
-            inner = dpttrs(*fac, rhs)[0]
-            inner = inner if ax == 0 else inner.T
+        if self.columns is not None:
+            return dpttrs(*self._factor, inner)[0]
+        for ax, prop in enumerate(self._props):  # transposed on axis 1
+            inner = prop @ inner if ax == 0 else inner @ prop
         return inner
 
 
@@ -620,18 +605,19 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
     c1 = min field(., 1)/psi0, the drift constant beta_tau = eps |velocity|,
     the measured nonlinear feedback sup, and the conformance margin against
     the exponential lower envelope on [1, tau], checked every
-    ``_PROBE_STRIDE``.  Runs over the step budget raise a
-    ConfigurationError, see check_step_budget.
+    ``_PROBE_STRIDE``.  Runs over the step budget, or whose drift fails
+    :func:`check_drift`, raise a ConfigurationError before any step.
     """
     if np.shape(velocity) != (grid.ndim,):
         raise ConfigurationError(f"a velocity of shape {np.shape(velocity)} "
                                  f"cannot drive a {grid.ndim}D grid")
     check_step_budget(eps, alpha, grid.dt)
+    drift = eps * np.asarray(velocity, dtype=float)
+    lift = math.exp(check_drift(drift, p, grid))
     t_end = alpha / (eps * eps)
     # align the mollification time to the step grid so the observed times
     # (multiples of dt) are hit exactly
     t_start = datum_start(grid)
-    drift = eps * np.asarray(velocity, dtype=float)
 
     if psi0 is None:
         psi0 = _ground_state_for(grid)
@@ -642,7 +628,6 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
     # the feedback term's drift tilt exp(-<x, b>/2) and lift exp(|b|/2)**(p-1)
     dots = pts @ drift if grid.ndim > 1 else pts[:, 0] * drift[0]
     tilt = np.exp(-0.5 * dots.reshape(grid.shape))
-    lift = math.exp(0.5 * (p - 1.0) * float(np.linalg.norm(drift)))
     c1 = log_c1 = math.nan
 
     def observe(t, vals, s):
@@ -682,12 +667,24 @@ def solve_rescaled(eps, velocity, p, alpha, grid, psi0=None):
 def check_step_budget(eps, alpha, dt):
     """Raise a ConfigurationError if the zoomed run at ``eps`` out to time
     alpha/eps**2 takes more than ``_MAX_STEPS`` steps of ``dt`` (rounded to
-    the nearest count; an overflow to inf takes more)."""
-    n_steps = alpha / (eps * eps) / dt
+    the nearest count; an inf count, or an eps**2 of 0, takes more)."""
+    n_steps = alpha / (eps * eps) / dt if eps * eps > 0 else math.inf
     if not n_steps <= _MAX_STEPS + 0.5:
         raise ConfigurationError(
             f"{n_steps:.0f} steps exceed the budget; raise eps above "
             f"{math.sqrt(alpha / (_MAX_STEPS * dt)):.3g} or enlarge dt")
+
+
+def check_drift(drift, p, grid):
+    """Raise a ConfigurationError unless ``drift`` meets :func:`drift_cfl`
+    on ``grid`` and a zoomed run's feedback lift exp(0.5 (p - 1) |drift|)
+    stays within exp(700); returns the lift's exponent."""
+    drift_cfl(grid.dt, drift, grid.spacing)
+    log_lift = 0.5 * (p - 1.0) * float(np.linalg.norm(drift))
+    if not log_lift <= 700.0:
+        raise ConfigurationError(
+            f"the feedback lift exp({log_lift:.3g}) exceeds exp(700)")
+    return log_lift
 
 
 def datum_start(grid, aligned=True):

@@ -471,7 +471,8 @@ class TestLoadValidation:
         self.duplicate(path, "scenario", "p")
 
     @pytest.mark.parametrize("axis, values", [("p", "1.0, 2.0"),
-                                              ("alpha", "0.5, 0")])
+                                              ("alpha", "0.5, 0"),
+                                              ("velocity", "1, 1e308")])
     def test_sweep_axis_out_of_range(self, tmp_path, axis, values):
         text = (SCENARIOS / "sweep-phase.ini").read_text()
         path = tmp_path / "sweep.ini"

@@ -285,20 +285,19 @@ class TestDriftWidth:
 
 
 class TestPropagators:
-    # interior sizes just below, at and just above the dense-inverse cutoff
-    SIZES = (solver.DENSE_AXIS_MAX + 1, solver.DENSE_AXIS_MAX + 2,
-             solver.DENSE_AXIS_MAX + 3)
+    # node counts of axes with 63 to 65 interior nodes
+    SIZES = (65, 66, 67)
 
     @pytest.mark.parametrize("dt", [2e-4, 2e-3])
     def test_dense_axes_match_banded_solve(self, rng, dt):
-        for n in self.SIZES:
+        # a single field steps every axis by its dense operator, at any
+        # length, and holds no LDL^T factor
+        for n in self.SIZES + (301,):
             g = Grid("box", (-1.0, -1.0), (1.0, 1.0), (n, self.SIZES[0]), dt)
             st_ = solver.Stepper(g, solver.PDESpec(p=2.0))
+            assert st_._factor is None
             for ab, prop in zip(st_._ab, st_._props):
                 m = ab.shape[1]
-                if m > solver.DENSE_AXIS_MAX:
-                    assert prop is None
-                    continue
                 assert prop.shape == (m, m)
                 assert prop.min() >= 0.0
                 b = rng.uniform(0.0, 1.0, size=(m, 7))
@@ -307,8 +306,7 @@ class TestPropagators:
 
     @pytest.mark.parametrize("dt", [2e-4, 2e-3])
     def test_diffusion_step_matches_banded_solves(self, rng, dt):
-        # one pure-diffusion step against per-step solves on both axes,
-        # on each side of the cutoff
+        # one pure-diffusion step against per-step solves on both axes
         for shape in ((self.SIZES[0], self.SIZES[2]),
                       (self.SIZES[2], self.SIZES[1]), (self.SIZES[2],)):
             ndim = len(shape)
@@ -351,18 +349,17 @@ class TestPropagators:
 
     @pytest.mark.parametrize("g", [
         Grid.unit_ball(41, 0.005, ndim=2),
-        Grid.unit_ball(solver.DENSE_AXIS_MAX + 5, 0.005, ndim=1)],
+        Grid.unit_ball(69, 0.005, ndim=1)],
         ids=["shipped-ball", "long-1d-ball"])
     def test_drift_folds_into_axis_operators(self, rng, g):
         # one step with the upwind map inside each moving axis's operator
-        # against the explicit step; a moving axis is dense at any length
+        # against the explicit step
         vals = rng.uniform(0.1, 1.0, size=g.shape) * g.interior_mask()
         for ax in range(g.ndim):
             for speed in (0.1, -0.1):
                 c = np.zeros(g.ndim)
                 c[ax] = speed
                 st_ = solver.Stepper(g, solver.PDESpec(p=2.0, drift=c))
-                assert st_._props[ax] is not None
                 out, ls = st_.step(vals, 0.0, 0.0)
                 assert ls == 0.0
                 np.testing.assert_allclose(out, self.explicit_step(g, c, vals),
@@ -370,8 +367,8 @@ class TestPropagators:
 
     @pytest.mark.parametrize("shape", [(21, 141), (141, 21), (141,), (21,)])
     def test_mirrored_step_matches_the_full_step(self, rng, shape):
-        # a kept half stepped dense and by LDL^T sweeps, on either axis: one
-        # step of even data, mirrored in every axis and whole
+        # a short and a long kept half, on either axis: one step of even
+        # data, mirrored in every axis and whole
         ndim = len(shape)
         g = Grid("box", (-1.0,) * ndim, (1.0,) * ndim, shape, 2e-3)
         vals = rng.uniform(0.1, 1.0, size=shape)
@@ -395,17 +392,16 @@ class TestPropagators:
     @pytest.mark.parametrize("n", [65, 66, 67, 199, 299])
     @pytest.mark.parametrize("dt", [2e-4, 2e-3])
     def test_axis_solves_match_banded_solve(self, rng, n, dt):
-        # dense up to the cutoff, LDL^T factors above it; either way one
-        # solve per axis, nonnegative on nonnegative data (tiny tail values
-        # and exact zeros included)
+        # every axis dense at any length, one product per axis,
+        # nonnegative on nonnegative data (tiny tail values and exact zeros
+        # included)
         for shape in ((n,), (n, 9), (9, n)):
             g = Grid("box", (-1.0,) * len(shape), (1.0,) * len(shape),
                      shape, dt)
             st_ = solver.Stepper(g, solver.PDESpec(p=2.0))
-            for ab, prop, fac in zip(st_._ab, st_._props, st_._factors):
-                long_axis = ab.shape[1] > solver.DENSE_AXIS_MAX
-                assert (prop is None) == long_axis
-                assert (fac is None) != long_axis
+            assert st_._factor is None
+            for ab, prop in zip(st_._ab, st_._props):
+                assert prop.shape == (ab.shape[1],) * 2
             inner = tuple(m - 2 for m in shape)
             b = rng.uniform(0.0, 1.0, size=inner) \
                 * (rng.random(inner) < 0.5) * 10.0 ** rng.integers(-300, 1, inner)
@@ -419,10 +415,9 @@ class TestPropagators:
 
 @st.composite
 def comparison_cases(draw):
-    """A grid on either side of the dense cutoff, a constant drift with
-    any sign pattern below the CFL limit, and an absorption; or a mirrored
-    box with odd counts, whose kept halves fall on either side of the
-    cutoff too, drifting along no mirrored axis."""
+    """A grid of 5 to 80 nodes an axis, a constant drift with any sign
+    pattern below the CFL limit, and an absorption; or a mirrored box with
+    odd counts up to 161, drifting along no mirrored axis."""
     kind = draw(st.sampled_from(["box1", "ball1", "box2", "ball2", "tunnel",
                                  "mirrored1", "mirrored2"]))
     n_max = 160 if kind.startswith("mirrored") else 80
@@ -704,14 +699,21 @@ class TestBatch:
                 p=2.0, drift=np.array([0.1])), columns=2)
         with pytest.raises(ConfigurationError, match="batch"):
             solver.Stepper(tunnel, solver.PDESpec(p=2.0), columns=2)
+        # a mirrored batch would solve the halved centre row against an
+        # unhalved right-hand side
+        with pytest.raises(ConfigurationError, match="batch"):
+            solver.Stepper(box_grid(), solver.PDESpec(p=2.0, mirror=(0,)),
+                           columns=2)
+        batch = solver.Stepper(box_grid(), solver.PDESpec(p=2.0), columns=2)
+        assert batch._props is None and len(batch._factor) == 2
         with pytest.raises(ConfigurationError, match="field shape"):
             Field(tunnel, np.zeros((21, 11, 2)), 0.0)
         assert Field(box_grid(), np.zeros((301, 2)), 0.0).values.shape \
             == (301, 2)
 
     def test_columns_step_as_alone(self):
-        # a short axis, which a single field steps by its dense inverse:
-        # in a batch every column takes the LDL^T sweeps of a batch of one
+        # an axis that a single field steps by its dense inverse: in a
+        # batch every column takes the LDL^T sweeps of a batch of one
         g = box_grid(n=41, dt=1e-2)
         levels = grid_levels(Potential(None, "constant-floor", floor=1.0), g)
         obs = (np.array([0.2, 0.5]), column_copies)
@@ -828,6 +830,24 @@ class TestRescaled:
     def test_budget_guard(self):
         with pytest.raises(ConfigurationError, match="raise eps above"):
             solver.solve_rescaled(1e-3, self.velocity, 2.0, 1.0, self.grid)
+
+    def test_budget_guard_takes_an_underflowing_eps(self):
+        # eps**2 underflows to 0, which was a ZeroDivisionError
+        with pytest.raises(ConfigurationError, match="raise eps above"):
+            solver.check_step_budget(1e-200, 1.0, 0.002)
+
+    @pytest.mark.parametrize("velocity, dt, message", [
+        ((1e4, 0.0), 0.005, "drift CFL 100 exceeds 0.5"),
+        ((2e5, 0.0), 1e-6, r"feedback lift exp\(2e\+04\) exceeds exp\(700\)")],
+        ids=["cfl", "lift"])
+    def test_drift_refused_before_it_is_used(self, velocity, dt, message):
+        # both used to overflow exp in the drift's tilt (a RuntimeWarning)
+        # and math.exp in the lift (an OverflowError)
+        g = Grid.unit_ball(21, dt, ndim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=message):
+                solver.solve_rescaled(0.2, velocity, 2.0, 0.04, g)
 
     def test_drift_constants_are_exact(self):
         # a straight frame has one speed; derivatives sampled from
